@@ -26,13 +26,15 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Table I + solver-pool throughput + the contract→ILP path (ablation with
-# its exact dense/revised-simplex variants, and the LP-core microbenchmarks
-# incl. the BenchmarkLP Exact/ExactDense representation pairs) + the
-# repeated-solve layers (refinement, lifelong, design sweep), recorded with
-# allocation stats.
+# Table I synthesis + the full Table I solve and its two dominant stages
+# (Algorithm 1 realization, validation by simulation) + solver-pool
+# throughput + the contract→ILP path (ablation with its exact
+# dense/revised-simplex variants, and the LP-core microbenchmarks incl. the
+# BenchmarkLP Exact/ExactDense representation pairs) + the repeated-solve
+# layers (refinement, lifelong, design sweep), recorded with allocation
+# stats.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIParallel|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkTableIParallel|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
 		$(GO) run ./scripts/benchjson -o BENCH_table1.json -label "$(BENCH_LABEL)"
 
 # Diff the last two recorded snapshots per benchmark — the trajectory file

@@ -14,6 +14,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/agentplan"
 	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/grid"
@@ -131,8 +132,11 @@ func BenchmarkSolveBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIEndToEnd times the whole pipeline (synthesis, cycle
-// mapping, Algorithm 1 realization, and validation by simulation).
+// BenchmarkTableIEndToEnd times a whole default core.Solve on the largest
+// workload per map: route-packing synthesis (which builds cycles directly,
+// with no flow-to-cycle mapping), Algorithm 1 realization, and validation
+// by simulation. BenchmarkRealization and BenchmarkValidate time the last
+// two stages alone.
 func BenchmarkTableIEndToEnd(b *testing.B) {
 	for _, row := range tableIRows {
 		m, err := row.build()
@@ -704,9 +708,10 @@ func BenchmarkDesignSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkRealization isolates Algorithm 1: agent-steps simulated per
-// second on the largest Table I instance.
-func BenchmarkRealization(b *testing.B) {
+// largestTableISolve solves the largest Table I instance (Fulfillment2,
+// 1440 units) end to end, for the realization and validation benchmarks.
+func largestTableISolve(b *testing.B) (*maps.Map, warehouse.Workload, *core.Result) {
+	b.Helper()
 	m, err := maps.Fulfillment2()
 	if err != nil {
 		b.Fatal(err)
@@ -715,18 +720,41 @@ func BenchmarkRealization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pre, err := core.Solve(context.Background(), m.S, wl, horizonT, core.Options{})
+	res, err := core.Solve(context.Background(), m.S, wl, horizonT, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	agents := pre.Stats.Agents
+	return m, wl, res
+}
+
+// benchPlan keeps the benchmarked calls' results live.
+var benchPlan *warehouse.Plan
+
+// BenchmarkRealization isolates Algorithm 1: agentplan.Realize on the
+// precomputed cycle set of the largest Table I instance, reported per
+// agent-step.
+func BenchmarkRealization(b *testing.B) {
+	_, wl, pre := largestTableISolve(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Solve(context.Background(), m.S, wl, horizonT, core.Options{})
+		plan, _, err := agentplan.Realize(pre.CycleSet, wl, horizonT)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = res
+		benchPlan = plan
 	}
-	b.ReportMetric(float64(agents*horizonT), "agent-steps/op")
+	b.ReportMetric(float64(pre.Stats.Agents*horizonT), "agent-steps/op")
+}
+
+// BenchmarkValidate isolates validation by simulation: sim.Run replaying the
+// realized plan of the largest Table I instance, reported per agent-step.
+func BenchmarkValidate(b *testing.B) {
+	m, wl, pre := largestTableISolve(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := sim.Run(m.W, pre.Plan, wl); len(res.Violations) > 0 || res.ServicedAt < 0 {
+			b.Fatalf("plan rejected: %d violations, serviced at %d", len(res.Violations), res.ServicedAt)
+		}
+	}
+	b.ReportMetric(float64(pre.Stats.Agents*horizonT), "agent-steps/op")
 }

@@ -13,6 +13,15 @@
 // Pickups and drop-offs follow the product-handling semantics of §III
 // condition (3): the carried-product transition at t+1 is decided by the
 // agent's position at t, so picking and dropping cost no timesteps.
+//
+// A timestep costs time in the number of agents, not cells: each component
+// keeps a ring of its agents, nearest the exit first, and each agent its
+// cell as a slot in one flat component-major cell array. Movement decisions
+// read only time-t slots. An agent that crosses to its next component leaves
+// its ring's head and joins the next ring's tail once the movement phase is
+// over; at most one agent enters a component per step, and only onto an
+// entry cell free at t, so the joiner is the member farthest from the exit
+// and every ring stays in exit-first order.
 package agentplan
 
 import (
@@ -22,6 +31,12 @@ import (
 	"repro/internal/grid"
 	"repro/internal/warehouse"
 )
+
+// tileSteps is how many timesteps of states Realize buffers per agent in a
+// small tile before copying them into the plan: each step writes into the
+// tile instead of into every agent's row of the agents×T slab, and each
+// flush copies one contiguous run of states per row.
+const tileSteps = 64
 
 // Stats summarizes a realization.
 type Stats struct {
@@ -38,16 +53,38 @@ type Stats struct {
 	Moves int
 }
 
+// agent is one agent's state apart from its cell slot.
 type agent struct {
-	cycle   int // index into cs.Cycles
-	pos     int // index into cycle.Components: the agent's current position
-	vertex  grid.VertexID
-	carried warehouse.ProductID
-	dropPos int // leg DropIdx the agent is heading to, -1 when empty
-	legIdx  int // leg being executed, -1 when empty
-
+	cyc      *cycles.Cycle
+	quota    []int // units left per leg of cyc, shared by the cycle's agents
+	pos      int   // index into cyc.Components: the agent's current component
+	carried  warehouse.ProductID
+	dropPos  int // leg DropIdx the agent is heading to, -1 when empty
 	advanceT int // timestep of the last component advancement
 }
+
+// ring lists the agents in one component, nearest the exit first. The
+// component owns the cell slots lo (its entry) through lo+size-1 (its exit)
+// of the flat cell array, and the same range of the shared ring buffer,
+// which fits every member since a component holds at most one agent per
+// cell.
+type ring struct {
+	lo, size int32
+	head, n  int32
+}
+
+// tail returns the ring-array index of the member farthest from the exit.
+func (r *ring) tail() int32 {
+	i := r.head + r.n - 1
+	if i >= r.size {
+		i -= r.size
+	}
+	return r.lo + i
+}
+
+// handoff is a component crossing decided in the movement phase: the head
+// of ring from joins ring to as its tail.
+type handoff struct{ from, to int32 }
 
 // Realize executes the cycle set for T timesteps and returns the plan
 // (π, φ) together with realization statistics. The returned plan always
@@ -69,39 +106,59 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		return nil, Stats{}, fmt.Errorf("agentplan: invalid cycle set: %v", errs[0])
 	}
 
-	// Instantiate agents: one per cycle position, placed on distinct cells
-	// of the position's component, filling from the exit backward.
-	var agents []*agent
-	nextFree := make([]int, s.NumComponents()) // cells used so far, from exit
-	for ci, cyc := range cs.Cycles {
-		for pos, comp := range cyc.Components {
-			cells := s.Components[comp].Cells
-			slot := len(cells) - 1 - nextFree[comp]
-			if slot < 0 {
-				return nil, Stats{}, fmt.Errorf("agentplan: component %d overfull at initialization", comp)
-			}
-			nextFree[comp]++
-			a := &agent{
-				cycle:    ci,
-				pos:      pos,
-				vertex:   cells[slot],
-				carried:  warehouse.NoProduct,
-				dropPos:  -1,
-				legIdx:   -1,
-				advanceT: -1,
-			}
-			agents = append(agents, a)
+	// The flat cell array, slot -> vertex, and one empty ring per component
+	// over the component's slot range.
+	rings := make([]ring, s.NumComponents())
+	ncells := int32(0)
+	for c, comp := range s.Components {
+		rings[c] = ring{lo: ncells, size: int32(len(comp.Cells))}
+		ncells += int32(len(comp.Cells))
+	}
+	vertexAt := grid.GetInt32(int(ncells))
+	defer grid.PutInt32(vertexAt)
+	for c, comp := range s.Components {
+		for i, v := range comp.Cells {
+			vertexAt[int(rings[c].lo)+i] = int32(v)
 		}
 	}
 
-	// Mutable pick bookkeeping.
-	legQuota := make([][]int, len(cs.Cycles))
-	for ci, cyc := range cs.Cycles {
-		legQuota[ci] = make([]int, len(cyc.Legs))
+	// Instantiate agents: one per cycle position, placed on distinct cells
+	// of the position's component, filling from the exit backward, which is
+	// also ring order.
+	n := cs.NumAgents()
+	agents := make([]agent, n)
+	cur := grid.GetInt32(n)               // each agent's slot at t
+	nxt := grid.GetInt32(n)               // each agent's slot at t+1
+	members := grid.GetInt32(int(ncells)) // the rings' shared buffer
+	defer grid.PutInt32(cur)
+	defer grid.PutInt32(nxt)
+	defer grid.PutInt32(members)
+	// Mutable pick bookkeeping: every cycle's leg quotas, in one slice.
+	nlegs := 0
+	for _, cyc := range cs.Cycles {
+		nlegs += len(cyc.Legs)
+	}
+	quota := make([]int, nlegs)
+	ai := 0
+	for _, cyc := range cs.Cycles {
+		q := quota[:len(cyc.Legs):len(cyc.Legs)]
+		quota = quota[len(cyc.Legs):]
 		for li, leg := range cyc.Legs {
-			legQuota[ci][li] = leg.Quota
+			q[li] = leg.Quota
+		}
+		for pos, comp := range cyc.Components {
+			r := &rings[comp]
+			if r.n == r.size {
+				return nil, Stats{}, fmt.Errorf("agentplan: component %d overfull at initialization", comp)
+			}
+			members[r.lo+r.n] = int32(ai)
+			cur[ai] = r.lo + r.size - 1 - r.n
+			r.n++
+			agents[ai] = agent{cyc: cyc, quota: q, pos: pos, carried: warehouse.NoProduct, dropPos: -1, advanceT: -1}
+			ai++
 		}
 	}
+
 	// Dense mutable stock: shelf column x product, indexed col*|ρ|+k.
 	p := w.NumProducts
 	stock := grid.GetInt32(len(w.ShelfAccess) * p)
@@ -116,138 +173,162 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		}
 	}
 
-	plan := &warehouse.Plan{States: make([][]warehouse.AgentState, len(agents))}
+	// One agents×T slab, sliced into capacity-capped rows.
+	slab := make([]warehouse.AgentState, n*T)
+	plan := &warehouse.Plan{States: make([][]warehouse.AgentState, n)}
+	for i := range plan.States {
+		plan.States[i] = slab[i*T : (i+1)*T : (i+1)*T]
+	}
+	// tile[i*width+r] holds agent i's state at timestep base+r.
+	width := min(tileSteps, T)
+	tile := warehouse.GetStates(width * n)
+	defer warehouse.PutStates(tile)
+	base := 0
 	for i := range agents {
-		plan.States[i] = make([]warehouse.AgentState, T)
-		plan.States[i][0] = warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct}
+		tile[i*width] = warehouse.AgentState{Vertex: grid.VertexID(vertexAt[cur[i]]), Carried: warehouse.NoProduct}
 	}
 
 	stats := Stats{
-		Agents:     len(agents),
-		Delivered:  make([]int, w.NumProducts),
+		Agents:     n,
+		Delivered:  make([]int, p),
 		ServicedAt: -1,
 	}
-	serviced := func() bool {
-		for k, want := range wl.Units {
-			if stats.Delivered[k] < want {
-				return false
-			}
+	short := 0 // products still below their demand
+	for _, want := range wl.Units {
+		if want > 0 {
+			short++
 		}
-		return true
 	}
-	if stats.ServicedAt < 0 && serviced() {
+	if short == 0 {
 		stats.ServicedAt = 0
 	}
 
-	// Stamped occupancy arenas, pooled across runs. An entry is valid at the
-	// current step iff its stamp equals the step's stamp, so no per-step
-	// clearing or map allocation happens: occ* holds positions at time t,
-	// new* the claims for t+1, entry* the per-component entry arbitration.
-	nv := w.Graph.NumVertices()
-	occVal := grid.GetInt32(nv)
-	occStamp := grid.GetInt32(nv)
-	newStamp := grid.GetInt32(nv)
-	entryStamp := grid.GetInt32(s.NumComponents())
-	defer grid.PutInt32(occVal)
-	defer grid.PutInt32(occStamp)
-	defer grid.PutInt32(newStamp)
+	// entryStamp[c] == t+1 once an agent has claimed component c's entry
+	// for t+1.
+	entryStamp := grid.GetInt32(len(rings))
 	defer grid.PutInt32(entryStamp)
+	handoffs := make([]handoff, 0, len(rings))
 
 	for t := 0; t+1 < T; t++ {
 		periodStart := (t / tc) * tc
 		stamp := int32(t) + 1
 
-		// Occupancy at time t, from the agents themselves.
-		for ai, a := range agents {
-			occVal[a.vertex] = int32(ai)
-			occStamp[a.vertex] = stamp
-		}
-
 		// Phase 1: pick/drop decisions from positions at time t.
-		for _, a := range agents {
-			cyc := cs.Cycles[a.cycle]
+		for i := range agents {
+			a := &agents[i]
+			v := grid.VertexID(vertexAt[cur[i]])
 			if a.carried == warehouse.NoProduct {
-				col := w.ShelfColumn(a.vertex)
+				col := w.ShelfColumn(v)
 				if col < 0 {
 					continue
 				}
-				for li := range cyc.Legs {
-					leg := &cyc.Legs[li]
-					if leg.PickIdx != a.pos || legQuota[a.cycle][li] <= 0 {
+				for li := range a.cyc.Legs {
+					leg := &a.cyc.Legs[li]
+					if leg.PickIdx != a.pos || a.quota[li] <= 0 {
 						continue
 					}
-					if stock[col*p+int(leg.Product)] <= 0 {
+					si := col*p + int(leg.Product)
+					if stock[si] <= 0 {
 						continue
 					}
-					stock[col*p+int(leg.Product)]--
-					legQuota[a.cycle][li]--
+					stock[si]--
+					a.quota[li]--
 					a.carried = leg.Product
 					a.dropPos = leg.DropIdx
-					a.legIdx = li
 					stats.Picks++
 					break
 				}
-			} else if a.pos == a.dropPos && w.IsStation(a.vertex) {
-				stats.Delivered[a.carried]++
+			} else if a.pos == a.dropPos && w.IsStation(v) {
+				k := a.carried
+				stats.Delivered[k]++
+				if int(k) < len(wl.Units) && stats.Delivered[k] == wl.Units[k] {
+					short--
+				}
 				a.carried = warehouse.NoProduct
 				a.dropPos = -1
-				a.legIdx = -1
 			}
+		}
+
+		r := t + 1 - base
+		if r == width {
+			flushTile(plan.States, tile, width, base, width)
+			base += width
+			r = 0
 		}
 
 		// Phase 2: movement, component by component, members nearest the
-		// exit first. Walking each component's cells from the exit backward
-		// over the time-t occupancy yields exactly that order without the
-		// per-step sort the map-based version needed.
-		for compID := range s.Components {
-			comp := s.Components[compID]
-			cells := comp.Cells
-			rank := 0
-			for ci := len(cells) - 1; ci >= 0; ci-- {
-				v := cells[ci]
-				if occStamp[v] != stamp {
-					continue
+		// exit first. The member just ahead is the only one that can hold
+		// the next cell, so its time-t slot decides every internal shift.
+		handoffs = handoffs[:0]
+		for c := range rings {
+			rg := &rings[c]
+			if rg.n == 0 {
+				continue
+			}
+			exit := rg.lo + rg.size - 1
+			ahead := int32(-1)
+			h := rg.head
+			for k := int32(0); k < rg.n; k++ {
+				i := members[rg.lo+h]
+				if h++; h == rg.size {
+					h = 0
 				}
-				ai := int(occVal[v])
-				a := agents[ai]
-				advanced := false
-				if rank == 0 && a.vertex == comp.Exit() && a.advanceT < periodStart {
-					cyc := cs.Cycles[a.cycle]
-					nextPos := (a.pos + 1) % len(cyc.Components)
-					nextComp := cyc.Components[nextPos]
-					entry := s.Components[nextComp].Entry()
-					if entryStamp[nextComp] != stamp {
-						if occStamp[entry] != stamp {
-							entryStamp[nextComp] = stamp
-							a.pos = nextPos
-							a.vertex = entry
+				a := &agents[i]
+				g := cur[i]
+				ng := g
+				if g == exit {
+					if k == 0 && a.advanceT < periodStart {
+						np := a.pos + 1
+						if np == len(a.cyc.Components) {
+							np = 0
+						}
+						to := a.cyc.Components[np]
+						tr := &rings[to]
+						// The entry was free at t unless the member farthest
+						// from that component's exit stood on it.
+						if entryStamp[to] != stamp && (tr.n == 0 || cur[members[tr.tail()]] != tr.lo) {
+							entryStamp[to] = stamp
+							a.pos = np
 							a.advanceT = t + 1
-							advanced = true
+							ng = tr.lo
+							handoffs = append(handoffs, handoff{from: int32(c), to: int32(to)})
 							stats.Moves++
 						}
 					}
+				} else if ahead != g+1 {
+					ng = g + 1
+					stats.Moves++
 				}
-				if !advanced {
-					// Internal shift toward the exit.
-					next := s.NextCellAt(a.vertex)
-					if next != grid.None {
-						if occStamp[next] != stamp && newStamp[next] != stamp {
-							a.vertex = next
-							stats.Moves++
-						}
-					}
-				}
-				newStamp[a.vertex] = stamp
-				rank++
+				nxt[i] = ng
+				tile[int(i)*width+r] = warehouse.AgentState{Vertex: grid.VertexID(vertexAt[ng]), Carried: a.carried}
+				ahead = g
 			}
 		}
-
-		for ai, a := range agents {
-			plan.States[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
+		for _, h := range handoffs {
+			from, to := &rings[h.from], &rings[h.to]
+			i := members[from.lo+from.head]
+			if from.head++; from.head == from.size {
+				from.head = 0
+			}
+			from.n--
+			to.n++
+			members[to.tail()] = i
 		}
-		if stats.ServicedAt < 0 && serviced() {
+		cur, nxt = nxt, cur
+
+		if stats.ServicedAt < 0 && short == 0 {
 			stats.ServicedAt = t + 1
 		}
 	}
+	flushTile(plan.States, tile, width, base, T-base)
 	return plan, stats, nil
+}
+
+// flushTile copies the first steps states of every agent's run of width
+// states in the tile, its states at timesteps base..base+steps-1, into the
+// agent's plan row.
+func flushTile(states [][]warehouse.AgentState, tile []warehouse.AgentState, width, base, steps int) {
+	for i, row := range states {
+		copy(row[base:base+steps], tile[i*width:i*width+steps])
+	}
 }

@@ -204,17 +204,14 @@ func (g *Grid) Neighbors(v VertexID, dst []VertexID) []VertexID {
 	return dst
 }
 
-// Adjacent reports whether u and v are distinct adjacent vertices.
+// Adjacent reports whether u and v are distinct adjacent vertices. A vertex
+// outside the grid is adjacent to nothing.
 func (g *Grid) Adjacent(u, v VertexID) bool {
-	if u == v || u == None || v == None {
+	if u == v || u < 0 || int(u) >= len(g.adj) || v < 0 {
 		return false
 	}
-	for _, d := range Dirs {
-		if g.adj[u][d] == v {
-			return true
-		}
-	}
-	return false
+	n := &g.adj[u]
+	return n[0] == v || n[1] == v || n[2] == v || n[3] == v
 }
 
 // DirTo returns the direction from u to adjacent vertex v. ok is false if the

@@ -27,47 +27,19 @@ type Result struct {
 	ServicedAt int
 }
 
-// Run replays plan against the warehouse and workload.
+// Run replays plan against the warehouse and workload: one
+// warehouse.ReplayPlan pass validates every step and tallies the result.
 func Run(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) Result {
-	res := Result{
-		Delivered:  make([]int, w.NumProducts),
-		ServicedAt: -1,
+	r := warehouse.ReplayPlan(w, plan, wl)
+	return Result{
+		Delivered:     r.Delivered,
+		DeliveryTimes: r.DeliveryTimes,
+		Moves:         r.Moves,
+		Waits:         r.Waits,
+		Carrying:      r.Carrying,
+		Violations:    r.Violations,
+		ServicedAt:    r.ServicedAt,
 	}
-	res.Violations = warehouse.ValidatePlan(w, plan)
-	T := plan.Horizon()
-	c := plan.NumAgents()
-	serviced := func() bool {
-		for k, want := range wl.Units {
-			if res.Delivered[k] < want {
-				return false
-			}
-		}
-		return true
-	}
-	if serviced() {
-		res.ServicedAt = 0
-	}
-	for t := 0; t+1 < T; t++ {
-		for i := 0; i < c; i++ {
-			cur, next := plan.States[i][t], plan.States[i][t+1]
-			if cur.Vertex == next.Vertex {
-				res.Waits++
-			} else {
-				res.Moves++
-			}
-			if cur.Carried != warehouse.NoProduct {
-				res.Carrying++
-			}
-			if cur.Carried != warehouse.NoProduct && next.Carried == warehouse.NoProduct && w.IsStation(cur.Vertex) {
-				res.Delivered[cur.Carried]++
-				res.DeliveryTimes = append(res.DeliveryTimes, t+1)
-			}
-		}
-		if res.ServicedAt < 0 && serviced() {
-			res.ServicedAt = t + 1
-		}
-	}
-	return res
 }
 
 // Throughput bins DeliveryTimes into windows of the given width and returns

@@ -5,6 +5,7 @@ package warehouse
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/grid"
 )
@@ -204,4 +205,26 @@ func (p *Plan) Horizon() int {
 		return 0
 	}
 	return len(p.States[0])
+}
+
+// statesPool recycles the agent-state tiles that plan realization and
+// replay stage their work in.
+var statesPool sync.Pool // holds *[]AgentState
+
+// GetStates returns a []AgentState of length n, reusing a pooled buffer
+// when one is large enough. Its contents are arbitrary: callers write every
+// state before reading it. Return it with PutStates when done.
+func GetStates(n int) []AgentState {
+	if bp, _ := statesPool.Get().(*[]AgentState); bp != nil && cap(*bp) >= n {
+		return (*bp)[:n]
+	}
+	return make([]AgentState, n)
+}
+
+// PutStates returns a buffer obtained from GetStates to the pool. The
+// buffer must not be used after Put.
+func PutStates(b []AgentState) {
+	if cap(b) > 0 {
+		statesPool.Put(&b)
+	}
 }

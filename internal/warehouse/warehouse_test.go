@@ -1,6 +1,8 @@
 package warehouse
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -121,20 +123,132 @@ func handPlan(states ...AgentState) *Plan {
 	return &Plan{States: [][]AgentState{states}}
 }
 
-func TestValidatePlanAcceptsLegalTour(t *testing.T) {
+// HandBuilt is one hand-built plan the validator tests check, with the
+// warehouse it is checked against. HandBuiltPlans is exported so the replay
+// parity test in package warehouse_test can run every one of them.
+type HandBuilt struct {
+	W *Warehouse
+	P *Plan
+}
+
+// HandBuiltPlans returns the validator tests' hand-built plans by name.
+func HandBuiltPlans(t *testing.T) map[string]HandBuilt {
+	t.Helper()
 	w := paperFig1(t)
-	g := w.Graph
-	at := func(x, y int) grid.VertexID { return g.At(grid.Coord{X: x, Y: y}) }
-	// Start at shelf access (2,2) carrying nothing, pick ρ1, walk to station
-	// (1,0), drop, done.
-	p := handPlan(
-		AgentState{at(2, 2), NoProduct},
-		AgentState{at(2, 2), 0}, // pickup at shelf access
-		AgentState{at(2, 1), 0},
-		AgentState{at(1, 1), 0},
-		AgentState{at(1, 0), 0},
-		AgentState{at(1, 0), NoProduct}, // drop at station
-	)
+	at := func(x, y int) grid.VertexID { return w.Graph.At(grid.Coord{X: x, Y: y}) }
+	line, shelf, station := lineWarehouse(t)
+	pair := twoShelfWarehouse(t)
+	west, mid, east := pair.ShelfAccess[0], pair.Stations[0], pair.ShelfAccess[1]
+	return map[string]HandBuilt{
+		// Start at shelf access (2,2) carrying nothing, pick ρ1, walk to
+		// station (1,0), drop, done.
+		"legalTour": {w, handPlan(
+			AgentState{at(2, 2), NoProduct},
+			AgentState{at(2, 2), 0}, // pickup at shelf access
+			AgentState{at(2, 1), 0},
+			AgentState{at(1, 1), 0},
+			AgentState{at(1, 0), 0},
+			AgentState{at(1, 0), NoProduct}, // drop at station
+		)},
+		"teleport": {w, handPlan(
+			AgentState{at(0, 0), NoProduct},
+			AgentState{at(4, 0), NoProduct},
+		)},
+		"vertexConflict": {w, &Plan{States: [][]AgentState{
+			{{at(0, 0), NoProduct}},
+			{{at(0, 0), NoProduct}},
+		}}},
+		"edgeSwap": {w, &Plan{States: [][]AgentState{
+			{{at(0, 0), NoProduct}, {at(1, 0), NoProduct}},
+			{{at(1, 0), NoProduct}, {at(0, 0), NoProduct}},
+		}}},
+		// Picking ρ2 at the left shelf access, which stocks only ρ1.
+		"illegalPickup": {w, handPlan(AgentState{at(0, 2), NoProduct}, AgentState{at(0, 2), 1})},
+		"illegalDrop": {w, handPlan(
+			AgentState{at(2, 2), NoProduct},
+			AgentState{at(2, 2), 0},
+			AgentState{at(2, 1), 0},
+			AgentState{at(2, 1), NoProduct}, // drop in the aisle
+		)},
+		"productMutation": {w, handPlan(
+			AgentState{at(2, 2), NoProduct},
+			AgentState{at(2, 2), 0},
+			AgentState{at(2, 2), 1}, // mutate carried product
+		)},
+		// Two pickups of a product with stock 1.
+		"stockOverdraw": {line, handPlan(
+			AgentState{shelf, NoProduct},
+			AgentState{shelf, 0},
+			AgentState{station, 0},
+			AgentState{station, NoProduct},
+			AgentState{shelf, NoProduct},
+			AgentState{shelf, 0},
+			AgentState{station, 0},
+			AgentState{station, NoProduct},
+		)},
+		"ragged": {w, &Plan{States: [][]AgentState{
+			{{at(0, 0), NoProduct}, {at(0, 0), NoProduct}},
+			{{at(0, 0), NoProduct}},
+		}}},
+		// Each product picked twice from a shelf stocking one unit of it:
+		// product 1 at the east shelf runs out first, product 0 at the west
+		// shelf second.
+		"twoOverdraws": {pair, handPlan(
+			AgentState{east, NoProduct},
+			AgentState{east, 1},
+			AgentState{mid, 1},
+			AgentState{mid, NoProduct},
+			AgentState{east, NoProduct},
+			AgentState{east, 1},
+			AgentState{mid, 1},
+			AgentState{mid, NoProduct},
+			AgentState{west, NoProduct},
+			AgentState{west, 0},
+			AgentState{mid, 0},
+			AgentState{mid, NoProduct},
+			AgentState{west, NoProduct},
+			AgentState{west, 0},
+		)},
+	}
+}
+
+// lineWarehouse builds a two-cell warehouse: a shelf-access vertex stocking
+// one unit of its only product, next to a station.
+func lineWarehouse(t *testing.T) (w *Warehouse, shelf, station grid.VertexID) {
+	t.Helper()
+	g, _, _, err := grid.Parse(".T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shelf = g.At(grid.Coord{X: 0, Y: 0})
+	station = g.At(grid.Coord{X: 1, Y: 0})
+	w, err = New(g, []grid.VertexID{shelf}, []grid.VertexID{station}, 1, [][]int{{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, shelf, station
+}
+
+// twoShelfWarehouse builds a one-row warehouse: a station between a west
+// shelf stocking one unit of product 0 and an east shelf stocking one unit
+// of product 1.
+func twoShelfWarehouse(t *testing.T) *Warehouse {
+	t.Helper()
+	g, _, _, err := grid.Parse(".T.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(x int) grid.VertexID { return g.At(grid.Coord{X: x, Y: 0}) }
+	w, err := New(g, []grid.VertexID{at(0), at(2)}, []grid.VertexID{at(1)}, 2, [][]int{{1, 0}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func TestValidatePlanAcceptsLegalTour(t *testing.T) {
+	hb := HandBuiltPlans(t)["legalTour"]
+	w, p := hb.W, hb.P
 	if v := ValidatePlan(w, p); len(v) != 0 {
 		t.Fatalf("legal plan rejected: %v", v)
 	}
@@ -152,115 +266,47 @@ func TestValidatePlanAcceptsLegalTour(t *testing.T) {
 	}
 }
 
-func TestValidatePlanCatchesTeleport(t *testing.T) {
-	w := paperFig1(t)
-	g := w.Graph
-	p := handPlan(
-		AgentState{g.At(grid.Coord{X: 0, Y: 0}), NoProduct},
-		AgentState{g.At(grid.Coord{X: 4, Y: 0}), NoProduct},
-	)
-	v := ValidatePlan(w, p)
-	if len(v) != 1 || v[0].Condition != 1 {
-		t.Errorf("violations = %v, want one condition-1", v)
+// checkOneViolation fails unless the named hand-built plan has exactly one
+// violation, of the given condition.
+func checkOneViolation(t *testing.T, name string, condition int) {
+	t.Helper()
+	hb := HandBuiltPlans(t)[name]
+	if vs := ValidatePlan(hb.W, hb.P); len(vs) != 1 || vs[0].Condition != condition {
+		t.Errorf("violations = %v, want one condition-%d", vs, condition)
 	}
 }
 
-func TestValidatePlanCatchesVertexConflict(t *testing.T) {
-	w := paperFig1(t)
-	v0 := w.Graph.At(grid.Coord{X: 0, Y: 0})
-	p := &Plan{States: [][]AgentState{
-		{{v0, NoProduct}},
-		{{v0, NoProduct}},
-	}}
-	vs := ValidatePlan(w, p)
-	if len(vs) != 1 || vs[0].Condition != 2 {
-		t.Errorf("violations = %v, want one condition-2", vs)
-	}
-}
+func TestValidatePlanCatchesTeleport(t *testing.T) { checkOneViolation(t, "teleport", 1) }
 
-func TestValidatePlanCatchesEdgeSwap(t *testing.T) {
-	w := paperFig1(t)
-	g := w.Graph
-	a := g.At(grid.Coord{X: 0, Y: 0})
-	b := g.At(grid.Coord{X: 1, Y: 0})
-	p := &Plan{States: [][]AgentState{
-		{{a, NoProduct}, {b, NoProduct}},
-		{{b, NoProduct}, {a, NoProduct}},
-	}}
-	vs := ValidatePlan(w, p)
-	if len(vs) != 1 || vs[0].Condition != 2 {
-		t.Errorf("violations = %v, want one condition-2 swap", vs)
-	}
-}
+func TestValidatePlanCatchesVertexConflict(t *testing.T) { checkOneViolation(t, "vertexConflict", 2) }
 
-func TestValidatePlanCatchesIllegalPickup(t *testing.T) {
-	w := paperFig1(t)
-	g := w.Graph
-	// Picking ρ2 at the left shelf access, which stocks only ρ1.
-	left := g.At(grid.Coord{X: 0, Y: 2})
-	p := handPlan(AgentState{left, NoProduct}, AgentState{left, 1})
-	vs := ValidatePlan(w, p)
-	if len(vs) != 1 || vs[0].Condition != 3 {
-		t.Errorf("violations = %v, want one condition-3", vs)
-	}
-}
+func TestValidatePlanCatchesEdgeSwap(t *testing.T) { checkOneViolation(t, "edgeSwap", 2) }
 
-func TestValidatePlanCatchesIllegalDrop(t *testing.T) {
-	w := paperFig1(t)
-	g := w.Graph
-	mid := g.At(grid.Coord{X: 2, Y: 2})
-	next := g.At(grid.Coord{X: 2, Y: 1})
-	p := handPlan(
-		AgentState{mid, NoProduct},
-		AgentState{mid, 0},
-		AgentState{next, 0},
-		AgentState{next, NoProduct}, // drop in the aisle
-	)
-	vs := ValidatePlan(w, p)
-	if len(vs) != 1 || vs[0].Condition != 3 {
-		t.Errorf("violations = %v, want one condition-3", vs)
-	}
-}
+func TestValidatePlanCatchesIllegalPickup(t *testing.T) { checkOneViolation(t, "illegalPickup", 3) }
 
-func TestValidatePlanCatchesProductMutation(t *testing.T) {
-	w := paperFig1(t)
-	mid := w.Graph.At(grid.Coord{X: 2, Y: 2})
-	p := handPlan(
-		AgentState{mid, NoProduct},
-		AgentState{mid, 0},
-		AgentState{mid, 1}, // mutate carried product
-	)
-	vs := ValidatePlan(w, p)
-	if len(vs) != 1 || vs[0].Condition != 3 {
-		t.Errorf("violations = %v, want one condition-3 mutation", vs)
-	}
-}
+func TestValidatePlanCatchesIllegalDrop(t *testing.T) { checkOneViolation(t, "illegalDrop", 3) }
 
-func TestValidatePlanCatchesStockOverdraw(t *testing.T) {
-	g, _, _, err := grid.Parse(".T")
-	if err != nil {
-		t.Fatal(err)
+func TestValidatePlanCatchesProductMutation(t *testing.T) { checkOneViolation(t, "productMutation", 3) }
+
+func TestValidatePlanCatchesStockOverdraw(t *testing.T) { checkOneViolation(t, "stockOverdraw", 3) }
+
+// TestValidatePlanOverdrawOrder pins the order of several stock overdraws:
+// by shelf column, then product, whichever ran out first.
+func TestValidatePlanOverdrawOrder(t *testing.T) {
+	hb := HandBuiltPlans(t)["twoOverdraws"]
+	last := hb.P.Horizon() - 1
+	want := []PlanViolation{
+		{Timestep: last, Agent: -1, OtherIdx: -1, Condition: 3,
+			Detail: fmt.Sprintf("picked 2 units of product 0 at vertex %d, stock is 1", hb.W.ShelfAccess[0])},
+		{Timestep: last, Agent: -1, OtherIdx: -1, Condition: 3,
+			Detail: fmt.Sprintf("picked 2 units of product 1 at vertex %d, stock is 1", hb.W.ShelfAccess[1])},
 	}
-	shelf := g.At(grid.Coord{X: 0, Y: 0})
-	station := g.At(grid.Coord{X: 1, Y: 0})
-	w, err := New(g, []grid.VertexID{shelf}, []grid.VertexID{station}, 1, [][]int{{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two pickups of a product with stock 1.
-	p := handPlan(
-		AgentState{shelf, NoProduct},
-		AgentState{shelf, 0},
-		AgentState{station, 0},
-		AgentState{station, NoProduct},
-		AgentState{shelf, NoProduct},
-		AgentState{shelf, 0},
-		AgentState{station, 0},
-		AgentState{station, NoProduct},
-	)
-	vs := ValidatePlan(w, p)
-	if len(vs) != 1 || vs[0].Condition != 3 {
-		t.Errorf("violations = %v, want one stock overdraw", vs)
+	// A validator emitting overdraws in map order gets this right about
+	// half the time, so one call would not pin anything.
+	for range 20 {
+		if got := ValidatePlan(hb.W, hb.P); !reflect.DeepEqual(got, want) {
+			t.Fatalf("violations = %v, want %v", got, want)
+		}
 	}
 }
 
@@ -276,13 +322,8 @@ func TestPlanAccessors(t *testing.T) {
 }
 
 func TestValidatePlanRaggedStates(t *testing.T) {
-	w := paperFig1(t)
-	v0 := w.Graph.At(grid.Coord{X: 0, Y: 0})
-	p := &Plan{States: [][]AgentState{
-		{{v0, NoProduct}, {v0, NoProduct}},
-		{{v0, NoProduct}},
-	}}
-	if vs := ValidatePlan(w, p); len(vs) == 0 {
+	hb := HandBuiltPlans(t)["ragged"]
+	if vs := ValidatePlan(hb.W, hb.P); len(vs) == 0 {
 		t.Error("ragged plan accepted")
 	}
 }
