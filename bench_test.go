@@ -260,25 +260,23 @@ func BenchmarkSynthesizerAblation(b *testing.B) {
 			}
 		})
 	}
-	// The exact-arithmetic contract path: auto (revised at this size) vs
-	// pinned dense is the representation ablation, hybrid is the certified
-	// float-first solve mode, cuts adds the root cutting planes. Auto,
-	// dense and hybrid results are bit-identical; cuts preserves the exact
-	// objective (alternate optima may differ).
+	// The exact-arithmetic contract path: hybrid is the certified
+	// float-first solve mode, cuts adds the root cutting planes. Exact and
+	// hybrid results are bit-identical; cuts preserves the exact objective
+	// (alternate optima may differ).
 	for _, sx := range []struct {
 		name     string
-		simplex  lp.SimplexEngine
+		hybrid   bool
 		rootCuts bool
 	}{
-		{"contract-ilp-exact", lp.SimplexAuto, false},
-		{"contract-ilp-exact-dense", lp.SimplexDense, false},
-		{"contract-ilp-exact-hybrid", lp.SimplexHybrid, false},
-		{"contract-ilp-exact-cuts", lp.SimplexAuto, true},
+		{"contract-ilp-exact", false, false},
+		{"contract-ilp-exact-hybrid", true, false},
+		{"contract-ilp-exact-cuts", false, true},
 	} {
 		b.Run(sx.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{Strategy: core.ContractILP, SkipRealization: true,
-					ExactILP: true, Simplex: sx.simplex, RootCuts: sx.rootCuts}
+					ExactILP: true, Hybrid: sx.hybrid, RootCuts: sx.rootCuts}
 				if _, err := core.Solve(context.Background(), s, wl, 800, opts); err != nil {
 					b.Fatal(err)
 				}
@@ -343,11 +341,10 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 }
 
 // BenchmarkLP isolates the internal/lp solver on contract-shaped problems:
-// the continuous relaxation in both engines and both exact simplex
-// representations (dense tableau vs LU-factorized revised), and the full
-// branch-and-bound ILP likewise. These are the microbenchmarks behind the
-// `flow.Certify` / `SynthesizeContract` / `refine.MinimalHorizon` costs;
-// the Dense/Revised pairs size the SimplexAuto crossover.
+// the continuous relaxation in the exact, float and hybrid modes, and the
+// full branch-and-bound ILP likewise. These are the microbenchmarks behind
+// the `flow.Certify` / `SynthesizeContract` / `refine.MinimalHorizon`
+// costs.
 func BenchmarkLP(b *testing.B) {
 	sizes := []struct {
 		name           string
@@ -366,34 +363,16 @@ func BenchmarkLP(b *testing.B) {
 			obj = append(obj, lp.T(lp.VarID(i), 1))
 		}
 		cont.SetObjective(obj, false) // minimize total flow
-		// "Exact" is the default entry point (SimplexAuto routes these
-		// sizes to the revised engine); "ExactDense" pins the reference
-		// tableau so the representation win stays measurable per snapshot.
-		for _, sx := range []struct {
-			name    string
-			simplex lp.SimplexEngine
-		}{{"Exact", lp.SimplexAuto}, {"ExactDense", lp.SimplexDense}} {
-			b.Run(sx.name+"/"+sz.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sol, err := lp.SolveLPWith(cont, lp.SolveOptions{Simplex: sx.simplex})
-					if err != nil || sol.Status != lp.StatusOptimal {
-						b.Fatalf("status %v err %v", sol.Status, err)
-					}
-				}
-			})
-		}
-		// "Float" routes through floatPick (the revised partial-pricing
-		// engine at these sizes); "FloatDense" pins the float tableau so the
-		// partial-pricing win stays measurable per snapshot. "Hybrid" is the
+		// "Float" is the partial-pricing float engine. "Hybrid" is the
 		// certified float-first/exact-verify mode — the number to compare
 		// against "Exact", since both return bit-identical rational answers.
-		for _, fx := range []struct {
-			name    string
-			simplex lp.SimplexEngine
-		}{{"Float", lp.SimplexAuto}, {"FloatDense", lp.SimplexDense}} {
-			b.Run(fx.name+"/"+sz.name, func(b *testing.B) {
+		for _, mode := range []struct {
+			name  string
+			solve func(*lp.Problem) (*lp.Solution, error)
+		}{{"Exact", lp.SolveLP}, {"Float", lp.SolveLPFloat}} {
+			b.Run(mode.name+"/"+sz.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sol, err := lp.SolveLPFloatWith(cont, lp.SolveOptions{Simplex: fx.simplex})
+					sol, err := mode.solve(cont)
 					if err != nil || sol.Status != lp.StatusOptimal {
 						b.Fatalf("status %v err %v", sol.Status, err)
 					}
@@ -402,7 +381,7 @@ func BenchmarkLP(b *testing.B) {
 		}
 		b.Run("Hybrid/"+sz.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sol, err := lp.SolveLPWith(cont, lp.SolveOptions{Simplex: lp.SimplexHybrid})
+				sol, err := lp.SolveLPWith(cont, lp.SolveOptions{Hybrid: true})
 				if err != nil || sol.Status != lp.StatusOptimal {
 					b.Fatalf("status %v err %v", sol.Status, err)
 				}
@@ -414,9 +393,8 @@ func BenchmarkLP(b *testing.B) {
 			opts lp.ILPOptions
 		}{
 			{"ILPExact", lp.ILPOptions{Engine: lp.EngineExact}},
-			{"ILPExactDense", lp.ILPOptions{Engine: lp.EngineExact, Simplex: lp.SimplexDense}},
 			{"ILPFloat", lp.ILPOptions{Engine: lp.EngineFloat}},
-			{"ILPHybrid", lp.ILPOptions{Simplex: lp.SimplexHybrid}},
+			{"ILPHybrid", lp.ILPOptions{Hybrid: true}},
 			{"ILPRootCuts", lp.ILPOptions{RootCuts: true}},
 			// Subtree-parallel search (bit-identical answers, see
 			// internal/lp/parallel.go); vs ILPExact/ILPFloat these measure

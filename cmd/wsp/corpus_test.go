@@ -62,7 +62,7 @@ func TestCmdCorpusRun(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report not JSON: %v", err)
 	}
-	if rep.Schema != "wsp-corpus-report/v1" || len(rep.Instances) != 4 {
+	if rep.Schema != "wsp-corpus-report/v2" || len(rep.Instances) != 4 {
 		t.Errorf("report schema %q with %d instances", rep.Schema, len(rep.Instances))
 	}
 	bench, err := os.ReadFile(benchPath)
@@ -79,7 +79,7 @@ func TestCmdCorpusRun(t *testing.T) {
 func TestCmdCorpusCalibrate(t *testing.T) {
 	out, err := captureStdout(t, func() error {
 		return cmdCorpusCalibrate(context.Background(), []string{
-			"-families", "rings", "-strategy", "route", "-autorows", "0,16",
+			"-families", "rings", "-strategy", "route", "-maxwork", "0,200000",
 		})
 	})
 	if err != nil {
@@ -90,8 +90,8 @@ func TestCmdCorpusCalibrate(t *testing.T) {
 			t.Errorf("calibrate output missing %q:\n%s", want, out)
 		}
 	}
-	if err := cmdCorpusCalibrate(context.Background(), []string{"-autorows", "x"}); err == nil {
-		t.Error("bad autorows list accepted")
+	if err := cmdCorpusCalibrate(context.Background(), []string{"-maxwork", "x"}); err == nil {
+		t.Error("bad maxwork list accepted")
 	}
 	if err := cmdCorpus(context.Background(), []string{"bogus"}); err == nil {
 		t.Error("unknown subcommand accepted")

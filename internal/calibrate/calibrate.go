@@ -16,8 +16,6 @@ import (
 type Spec struct {
 	// Base supplies every knob not being swept.
 	Base Knobs
-	// AutoRows values for the lp.SimplexAuto crossover (0 = default).
-	AutoRows []int
 	// WorkBudgets values for the per-attempt work cap (0 = default).
 	WorkBudgets []int64
 	// NodeBudgets values for the per-attempt node cap (0 = default).
@@ -63,8 +61,8 @@ func score(solved, budget, n int) float64 {
 
 // less is the deterministic candidate total order: score descending, then
 // deterministic work ascending, then cheaper knobs (narrower search,
-// smaller budgets, smaller crossover). Latency is deliberately absent —
-// two runs of the same grid must order candidates identically.
+// smaller budgets). Latency is deliberately absent — two runs of the same
+// grid must order candidates identically.
 func less(a, b Candidate) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -79,18 +77,11 @@ func less(a, b Candidate) bool {
 	if ka.WorkBudget != kb.WorkBudget {
 		return ka.WorkBudget < kb.WorkBudget
 	}
-	if ka.NodeBudget != kb.NodeBudget {
-		return ka.NodeBudget < kb.NodeBudget
-	}
-	return ka.AutoRows < kb.AutoRows
+	return ka.NodeBudget < kb.NodeBudget
 }
 
 // grid expands the spec's cross product into concrete knob sets.
 func (s Spec) grid() []Knobs {
-	autoRows := s.AutoRows
-	if len(autoRows) == 0 {
-		autoRows = []int{s.Base.AutoRows}
-	}
 	workBudgets := s.WorkBudgets
 	if len(workBudgets) == 0 {
 		workBudgets = []int64{s.Base.WorkBudget}
@@ -104,17 +95,14 @@ func (s Spec) grid() []Knobs {
 		widths = []int{s.Base.SearchParallel}
 	}
 	var out []Knobs
-	for _, ar := range autoRows {
-		for _, wb := range workBudgets {
-			for _, nb := range nodeBudgets {
-				for _, sw := range widths {
-					k := s.Base
-					k.AutoRows = ar
-					k.WorkBudget = wb
-					k.NodeBudget = nb
-					k.SearchParallel = sw
-					out = append(out, k)
-				}
+	for _, wb := range workBudgets {
+		for _, nb := range nodeBudgets {
+			for _, sw := range widths {
+				k := s.Base
+				k.WorkBudget = wb
+				k.NodeBudget = nb
+				k.SearchParallel = sw
+				out = append(out, k)
 			}
 		}
 	}
@@ -162,17 +150,17 @@ func Calibrate(ctx context.Context, insts []*datasets.Instance, spec Spec) (*Tab
 // Format renders the table for terminals, best candidate first.
 func (t *Table) Format(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "score\tsolved\tbudget\twork\tautorows\tmaxwork\tmaxnodes\twidth\tms")
+	fmt.Fprintln(tw, "score\tsolved\tbudget\twork\tmaxwork\tmaxnodes\twidth\tms")
 	for _, c := range t.Candidates {
-		fmt.Fprintf(tw, "%.1f\t%d/%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.0f\n",
+		fmt.Fprintf(tw, "%.1f\t%d/%d\t%d\t%d\t%d\t%d\t%d\t%.0f\n",
 			c.Score, c.Solved, c.Instances, c.Budget, c.Work,
-			c.Knobs.AutoRows, c.Knobs.WorkBudget, c.Knobs.NodeBudget, c.Knobs.SearchParallel, c.Millis)
+			c.Knobs.WorkBudget, c.Knobs.NodeBudget, c.Knobs.SearchParallel, c.Millis)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	k := t.Recommended
-	_, err := fmt.Fprintf(w, "\nrecommended: autorows=%d maxwork=%d maxnodes=%d width=%d (strategy=%s simplex=%s)\n",
-		k.AutoRows, k.WorkBudget, k.NodeBudget, k.SearchParallel, strategyName(k.Strategy), simplexName(k.Simplex))
+	_, err := fmt.Fprintf(w, "\nrecommended: maxwork=%d maxnodes=%d width=%d (strategy=%s)\n",
+		k.WorkBudget, k.NodeBudget, k.SearchParallel, strategyName(k.Strategy))
 	return err
 }

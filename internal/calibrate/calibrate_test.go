@@ -123,10 +123,20 @@ func TestRunReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"schema":"wsp-corpus-report/v1"`, `"strategy":"contract-ilp"`, `"simplex":"auto"`} {
+	for _, want := range []string{`"schema":"wsp-corpus-report/v2"`, `"strategy":"contract-ilp"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("report JSON missing %s", want)
 		}
+	}
+	if strings.Contains(string(data), `"hybrid"`) {
+		t.Errorf("default knobs rendered the hybrid mode: %s", data)
+	}
+	hyb, err := json.Marshal(Knobs{Strategy: core.ContractILP, Hybrid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(hyb), `"hybrid":true`) {
+		t.Errorf("hybrid knobs JSON %s lacks \"hybrid\":true", hyb)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 )
 
 // ReportSchema versions the JSON report layout.
-const ReportSchema = "wsp-corpus-report/v1"
+const ReportSchema = "wsp-corpus-report/v2"
 
 // Knobs is one solver configuration under measurement — the subset of
 // core.Options the corpus and calibration stages sweep.
@@ -35,11 +35,8 @@ type Knobs struct {
 	Strategy core.Strategy
 	// Exact switches ContractILP to exact rational arithmetic.
 	Exact bool
-	// Simplex is the exact-engine representation override.
-	Simplex lp.SimplexEngine
-	// AutoRows overrides the lp.SimplexAuto dense/revised crossover; 0
-	// keeps the calibrated default.
-	AutoRows int
+	// Hybrid selects the float-first/exact-verify hybrid solve mode.
+	Hybrid bool
 	// WorkBudget caps per-attempt deterministic simplex work
 	// (core.Options.MaxWork); 0 keeps the footprint-scaled default.
 	WorkBudget int64
@@ -54,8 +51,7 @@ func (k Knobs) coreOptions() core.Options {
 	return core.Options{
 		Strategy:       k.Strategy,
 		ExactILP:       k.Exact,
-		Simplex:        k.Simplex,
-		AutoRows:       k.AutoRows,
+		Hybrid:         k.Hybrid,
 		MaxWork:        k.WorkBudget,
 		MaxNodes:       k.NodeBudget,
 		SearchParallel: k.SearchParallel,
@@ -64,27 +60,12 @@ func (k Knobs) coreOptions() core.Options {
 
 func strategyName(s core.Strategy) string { return s.String() }
 
-func simplexName(e lp.SimplexEngine) string {
-	switch e {
-	case lp.SimplexAuto:
-		return "auto"
-	case lp.SimplexDense:
-		return "dense"
-	case lp.SimplexRevised:
-		return "revised"
-	case lp.SimplexHybrid:
-		return "hybrid"
-	}
-	return "unknown"
-}
-
 // knobsJSON is the report wire form of Knobs: enum knobs as names, not
 // iota values, so reports stay readable and stable across enum reorders.
 type knobsJSON struct {
 	Strategy       string `json:"strategy"`
 	Exact          bool   `json:"exact,omitempty"`
-	Simplex        string `json:"simplex"`
-	AutoRows       int    `json:"auto_rows,omitempty"`
+	Hybrid         bool   `json:"hybrid,omitempty"`
 	WorkBudget     int64  `json:"work_budget,omitempty"`
 	NodeBudget     int    `json:"node_budget,omitempty"`
 	SearchParallel int    `json:"search_parallel,omitempty"`
@@ -95,8 +76,7 @@ func (k Knobs) MarshalJSON() ([]byte, error) {
 	return json.Marshal(knobsJSON{
 		Strategy:       strategyName(k.Strategy),
 		Exact:          k.Exact,
-		Simplex:        simplexName(k.Simplex),
-		AutoRows:       k.AutoRows,
+		Hybrid:         k.Hybrid,
 		WorkBudget:     k.WorkBudget,
 		NodeBudget:     k.NodeBudget,
 		SearchParallel: k.SearchParallel,

@@ -64,12 +64,10 @@ type Options struct {
 	// ExactILP switches the ContractILP strategy to exact rational
 	// arithmetic.
 	ExactILP bool
-	// Simplex overrides the exact LP engines' simplex representation for
-	// the contract path (dense tableau vs LU-factorized revised simplex;
-	// lp.SimplexAuto selects by instance size; lp.SimplexHybrid selects the
-	// float-first/exact-verify hybrid solve mode). Answers are bit-identical
-	// either way — this is a speed knob for benchmarking and tuning.
-	Simplex lp.SimplexEngine
+	// Hybrid selects the float-first/exact-verify hybrid solve mode for the
+	// contract path's exact solves and the admission LP (flow.Options.Hybrid).
+	// Certified hybrid answers are bit-identical to exact-only ones.
+	Hybrid bool
 	// RootCuts enables Gomory fractional and knapsack-cover cuts at the
 	// branch-and-bound root of the contract path's exact ILP solves. The
 	// optimal objective is exactly preserved; alternate integer optima may
@@ -79,7 +77,9 @@ type Options struct {
 	// (flow.Admit) before synthesis, failing fast with a sound proof when
 	// no agent flow set can exist. The relaxation has |Es|·(|ρ|+1)
 	// variables, so enable it only for instances where one LP solve is
-	// cheaper than the retry loop.
+	// cheaper than the retry loop. The admission LP has no work budget:
+	// MaxWork and MaxNodes bound synthesis only, so the check runs to a
+	// verdict and stops early only when ctx is cancelled.
 	AdmissionCheck bool
 	// MaxWork overrides the contract path's per-attempt deterministic
 	// simplex work budget (lp.ILPOptions.MaxWork units); 0 keeps the
@@ -89,11 +89,6 @@ type Options struct {
 	// MaxNodes overrides the contract path's per-attempt branch-and-bound
 	// node budget; 0 keeps the default.
 	MaxNodes int
-	// AutoRows overrides the lp.SimplexAuto dense/revised size crossover
-	// used by the contract path's exact solves (flow.Options.AutoRows); 0
-	// keeps the calibrated default. A pure speed knob: answers are
-	// bit-identical at any setting.
-	AutoRows int
 	// SearchParallel distributes open branch-and-bound subtrees of each
 	// contract-path ILP solve across up to this many workers
 	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Bit-identical
@@ -168,8 +163,7 @@ func SolveScratch(ctx context.Context, s *traffic.System, wl warehouse.Workload,
 		// The admission LP runs on the same compiled contract model the
 		// ContractILP strategy would use, so a gated synthesis pays the
 		// compilation once.
-		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{Simplex: opts.Simplex,
-			AutoRows: opts.AutoRows, SearchParallel: opts.SearchParallel}); err != nil {
+		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{Hybrid: opts.Hybrid}); err != nil {
 			return nil, lp.WrapCancelCause(ctx, err)
 		}
 	}
@@ -236,9 +230,9 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 		res.Timing.Synthesis = time.Since(start)
 		cs = c
 	case SequentialFlows, ContractILP:
-		fopts := flow.Options{WarmupMargin: margin, ExactILP: opts.ExactILP, Simplex: opts.Simplex,
-			AutoRows: opts.AutoRows, RootCuts: opts.RootCuts, MaxWork: opts.MaxWork,
-			MaxNodes: opts.MaxNodes, SearchParallel: opts.SearchParallel}
+		fopts := flow.Options{WarmupMargin: margin, ExactILP: opts.ExactILP, Hybrid: opts.Hybrid,
+			RootCuts: opts.RootCuts, MaxWork: opts.MaxWork, MaxNodes: opts.MaxNodes,
+			SearchParallel: opts.SearchParallel}
 		var set *flow.Set
 		var err error
 		if opts.Strategy == SequentialFlows {

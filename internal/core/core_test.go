@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/flow"
+	"repro/internal/lp"
 	"repro/internal/testmaps"
 	"repro/internal/warehouse"
 )
@@ -91,6 +94,40 @@ func TestSolveAdmissionCheck(t *testing.T) {
 	}
 	if res.Sim.ServicedAt < 0 {
 		t.Error("not serviced")
+	}
+}
+
+// TestAdmissionLPHasNoWorkBudget pins the admission LP's budget policy:
+// MaxWork and MaxNodes bound synthesis only, so a starved budget still lets
+// the check reach its infeasibility certificate under every strategy, while
+// the same budget does stop the contract synthesis search.
+func TestAdmissionLPHasNoWorkBudget(t *testing.T) {
+	w, s := testmaps.MustRing()
+	over, err := warehouse.NewWorkload(w, []int{300, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []Strategy{RoutePacking, ContractILP} {
+		t.Run(strat.String(), func(t *testing.T) {
+			_, err := Solve(context.Background(), s, over, 120,
+				Options{Strategy: strat, AdmissionCheck: true, MaxWork: 1, MaxNodes: 1})
+			var inf *flow.InfeasibleError
+			if !errors.As(err, &inf) || inf.Cert != flow.CertInfeasible {
+				t.Fatalf("err = %v, want a CertInfeasible *flow.InfeasibleError", err)
+			}
+			if errors.Is(err, lp.ErrBudgetExhausted) {
+				t.Fatalf("admission LP stopped on the synthesis budget: %v", err)
+			}
+		})
+	}
+	feasible, err := warehouse.NewWorkload(w, []int{5, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Solve(context.Background(), s, feasible, 800,
+		Options{Strategy: ContractILP, AdmissionCheck: true, MaxWork: 1})
+	if !errors.Is(err, lp.ErrBudgetExhausted) {
+		t.Fatalf("starved contract synthesis: err = %v, want ErrBudgetExhausted", err)
 	}
 }
 

@@ -42,6 +42,11 @@ func (c Certificate) String() string {
 // problems, and an exact verdict needs no confirmation pass (the seed
 // implementation solved in float first and re-solved exactly to confirm
 // infeasibility).
+//
+// Of opts, Admit reads only WarmupMargin and Hybrid. The admission LP has
+// no work budget: MaxWork, MaxNodes and SearchParallel bound the synthesis
+// search, not this check, so the LP runs to a verdict and stops early only
+// when ctx is cancelled.
 func Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) (Certificate, error) {
 	margin := opts.WarmupMargin
 	if margin == 0 {
@@ -69,7 +74,7 @@ func Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int,
 		return CertMaybeFeasible, err
 	}
 	p, _ := goal.ToProblem()
-	sol, err := lp.SolveLPWith(p, lp.SolveOptions{Simplex: opts.Simplex, AutoRows: opts.AutoRows, Cancel: cancelOf(ctx)})
+	sol, err := lp.SolveLPWith(p, lp.SolveOptions{Hybrid: opts.Hybrid, Cancel: cancelOf(ctx)})
 	if err != nil {
 		return CertMaybeFeasible, err
 	}

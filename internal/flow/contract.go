@@ -243,8 +243,7 @@ func synthesisILPOptions(ctx context.Context, goal *contracts.Contract, opts Opt
 		Engine:         engine,
 		MaxNodes:       maxNodes,
 		MaxWork:        maxWork,
-		Simplex:        opts.Simplex,
-		AutoRows:       opts.AutoRows,
+		Hybrid:         opts.Hybrid,
 		RootCuts:       opts.RootCuts,
 		Cancel:         cancelOf(ctx),
 		SearchParallel: opts.SearchParallel,
@@ -419,12 +418,11 @@ type Options struct {
 	WarmupMargin int
 	// ExactILP switches the contract path to the exact rational ILP engine.
 	ExactILP bool
-	// Simplex overrides the exact engines' simplex representation (dense
-	// tableau vs LU-factorized revised; lp.SimplexAuto selects by instance
-	// size). Answers are bit-identical either way. lp.SimplexHybrid selects
-	// the float-first/exact-verify hybrid solve mode instead of a
-	// representation; certified hybrid answers are bit-identical too.
-	Simplex lp.SimplexEngine
+	// Hybrid selects the float-first/exact-verify hybrid solve mode for the
+	// exact contract solves and the admission LP (lp.ILPOptions.Hybrid,
+	// lp.SolveOptions.Hybrid). Certified hybrid answers are bit-identical
+	// to exact-only ones.
+	Hybrid bool
 	// RootCuts separates Gomory fractional and knapsack-cover cutting
 	// planes at the branch-and-bound root of each exact contract synthesis
 	// (lp.ILPOptions.RootCuts). The optimal objective is exactly preserved;
@@ -444,11 +442,6 @@ type Options struct {
 	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Answers, budget
 	// verdicts, and error strings are bit-identical at every width.
 	SearchParallel int
-	// AutoRows overrides the lp.SimplexAuto dense/revised size crossover
-	// for every contract-path solve (lp.SolveOptions.AutoRows /
-	// lp.ILPOptions.AutoRows); 0 keeps the calibrated default. Answers are
-	// unchanged at any setting.
-	AutoRows int
 }
 
 // autoMargin picks a warm-up margin when the caller did not: enough periods

@@ -191,8 +191,10 @@ func (cm *ContractModel) Synthesize(ctx context.Context, s *traffic.System, wl w
 }
 
 // Admit is the model-reusing variant of the package-level Admit: the same
-// certificate, decided on the retained model. Infeasible probes — the
-// common case when shrinking a horizon — ride the warm dual reentry.
+// certificate and the same budget policy (no work budget; only ctx
+// cancellation stops the LP early), decided on the retained model.
+// Infeasible probes — the common case when shrinking a horizon — ride the
+// warm dual reentry.
 func (cm *ContractModel) Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) (Certificate, error) {
 	margin := opts.WarmupMargin
 	if margin == 0 {
@@ -208,9 +210,7 @@ func (cm *ContractModel) Admit(ctx context.Context, s *traffic.System, wl wareho
 	if _, err := cm.target(s, wl, qc, qeff); err != nil {
 		return CertMaybeFeasible, err
 	}
-	// Per-call override only: a SetSimplex here would stick to the retained
-	// model and silently shadow SimplexAuto on later solves.
-	feasible, err := cm.cc.RelaxationFeasibleOpts(lp.SolveOptions{Simplex: opts.Simplex, AutoRows: opts.AutoRows, Cancel: cancelOf(ctx)})
+	feasible, err := cm.cc.RelaxationFeasibleOpts(lp.SolveOptions{Hybrid: opts.Hybrid, Cancel: cancelOf(ctx)})
 	if err != nil {
 		return CertMaybeFeasible, err
 	}

@@ -20,22 +20,30 @@ func TestSetBoundAliasedFixed(t *testing.T) {
 		p.SetObjective([]Term{T(x, 2), T(y, 3)}, true)
 		return p
 	}
+	// "revised" solves through the retained Model, "dense" from scratch on
+	// the dense oracle; both install bounds through installBounds.
 	for _, sx := range []struct {
-		name    string
-		simplex SimplexEngine
-	}{{"dense", SimplexDense}, {"revised", SimplexRevised}} {
+		name string
+		lp   func(*Model) (*Solution, error)
+		ilp  func(*Model) (*Solution, error)
+	}{
+		{"dense",
+			func(mo *Model) (*Solution, error) { return denseLP(mo.Problem()) },
+			func(mo *Model) (*Solution, error) { return denseILP(mo.Problem(), ILPOptions{}) }},
+		{"revised",
+			(*Model).Resolve,
+			func(mo *Model) (*Solution, error) { return mo.ResolveILP(ILPOptions{}) }},
+	} {
 		t.Run(sx.name, func(t *testing.T) {
 			aliased := NewModel(build())
-			aliased.SetSimplex(sx.simplex)
 			distinct := NewModel(build())
-			distinct.SetSimplex(sx.simplex)
 
 			fixed := big.NewRat(4, 1)
 			aliased.SetBound(0, fixed, fixed) // one pointer, both ends
 			distinct.SetBound(0, big.NewRat(4, 1), big.NewRat(4, 1))
 
 			for _, mo := range []*Model{aliased, distinct} {
-				sol, err := mo.Resolve()
+				sol, err := sx.lp(mo)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,7 +57,7 @@ func TestSetBoundAliasedFixed(t *testing.T) {
 				if want := big.NewRat(32, 1); sol.Objective.Cmp(want) != 0 {
 					t.Fatalf("objective %s, want %s", sol.Objective, want)
 				}
-				isol, err := mo.ResolveILP(ILPOptions{})
+				isol, err := sx.ilp(mo)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,9 +69,8 @@ func TestSetBoundAliasedFixed(t *testing.T) {
 			// Conflicting bounds (distinct pointers, lo > hi) still prove
 			// infeasibility before any pivoting.
 			conflicted := NewModel(build())
-			conflicted.SetSimplex(sx.simplex)
 			conflicted.SetBound(0, big.NewRat(7, 1), big.NewRat(3, 1))
-			sol, err := conflicted.Resolve()
+			sol, err := sx.lp(conflicted)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,14 +39,12 @@ func closedChan() chan struct{} {
 // A solve whose cancellation channel is already closed must return
 // StatusCanceled on the first work-budget tick, before any pivoting.
 func TestSolveILPCanceledBeforeStart(t *testing.T) {
-	for _, sx := range []SimplexEngine{SimplexDense, SimplexRevised} {
-		sol, err := SolveILP(parityILP(7), ILPOptions{Engine: EngineExact, Simplex: sx, Cancel: closedChan()})
-		if err != nil {
-			t.Fatalf("simplex %v: %v", sx, err)
-		}
-		if sol.Status != StatusCanceled {
-			t.Errorf("simplex %v: status %v, want canceled", sx, sol.Status)
-		}
+	sol, err := SolveILP(parityILP(7), ILPOptions{Engine: EngineExact, Cancel: closedChan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusCanceled {
+		t.Errorf("status %v, want canceled", sol.Status)
 	}
 }
 
@@ -100,47 +98,44 @@ func TestModelReusableAfterCancel(t *testing.T) {
 		p.SetObjective([]Term{T(x, 1), T(y, 1)}, false)
 		return p
 	}
-	for _, sx := range []SimplexEngine{SimplexDense, SimplexRevised} {
-		mo := NewModel(build())
-		mo.SetSimplex(sx)
+	mo := NewModel(build())
 
-		sol, err := mo.ResolveILP(ILPOptions{Engine: EngineExact, Cancel: closedChan()})
-		if err != nil {
-			t.Fatalf("simplex %v: cancelled solve: %v", sx, err)
-		}
-		if sol.Status != StatusCanceled {
-			t.Fatalf("simplex %v: status %v, want canceled", sx, sol.Status)
-		}
+	sol, err := mo.ResolveILP(ILPOptions{Engine: EngineExact, Cancel: closedChan()})
+	if err != nil {
+		t.Fatalf("cancelled solve: %v", err)
+	}
+	if sol.Status != StatusCanceled {
+		t.Fatalf("status %v, want canceled", sol.Status)
+	}
 
-		got, err := mo.ResolveILP(ILPOptions{Engine: EngineExact})
-		if err != nil {
-			t.Fatalf("simplex %v: re-solve after cancel: %v", sx, err)
+	got, err := mo.ResolveILP(ILPOptions{Engine: EngineExact})
+	if err != nil {
+		t.Fatalf("re-solve after cancel: %v", err)
+	}
+	want, err := SolveILP(build(), ILPOptions{Engine: EngineExact})
+	if err != nil {
+		t.Fatalf("fresh solve: %v", err)
+	}
+	if got.Status != want.Status {
+		t.Fatalf("status %v after cancel, fresh %v", got.Status, want.Status)
+	}
+	for i := range want.Values {
+		if got.Values[i].Cmp(want.Values[i]) != 0 {
+			t.Errorf("value %d = %v after cancel, fresh %v", i, got.Values[i], want.Values[i])
 		}
-		want, err := SolveILP(build(), ILPOptions{Engine: EngineExact, Simplex: sx})
-		if err != nil {
-			t.Fatalf("simplex %v: fresh solve: %v", sx, err)
-		}
-		if got.Status != want.Status {
-			t.Fatalf("simplex %v: status %v after cancel, fresh %v", sx, got.Status, want.Status)
-		}
-		for i := range want.Values {
-			if got.Values[i].Cmp(want.Values[i]) != 0 {
-				t.Errorf("simplex %v: value %d = %v after cancel, fresh %v", sx, i, got.Values[i], want.Values[i])
-			}
-		}
-		// The LP path through the same retained arena must also recover.
-		lpGot, err := mo.Resolve()
-		if err != nil {
-			t.Fatalf("simplex %v: LP re-solve after cancel: %v", sx, err)
-		}
-		lpWant, err := SolveLPWith(build(), SolveOptions{Simplex: sx})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lpGot.Status != lpWant.Status || lpGot.Objective.Cmp(lpWant.Objective) != 0 {
-			t.Errorf("simplex %v: LP after cancel = (%v, %v), fresh (%v, %v)",
-				sx, lpGot.Status, lpGot.Objective, lpWant.Status, lpWant.Objective)
-		}
+	}
+	// The LP path through the same retained arena must also recover.
+	lpGot, err := mo.Resolve()
+	if err != nil {
+		t.Fatalf("LP re-solve after cancel: %v", err)
+	}
+	lpWant, err := SolveLP(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lpGot.Status != lpWant.Status || lpGot.Objective.Cmp(lpWant.Objective) != 0 {
+		t.Errorf("LP after cancel = (%v, %v), fresh (%v, %v)",
+			lpGot.Status, lpGot.Objective, lpWant.Status, lpWant.Objective)
 	}
 }
 

@@ -30,7 +30,7 @@ const (
 )
 
 // solveILPRootCuts is the RootCuts entry: separate at the root, append, and
-// run the ordinary search (hybrid or plain exact, per opts.Simplex) on the
+// run the ordinary search (hybrid or plain exact, per opts.Hybrid) on the
 // augmented problem.
 func solveILPRootCuts(p *Problem, opts ILPOptions) (*Solution, error) {
 	o := opts

@@ -5,7 +5,7 @@ import (
 	"math/big"
 )
 
-// This file implements the hybrid solve mode (SimplexHybrid): solve in
+// This file implements the hybrid solve mode (the Hybrid options): solve in
 // float64 first with the revised partial-pricing engine, then verify the
 // float basis with an exact engine warm-started from it. The mode exists
 // for large instances where the float engine finds the optimal basis in a
@@ -125,7 +125,7 @@ func verifyBasisWith[T any, A arith[T]](p *Problem, ar A, basis []int, stat []vs
 func solveILPHybrid(p *Problem, opts ILPOptions) (*Solution, error) {
 	exact := func() (*Solution, error) {
 		o := opts
-		o.Simplex = SimplexAuto
+		o.Hybrid = false
 		o.RootCuts = false
 		return SolveILP(p, o)
 	}

@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -11,9 +13,9 @@ import (
 // corpus, root-cut Solutions must preserve the status and the optimal
 // objective exactly, and no separated cut may exclude a known integer
 // optimum. Tests are named TestRevisedParity* so `make test-lp-long` scales
-// their rounds alongside the representation-parity fuzzes.
+// their rounds alongside the dense-oracle parity fuzzes.
 
-// TestRevisedParityHybridLP checks LP bit-identity of SimplexHybrid against
+// TestRevisedParityHybridLP checks LP bit-identity of the hybrid mode against
 // the exact-only engine on the bounded-random and network corpora.
 func TestRevisedParityHybridLP(t *testing.T) {
 	rounds := parityRounds(t, 200)
@@ -29,7 +31,7 @@ func TestRevisedParityHybridLP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
-		hyb, err := SolveLPWith(p, SolveOptions{Simplex: SimplexHybrid})
+		hyb, err := SolveLPWith(p, SolveOptions{Hybrid: true})
 		if err != nil {
 			t.Fatalf("seed %d: hybrid: %v", seed, err)
 		}
@@ -38,7 +40,7 @@ func TestRevisedParityHybridLP(t *testing.T) {
 }
 
 // TestRevisedParityHybridILP checks branch-and-bound bit-identity of
-// SimplexHybrid: per-node certification (or the bail to the plain exact
+// the hybrid mode: per-node certification (or the bail to the plain exact
 // search) must reproduce the exact-only tree's answer exactly.
 func TestRevisedParityHybridILP(t *testing.T) {
 	rounds := parityRounds(t, 100)
@@ -54,7 +56,7 @@ func TestRevisedParityHybridILP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
-		hyb, err := SolveILP(p, ILPOptions{Simplex: SimplexHybrid})
+		hyb, err := SolveILP(p, ILPOptions{Hybrid: true})
 		if err != nil {
 			t.Fatalf("seed %d: hybrid: %v", seed, err)
 		}
@@ -217,46 +219,63 @@ func TestHybridDisagreementFallback(t *testing.T) {
 
 // TestFloatRevisedPartialLP sanity-checks the partial-pricing float engine
 // against the exact optimum: same status and an objective within float
-// tolerance, on networks large enough to route to the revised
-// representation.
+// tolerance, on contract-shaped networks and on the small bounded LPs the
+// parity tests use.
 func TestFloatRevisedPartialLP(t *testing.T) {
+	check := func(tag string, p *Problem) {
+		t.Helper()
+		exact, err := SolveLP(p)
+		if err != nil {
+			t.Fatalf("%s: exact: %v", tag, err)
+		}
+		fl, err := SolveLPFloat(p)
+		if err != nil {
+			t.Fatalf("%s: float: %v", tag, err)
+		}
+		requireFloatAgrees(t, tag, exact, fl)
+	}
 	rounds := parityRounds(t, 40)
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(12000 + seed)))
-		p := randomSparseNetwork(rng, 12+rng.Intn(6), 4+rng.Intn(3), false)
-		if floatPick(p, SimplexAuto, 0) != SimplexRevised {
-			t.Fatalf("seed %d: network too small to exercise the revised float engine", seed)
-		}
-		exact, err := SolveLP(p)
+		check(fmt.Sprintf("network seed %d", seed), randomSparseNetwork(rng, 12+rng.Intn(6), 4+rng.Intn(3), false))
+	}
+	for seed := 0; seed < parityRounds(t, 400); seed++ {
+		check(fmt.Sprintf("bounded seed %d", seed), randomBoundedProblem(rand.New(rand.NewSource(int64(seed))), false))
+	}
+}
+
+// TestFloatRevisedPartialILP is the branch-and-bound twin of
+// TestFloatRevisedPartialLP: EngineFloat must reach EngineExact's status
+// and optimal objective on the parity tests' small bounded ILPs.
+func TestFloatRevisedPartialILP(t *testing.T) {
+	for seed := 0; seed < parityRounds(t, 200); seed++ {
+		p := randomBoundedProblem(rand.New(rand.NewSource(int64(seed))), true)
+		tag := fmt.Sprintf("ILP seed %d", seed)
+		exact, err := SolveILP(p, ILPOptions{Engine: EngineExact})
 		if err != nil {
-			t.Fatalf("seed %d: exact: %v", seed, err)
+			t.Fatalf("%s: exact: %v", tag, err)
 		}
-		fl, err := SolveLPFloatWith(p, SolveOptions{Simplex: SimplexRevised})
+		fl, err := SolveILP(p, ILPOptions{Engine: EngineFloat})
 		if err != nil {
-			t.Fatalf("seed %d: float: %v", seed, err)
+			t.Fatalf("%s: float: %v", tag, err)
 		}
-		if exact.Status != fl.Status {
-			t.Fatalf("seed %d: status exact=%v float=%v", seed, exact.Status, fl.Status)
-		}
-		if exact.Status != StatusOptimal {
-			continue
-		}
-		want, _ := exact.Objective.Float64()
-		got, _ := fl.Objective.Float64()
-		diff := want - got
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if want > 1 || want < -1 {
-			if want < 0 {
-				scale = -want
-			} else {
-				scale = want
-			}
-		}
-		if diff > 1e-6*scale {
-			t.Fatalf("seed %d: objective exact=%g float=%g", seed, want, got)
-		}
+		requireFloatAgrees(t, tag, exact, fl)
+	}
+}
+
+// requireFloatAgrees fails the test unless a float solve reports the exact
+// solve's status and, at an optimum, its objective within a relative 1e-6.
+func requireFloatAgrees(t *testing.T, tag string, exact, fl *Solution) {
+	t.Helper()
+	if exact.Status != fl.Status {
+		t.Fatalf("%s: status exact=%v float=%v", tag, exact.Status, fl.Status)
+	}
+	if exact.Status != StatusOptimal || exact.Objective == nil {
+		return
+	}
+	want, _ := exact.Objective.Float64()
+	got, _ := fl.Objective.Float64()
+	if math.Abs(want-got) > 1e-6*math.Max(1, math.Abs(want)) {
+		t.Fatalf("%s: objective exact=%g float=%g", tag, want, got)
 	}
 }

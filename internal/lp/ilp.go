@@ -37,15 +37,17 @@ type ILPOptions struct {
 	// objective ⇒ the dual simplex has no monotone progress measure), and
 	// a pivot's cost itself grows with fill-in. Work units are
 	// deterministic and machine-independent; exhaustion returns
-	// StatusLimit, like MaxNodes. The revised engine charges the same
-	// units per pivot as the dense elimination would, so budgeted searches
-	// stay bit-identical across representations.
+	// StatusLimit, like MaxNodes. The revised engine charges the units a
+	// dense elimination would, which is what lets the parity tests check
+	// budgeted searches against the dense oracle tick for tick.
 	MaxWork int64
-	// Simplex overrides the exact engines' representation: dense tableau
-	// or LU-factorized revised simplex (SimplexAuto selects by instance
-	// size). Answers are bit-identical either way. The float engine
-	// ignores it and always runs dense.
-	Simplex SimplexEngine
+	// Hybrid selects the float-first/exact-verify solve mode for the exact
+	// engine: solve the root relaxation in float, adopt its basis into an
+	// exact arena, and certify every consumed node's optimum unique (see
+	// solveILPHybrid). Answers are bit-identical to the exact-only search;
+	// budgeted searches stop at a different tick. The float engine
+	// ignores it.
+	Hybrid bool
 	// Cancel, when non-nil, aborts the search as soon as the channel
 	// fires (normally a context's Done channel). The check piggybacks on
 	// the MaxWork accounting tick — once per pivot — so the pivot hot
@@ -74,17 +76,12 @@ type ILPOptions struct {
 	// hybrid solve mode ignores the knob (its replay tree must be
 	// certified on one arena); its exact fallback honors it.
 	SearchParallel int
-	// AutoRows overrides the SimplexAuto size crossover (see
-	// SolveOptions.AutoRows); 0 keeps the calibrated default. A pure
-	// representation-routing knob: answers and budget verdicts are
-	// unchanged at any setting.
-	AutoRows int
 }
 
 // arena is the engine surface branch-and-bound and the Model layer drive,
-// implemented by the dense tableau and the revised engine. Every method
-// pair is decision-identical between the two, which is what keeps an
-// arena swap invisible in the returned Solutions.
+// implemented by the revised engine and by its dense test oracle. Every
+// method pair is decision-identical between the two, which is what the
+// parity tests check.
 type arena[T any] interface {
 	prob() *Problem
 	startSearch(workBudget int64)
@@ -94,7 +91,6 @@ type arena[T any] interface {
 	setCancel(<-chan struct{})
 	canceled() bool
 	solveNode(lo, hi []*big.Rat) Status
-	resolveModel(lo, hi []*big.Rat) Status
 	value(j int) T
 	extractInto(dst []*big.Rat)
 	firstFractionalInt() int
@@ -106,49 +102,46 @@ type arena[T any] interface {
 // at the first integral solution. Every returned solution is exactly
 // verified against p with rational arithmetic.
 //
-// The search keeps ONE tableau arena for the whole tree: a child node
+// The search keeps ONE engine arena for the whole tree: a child node
 // differs from its parent by a single bound, so each relaxation warm-starts
 // from the previous node's basis with a few dual-simplex pivots (falling
 // back to a cold solve only when the basis cannot be retargeted), and node
 // bounds live in a parent-linked diff chain instead of per-node slices.
 func SolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
 	if opts.Engine == EngineFloat {
-		// Float relaxations: revised partial-pricing engine above the size
-		// crossover, dense tableau below — same auto rule as the exact
-		// engines (candidates are exactly verified either way).
-		spawn := func() arena[float64] { return floatArena(p, opts.Simplex, opts.AutoRows) }
-		return bbSolveHooked(p, floatArena(p, opts.Simplex, opts.AutoRows), floatArith{eps: defaultEps}, opts, bbHooks[float64]{spawn: spawn})
+		// Float relaxations on the partial-pricing revised engine
+		// (candidates are exactly verified either way).
+		spawn := func() arena[float64] { return newRevisedFloat(p) }
+		return bbSolveHooked(p, spawn(), floatArith{eps: defaultEps}, opts, bbHooks[float64]{spawn: spawn})
 	}
 	if opts.RootCuts {
 		return solveILPRootCuts(p, opts)
 	}
-	if opts.Simplex == SimplexHybrid {
+	if opts.Hybrid {
 		return solveILPHybrid(p, opts)
 	}
-	rev := pickSimplex(p, opts.Simplex, opts.AutoRows) == SimplexRevised
 	var sol *Solution
 	var err error
-	if promote(func() { sol, err = bbSolve[rat64, rat64Arith](p, rat64Arith{}, opts, rev) }) {
+	if promote(func() { sol, err = bbSolve[rat64, rat64Arith](p, rat64Arith{}, opts) }) {
 		return sol, err
 	}
-	return bbSolve[*big.Rat, ratArith](p, ratArith{}, opts, rev)
+	return bbSolve[*big.Rat, ratArith](p, ratArith{}, opts)
 }
 
-func bbSolve[T any, A arith[T]](p *Problem, ar A, opts ILPOptions, revisedEngine bool) (*Solution, error) {
-	tb := freshArena[T, A](p, ar, revisedEngine)
-	spawn := func() arena[T] { return freshArena[T, A](p, ar, revisedEngine) }
-	return bbSolveHooked(p, tb, ar, opts, bbHooks[T]{spawn: spawn})
+func bbSolve[T any, A arith[T]](p *Problem, ar A, opts ILPOptions) (*Solution, error) {
+	spawn := func() arena[T] { return newRevised[T, A](p, ar) }
+	return bbSolveHooked(p, spawn(), ar, opts, bbHooks[T]{spawn: spawn})
 }
 
-// bbSolveTableau is the branch-and-bound search over a caller-provided
-// arena (dense or revised). Model.ResolveILP passes a retained arena here;
-// resetting the warm state and work counter first makes the search replay
-// exactly the pivot sequence a fresh arena would, so incremental re-solves
-// stay bit-identical to from-scratch ones while skipping the arena
-// (re)build. spawn builds extra arenas of the same representation for the
-// parallel executor (nil keeps the search sequential); box supplies a
-// memoized integer box (nil derives one per solve).
-func bbSolveTableau[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, spawn func() arena[T], box func() *boundDiff) (*Solution, error) {
+// bbSolveArena is the branch-and-bound search over a caller-provided
+// arena. Model.ResolveILP passes a retained arena here; resetting the warm
+// state and work counter first makes the search replay exactly the pivot
+// sequence a fresh arena would, so incremental re-solves stay bit-identical
+// to from-scratch ones while skipping the arena (re)build. spawn builds
+// extra arenas of the same engine for the parallel executor (nil keeps the
+// search sequential); box supplies a memoized integer box (nil derives one
+// per solve).
+func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, spawn func() arena[T], box func() *boundDiff) (*Solution, error) {
 	return bbSolveHooked(p, tb, ar, opts, bbHooks[T]{spawn: spawn, box: box})
 }
 

@@ -3,7 +3,7 @@ package lp
 import "math/big"
 
 // Model is a persistent, editable linear (or mixed-integer) program: the
-// tableau arena is built once, bounds / right-hand sides / the objective are
+// engine arena is built once, bounds / right-hand sides / the objective are
 // edited between solves, and Resolve / ResolveILP re-solve the edited
 // program. Both are bit-identical to handing the current Problem to a fresh
 // SolveLP / SolveILP:
@@ -31,28 +31,13 @@ import "math/big"
 type Model struct {
 	p *Problem
 
-	// One arena per engine and representation, built lazily on first use.
-	// The exact path mirrors SolveLP/SolveILP: rat64 until an overflow
-	// promotes the model to big.Rat for good. The dense and revised
-	// representations return bit-identical answers, so a model may serve
-	// solves through either (or both, under per-call overrides) without
-	// observable effect.
-	t64      *tableau[rat64, rat64Arith]
-	tbig     *tableau[*big.Rat, ratArith]
-	tflt     *tableau[float64, floatArith]
+	// One arena per arithmetic, built lazily on first use. The exact path
+	// mirrors SolveLP/SolveILP: rat64 until an overflow promotes the model
+	// to big.Rat for good.
 	r64      *revised[rat64, rat64Arith]
 	rbig     *revised[*big.Rat, ratArith]
 	rflt     *revised[float64, floatArith]
 	promoted bool
-
-	// simplex is the model-level representation override; SimplexAuto
-	// (the default) selects by instance size, per-call ILPOptions.Simplex
-	// wins over both.
-	simplex SimplexEngine
-
-	// autoRows is the model-level SimplexAuto crossover override; 0 keeps
-	// the calibrated default, per-call option AutoRows wins over both.
-	autoRows int
 
 	nv, m int // structure snapshot; growth forces a rebuild
 
@@ -67,7 +52,7 @@ type Model struct {
 	boxOK bool
 }
 
-// NewModel wraps p in a persistent model. No tableau is built until the
+// NewModel wraps p in a persistent model. No arena is built until the
 // first solve.
 func NewModel(p *Problem) *Model {
 	return &Model{p: p, nv: len(p.Vars), m: len(p.Constraints)}
@@ -76,18 +61,6 @@ func NewModel(p *Problem) *Model {
 // Problem returns the underlying program (read-only for structure; use the
 // setters for edits).
 func (mo *Model) Problem() *Problem { return mo.p }
-
-// SetSimplex overrides the simplex representation for this model's exact
-// solves (SimplexAuto restores size-based selection). Existing arenas are
-// retained: answers are bit-identical across representations, so a
-// mid-stream switch only changes which arena the next solve warms.
-func (mo *Model) SetSimplex(e SimplexEngine) { mo.simplex = e }
-
-// SetAutoRows overrides the SimplexAuto size crossover for this model's
-// solves (see SolveOptions.AutoRows); 0 restores the calibrated default.
-// Per-call option AutoRows wins over the model-level setting. Answers are
-// unaffected — this only moves the dense/revised routing decision.
-func (mo *Model) SetAutoRows(rows int) { mo.autoRows = rows }
 
 // SetBound replaces the bounds of v (nil = unbounded). The edit takes
 // effect at the next solve; warm reentry handles it via the dual simplex.
@@ -101,20 +74,11 @@ func (mo *Model) SetBound(v VarID, lo, hi *big.Rat) {
 func (mo *Model) SetRHS(ci int, rhs *big.Rat) {
 	mo.p.Constraints[ci].RHS = rhs
 	mo.boxOK = false
-	if mo.t64 != nil && !promote(func() { mo.t64.updateRHS(ci, rhs) }) {
-		mo.dropRat64()
-	}
 	if mo.r64 != nil && !promote(func() { mo.r64.updateRHS(ci, rhs) }) {
 		mo.dropRat64()
 	}
-	if mo.tbig != nil {
-		mo.tbig.updateRHS(ci, rhs)
-	}
 	if mo.rbig != nil {
 		mo.rbig.updateRHS(ci, rhs)
-	}
-	if mo.tflt != nil {
-		mo.tflt.updateRHSPristine(ci, rhs)
 	}
 	if mo.rflt != nil {
 		mo.rflt.updateRHSPristine(ci, rhs)
@@ -125,49 +89,15 @@ func (mo *Model) SetRHS(ci int, rhs *big.Rat) {
 // so the next Resolve may re-enter through phase 2 alone.
 func (mo *Model) SetObjective(terms []Term, maximize bool) {
 	mo.p.SetObjective(terms, maximize)
-	if mo.t64 != nil && !promote(func() { mo.t64.updateCost() }) {
-		mo.dropRat64()
-	}
 	if mo.r64 != nil && !promote(func() { mo.r64.updateCost() }) {
 		mo.dropRat64()
-	}
-	if mo.tbig != nil {
-		mo.tbig.updateCost()
 	}
 	if mo.rbig != nil {
 		mo.rbig.updateCost()
 	}
-	if mo.tflt != nil {
-		mo.tflt.updateCost()
-	}
 	if mo.rflt != nil {
 		mo.rflt.updateCost()
 	}
-}
-
-// pick resolves the simplex representation for an exact solve: a per-call
-// override wins, then the model-level override, then instance size (with
-// the same per-call-then-model precedence for the auto crossover).
-func (mo *Model) pick(call SimplexEngine, callRows int) SimplexEngine {
-	return pickSimplex(mo.p, mo.effective(call), mo.effectiveRows(callRows))
-}
-
-// effectiveRows resolves the SimplexAuto crossover override chain.
-func (mo *Model) effectiveRows(callRows int) int {
-	if callRows > 0 {
-		return callRows
-	}
-	return mo.autoRows
-}
-
-// effective resolves only the override chain (per-call, then model-level),
-// keeping SimplexHybrid visible: hybrid is a solve mode the Resolve entry
-// points route before representations are picked.
-func (mo *Model) effective(call SimplexEngine) SimplexEngine {
-	if call == SimplexAuto {
-		return mo.simplex
-	}
-	return call
 }
 
 // Resolve solves the current program with the exact engine, warm when the
@@ -176,26 +106,24 @@ func (mo *Model) Resolve() (*Solution, error) {
 	return mo.ResolveWith(SolveOptions{})
 }
 
-// ResolveWith is Resolve with per-call solve options; opts.Simplex wins
-// over the model-level override for this call only.
+// ResolveWith is Resolve with per-call solve options.
 func (mo *Model) ResolveWith(opts SolveOptions) (*Solution, error) {
 	mo.checkStructure()
-	if mo.effective(opts.Simplex) == SimplexHybrid {
+	if opts.Hybrid {
 		// Hybrid is float-first with its own certification dance; it never
 		// reuses the retained exact arenas, and a fresh hybrid solve is
 		// bit-identical to the exact answer by its own contract.
 		return solveLPHybrid(mo.p, opts.Cancel)
 	}
-	rev := mo.pick(opts.Simplex, opts.AutoRows) == SimplexRevised
 	if !mo.promoted {
 		var sol *Solution
 		var err error
-		if promote(func() { sol, err = resolveLP(mo, mo.arena64(rev), opts.Cancel) }) {
+		if promote(func() { sol, err = resolveLP(mo, mo.arena64(), opts.Cancel) }) {
 			return sol, err
 		}
 		mo.dropRat64()
 	}
-	return resolveLP(mo, mo.arenaBig(rev), opts.Cancel)
+	return resolveLP(mo, mo.arenaBig(), opts.Cancel)
 }
 
 // ResolveILP solves the current program by branch and bound in the retained
@@ -206,29 +134,28 @@ func (mo *Model) ResolveILP(opts ILPOptions) (*Solution, error) {
 		// The parallel executor's extra arenas are spawned fresh (the
 		// retained one cannot be shared across goroutines); cold subtree
 		// solves are arena-independent, so the answer is unchanged.
-		spawn := func() arena[float64] { return floatArena(mo.p, opts.Simplex, opts.AutoRows) }
-		return bbSolveTableau(mo.p, mo.floatArena(opts.Simplex, opts.AutoRows), floatArith{eps: defaultEps}, opts, spawn, mo.cachedBox)
+		spawn := func() arena[float64] { return newRevisedFloat(mo.p) }
+		return bbSolveArena[float64](mo.p, mo.floatArena(), floatArith{eps: defaultEps}, opts, spawn, mo.cachedBox)
 	}
 	if opts.RootCuts {
 		// Root cuts append rows, which a retained arena cannot absorb;
 		// solve fresh, exactly as SolveILP would.
 		return solveILPRootCuts(mo.p, opts)
 	}
-	if mo.effective(opts.Simplex) == SimplexHybrid {
+	if opts.Hybrid {
 		return solveILPHybrid(mo.p, opts)
 	}
-	rev := mo.pick(opts.Simplex, opts.AutoRows) == SimplexRevised
 	if !mo.promoted {
 		var sol *Solution
 		var err error
-		spawn := func() arena[rat64] { return freshArena[rat64, rat64Arith](mo.p, rat64Arith{}, rev) }
-		if promote(func() { sol, err = bbSolveTableau(mo.p, mo.arena64(rev), rat64Arith{}, opts, spawn, mo.cachedBox) }) {
+		spawn := func() arena[rat64] { return newRevised[rat64, rat64Arith](mo.p, rat64Arith{}) }
+		if promote(func() { sol, err = bbSolveArena[rat64](mo.p, mo.arena64(), rat64Arith{}, opts, spawn, mo.cachedBox) }) {
 			return sol, err
 		}
 		mo.dropRat64()
 	}
-	spawn := func() arena[*big.Rat] { return freshArena[*big.Rat, ratArith](mo.p, ratArith{}, rev) }
-	return bbSolveTableau(mo.p, mo.arenaBig(rev), ratArith{}, opts, spawn, mo.cachedBox)
+	spawn := func() arena[*big.Rat] { return newRevised[*big.Rat, ratArith](mo.p, ratArith{}) }
+	return bbSolveArena[*big.Rat](mo.p, mo.arenaBig(), ratArith{}, opts, spawn, mo.cachedBox)
 }
 
 // cachedBox returns the memoized integer box for the model's current
@@ -241,18 +168,9 @@ func (mo *Model) cachedBox() *boundDiff {
 	return mo.box
 }
 
-// freshArena builds a new arena of the requested representation, as the
-// parallel executor's per-worker spawn hook.
-func freshArena[T any, A arith[T]](p *Problem, ar A, revisedEngine bool) arena[T] {
-	if revisedEngine {
-		return newRevised[T, A](p, ar)
-	}
-	return newTableau[T, A](p, ar)
-}
-
 // resolveLP drives one LP solve over the given arena: declared bounds in,
 // warm or cold solve, Solution out.
-func resolveLP[T any](mo *Model, tb arena[T], cancel <-chan struct{}) (*Solution, error) {
+func resolveLP[T any, A arith[T]](mo *Model, tb *revised[T, A], cancel <-chan struct{}) (*Solution, error) {
 	lo, hi := mo.declaredBounds()
 	tb.setCancel(cancel)
 	tb.setWorkBudget(0)
@@ -267,67 +185,7 @@ func resolveLP[T any](mo *Model, tb arena[T], cancel <-chan struct{}) (*Solution
 		// fired through the cancellation channel.
 		return &Solution{Status: StatusCanceled}, nil
 	}
-	return optimalSolution(tb), nil
-}
-
-// resolveModel solves under the given bounds, preferring warm reentry but
-// returning a warm answer only when it provably matches the from-scratch
-// one; everything else re-runs the deterministic cold path in place.
-func (tb *tableau[T, A]) resolveModel(lo, hi []*big.Rat) Status {
-	ok, changed := tb.setBounds(lo, hi)
-	if changed {
-		tb.basisOK = false
-	}
-	if !ok {
-		return StatusInfeasible // conflicting bounds, as solveNode reports
-	}
-	if tb.warmOK {
-		if tb.rewarm() {
-			// Dual reentry: bound and RHS edits leave the basis dual
-			// feasible.
-			switch tb.dual() {
-			case dualOptimal:
-				tb.basisOK = true
-				if tb.uniqueOptimum() {
-					return StatusOptimal
-				}
-				// Optimal but possibly not unique: only the cold path's
-				// answer is canonical.
-			case dualInfeasible:
-				return StatusInfeasible
-			case dualBudget:
-				// Cancelled mid-reentry (Model LP solves carry no work
-				// budget): drop the mid-walk state and report promptly.
-				tb.warmOK, tb.basisOK = false, false
-				return StatusLimit
-			}
-			// dualStuck: anti-cycling cap hit; restart cold for certainty.
-		}
-		// A failed rewarm reshuffled the nonbasic states mid-walk.
-		tb.basisOK = false
-	} else if tb.basisOK {
-		// Primal reentry: bounds and RHS are as last solved, only the
-		// objective changed, so the basis is still primal feasible and
-		// phase 1 can be skipped outright.
-		switch tb.phase2() {
-		case StatusOptimal:
-			tb.warmOK = true
-			if tb.uniqueOptimum() {
-				return StatusOptimal
-			}
-		case StatusUnbounded:
-			tb.warmOK, tb.basisOK = false, false
-			return StatusUnbounded
-		case StatusLimit:
-			tb.warmOK, tb.basisOK = false, false
-			return StatusLimit
-		}
-	}
-	tb.warmOK = false
-	status := tb.solveFresh()
-	tb.warmOK = status == StatusOptimal
-	tb.basisOK = status == StatusOptimal
-	return status
+	return optimalSolution[T](tb), nil
 }
 
 // declaredBounds snapshots the Problem's variable bounds into reusable
@@ -348,7 +206,6 @@ func (mo *Model) declaredBounds() ([]*big.Rat, []*big.Rat) {
 // appended behind the model's back.
 func (mo *Model) checkStructure() {
 	if len(mo.p.Vars) != mo.nv || len(mo.p.Constraints) != mo.m {
-		mo.t64, mo.tbig, mo.tflt = nil, nil, nil
 		mo.r64, mo.rbig, mo.rflt = nil, nil, nil
 		mo.promoted = false
 		mo.box, mo.boxOK = nil, false
@@ -359,53 +216,30 @@ func (mo *Model) checkStructure() {
 // dropRat64 abandons the int64 fast path after an overflow; the model runs
 // on big.Rat from here on (mirroring SolveLP's whole-solve promotion).
 func (mo *Model) dropRat64() {
-	mo.t64 = nil
 	mo.r64 = nil
 	mo.promoted = true
 }
 
-// arena64 returns the rat64 arena of the requested representation,
-// building it on first use.
-func (mo *Model) arena64(revisedEngine bool) arena[rat64] {
-	if revisedEngine {
-		if mo.r64 == nil {
-			mo.r64 = newRevised[rat64, rat64Arith](mo.p, rat64Arith{})
-		}
-		return mo.r64
+// arena64 returns the rat64 arena, building it on first use.
+func (mo *Model) arena64() *revised[rat64, rat64Arith] {
+	if mo.r64 == nil {
+		mo.r64 = newRevised[rat64, rat64Arith](mo.p, rat64Arith{})
 	}
-	if mo.t64 == nil {
-		mo.t64 = newTableau[rat64, rat64Arith](mo.p, rat64Arith{})
-	}
-	return mo.t64
+	return mo.r64
 }
 
-// arenaBig returns the big.Rat arena of the requested representation,
-// building it on first use.
-func (mo *Model) arenaBig(revisedEngine bool) arena[*big.Rat] {
-	if revisedEngine {
-		if mo.rbig == nil {
-			mo.rbig = newRevised[*big.Rat, ratArith](mo.p, ratArith{})
-		}
-		return mo.rbig
+// arenaBig returns the big.Rat arena, building it on first use.
+func (mo *Model) arenaBig() *revised[*big.Rat, ratArith] {
+	if mo.rbig == nil {
+		mo.rbig = newRevised[*big.Rat, ratArith](mo.p, ratArith{})
 	}
-	if mo.tbig == nil {
-		mo.tbig = newTableau[*big.Rat, ratArith](mo.p, ratArith{})
-	}
-	return mo.tbig
+	return mo.rbig
 }
 
-// floatArena returns the retained float arena of the representation the
-// override chain and the size rule select, mirroring the package-level
-// floatArena.
-func (mo *Model) floatArena(call SimplexEngine, callRows int) arena[float64] {
-	if floatPick(mo.p, mo.effective(call), mo.effectiveRows(callRows)) == SimplexRevised {
-		if mo.rflt == nil {
-			mo.rflt = newRevisedFloat(mo.p)
-		}
-		return mo.rflt
+// floatArena returns the float arena, building it on first use.
+func (mo *Model) floatArena() *revised[float64, floatArith] {
+	if mo.rflt == nil {
+		mo.rflt = newRevisedFloat(mo.p)
 	}
-	if mo.tflt == nil {
-		mo.tflt = newTableau[float64, floatArith](mo.p, floatArith{eps: defaultEps})
-	}
-	return mo.tflt
+	return mo.rflt
 }

@@ -1,8 +1,8 @@
 package lp
 
 // Tests for the frontier-decomposed parallel search (parallel.go). The
-// contract under test is absolute: for every engine, representation,
-// budget shape, and cancellation pattern, SolveILP with SearchParallel ∈
+// contract under test is absolute: for every engine, solve mode, budget
+// shape, and cancellation pattern, SolveILP with SearchParallel ∈
 // {1, 2, 4} returns the bit-identical Solution (and error text) of the
 // sequential search — and the extra goroutines stay bounded by the
 // process-wide token pool even when many parallel solves run at once.
@@ -51,7 +51,7 @@ func solveAllWorkers(t *testing.T, tag string, p *Problem, opts ILPOptions) {
 	}
 }
 
-// parallelConfigs is the engine/representation matrix every parity corpus
+// parallelConfigs is the engine/mode matrix every parity corpus
 // runs through. Hybrid ignores the knob (its replay tree must stay on one
 // certified arena) and root cuts re-enter SolveILP after separation; both
 // must still be answer-identical at every worker count.
@@ -63,10 +63,9 @@ func parallelConfigs() []struct {
 		tag  string
 		opts ILPOptions
 	}{
-		{"exact/dense", ILPOptions{Engine: EngineExact, Simplex: SimplexDense}},
-		{"exact/revised", ILPOptions{Engine: EngineExact, Simplex: SimplexRevised}},
+		{"exact", ILPOptions{Engine: EngineExact}},
 		{"float", ILPOptions{Engine: EngineFloat}},
-		{"hybrid", ILPOptions{Engine: EngineExact, Simplex: SimplexHybrid}},
+		{"hybrid", ILPOptions{Engine: EngineExact, Hybrid: true}},
 		{"cuts", ILPOptions{Engine: EngineExact, RootCuts: true}},
 	}
 }
@@ -123,7 +122,6 @@ func TestParallelSearchBudgetParity(t *testing.T) {
 		{"exact/nodes", ILPOptions{Engine: EngineExact, MaxNodes: 500}},
 		{"exact/work", ILPOptions{Engine: EngineExact, MaxWork: 20000}},
 		{"exact/both", ILPOptions{Engine: EngineExact, MaxNodes: 300, MaxWork: 15000}},
-		{"revised/work", ILPOptions{Engine: EngineExact, Simplex: SimplexRevised, MaxWork: 20000}},
 		{"float/nodes", ILPOptions{Engine: EngineFloat, MaxNodes: 500}},
 	} {
 		solveAllWorkers(t, cfg.tag, p, cfg.opts)

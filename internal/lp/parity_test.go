@@ -9,11 +9,12 @@ import (
 	"testing"
 )
 
-// This file pins the revised simplex engine (revised.go, factor.go) to the
-// dense tableau bit for bit: same Status, same Objective, and the same
-// Values pointer-for-pointerwise-equal rationals, on random LPs and ILPs,
-// through from-scratch solves and through lp.Model edit sequences. The
-// dense engine is the reference; any divergence is a revised-engine bug.
+// This file pins the production simplex (the revised engine, revised.go
+// and factor.go) to the dense oracle (dense_test.go) bit for bit: same
+// Status, same Objective, and equal Values rationals, on random LPs and
+// ILPs, through from-scratch solves and through lp.Model edit sequences.
+// The dense oracle is the reference; any divergence is a revised-engine
+// bug.
 //
 // Rounds scale with LP_PARITY_ROUNDS (make test-lp-long sets it high); the
 // default keeps the suite fast enough for every `go test ./...`.
@@ -58,18 +59,18 @@ func requireSameSolution(t *testing.T, tag string, dense, rev *Solution) {
 	}
 }
 
-// TestRevisedParityLP solves random bounded LPs with both exact
-// representations and requires bit-identical solutions.
+// TestRevisedParityLP solves random bounded LPs with SolveLP and the dense
+// oracle and requires bit-identical solutions.
 func TestRevisedParityLP(t *testing.T) {
 	rounds := parityRounds(t, 400)
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		p := randomBoundedProblem(rng, false)
-		dense, err := SolveLPWith(p, SolveOptions{Simplex: SimplexDense})
+		dense, err := denseLP(p)
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		rev, err := SolveLPWith(p, SolveOptions{Simplex: SimplexRevised})
+		rev, err := SolveLP(p)
 		if err != nil {
 			t.Fatalf("seed %d: revised: %v", seed, err)
 		}
@@ -81,10 +82,12 @@ func TestRevisedParityLP(t *testing.T) {
 	}
 }
 
-// TestRevisedParityILP runs the warm-started branch and bound over both
-// representations and requires bit-identical solutions, including under a
-// tight deterministic work budget (the revised engine charges the dense
-// engine's work units, so StatusLimit must strike at the same node).
+// TestRevisedParityILP runs the warm-started branch and bound through
+// SolveILP and over the dense oracle and requires bit-identical solutions,
+// including under deterministic work budgets (the revised engine charges
+// the dense oracle's work units, so StatusLimit must strike at the same
+// node). 40_000 units almost never run out on this corpus; 200 stops about
+// a tenth of the searches.
 func TestRevisedParityILP(t *testing.T) {
 	rounds := parityRounds(t, 200)
 	for seed := 0; seed < rounds; seed++ {
@@ -93,15 +96,13 @@ func TestRevisedParityILP(t *testing.T) {
 		for _, opts := range []ILPOptions{
 			{},
 			{MaxWork: 40_000},
+			{MaxWork: 200},
 		} {
-			dOpts, rOpts := opts, opts
-			dOpts.Simplex = SimplexDense
-			rOpts.Simplex = SimplexRevised
-			dense, err := SolveILP(p, dOpts)
+			dense, err := denseILP(p, opts)
 			if err != nil {
 				t.Fatalf("seed %d: dense: %v", seed, err)
 			}
-			rev, err := SolveILP(p, rOpts)
+			rev, err := SolveILP(p, opts)
 			if err != nil {
 				t.Fatalf("seed %d: revised: %v", seed, err)
 			}
@@ -118,8 +119,8 @@ func TestRevisedParityILP(t *testing.T) {
 // randomEdit applies one random in-place edit through the Model setters,
 // mirroring what refinement probes, lifelong epochs, and branch-and-bound
 // reentry do to a retained model.
-func randomEdit(rng *rand.Rand, mos []*Model) {
-	p := mos[0].Problem()
+func randomEdit(rng *rand.Rand, mo *Model) {
+	p := mo.Problem()
 	switch rng.Intn(3) {
 	case 0: // retarget a bound; sometimes alias lo==hi through one pointer
 		v := VarID(rng.Intn(len(p.Vars)))
@@ -141,15 +142,11 @@ func randomEdit(rng *rand.Rand, mos []*Model) {
 		// the search either boxes the open side from the rows or rejects
 		// the runaway branch with ErrUnboundedIntDomain, identically in
 		// every representation.
-		for _, mo := range mos {
-			mo.SetBound(v, lo, hi)
-		}
+		mo.SetBound(v, lo, hi)
 	case 1: // retarget a right-hand side
 		ci := rng.Intn(len(p.Constraints))
 		rhs := big.NewRat(int64(rng.Intn(17)-6), 1)
-		for _, mo := range mos {
-			mo.SetRHS(ci, rhs)
-		}
+		mo.SetRHS(ci, rhs)
 	case 2: // swap the objective
 		var obj []Term
 		for i := range p.Vars {
@@ -158,69 +155,49 @@ func randomEdit(rng *rand.Rand, mos []*Model) {
 			}
 		}
 		maximize := rng.Intn(2) == 0
-		for _, mo := range mos {
-			mo.SetObjective(obj, maximize)
-		}
+		mo.SetObjective(obj, maximize)
 	}
 }
 
-// TestRevisedParityModelEdits drives random edit sequences through two
-// retained Models — one pinned dense, one pinned revised — re-solving (LP
-// and ILP) after every edit, and cross-checks both against from-scratch
-// solves of the edited problem. This covers the warm dual reentry after
-// SetBound/SetRHS, the phase-2 primal reentry after SetObjective, the
-// unique-optimum certificate, and branch-and-bound node reentry, all over
-// the factorized basis.
+// TestRevisedParityModelEdits drives random edit sequences through a
+// retained Model, re-solving (LP and ILP) after every edit, and checks each
+// answer against a from-scratch dense-oracle solve of the edited problem.
+// This covers the warm dual reentry after SetBound/SetRHS, the phase-2
+// primal reentry after SetObjective, the unique-optimum certificate, and
+// branch-and-bound node reentry, all over the factorized basis.
 func TestRevisedParityModelEdits(t *testing.T) {
 	rounds := parityRounds(t, 60)
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
 		integer := seed%2 == 0
-		pd := randomBoundedProblem(rng, integer)
-		// Two structurally identical copies so each model owns its problem.
-		rng2 := rand.New(rand.NewSource(int64(1000 + seed)))
-		pr := randomBoundedProblem(rng2, integer)
-
-		dm := NewModel(pd)
-		dm.SetSimplex(SimplexDense)
-		rm := NewModel(pr)
-		rm.SetSimplex(SimplexRevised)
+		mo := NewModel(randomBoundedProblem(rng, integer))
 
 		edits := 3 + rng.Intn(5)
 		for e := 0; e <= edits; e++ {
 			if e > 0 {
-				// Apply the same edit to both models (randomEdit reads
-				// structure from the first).
-				st := rng.Int63()
-				randomEdit(rand.New(rand.NewSource(st)), []*Model{dm})
-				randomEdit(rand.New(rand.NewSource(st)), []*Model{rm})
+				randomEdit(rand.New(rand.NewSource(rng.Int63())), mo)
 			}
 			tag := "model seed " + strconv.Itoa(seed) + " edit " + strconv.Itoa(e)
-			dense, err := dm.Resolve()
+			rev, err := mo.Resolve()
 			if err != nil {
-				t.Fatalf("%s: dense resolve: %v", tag, err)
+				t.Fatalf("%s: resolve: %v", tag, err)
 			}
-			rev, err := rm.Resolve()
-			if err != nil {
-				t.Fatalf("%s: revised resolve: %v", tag, err)
-			}
-			scratch, err := SolveLPWith(dm.Problem(), SolveOptions{Simplex: SimplexDense})
+			scratch, err := denseLP(mo.Problem())
 			if err != nil {
 				t.Fatalf("%s: scratch: %v", tag, err)
 			}
-			if dense.Status == StatusOptimal {
-				requireSameSolution(t, tag+" (LP)", dense, rev)
-				requireSameSolution(t, tag+" (LP vs scratch)", scratch, rev)
-			} else if dense.Status != rev.Status || scratch.Status != rev.Status {
-				t.Fatalf("%s: status dense=%v revised=%v scratch=%v", tag, dense.Status, rev.Status, scratch.Status)
+			if scratch.Status == StatusOptimal {
+				requireSameSolution(t, tag+" (LP)", scratch, rev)
+			} else if scratch.Status != rev.Status {
+				t.Fatalf("%s: status scratch=%v revised=%v", tag, scratch.Status, rev.Status)
 			}
 			if integer {
-				di, derr := dm.ResolveILP(ILPOptions{})
-				ri, rerr := rm.ResolveILP(ILPOptions{})
+				ri, rerr := mo.ResolveILP(ILPOptions{})
+				di, derr := denseILP(mo.Problem(), ILPOptions{})
 				if derr != nil || rerr != nil {
 					// An edit can leave an integer variable one-sided with
 					// no derivable box; the open-march guard must then
-					// reject BOTH representations with the typed error.
+					// reject BOTH solves with the typed error.
 					if errors.Is(derr, ErrUnboundedIntDomain) && errors.Is(rerr, ErrUnboundedIntDomain) {
 						continue
 					}
@@ -237,9 +214,8 @@ func TestRevisedParityModelEdits(t *testing.T) {
 }
 
 // randomSparseNetwork builds a larger conservation-plus-capacity LP in the
-// shape the contract compiler emits — enough rows to cross the SimplexAuto
-// threshold and enough pivots to roll the eta file past its refactorization
-// triggers.
+// shape the contract compiler emits — enough pivots to roll the eta file
+// past its refactorization triggers.
 func randomSparseNetwork(rng *rand.Rand, nodes, commodities int, integer bool) *Problem {
 	p := &Problem{}
 	zero := big.NewRat(0, 1)
@@ -285,26 +261,20 @@ func randomSparseNetwork(rng *rand.Rand, nodes, commodities int, integer bool) *
 	return p
 }
 
-// TestRevisedParityLarge crosses the auto-selection threshold with
-// contract-shaped networks, exercising refactorization and the eta file,
-// and checks parity on LP and ILP solves plus a SetRHS re-solve ride.
+// TestRevisedParityLarge checks parity on contract-shaped networks,
+// exercising refactorization and the eta file, on LP and ILP solves plus a
+// SetRHS re-solve ride.
 func TestRevisedParityLarge(t *testing.T) {
 	rounds := parityRounds(t, 8)
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		integer := seed%2 == 1
 		p := randomSparseNetwork(rng, 12+rng.Intn(6), 4+rng.Intn(3), integer)
-		if len(p.Constraints) < revisedAutoRows {
-			t.Fatalf("seed %d: network too small for auto threshold (%d rows)", seed, len(p.Constraints))
-		}
-		// SimplexAuto routes this size to the revised engine already; pin
-		// both explicitly anyway so the test stays honest if the threshold
-		// moves.
-		dense, err := SolveLPWith(p, SolveOptions{Simplex: SimplexDense})
+		dense, err := denseLP(p)
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		rev, err := SolveLPWith(p, SolveOptions{Simplex: SimplexRevised})
+		rev, err := SolveLP(p)
 		if err != nil {
 			t.Fatalf("seed %d: revised: %v", seed, err)
 		}
@@ -315,11 +285,11 @@ func TestRevisedParityLarge(t *testing.T) {
 			t.Fatalf("%s: status dense=%v revised=%v", tag, dense.Status, rev.Status)
 		}
 		if integer {
-			di, err := SolveILP(p, ILPOptions{Simplex: SimplexDense})
+			di, err := denseILP(p, ILPOptions{})
 			if err != nil {
 				t.Fatalf("%s: dense ILP: %v", tag, err)
 			}
-			ri, err := SolveILP(p, ILPOptions{Simplex: SimplexRevised})
+			ri, err := SolveILP(p, ILPOptions{})
 			if err != nil {
 				t.Fatalf("%s: revised ILP: %v", tag, err)
 			}
@@ -329,27 +299,20 @@ func TestRevisedParityLarge(t *testing.T) {
 				t.Fatalf("%s: ILP status dense=%v revised=%v", tag, di.Status, ri.Status)
 			}
 		}
-		// A SetRHS retarget plus warm re-solve on both representations.
-		dm := NewModel(p)
-		dm.SetSimplex(SimplexDense)
-		rm := NewModel(p)
-		rm.SetSimplex(SimplexRevised)
-		if _, err := dm.Resolve(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rm.Resolve(); err != nil {
+		// SetRHS retargets plus warm re-solves, each against a scratch
+		// oracle solve of the edited network.
+		mo := NewModel(p)
+		if _, err := mo.Resolve(); err != nil {
 			t.Fatal(err)
 		}
 		for probe := 0; probe < 4; probe++ {
 			ci := rng.Intn(len(p.Constraints))
-			rhs := big.NewRat(int64(rng.Intn(9)-2), 1)
-			dm.SetRHS(ci, rhs)
-			rm.SetRHS(ci, rhs)
-			ds, err := dm.Resolve()
+			mo.SetRHS(ci, big.NewRat(int64(rng.Intn(9)-2), 1))
+			rs, err := mo.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := rm.Resolve()
+			ds, err := denseLP(p)
 			if err != nil {
 				t.Fatal(err)
 			}

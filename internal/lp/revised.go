@@ -17,81 +17,13 @@ import "math/big"
 // engines run exact arithmetic, every compared quantity is the same
 // canonical rational in both representations, so the pivot sequences —
 // and therefore the returned Solutions — are bit-identical. The dense
-// tableau stays the reference engine; this one is the fast path for large
-// sparse instances (see pickSimplex).
+// tableau stays as the test oracle (dense_test.go); this engine is the
+// only production simplex.
 //
 // Costs per pivot: the dense tableau pays O(m·(n+1)) row updates; the
 // revised engine pays one BTRAN + one FTRAN (O(factor fill)) plus one
 // reduced-cost pass over the matrix nonzeros. Contract-shaped systems are
 // extremely sparse, which is where the revised engine wins.
-
-// SimplexEngine selects the simplex representation. The exact engines keep
-// a bit-identity contract across representations; the float engine has no
-// such contract (its answers are approximate either way), which frees its
-// revised representation to use partial pricing (see newRevisedFloat).
-type SimplexEngine int
-
-// Simplex representations.
-const (
-	// SimplexAuto routes by instance size: revised for large systems,
-	// dense below the crossover (revisedAutoRows).
-	SimplexAuto SimplexEngine = iota
-	// SimplexDense forces the dense bounded-variable tableau — the
-	// reference engine.
-	SimplexDense
-	// SimplexRevised forces the LU-factorized revised engine.
-	SimplexRevised
-	// SimplexHybrid solves float-first on the revised partial-pricing
-	// float engine, then verifies with the exact engine warm-started from
-	// the float basis; certified answers are bit-identical to an
-	// exact-only solve, and anything that fails certification falls back
-	// to the deterministic cold exact path. See solveLPHybrid.
-	SimplexHybrid
-)
-
-// revisedAutoRows is the SimplexAuto crossover: systems with at least this
-// many constraint rows route to the revised engine. BenchmarkLP's
-// Exact vs ExactDense pairs sized the cutover: on contract-shaped sparsity
-// the revised engine is at worst even by ~10 rows and pulls away steeply
-// (5× by ~200 rows), while on tiny or dense systems the tableau's tight
-// loops still win; 16 keeps every contract conjunction (the ablation ring
-// is 23 rows) on the revised path without penalizing toy programs.
-const revisedAutoRows = 16
-
-// pickSimplex resolves a SimplexEngine choice against the instance.
-// SimplexHybrid is a solve MODE, not a representation; entry points route
-// it before reaching here, so a hybrid choice that leaks this far falls
-// back to size-based selection of an exact representation. autoRows
-// overrides the SimplexAuto crossover; zero (or negative) keeps the
-// calibrated revisedAutoRows default. The override moves only the routing
-// decision — whichever representation wins returns the same bit-identical
-// Solution, so autoRows is a pure speed knob (and the quantity the corpus
-// calibration stage sweeps).
-func pickSimplex(p *Problem, choice SimplexEngine, autoRows int) SimplexEngine {
-	if choice == SimplexHybrid {
-		choice = SimplexAuto
-	}
-	if choice != SimplexAuto {
-		return choice
-	}
-	if autoRows <= 0 {
-		autoRows = revisedAutoRows
-	}
-	if len(p.Constraints) >= autoRows {
-		return SimplexRevised
-	}
-	return SimplexDense
-}
-
-// floatPick resolves the float engine's representation: same size-based
-// auto rule, with SimplexHybrid folding into auto (hybrid is a property of
-// exact solves; its float half takes the auto choice).
-func floatPick(p *Problem, choice SimplexEngine, autoRows int) SimplexEngine {
-	if choice == SimplexHybrid {
-		choice = SimplexAuto
-	}
-	return pickSimplex(p, choice, autoRows)
-}
 
 // revised is the factorized-basis counterpart of tableau. The column
 // layout, bound arrays, statuses and warm-state flags are identical; only
@@ -218,8 +150,9 @@ func newRevised[T any, A arith[T]](p *Problem, ar A) *revised[T, A] {
 
 // newRevisedFloat builds the float64 revised engine: the same LU machinery
 // as the exact revised engine, plus partial pricing. The float engine has
-// no bit-identity contract to a reference representation (see
-// SimplexEngine), so the cheaper entering rule is safe here and only here.
+// no bit-identity contract to a reference representation (its answers are
+// approximate either way), so the cheaper entering rule is safe here and
+// only here.
 func newRevisedFloat(p *Problem) *revised[float64, floatArith] {
 	rv := newRevised[float64, floatArith](p, floatArith{eps: defaultEps})
 	rv.partial = true
@@ -400,18 +333,17 @@ func (rv *revised[T, A]) updateCost() {
 // updateRHS retargets constraint i. Unlike the dense tableau there is no
 // maintained B⁻¹b column to delta-update: rewarm recomputes basic values
 // from the pristine right-hand sides through one FTRAN, so dual-feasible
-// warm state survives the edit for free. Primal reentry is invalidated as
-// in the dense engine.
+// warm state survives the edit for free. Primal reentry is invalidated.
 func (rv *revised[T, A]) updateRHS(i int, rhs *big.Rat) {
 	rv.convRHS[i] = rv.ar.fromRat(rhs)
 	rv.csr.rhs[i] = rhs
 	rv.basisOK = false
 }
 
-// updateRHSPristine mirrors tableau.updateRHSPristine for the Model's
-// float revised arena: pristine system only, every warm state dropped —
-// ResolveILP cold-rebuilds the root, so a float warm basis is never
-// consumed and keeping it would be a rounding trap.
+// updateRHSPristine is the RHS edit of the Model's float arena: pristine
+// system only, every warm state dropped — ResolveILP cold-rebuilds the
+// root, so a float warm basis is never consumed and keeping it would be a
+// rounding trap.
 func (rv *revised[T, A]) updateRHSPristine(i int, rhs *big.Rat) {
 	rv.convRHS[i] = rv.ar.fromRat(rhs)
 	rv.csr.rhs[i] = rhs
@@ -460,8 +392,10 @@ func (rv *revised[T, A]) solveNode(lo, hi []*big.Rat) Status {
 	return status
 }
 
-// resolveModel mirrors tableau.resolveModel: warm answers are returned
-// only when provably identical to the from-scratch solve.
+// resolveModel solves under the given bounds for the Model, preferring
+// warm reentry but returning a warm answer only when it provably matches
+// the from-scratch one; everything else re-runs the deterministic cold
+// path in place.
 func (rv *revised[T, A]) resolveModel(lo, hi []*big.Rat) Status {
 	ok, changed := rv.setBounds(lo, hi)
 	if changed {
@@ -1343,8 +1277,13 @@ func (rv *revised[T, A]) axpyCol(w *spVec[T], j int, s T) {
 	}
 }
 
-// uniqueOptimum mirrors tableau.uniqueOptimum over freshly priced reduced
-// costs.
+// uniqueOptimum reports whether the current optimal basis certifies a
+// unique optimal solution vector: every nonbasic non-fixed column carries a
+// strictly signed (freshly priced) reduced cost, so any optimal point must
+// keep all of them on their current bounds, which pins the basic values
+// too. This is the acceptance test that lets a warm re-solve return its
+// answer as bit-identical to a from-scratch solve; pure feasibility
+// problems (zero objective) never certify and fall back to the cold path.
 func (rv *revised[T, A]) uniqueOptimum() bool {
 	if !rv.hasObj {
 		return false

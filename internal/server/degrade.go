@@ -148,12 +148,10 @@ func degradeConfig(cfg wsp.Config, r int) (wsp.Config, []string) {
 	var steps []string
 	if r >= 1 && cfg.Exact {
 		cfg.Exact = false
-		// The float rung rides the revised partial-pricing float engine:
-		// clear representation overrides (hybrid is an exact-side solve
-		// mode, and a pinned dense tableau would forgo the fast engine)
-		// and the exact-only root cuts, so the degraded solve is the
-		// cheap one.
-		cfg.Simplex = wsp.SimplexAuto
+		// The float rung rides the partial-pricing float engine: clear the
+		// exact-side hybrid mode and root cuts, so the degraded solve is
+		// the cheap one.
+		cfg.Hybrid = false
 		cfg.RootCuts = false
 		steps = append(steps, "float-arith")
 	}

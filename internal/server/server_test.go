@@ -289,6 +289,34 @@ func TestPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestNegativeProductCountIsBadInstance: product counts the decoder used
+// to panic or run out of memory on — outside the solve guard, so the
+// daemon dropped the connection — are answered 400/bad-instance without
+// counting a panic.
+func TestNegativeProductCountIsBadInstance(t *testing.T) {
+	for name, inst := range map[string]string{
+		"negative": `{"map":"T.\n..","num_products":-1,"stock":[],"components":[]}`,
+		"huge":     `{"map":"T.\n..","num_products":20000000000000,"stock":[],"components":[]}`,
+		"huge-referenced": `{"map":"T.\n..","num_products":20000000000000,` +
+			`"stock":[{"product":19999999999999,"x":1,"y":0,"units":1}],"components":[]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := New(Config{})
+			body := json.RawMessage(`{"instance":` + inst + `,"horizon":10}`)
+			w := postJSON(t, srv.Handler(), "/v1/solve", body, nil)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+			}
+			if resp := decodeAs[ErrorResponse](t, w); resp.Code != "bad-instance" {
+				t.Errorf("code %q, want bad-instance", resp.Code)
+			}
+			if m := srv.Metrics(); m["panics_total"] != 0 {
+				t.Errorf("panics_total = %d, want 0", m["panics_total"])
+			}
+		})
+	}
+}
+
 // TestDegradationLadder: under a loaded window the server answers with a
 // cheaper solve, labeled degraded with the applied rungs; a no_degrade
 // request on the same loaded server runs exactly as configured.

@@ -88,6 +88,18 @@ func Decode(inst *Instance) (*traffic.System, *warehouse.Workload, error) {
 	for _, c := range stationCoords {
 		stations = append(stations, g.At(c))
 	}
+	// The stock matrix has a row per product, so the count must be backed
+	// by the body: one workload demand per product, or at most one product
+	// per stock entry when there is no workload. An unbacked count would
+	// size the allocation below on its own.
+	backed := len(inst.Workload)
+	if inst.Workload == nil {
+		backed = len(inst.Stock)
+	}
+	if inst.NumProducts < 0 || inst.NumProducts > backed {
+		return nil, nil, fmt.Errorf("wspio: product count %d not backed by %d workload demands and %d stock entries",
+			inst.NumProducts, len(inst.Workload), len(inst.Stock))
+	}
 	// Collect access cells in first-appearance order.
 	accessIdx := make(map[grid.VertexID]int)
 	var access []grid.VertexID

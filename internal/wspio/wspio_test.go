@@ -117,6 +117,11 @@ func TestDecodeRejectsCorruptInstances(t *testing.T) {
 	if _, _, err := Decode(&bad4); err == nil {
 		t.Error("corrupt map accepted")
 	}
+	bad5 := *inst
+	bad5.NumProducts = len(inst.Stock) + 1
+	if _, _, err := Decode(&bad5); err == nil {
+		t.Error("product count beyond the stock entries accepted")
+	}
 	if _, err := Unmarshal([]byte("{")); err == nil {
 		t.Error("corrupt JSON accepted")
 	}

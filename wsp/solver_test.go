@@ -226,7 +226,7 @@ func TestConfigResolution(t *testing.T) {
 	s := New(
 		WithStrategy(SequentialFlows),
 		WithExact(true),
-		WithSimplex(SimplexRevised),
+		WithHybrid(true),
 		WithAdmissionCheck(true),
 		WithSkipRealization(true),
 		WithMaxAttempts(5),
@@ -236,7 +236,7 @@ func TestConfigResolution(t *testing.T) {
 	)
 	got := s.Config()
 	want := Config{
-		Strategy: SequentialFlows, Exact: true, Simplex: SimplexRevised,
+		Strategy: SequentialFlows, Exact: true, Hybrid: true,
 		AdmissionCheck: true, SkipRealization: true, MaxAttempts: 5,
 		WorkBudget: 123, NodeBudget: 45, Parallel: 7,
 	}
