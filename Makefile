@@ -28,12 +28,12 @@ race:
 
 # Table I synthesis + the full Table I solve and its two dominant stages
 # (Algorithm 1 realization, validation by simulation) + solver-pool
-# throughput + the contract→ILP path (ablation with its exact, hybrid and
-# root-cut variants, and the LP-core microbenchmarks in their exact, float
-# and hybrid modes) + the repeated-solve layers (refinement, lifelong,
-# design sweep), recorded with allocation stats.
+# throughput + the contract→ILP path (ablation with its exact variant, and
+# the LP-core microbenchmarks in their exact and float engines) + the
+# repeated-solve layers (refinement, lifelong, design sweep), recorded with
+# allocation stats.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkTableIParallel|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
 		$(GO) run ./scripts/benchjson -o BENCH_table1.json -label "$(BENCH_LABEL)"
 
 # Diff the last two recorded snapshots per benchmark — the trajectory file
@@ -44,14 +44,14 @@ bench-compare:
 	$(GO) run ./scripts/benchjson -compare -o BENCH_table1.json
 
 # Long-running simplex parity fuzz (production revised engine against the
-# dense test oracle, hybrid and float modes against exact) under the race
-# detector, plus the parallel-vs-sequential search parity fuzz (workers
-# 1/2/4 against the sequential walk, forced multi-core so subtree workers
-# really overlap).
+# dense test oracle, the float engine against exact) under the race
+# detector, plus the fence fuzz (the fenced branch-and-bound task loop
+# against its reference commit loop, with the fence lowered so small trees
+# decompose).
 # The short version of the same property tests runs in every `go test ./...`;
 # LP_PARITY_ROUNDS scales the fuzz rounds.
 test-lp-long:
-	LP_PARITY_ROUNDS=2000 GOMAXPROCS=4 $(GO) test -race -run 'TestRevisedParity|TestHybridDisagreementFallback|TestFloatRevisedPartial|TestParallelSearch' -timeout 40m ./internal/lp
+	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestParallelSearch' -timeout 40m ./internal/lp
 
 # End-to-end daemon smoke: build wspd, start it, hit /healthz and one
 # /v1/solve, then SIGTERM and require a drain-clean exit 0. This is the
@@ -62,7 +62,7 @@ serve-smoke:
 # Scenario-corpus smoke: solve two seeded generator families under the
 # default knobs, write the JSON report and its bench lines, and require
 # benchjson to ingest those lines (it exits 1 when nothing parses) — the
-# gate that keeps the corpus runner, the wsp-corpus-report/v2 schema, and
+# gate that keeps the corpus runner, the wsp-corpus-report/v3 schema, and
 # the benchjson label format from drifting apart.
 corpus-smoke:
 	$(GO) run ./cmd/wsp corpus run -families stripes,rings -label corpus-smoke \

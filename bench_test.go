@@ -70,34 +70,6 @@ func BenchmarkTableI(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIParallel is BenchmarkTableI with within-instance
-// parallelism enabled (parallel route packing; the contract strategies add
-// subtree-parallel branch & bound). Answers are bit-identical to the
-// sequential engines, so the delta against BenchmarkTableI is pure
-// speedup — a documented tie on a single-core runner.
-func BenchmarkTableIParallel(b *testing.B) {
-	for _, row := range tableIRows {
-		m, err := row.build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, units := range row.units {
-			wl, err := workload.Uniform(m.W, units)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s_units=%d", row.name, units), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts := core.Options{SkipRealization: true, SearchParallel: 4, PackParallel: 4}
-					if _, err := core.Solve(context.Background(), m.S, wl, horizonT, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSolveBatch measures solver-pool throughput: the nine Table I
 // instances solved end to end as one batch, at pool widths 1 and 4. Results
 // are bit-identical across widths (solverpool's parity test asserts it);
@@ -260,29 +232,15 @@ func BenchmarkSynthesizerAblation(b *testing.B) {
 			}
 		})
 	}
-	// The exact-arithmetic contract path: hybrid is the certified
-	// float-first solve mode, cuts adds the root cutting planes. Exact and
-	// hybrid results are bit-identical; cuts preserves the exact objective
-	// (alternate optima may differ).
-	for _, sx := range []struct {
-		name     string
-		hybrid   bool
-		rootCuts bool
-	}{
-		{"contract-ilp-exact", false, false},
-		{"contract-ilp-exact-hybrid", true, false},
-		{"contract-ilp-exact-cuts", false, true},
-	} {
-		b.Run(sx.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.Options{Strategy: core.ContractILP, SkipRealization: true,
-					ExactILP: true, Hybrid: sx.hybrid, RootCuts: sx.rootCuts}
-				if _, err := core.Solve(context.Background(), s, wl, 800, opts); err != nil {
-					b.Fatal(err)
-				}
+	// The exact-arithmetic contract path.
+	b.Run("contract-ilp-exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			opts := core.Options{Strategy: core.ContractILP, SkipRealization: true, ExactILP: true}
+			if _, err := core.Solve(context.Background(), s, wl, 800, opts); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // contractShapedLP builds an LP/ILP with the shape the §IV-D contract
@@ -341,8 +299,8 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 }
 
 // BenchmarkLP isolates the internal/lp solver on contract-shaped problems:
-// the continuous relaxation in the exact, float and hybrid modes, and the
-// full branch-and-bound ILP likewise. These are the microbenchmarks behind
+// the continuous relaxation in the exact and float engines, and the full
+// branch-and-bound ILP likewise. These are the microbenchmarks behind
 // the `flow.Certify` / `SynthesizeContract` / `refine.MinimalHorizon`
 // costs.
 func BenchmarkLP(b *testing.B) {
@@ -363,9 +321,7 @@ func BenchmarkLP(b *testing.B) {
 			obj = append(obj, lp.T(lp.VarID(i), 1))
 		}
 		cont.SetObjective(obj, false) // minimize total flow
-		// "Float" is the partial-pricing float engine. "Hybrid" is the
-		// certified float-first/exact-verify mode — the number to compare
-		// against "Exact", since both return bit-identical rational answers.
+		// "Float" is the partial-pricing float engine.
 		for _, mode := range []struct {
 			name  string
 			solve func(*lp.Problem) (*lp.Solution, error)
@@ -379,14 +335,6 @@ func BenchmarkLP(b *testing.B) {
 				}
 			})
 		}
-		b.Run("Hybrid/"+sz.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sol, err := lp.SolveLPWith(cont, lp.SolveOptions{Hybrid: true})
-				if err != nil || sol.Status != lp.StatusOptimal {
-					b.Fatalf("status %v err %v", sol.Status, err)
-				}
-			}
-		})
 		ilp := contractShapedLP(sz.ring, sz.products, true)
 		for _, eng := range []struct {
 			name string
@@ -394,14 +342,6 @@ func BenchmarkLP(b *testing.B) {
 		}{
 			{"ILPExact", lp.ILPOptions{Engine: lp.EngineExact}},
 			{"ILPFloat", lp.ILPOptions{Engine: lp.EngineFloat}},
-			{"ILPHybrid", lp.ILPOptions{Hybrid: true}},
-			{"ILPRootCuts", lp.ILPOptions{RootCuts: true}},
-			// Subtree-parallel search (bit-identical answers, see
-			// internal/lp/parallel.go); vs ILPExact/ILPFloat these measure
-			// the within-instance speedup — a tie on a single-core runner.
-			{"ILPParallel2", lp.ILPOptions{Engine: lp.EngineExact, SearchParallel: 2}},
-			{"ILPParallel4", lp.ILPOptions{Engine: lp.EngineExact, SearchParallel: 4}},
-			{"ILPParallelFloat4", lp.ILPOptions{Engine: lp.EngineFloat, SearchParallel: 4}},
 		} {
 			b.Run(eng.name+"/"+sz.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

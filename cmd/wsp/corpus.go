@@ -79,13 +79,11 @@ func cmdCorpusList(args []string) error {
 	return tw.Flush()
 }
 
-func corpusKnobsFlags(fs *flag.FlagSet) (strat *string, hybrid, exact *bool, maxNodes, searchPar *int, maxWork *int64) {
+func corpusKnobsFlags(fs *flag.FlagSet) (strat *string, exact *bool, maxNodes *int, maxWork *int64) {
 	strat = fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
-	hybrid = fs.Bool("hybrid", false, "float-first/exact-verify hybrid solves")
 	exact = fs.Bool("exact", false, "exact rational arithmetic for the contract strategy")
 	maxWork = fs.Int64("maxwork", 0, "per-attempt simplex work budget (0 = default)")
 	maxNodes = fs.Int("maxnodes", 0, "per-attempt branch-and-bound node budget (0 = default)")
-	searchPar = fs.Int("search-parallel", 0, "B&B subtree workers (0 = sequential; bit-identical results)")
 	return
 }
 
@@ -98,7 +96,7 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 	label := fs.String("label", "corpus", "report label (benchjson snapshot label)")
 	jsonOut := fs.String("json", "", "write the full JSON report to this file")
 	bench := fs.String("bench", "", "write benchjson-compatible lines to this file ('-' = stdout)")
-	strat, hybrid, exact, maxNodes, searchPar, maxWork := corpusKnobsFlags(fs)
+	strat, exact, maxNodes, maxWork := corpusKnobsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -111,8 +109,8 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 		return err
 	}
 	knobs := wsp.CorpusKnobs{
-		Strategy: strategy, Exact: *exact, Hybrid: *hybrid,
-		WorkBudget: *maxWork, NodeBudget: *maxNodes, SearchParallel: *searchPar,
+		Strategy: strategy, Exact: *exact,
+		WorkBudget: *maxWork, NodeBudget: *maxNodes,
 	}
 	start := time.Now()
 	rep := wsp.RunCorpus(ctx, insts, knobs, *label, *seed)
@@ -193,7 +191,6 @@ func cmdCorpusCalibrate(ctx context.Context, args []string) error {
 	families := fs.String("families", "stripes", "comma-separated family filter (empty = all)")
 	maxWork := fs.String("maxwork", "0", "comma-separated per-attempt work budgets")
 	maxNodes := fs.String("maxnodes", "0", "comma-separated per-attempt node budgets")
-	widths := fs.String("widths", "0", "comma-separated B&B search widths")
 	strat := fs.String("strategy", "contract", "base synthesis strategy: route, flows, or contract")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -210,17 +207,13 @@ func cmdCorpusCalibrate(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("bad -maxnodes: %w", err)
 	}
-	sws, err := parseInts(*widths)
-	if err != nil {
-		return fmt.Errorf("bad -widths: %w", err)
-	}
 	insts, err := wsp.GenerateCorpus(*seed, parseFamilies(*families)...)
 	if err != nil {
 		return err
 	}
 	spec := wsp.CalibrationSpec{
 		Base:        wsp.CorpusKnobs{Strategy: strategy},
-		WorkBudgets: wbs, NodeBudgets: nbs, SearchWidths: sws,
+		WorkBudgets: wbs, NodeBudgets: nbs,
 	}
 	start := time.Now()
 	table, err := wsp.CalibrateCorpus(ctx, insts, spec)

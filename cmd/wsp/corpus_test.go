@@ -62,7 +62,7 @@ func TestCmdCorpusRun(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report not JSON: %v", err)
 	}
-	if rep.Schema != "wsp-corpus-report/v2" || len(rep.Instances) != 4 {
+	if rep.Schema != "wsp-corpus-report/v3" || len(rep.Instances) != 4 {
 		t.Errorf("report schema %q with %d instances", rep.Schema, len(rep.Instances))
 	}
 	bench, err := os.ReadFile(benchPath)

@@ -192,9 +192,6 @@ func cmdSolve(ctx context.Context, args []string) error {
 	units := fs.Int("units", 160, "total units to move")
 	T := fs.Int("T", 3600, "timestep limit")
 	strat := fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
-	hybrid := fs.Bool("hybrid", false, "float-first/exact-verify hybrid solves")
-	rootCuts := fs.Bool("root-cuts", false, "Gomory/cover cuts at the exact ILP root")
-	searchPar := fs.Int("search-parallel", 0, "within-instance parallelism: B&B subtree + route-probe workers (0 = sequential; bit-identical results)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -210,8 +207,7 @@ func cmdSolve(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	solver := wsp.New(wsp.WithStrategy(strategy), wsp.WithHybrid(*hybrid),
-		wsp.WithRootCuts(*rootCuts), wsp.WithSearchParallel(*searchPar))
+	solver := wsp.New(wsp.WithStrategy(strategy))
 	start := time.Now()
 	res, err := solver.Solve(ctx, wsp.Instance{System: m.S, Workload: wl, Horizon: *T})
 	if err != nil {
@@ -239,10 +235,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	points := fs.Int("points", 3, "workload levels per topology (units·i/points, i=1..points)")
 	T := fs.Int("T", 3600, "timestep limit")
 	strat := fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
-	hybrid := fs.Bool("hybrid", false, "float-first/exact-verify hybrid solves")
-	rootCuts := fs.Bool("root-cuts", false, "Gomory/cover cuts at the exact ILP root")
 	parallel := fs.Int("parallel", 1, "solver pool width (0 = GOMAXPROCS)")
-	searchPar := fs.Int("search-parallel", 0, "within-instance parallelism: B&B subtree + route-probe workers (0 = sequential; bit-identical results)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -258,8 +251,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	solver := wsp.New(wsp.WithStrategy(strategy), wsp.WithParallel(*parallel),
-		wsp.WithHybrid(*hybrid), wsp.WithRootCuts(*rootCuts), wsp.WithSearchParallel(*searchPar))
+	solver := wsp.New(wsp.WithStrategy(strategy), wsp.WithParallel(*parallel))
 	start := time.Now()
 	cells, sweepErr := solver.Sweep(ctx, wsp.SweepSpec{
 		Corridors: vs, Lens: ls,
@@ -419,7 +411,6 @@ func cmdTable(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("table", flag.ExitOnError)
 	T := fs.Int("T", 3600, "timestep limit")
 	parallel := fs.Int("parallel", 1, "solver pool width (0 = GOMAXPROCS); results are bit-identical to -parallel 1")
-	searchPar := fs.Int("search-parallel", 0, "within-instance parallelism: B&B subtree + route-probe workers (0 = sequential; bit-identical results)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -452,7 +443,7 @@ func cmdTable(ctx context.Context, args []string) error {
 			batch = append(batch, wsp.Instance{System: m.S, Workload: wl, Horizon: *T})
 		}
 	}
-	solver := wsp.New(wsp.WithParallel(*parallel), wsp.WithSearchParallel(*searchPar))
+	solver := wsp.New(wsp.WithParallel(*parallel))
 	start := time.Now()
 	results := solver.SolveBatch(ctx, batch)
 	elapsed := time.Since(start)

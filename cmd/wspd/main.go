@@ -7,13 +7,13 @@
 // Usage:
 //
 //	wspd [-addr :8080] [-max-inflight N] [-deadline 30s] [-drain 30s]
-//	     [-strategy route|flows|contract] [-search-parallel N]
+//	     [-strategy route|flows|contract] [-exact]
 //	     [-no-degrade] [-config wspd.json]
 //
 // Every flag can also come from a JSON config file (-config; keys are the
 // flag names with dashes as underscores, e.g. {"max_inflight": 16}) or
-// from the environment (WSPD_ prefix, e.g. WSPD_SEARCH_PARALLEL=4), so
-// parallelism and budget knobs are deployable without rebuilding command
+// from the environment (WSPD_ prefix, e.g. WSPD_MAX_INFLIGHT=16), so
+// admission and strategy knobs are deployable without rebuilding command
 // lines. Precedence: explicit flag > WSPD_* environment > config file >
 // built-in default.
 //
@@ -67,7 +67,6 @@ func run(args []string) int {
 	drain := fs.Duration("drain", 0, "shutdown drain budget (0 = 30s)")
 	strategy := fs.String("strategy", "contract", "base strategy: route|flows|contract")
 	exact := fs.Bool("exact", false, "base config: exact rational ILP arithmetic")
-	searchPar := fs.Int("search-parallel", 0, "within-instance parallelism: B&B subtree + route-probe workers per solve (0 = sequential; bit-identical results)")
 	noDegrade := fs.Bool("no-degrade", false, "disable the graceful-degradation ladder")
 	clientRate := fs.Int64("client-rate", 0, "per-client budget refill, work units/sec (0 = default)")
 	configPath := fs.String("config", "", "JSON config file (flag names with dashes as underscores); explicit flags and WSPD_* env vars override it")
@@ -86,7 +85,7 @@ func run(args []string) int {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	srv := server.New(server.Config{
-		Solver:          wsp.Config{Strategy: st, Exact: *exact, SearchParallel: *searchPar},
+		Solver:          wsp.Config{Strategy: st, Exact: *exact},
 		MaxInFlight:     *maxInFlight,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,

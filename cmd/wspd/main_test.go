@@ -14,13 +14,13 @@ import (
 func testFlags() (*flag.FlagSet, map[string]any) {
 	fs := flag.NewFlagSet("wspd", flag.ContinueOnError)
 	vals := map[string]any{
-		"addr":            fs.String("addr", ":8080", ""),
-		"max-inflight":    fs.Int("max-inflight", 0, ""),
-		"deadline":        fs.Duration("deadline", 0, ""),
-		"search-parallel": fs.Int("search-parallel", 0, ""),
-		"no-degrade":      fs.Bool("no-degrade", false, ""),
-		"client-rate":     fs.Int64("client-rate", 0, ""),
-		"config":          fs.String("config", "", ""),
+		"addr":         fs.String("addr", ":8080", ""),
+		"max-inflight": fs.Int("max-inflight", 0, ""),
+		"deadline":     fs.Duration("deadline", 0, ""),
+		"strategy":     fs.String("strategy", "contract", ""),
+		"no-degrade":   fs.Bool("no-degrade", false, ""),
+		"client-rate":  fs.Int64("client-rate", 0, ""),
+		"config":       fs.String("config", "", ""),
 	}
 	return fs, vals
 }
@@ -40,7 +40,7 @@ func TestConfigFileFillsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeConfig(t, `{"addr": ":9090", "max_inflight": 16, "deadline": "45s",
-		"search_parallel": 4, "no_degrade": true, "client_rate": 123456}`)
+		"strategy": "route", "no_degrade": true, "client_rate": 123456}`)
 	if err := applyOverrides(fs, path); err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestConfigFileFillsDefaults(t *testing.T) {
 	if got := *vals["deadline"].(*time.Duration); got != 45*time.Second {
 		t.Errorf("deadline = %v", got)
 	}
-	if got := *vals["search-parallel"].(*int); got != 4 {
-		t.Errorf("search-parallel = %d", got)
+	if got := *vals["strategy"].(*string); got != "route" {
+		t.Errorf("strategy = %q", got)
 	}
 	if !*vals["no-degrade"].(*bool) {
 		t.Error("no-degrade not applied")
@@ -70,16 +70,16 @@ func TestExplicitFlagBeatsEnvBeatsConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Setenv("WSPD_MAX_INFLIGHT", "7")
-	t.Setenv("WSPD_SEARCH_PARALLEL", "2")
-	path := writeConfig(t, `{"max_inflight": 16, "search_parallel": 8, "addr": ":7070"}`)
+	t.Setenv("WSPD_CLIENT_RATE", "2")
+	path := writeConfig(t, `{"max_inflight": 16, "client_rate": 8, "addr": ":7070"}`)
 	if err := applyOverrides(fs, path); err != nil {
 		t.Fatal(err)
 	}
 	if got := *vals["max-inflight"].(*int); got != 3 {
 		t.Errorf("explicit flag overridden: max-inflight = %d, want 3", got)
 	}
-	if got := *vals["search-parallel"].(*int); got != 2 {
-		t.Errorf("env override lost: search-parallel = %d, want 2", got)
+	if got := *vals["client-rate"].(*int64); got != 2 {
+		t.Errorf("env override lost: client-rate = %d, want 2", got)
 	}
 	if got := *vals["addr"].(*string); got != ":7070" {
 		t.Errorf("config file value lost: addr = %q, want :7070", got)

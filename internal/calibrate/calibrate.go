@@ -20,8 +20,6 @@ type Spec struct {
 	WorkBudgets []int64
 	// NodeBudgets values for the per-attempt node cap (0 = default).
 	NodeBudgets []int
-	// SearchWidths values for branch-and-bound worker width.
-	SearchWidths []int
 }
 
 // Candidate is one evaluated grid point.
@@ -60,8 +58,7 @@ func score(solved, budget, n int) float64 {
 }
 
 // less is the deterministic candidate total order: score descending, then
-// deterministic work ascending, then cheaper knobs (narrower search,
-// smaller budgets). Latency is deliberately absent — two runs of the same
+// deterministic work ascending, then cheaper knobs (smaller budgets). Latency is deliberately absent — two runs of the same
 // grid must order candidates identically.
 func less(a, b Candidate) bool {
 	if a.Score != b.Score {
@@ -71,9 +68,6 @@ func less(a, b Candidate) bool {
 		return a.Work < b.Work
 	}
 	ka, kb := a.Knobs, b.Knobs
-	if ka.SearchParallel != kb.SearchParallel {
-		return ka.SearchParallel < kb.SearchParallel
-	}
 	if ka.WorkBudget != kb.WorkBudget {
 		return ka.WorkBudget < kb.WorkBudget
 	}
@@ -90,20 +84,13 @@ func (s Spec) grid() []Knobs {
 	if len(nodeBudgets) == 0 {
 		nodeBudgets = []int{s.Base.NodeBudget}
 	}
-	widths := s.SearchWidths
-	if len(widths) == 0 {
-		widths = []int{s.Base.SearchParallel}
-	}
 	var out []Knobs
 	for _, wb := range workBudgets {
 		for _, nb := range nodeBudgets {
-			for _, sw := range widths {
-				k := s.Base
-				k.WorkBudget = wb
-				k.NodeBudget = nb
-				k.SearchParallel = sw
-				out = append(out, k)
-			}
+			k := s.Base
+			k.WorkBudget = wb
+			k.NodeBudget = nb
+			out = append(out, k)
 		}
 	}
 	return out
@@ -150,17 +137,17 @@ func Calibrate(ctx context.Context, insts []*datasets.Instance, spec Spec) (*Tab
 // Format renders the table for terminals, best candidate first.
 func (t *Table) Format(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "score\tsolved\tbudget\twork\tmaxwork\tmaxnodes\twidth\tms")
+	fmt.Fprintln(tw, "score\tsolved\tbudget\twork\tmaxwork\tmaxnodes\tms")
 	for _, c := range t.Candidates {
-		fmt.Fprintf(tw, "%.1f\t%d/%d\t%d\t%d\t%d\t%d\t%d\t%.0f\n",
+		fmt.Fprintf(tw, "%.1f\t%d/%d\t%d\t%d\t%d\t%d\t%.0f\n",
 			c.Score, c.Solved, c.Instances, c.Budget, c.Work,
-			c.Knobs.WorkBudget, c.Knobs.NodeBudget, c.Knobs.SearchParallel, c.Millis)
+			c.Knobs.WorkBudget, c.Knobs.NodeBudget, c.Millis)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	k := t.Recommended
-	_, err := fmt.Fprintf(w, "\nrecommended: maxwork=%d maxnodes=%d width=%d (strategy=%s)\n",
-		k.WorkBudget, k.NodeBudget, k.SearchParallel, strategyName(k.Strategy))
+	_, err := fmt.Fprintf(w, "\nrecommended: maxwork=%d maxnodes=%d (strategy=%s)\n",
+		k.WorkBudget, k.NodeBudget, strategyName(k.Strategy))
 	return err
 }

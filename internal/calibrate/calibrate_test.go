@@ -123,20 +123,20 @@ func TestRunReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"schema":"wsp-corpus-report/v2"`, `"strategy":"contract-ilp"`} {
+	for _, want := range []string{`"schema":"wsp-corpus-report/v3"`, `"strategy":"contract-ilp"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("report JSON missing %s", want)
 		}
 	}
-	if strings.Contains(string(data), `"hybrid"`) {
-		t.Errorf("default knobs rendered the hybrid mode: %s", data)
+	if strings.Contains(string(data), `"exact"`) {
+		t.Errorf("default knobs rendered the exact flag: %s", data)
 	}
-	hyb, err := json.Marshal(Knobs{Strategy: core.ContractILP, Hybrid: true})
+	exact, err := json.Marshal(Knobs{Strategy: core.ContractILP, Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(hyb), `"hybrid":true`) {
-		t.Errorf("hybrid knobs JSON %s lacks \"hybrid\":true", hyb)
+	if !strings.Contains(string(exact), `"exact":true`) {
+		t.Errorf("exact knobs JSON %s lacks \"exact\":true", exact)
 	}
 }
 

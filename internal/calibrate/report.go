@@ -26,7 +26,7 @@ import (
 )
 
 // ReportSchema versions the JSON report layout.
-const ReportSchema = "wsp-corpus-report/v2"
+const ReportSchema = "wsp-corpus-report/v3"
 
 // Knobs is one solver configuration under measurement — the subset of
 // core.Options the corpus and calibration stages sweep.
@@ -35,26 +35,19 @@ type Knobs struct {
 	Strategy core.Strategy
 	// Exact switches ContractILP to exact rational arithmetic.
 	Exact bool
-	// Hybrid selects the float-first/exact-verify hybrid solve mode.
-	Hybrid bool
 	// WorkBudget caps per-attempt deterministic simplex work
 	// (core.Options.MaxWork); 0 keeps the footprint-scaled default.
 	WorkBudget int64
 	// NodeBudget caps per-attempt branch-and-bound nodes; 0 = default.
 	NodeBudget int
-	// SearchParallel is the branch-and-bound subtree worker width
-	// (0 or 1 = sequential).
-	SearchParallel int
 }
 
 func (k Knobs) coreOptions() core.Options {
 	return core.Options{
-		Strategy:       k.Strategy,
-		ExactILP:       k.Exact,
-		Hybrid:         k.Hybrid,
-		MaxWork:        k.WorkBudget,
-		MaxNodes:       k.NodeBudget,
-		SearchParallel: k.SearchParallel,
+		Strategy: k.Strategy,
+		ExactILP: k.Exact,
+		MaxWork:  k.WorkBudget,
+		MaxNodes: k.NodeBudget,
 	}
 }
 
@@ -63,23 +56,19 @@ func strategyName(s core.Strategy) string { return s.String() }
 // knobsJSON is the report wire form of Knobs: enum knobs as names, not
 // iota values, so reports stay readable and stable across enum reorders.
 type knobsJSON struct {
-	Strategy       string `json:"strategy"`
-	Exact          bool   `json:"exact,omitempty"`
-	Hybrid         bool   `json:"hybrid,omitempty"`
-	WorkBudget     int64  `json:"work_budget,omitempty"`
-	NodeBudget     int    `json:"node_budget,omitempty"`
-	SearchParallel int    `json:"search_parallel,omitempty"`
+	Strategy   string `json:"strategy"`
+	Exact      bool   `json:"exact,omitempty"`
+	WorkBudget int64  `json:"work_budget,omitempty"`
+	NodeBudget int    `json:"node_budget,omitempty"`
 }
 
 // MarshalJSON renders enum knobs by name.
 func (k Knobs) MarshalJSON() ([]byte, error) {
 	return json.Marshal(knobsJSON{
-		Strategy:       strategyName(k.Strategy),
-		Exact:          k.Exact,
-		Hybrid:         k.Hybrid,
-		WorkBudget:     k.WorkBudget,
-		NodeBudget:     k.NodeBudget,
-		SearchParallel: k.SearchParallel,
+		Strategy:   strategyName(k.Strategy),
+		Exact:      k.Exact,
+		WorkBudget: k.WorkBudget,
+		NodeBudget: k.NodeBudget,
 	})
 }
 

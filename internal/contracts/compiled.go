@@ -126,7 +126,7 @@ func (cc *Compiled) RelaxationFeasible() (bool, error) {
 }
 
 // RelaxationFeasibleOpts is RelaxationFeasible with per-call solve options
-// (hybrid mode and cancellation channel).
+// (the cancellation channel).
 func (cc *Compiled) RelaxationFeasibleOpts(opts lp.SolveOptions) (bool, error) {
 	sol, err := cc.model.ResolveWith(opts)
 	if err != nil {

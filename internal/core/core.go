@@ -64,15 +64,6 @@ type Options struct {
 	// ExactILP switches the ContractILP strategy to exact rational
 	// arithmetic.
 	ExactILP bool
-	// Hybrid selects the float-first/exact-verify hybrid solve mode for the
-	// contract path's exact solves and the admission LP (flow.Options.Hybrid).
-	// Certified hybrid answers are bit-identical to exact-only ones.
-	Hybrid bool
-	// RootCuts enables Gomory fractional and knapsack-cover cuts at the
-	// branch-and-bound root of the contract path's exact ILP solves. The
-	// optimal objective is exactly preserved; alternate integer optima may
-	// surface differently than the cut-free search.
-	RootCuts bool
 	// AdmissionCheck runs the LP-relaxation infeasibility certificate
 	// (flow.Admit) before synthesis, failing fast with a sound proof when
 	// no agent flow set can exist. The relaxation has |Es|·(|ρ|+1)
@@ -89,17 +80,6 @@ type Options struct {
 	// MaxNodes overrides the contract path's per-attempt branch-and-bound
 	// node budget; 0 keeps the default.
 	MaxNodes int
-	// SearchParallel distributes open branch-and-bound subtrees of each
-	// contract-path ILP solve across up to this many workers
-	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Bit-identical
-	// results at every width; extra workers are clamped by a process-wide
-	// token pool, so solver-pool workers stacking this knob cannot
-	// oversubscribe the machine.
-	SearchParallel int
-	// PackParallel probes route-packing cycle candidates with up to this
-	// many workers (cycles.Options.PackParallel; 0 or 1 = sequential).
-	// Same bit-identity and oversubscription guarantees.
-	PackParallel int
 }
 
 // Timing breaks down where Solve spent its time.
@@ -163,7 +143,7 @@ func SolveScratch(ctx context.Context, s *traffic.System, wl warehouse.Workload,
 		// The admission LP runs on the same compiled contract model the
 		// ContractILP strategy would use, so a gated synthesis pays the
 		// compilation once.
-		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{Hybrid: opts.Hybrid}); err != nil {
+		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{}); err != nil {
 			return nil, lp.WrapCancelCause(ctx, err)
 		}
 	}
@@ -222,17 +202,15 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 	var cs *cycles.Set
 	switch opts.Strategy {
 	case RoutePacking:
-		c, err := cycles.Synthesize(s, wl, T, cycles.Options{WarmupMargin: margin, Scratch: &sc.cyc, Cancel: ctx.Done(),
-			PackParallel: opts.PackParallel})
+		c, err := cycles.Synthesize(s, wl, T, cycles.Options{WarmupMargin: margin, Scratch: &sc.cyc, Cancel: ctx.Done()})
 		if err != nil {
 			return nil, err
 		}
 		res.Timing.Synthesis = time.Since(start)
 		cs = c
 	case SequentialFlows, ContractILP:
-		fopts := flow.Options{WarmupMargin: margin, ExactILP: opts.ExactILP, Hybrid: opts.Hybrid,
-			RootCuts: opts.RootCuts, MaxWork: opts.MaxWork, MaxNodes: opts.MaxNodes,
-			SearchParallel: opts.SearchParallel}
+		fopts := flow.Options{WarmupMargin: margin, ExactILP: opts.ExactILP,
+			MaxWork: opts.MaxWork, MaxNodes: opts.MaxNodes}
 		var set *flow.Set
 		var err error
 		if opts.Strategy == SequentialFlows {

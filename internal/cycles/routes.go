@@ -2,10 +2,8 @@ package cycles
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/lp"
 	"repro/internal/traffic"
@@ -32,31 +30,7 @@ type Options struct {
 	// allocation-free on the packing hot path. A Scratch must not be shared
 	// between concurrent Synthesize calls.
 	Scratch *Scratch
-	// PackParallel probes route candidates for a new cycle with up to this
-	// many workers (0 or 1 = sequential). Opening a cycle tries candidate
-	// target rows in a deterministic order, and each probe — routing a loop
-	// over the residual capacities — is side-effect-free, so probes run
-	// concurrently in candidate-order waves on private routing scratches
-	// and the first success in CANDIDATE order commits, discarding any
-	// later speculative results. The produced Set (and every error string,
-	// including the accumulated per-candidate attempt log) is bit-identical
-	// to the sequential packing at every worker count. Effective workers
-	// are additionally clamped by a process-wide GOMAXPROCS-sized token
-	// pool shared with nested callers (a solver pool running many
-	// syntheses cannot oversubscribe the machine); clamping never changes
-	// answers. Waves also carry the cancellation check, so a cancelled
-	// synthesis returns within one probe wave rather than one full cycle
-	// opening.
-	PackParallel int
 }
-
-// packTokens caps the extra route-probe workers alive in the whole process,
-// mirroring the lp search-worker pool: nested parallelism (a solver pool of
-// concurrent syntheses, each with PackParallel > 1) acquires from this one
-// pool, and a synthesis that gets no token probes sequentially — which by
-// construction returns the same Set. The floor of two keeps the machinery
-// exercised on one-CPU runners.
-var packTokens = make(chan struct{}, max(2, runtime.GOMAXPROCS(0)))
 
 // Scratch holds the per-synthesis working buffers of the route packer. The
 // zero value is ready to use; buffers grow to the largest instance seen and
@@ -70,7 +44,6 @@ type Scratch struct {
 	path      []traffic.ComponentID
 	loop      []traffic.ComponentID
 	cands     []traffic.ComponentID
-	route     []*Scratch // per-worker routing scratches for parallel probes
 }
 
 // grow readies the scratch for a system with n components and p products.
@@ -86,13 +59,6 @@ func (sc *Scratch) grow(n, p int) {
 		sc.residual = make([]int, n)
 	}
 	sc.residual = sc.residual[:n]
-	sc.growRoute(n)
-}
-
-// growRoute readies just the loop-routing buffers (BFS state and occurrence
-// counters) — the subset a parallel route probe needs on its private
-// sub-scratch.
-func (sc *Scratch) growRoute(n int) {
 	if cap(sc.count) < n {
 		sc.count = make([]int32, n)
 		sc.prev = make([]int32, n)
@@ -102,17 +68,6 @@ func (sc *Scratch) growRoute(n int) {
 	for i := 0; i < n; i++ {
 		sc.count[i] = 0
 	}
-}
-
-// routeScratch returns the i-th per-worker routing sub-scratch, ready for a
-// system with n components.
-func (sc *Scratch) routeScratch(i, n int) *Scratch {
-	for len(sc.route) <= i {
-		sc.route = append(sc.route, &Scratch{})
-	}
-	sub := sc.route[i]
-	sub.growRoute(n)
-	return sub
 }
 
 // rowRef locates a shelving row on an open cycle's loop.
@@ -212,43 +167,6 @@ func Synthesize(s *traffic.System, wl warehouse.Workload, T int, opts Options) (
 		oc.legs++
 		sc.stockUsed[int(ri)*p+k] += int32(units)
 	}
-	// Opening a cycle is the expensive step of the packing loop: each
-	// candidate row costs a full multi-waypoint routing pass over the
-	// residual graph. The candidates are the per-cycle work items of the
-	// parallel packer — a failed probe leaves the shared state untouched
-	// (capacity is consumed only on commit), so any number of candidates
-	// may be probed concurrently against the same residual snapshot, and
-	// the merge simply takes the first success in candidate order, exactly
-	// as the sequential scan would. pack is the wave width.
-	pack := 1
-	if opts.PackParallel > 1 {
-		acquired := 0
-		for i := 1; i < opts.PackParallel; i++ {
-			select {
-			case packTokens <- struct{}{}:
-				acquired++
-			default:
-			}
-		}
-		defer func() {
-			for ; acquired > 0; acquired-- {
-				<-packTokens
-			}
-		}()
-		pack += acquired
-	}
-	type probe struct {
-		target traffic.ComponentID
-		loop   []traffic.ComponentID
-		err    error
-	}
-	probeCand := func(ri traffic.ComponentID, rsc *Scratch) probe {
-		// Target the last segment of the row's aisle chain so the loop
-		// traverses every segment of the aisle.
-		target := zoneLast(s, ri)
-		loop, err := findLoop(s, []traffic.ComponentID{target}, queues, residual, rsc)
-		return probe{target: target, loop: loop, err: err}
-	}
 	commitCand := func(loop []traffic.ComponentID) *openCycle {
 		for _, comp := range loop {
 			residual[comp]--
@@ -293,44 +211,24 @@ func Synthesize(s *traffic.System, wl warehouse.Workload, T int, opts Options) (
 			return cands[a] < cands[b]
 		})
 		var attempts []string
-		probes := make([]probe, pack)
-		for start := 0; start < len(cands); start += pack {
-			// Per-wave cancellation: probing dominates the cost of opening
-			// a cycle, so checking here (at every wave width, the parallel
-			// ones included) bounds the cancel latency by one wave instead
-			// of one full cycle opening.
+		for _, ri := range cands {
+			// Per-candidate cancellation: probing dominates the cost of
+			// opening a cycle, so checking here bounds the cancel latency
+			// by one probe instead of one full cycle opening.
 			select {
 			case <-opts.Cancel:
 				return nil, fmt.Errorf("cycles: route probing canceled: %w", lp.ErrCanceled)
 			default:
 			}
-			wave := cands[start:min(start+pack, len(cands))]
-			if pack > 1 && len(wave) > 1 {
-				var wg sync.WaitGroup
-				for i := range wave {
-					rsc := sc.routeScratch(i, n) // resolved before the spawn: the sub-scratch table is not goroutine-safe
-					wg.Add(1)
-					go func(i int, rsc *Scratch) {
-						defer wg.Done()
-						probes[i] = probeCand(wave[i], rsc)
-					}(i, rsc)
-				}
-				wg.Wait()
-			} else {
-				for i := range wave {
-					probes[i] = probeCand(wave[i], sc)
-				}
+			// Target the last segment of the row's aisle chain so the loop
+			// traverses every segment of the aisle.
+			target := zoneLast(s, ri)
+			loop, err := findLoop(s, []traffic.ComponentID{target}, queues, residual, sc)
+			if err != nil {
+				attempts = append(attempts, fmt.Sprintf("row %d (target %d): %v", ri, target, err))
+				continue
 			}
-			for i, pr := range probes[:len(wave)] {
-				if pr.err != nil {
-					attempts = append(attempts, fmt.Sprintf("row %d (target %d): %v", wave[i], pr.target, pr.err))
-					continue
-				}
-				// First success in candidate order wins; any speculative
-				// results after it are discarded unused, so the committed
-				// Set never depends on the wave width.
-				return commitCand(pr.loop), nil
-			}
+			return commitCand(loop), nil
 		}
 		if len(attempts) == 0 {
 			return nil, fmt.Errorf("cycles: product %d has no stocked shelving row", k)
@@ -437,29 +335,13 @@ func zoneLast(s *traffic.System, ri traffic.ComponentID) traffic.ComponentID {
 	return cur
 }
 
-// routeCycle builds a closed loop visiting the given rows (in order) and one
-// station queue, over components with positive residual capacity, and
-// decrements the capacities it consumes.
-func routeCycle(s *traffic.System, rows []traffic.ComponentID, queues []traffic.ComponentID, residual []int, sc *Scratch) (*Cycle, error) {
-	best, err := findLoop(s, rows, queues, residual, sc)
-	if err != nil {
-		return nil, err
-	}
-	for _, comp := range best {
-		residual[comp]--
-	}
-	return &Cycle{Components: best}, nil
-}
-
-// findLoop is the side-effect-free probe half of routeCycle: it routes a
-// closed loop over the rows and one station queue without consuming any
-// capacity, returning an owned slice. Among the queues that admit a
-// capacity-feasible loop, the one giving the shortest loop wins — locality
-// keeps loops inside their own circulation stripe, which is what preserves
-// corridor capacity for the remaining cycles. Reading only the residual
-// capacities (and writing only sc), concurrent findLoop calls with private
-// scratches are safe and independent — the property the parallel candidate
-// waves of Synthesize build on.
+// findLoop routes a closed loop over the rows and one station queue without
+// consuming any capacity, returning an owned slice. Among the queues that
+// admit a capacity-feasible loop, the one giving the shortest loop wins —
+// locality keeps loops inside their own circulation stripe, which is what
+// preserves corridor capacity for the remaining cycles. A failed probe
+// leaves the residual capacities untouched, so Synthesize can try its
+// candidate rows one after another against the same residual state.
 func findLoop(s *traffic.System, rows []traffic.ComponentID, queues []traffic.ComponentID, residual []int, sc *Scratch) ([]traffic.ComponentID, error) {
 	var best []traffic.ComponentID
 	var lastErr error

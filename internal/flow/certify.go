@@ -43,10 +43,9 @@ func (c Certificate) String() string {
 // implementation solved in float first and re-solved exactly to confirm
 // infeasibility).
 //
-// Of opts, Admit reads only WarmupMargin and Hybrid. The admission LP has
-// no work budget: MaxWork, MaxNodes and SearchParallel bound the synthesis
-// search, not this check, so the LP runs to a verdict and stops early only
-// when ctx is cancelled.
+// Of opts, Admit reads only WarmupMargin. The admission LP has no work
+// budget: MaxWork and MaxNodes bound the synthesis search, not this check,
+// so the LP runs to a verdict and stops early only when ctx is cancelled.
 func Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) (Certificate, error) {
 	margin := opts.WarmupMargin
 	if margin == 0 {
@@ -74,7 +73,7 @@ func Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int,
 		return CertMaybeFeasible, err
 	}
 	p, _ := goal.ToProblem()
-	sol, err := lp.SolveLPWith(p, lp.SolveOptions{Hybrid: opts.Hybrid, Cancel: cancelOf(ctx)})
+	sol, err := lp.SolveLPWith(p, lp.SolveOptions{Cancel: cancelOf(ctx)})
 	if err != nil {
 		return CertMaybeFeasible, err
 	}

@@ -240,13 +240,10 @@ func synthesisILPOptions(ctx context.Context, goal *contracts.Contract, opts Opt
 		maxWork = contractWorkBudget(goal)
 	}
 	return lp.ILPOptions{
-		Engine:         engine,
-		MaxNodes:       maxNodes,
-		MaxWork:        maxWork,
-		Hybrid:         opts.Hybrid,
-		RootCuts:       opts.RootCuts,
-		Cancel:         cancelOf(ctx),
-		SearchParallel: opts.SearchParallel,
+		Engine:   engine,
+		MaxNodes: maxNodes,
+		MaxWork:  maxWork,
+		Cancel:   cancelOf(ctx),
 	}
 }
 
@@ -418,17 +415,6 @@ type Options struct {
 	WarmupMargin int
 	// ExactILP switches the contract path to the exact rational ILP engine.
 	ExactILP bool
-	// Hybrid selects the float-first/exact-verify hybrid solve mode for the
-	// exact contract solves and the admission LP (lp.ILPOptions.Hybrid,
-	// lp.SolveOptions.Hybrid). Certified hybrid answers are bit-identical
-	// to exact-only ones.
-	Hybrid bool
-	// RootCuts separates Gomory fractional and knapsack-cover cutting
-	// planes at the branch-and-bound root of each exact contract synthesis
-	// (lp.ILPOptions.RootCuts). The optimal objective is exactly preserved;
-	// with alternate integer optima the returned assignment may differ from
-	// the cut-free search.
-	RootCuts bool
 	// MaxNodes overrides the per-attempt branch-and-bound node budget of
 	// the contract path; 0 selects the package default
 	// (contractNodeBudget). Exhaustion wraps lp.ErrBudgetExhausted.
@@ -437,11 +423,6 @@ type Options struct {
 	// (row-update units); 0 selects the tableau-footprint-scaled default
 	// (contractWorkBudget).
 	MaxWork int64
-	// SearchParallel distributes open branch-and-bound subtrees of each
-	// contract solve across up to this many workers
-	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Answers, budget
-	// verdicts, and error strings are bit-identical at every width.
-	SearchParallel int
 }
 
 // autoMargin picks a warm-up margin when the caller did not: enough periods

@@ -210,7 +210,7 @@ func (cm *ContractModel) Admit(ctx context.Context, s *traffic.System, wl wareho
 	if _, err := cm.target(s, wl, qc, qeff); err != nil {
 		return CertMaybeFeasible, err
 	}
-	feasible, err := cm.cc.RelaxationFeasibleOpts(lp.SolveOptions{Hybrid: opts.Hybrid, Cancel: cancelOf(ctx)})
+	feasible, err := cm.cc.RelaxationFeasibleOpts(lp.SolveOptions{Cancel: cancelOf(ctx)})
 	if err != nil {
 		return CertMaybeFeasible, err
 	}

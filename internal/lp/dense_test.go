@@ -126,9 +126,9 @@ func (tb *tableau[T, A]) workSpent() int64 { return tb.work }
 // dropWarm forgets any warm basis so the next solveNode runs the
 // deterministic cold path (a pure function of the pristine system and the
 // node bounds), while the cumulative work counter and budget keep running.
-// The frontier-decomposed search calls this at every subtree root, which is
+// The frontier-fenced search calls this at every subtree root, which is
 // what makes a subtree's pivot sequence independent of the arena it runs
-// on — the keystone of the parallel search's bit-identity.
+// on.
 func (tb *tableau[T, A]) dropWarm() {
 	tb.warmOK = false
 }
@@ -931,9 +931,7 @@ func denseLP(p *Problem) (*Solution, error) {
 	return solveArenaLP[*big.Rat](newTableau[*big.Rat, ratArith](p, ratArith{}))
 }
 
-// denseILP is SolveILP's plain exact branch and bound on the dense oracle,
-// one arena per search worker. Hybrid and RootCuts are not oracle modes;
-// the options must leave them off.
+// denseILP is SolveILP's exact branch and bound on the dense oracle.
 func denseILP(p *Problem, opts ILPOptions) (*Solution, error) {
 	var sol *Solution
 	var err error
@@ -944,6 +942,5 @@ func denseILP(p *Problem, opts ILPOptions) (*Solution, error) {
 }
 
 func denseILPWith[T any, A arith[T]](p *Problem, ar A, opts ILPOptions) (*Solution, error) {
-	spawn := func() arena[T] { return newTableau[T, A](p, ar) }
-	return bbSolveHooked(p, spawn(), ar, opts, bbHooks[T]{spawn: spawn})
+	return bbSolveArena[T](p, newTableau[T, A](p, ar), ar, opts, nil)
 }

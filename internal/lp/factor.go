@@ -173,17 +173,6 @@ func (f *basisFactor[T, A]) needRefactor() bool {
 // always factors; failure to find a pivot means the caller handed over a
 // singular column set, which is an internal invariant violation.
 func (f *basisFactor[T, A]) refactor(basis []int) {
-	if !f.tryRefactor(basis) {
-		panic("lp: singular basis")
-	}
-}
-
-// tryRefactor is refactor for bases of unproven provenance: a hybrid solve
-// adopts the float engine's final basis into an exact engine, and a column
-// set that is nonsingular in float arithmetic can still be exactly
-// singular. It reports false instead of panicking, leaving the
-// factorization in an undefined state the caller must not use.
-func (f *basisFactor[T, A]) tryRefactor(basis []int) bool {
 	ar := f.ar
 	cs := f.cols
 	f.lu = f.lu[:0]
@@ -199,7 +188,7 @@ func (f *basisFactor[T, A]) tryRefactor(basis []int) bool {
 		case j >= cs.artStart:
 			i := j - cs.artStart
 			if f.claimed[i] {
-				return false // two unit columns on one row
+				panic("lp: singular basis") // two unit columns on one row
 			}
 			f.claimed[i] = true
 			f.posOfPiv[i] = int32(pos)
@@ -211,7 +200,7 @@ func (f *basisFactor[T, A]) tryRefactor(basis []int) bool {
 		case j >= cs.nv:
 			i := j - cs.nv
 			if f.claimed[i] {
-				return false // two unit columns on one row
+				panic("lp: singular basis") // two unit columns on one row
 			}
 			f.claimed[i] = true
 			f.posOfPiv[i] = int32(pos)
@@ -244,7 +233,7 @@ func (f *basisFactor[T, A]) tryRefactor(basis []int) bool {
 			}
 		}
 		if piv < 0 {
-			return false // structural column eliminated to zero
+			panic("lp: singular basis") // structural column eliminated to zero
 		}
 		var rows []int32
 		var vals []T
@@ -261,7 +250,6 @@ func (f *basisFactor[T, A]) tryRefactor(basis []int) bool {
 		f.posOfPiv[piv] = int32(sc.pos)
 		f.rowOfPos[sc.pos] = piv
 	}
-	return true
 }
 
 // update extends the eta file after a basis exchange: alphaRaw is the

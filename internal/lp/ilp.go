@@ -41,13 +41,6 @@ type ILPOptions struct {
 	// dense elimination would, which is what lets the parity tests check
 	// budgeted searches against the dense oracle tick for tick.
 	MaxWork int64
-	// Hybrid selects the float-first/exact-verify solve mode for the exact
-	// engine: solve the root relaxation in float, adopt its basis into an
-	// exact arena, and certify every consumed node's optimum unique (see
-	// solveILPHybrid). Answers are bit-identical to the exact-only search;
-	// budgeted searches stop at a different tick. The float engine
-	// ignores it.
-	Hybrid bool
 	// Cancel, when non-nil, aborts the search as soon as the channel
 	// fires (normally a context's Done channel). The check piggybacks on
 	// the MaxWork accounting tick — once per pivot — so the pivot hot
@@ -55,27 +48,6 @@ type ILPOptions struct {
 	// StatusCanceled within one tick, and an uncancelled search performs
 	// exactly the arithmetic it would with no channel installed.
 	Cancel <-chan struct{}
-	// RootCuts separates Gomory fractional and knapsack-cover cutting
-	// planes at the branch-and-bound root (exact engines only; the float
-	// engine ignores it) and appends them as extra constraint rows before
-	// the search. Cuts never exclude an integer-feasible point, so the
-	// optimal value is unchanged; with alternate integer optima the search
-	// may surface a different one than the cut-free tree. See cuts.go.
-	RootCuts bool
-	// SearchParallel distributes open branch-and-bound subtrees across up
-	// to this many workers, one arena per worker (0 or 1 = sequential).
-	// The returned Solution, status, and budget verdict are bit-identical
-	// to the sequential search for every worker count: the search is
-	// decomposed at deterministic frontier fences into cold-rooted subtree
-	// tasks whose outcomes merge in work order, with speculative runs
-	// re-validated against the exact incumbent and budget state at commit
-	// time (see parallel.go). Effective extra workers are additionally
-	// clamped by a process-wide GOMAXPROCS-sized token pool, so nested
-	// parallelism (a solver pool of concurrent searches) cannot
-	// oversubscribe the machine — clamping never changes answers. The
-	// hybrid solve mode ignores the knob (its replay tree must be
-	// certified on one arena); its exact fallback honors it.
-	SearchParallel int
 }
 
 // arena is the engine surface branch-and-bound and the Model layer drive,
@@ -111,14 +83,7 @@ func SolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
 	if opts.Engine == EngineFloat {
 		// Float relaxations on the partial-pricing revised engine
 		// (candidates are exactly verified either way).
-		spawn := func() arena[float64] { return newRevisedFloat(p) }
-		return bbSolveHooked(p, spawn(), floatArith{eps: defaultEps}, opts, bbHooks[float64]{spawn: spawn})
-	}
-	if opts.RootCuts {
-		return solveILPRootCuts(p, opts)
-	}
-	if opts.Hybrid {
-		return solveILPHybrid(p, opts)
+		return bbSolveArena[float64](p, newRevisedFloat(p), floatArith{eps: defaultEps}, opts, nil)
 	}
 	var sol *Solution
 	var err error
@@ -129,41 +94,18 @@ func SolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
 }
 
 func bbSolve[T any, A arith[T]](p *Problem, ar A, opts ILPOptions) (*Solution, error) {
-	spawn := func() arena[T] { return newRevised[T, A](p, ar) }
-	return bbSolveHooked(p, spawn(), ar, opts, bbHooks[T]{spawn: spawn})
+	return bbSolveArena[T](p, newRevised[T, A](p, ar), ar, opts, nil)
 }
 
 // bbSolveArena is the branch-and-bound search over a caller-provided
 // arena. Model.ResolveILP passes a retained arena here; resetting the warm
 // state and work counter first makes the search replay exactly the pivot
 // sequence a fresh arena would, so incremental re-solves stay bit-identical
-// to from-scratch ones while skipping the arena (re)build. spawn builds
-// extra arenas of the same engine for the parallel executor (nil keeps the
-// search sequential); box supplies a memoized integer box (nil derives one
-// per solve).
-func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, spawn func() arena[T], box func() *boundDiff) (*Solution, error) {
-	return bbSolveHooked(p, tb, ar, opts, bbHooks[T]{spawn: spawn, box: box})
-}
-
-// bbHooks customizes bbSolveHooked: an alternate root reset that keeps an
-// adopted warm basis and a per-node certificate (both for the hybrid search,
-// hybrid.go), and an arena factory enabling the parallel frontier executor
-// (parallel.go) to give each worker its own arena. The zero value is the
-// plain sequential search.
-type bbHooks[T any] struct {
-	start   func(workBudget int64) // nil: tb.startSearch (cold root)
-	certify func() bool            // nil: no certification
-	spawn   func() arena[T]        // nil: parallel execution disabled
-	box     func() *boundDiff      // nil: integerBox(p) per solve
-}
-
-func bbSolveHooked[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, hooks bbHooks[T]) (*Solution, error) {
+// to from-scratch ones while skipping the arena (re)build. box supplies a
+// memoized integer box (nil derives one per solve).
+func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, box func() *boundDiff) (*Solution, error) {
 	tb.setCancel(opts.Cancel)
-	if hooks.start != nil {
-		hooks.start(opts.MaxWork) // hybrid root: adopted warm basis kept
-	} else {
-		tb.startSearch(opts.MaxWork) // cold root, as from a fresh arena
-	}
+	tb.startSearch(opts.MaxWork) // cold root, as from a fresh arena
 	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 200000
@@ -172,14 +114,14 @@ func bbSolveHooked[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOpt
 	// walk the open direction forever on an integer-infeasible instance;
 	// derive an a priori box from the constraint data first (the walker's
 	// open-march guard rejects whatever the box cannot cover). A retained
-	// Model supplies its memoized chain through the hook.
-	var box *boundDiff
-	if hooks.box != nil {
-		box = hooks.box()
+	// Model supplies its memoized chain.
+	var root *boundDiff
+	if box != nil {
+		root = box()
 	} else {
-		box = integerBox(p)
+		root = integerBox(p)
 	}
-	return bbSearch(p, tb, ar, opts, hooks, maxNodes, box)
+	return bbSearch(p, tb, ar, opts, maxNodes, root)
 }
 
 func betterOrEqual(p *Problem, obj, best *big.Rat) bool {

@@ -1,7 +1,7 @@
 package lp
 
 // Tests for the a-priori integer box (intbox.go) and the in-search
-// open-march guard (parallel.go) — together the fix for the historical
+// open-march guard (search.go) — together the fix for the historical
 // non-termination of branch and bound on one-sided integer domains
 // (edit-corpus seed 1376).
 
@@ -81,7 +81,7 @@ func TestIntegerBoxPreservesOptimum(t *testing.T) {
 	p.AddConstraint("cap", []Term{T(x, 1), T(y, 1)}, LE, rat(6, 1))
 	p.Objective = []Term{T(x, 2), T(y, 3)}
 	p.Maximize = true
-	for _, cfg := range parallelConfigs() {
+	for _, cfg := range engineConfigs() {
 		sol, err := SolveILP(p, cfg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.tag, err)
@@ -137,7 +137,8 @@ func TestIntegerBoxArithAgreement(t *testing.T) {
 // The pathological shape: LP-feasible at every depth (x = y + 1/2),
 // integer-infeasible, and no upper bound derivable for either variable.
 // The open-march guard must reject it with the typed error — identically
-// across engines, representations, and worker counts — instead of hanging.
+// across engines and representations, and through the fenced task loop
+// exactly as through the oracle — instead of hanging.
 func TestOpenMarchGuardRejectsUnboundedDomain(t *testing.T) {
 	lowFence(t, 3)
 	p := &Problem{}
@@ -149,12 +150,12 @@ func TestOpenMarchGuardRejectsUnboundedDomain(t *testing.T) {
 		// must leave them open for the guard rather than inventing bounds.
 		t.Fatal("expected no derivable bounds")
 	}
-	for _, cfg := range parallelConfigs() {
+	for _, cfg := range engineConfigs() {
 		_, err := SolveILP(p, cfg.opts)
 		if !errors.Is(err, ErrUnboundedIntDomain) {
 			t.Fatalf("%s: err = %v, want ErrUnboundedIntDomain", cfg.tag, err)
 		}
-		solveAllWorkers(t, cfg.tag, p, cfg.opts)
+		requireOracle(t, cfg.tag, p, cfg.opts)
 	}
 }
 

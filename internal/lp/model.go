@@ -109,12 +109,6 @@ func (mo *Model) Resolve() (*Solution, error) {
 // ResolveWith is Resolve with per-call solve options.
 func (mo *Model) ResolveWith(opts SolveOptions) (*Solution, error) {
 	mo.checkStructure()
-	if opts.Hybrid {
-		// Hybrid is float-first with its own certification dance; it never
-		// reuses the retained exact arenas, and a fresh hybrid solve is
-		// bit-identical to the exact answer by its own contract.
-		return solveLPHybrid(mo.p, opts.Cancel)
-	}
 	if !mo.promoted {
 		var sol *Solution
 		var err error
@@ -131,31 +125,17 @@ func (mo *Model) ResolveWith(opts SolveOptions) (*Solution, error) {
 func (mo *Model) ResolveILP(opts ILPOptions) (*Solution, error) {
 	mo.checkStructure()
 	if opts.Engine == EngineFloat {
-		// The parallel executor's extra arenas are spawned fresh (the
-		// retained one cannot be shared across goroutines); cold subtree
-		// solves are arena-independent, so the answer is unchanged.
-		spawn := func() arena[float64] { return newRevisedFloat(mo.p) }
-		return bbSolveArena[float64](mo.p, mo.floatArena(), floatArith{eps: defaultEps}, opts, spawn, mo.cachedBox)
-	}
-	if opts.RootCuts {
-		// Root cuts append rows, which a retained arena cannot absorb;
-		// solve fresh, exactly as SolveILP would.
-		return solveILPRootCuts(mo.p, opts)
-	}
-	if opts.Hybrid {
-		return solveILPHybrid(mo.p, opts)
+		return bbSolveArena[float64](mo.p, mo.floatArena(), floatArith{eps: defaultEps}, opts, mo.cachedBox)
 	}
 	if !mo.promoted {
 		var sol *Solution
 		var err error
-		spawn := func() arena[rat64] { return newRevised[rat64, rat64Arith](mo.p, rat64Arith{}) }
-		if promote(func() { sol, err = bbSolveArena[rat64](mo.p, mo.arena64(), rat64Arith{}, opts, spawn, mo.cachedBox) }) {
+		if promote(func() { sol, err = bbSolveArena[rat64](mo.p, mo.arena64(), rat64Arith{}, opts, mo.cachedBox) }) {
 			return sol, err
 		}
 		mo.dropRat64()
 	}
-	spawn := func() arena[*big.Rat] { return newRevised[*big.Rat, ratArith](mo.p, ratArith{}) }
-	return bbSolveArena[*big.Rat](mo.p, mo.arenaBig(), ratArith{}, opts, spawn, mo.cachedBox)
+	return bbSolveArena[*big.Rat](mo.p, mo.arenaBig(), ratArith{}, opts, mo.cachedBox)
 }
 
 // cachedBox returns the memoized integer box for the model's current

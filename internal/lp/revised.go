@@ -187,18 +187,6 @@ func (rv *revised[T, A]) startSearch(workBudget int64) {
 	rv.scan = 0
 }
 
-// startSearchWarm is startSearch for the hybrid branch-and-bound root: the
-// work counter, budget and pricing rotation reset exactly as on a cold
-// start, but a pre-seeded dual-feasible basis (adopted from the float half
-// of the solve, see adoptBasis) is kept so the root relaxation re-enters
-// through the dual simplex instead of a two-phase cold solve.
-func (rv *revised[T, A]) startSearchWarm(workBudget int64) {
-	rv.basisOK = false
-	rv.work = 0
-	rv.workBudget = workBudget
-	rv.scan = 0
-}
-
 func (rv *revised[T, A]) setWorkBudget(b int64) { rv.workBudget = b }
 
 func (rv *revised[T, A]) workSpent() int64 { return rv.work }
@@ -212,79 +200,6 @@ func (rv *revised[T, A]) dropWarm() {
 	rv.warmOK = false
 	rv.basisOK = false
 	rv.scan = 0
-}
-
-// basisState snapshots the basis columns and every column's status: the
-// hand-off payload from the float half of a hybrid solve to the exact
-// verifier.
-func (rv *revised[T, A]) basisState() ([]int, []vstat) {
-	basis := make([]int, len(rv.basis))
-	copy(basis, rv.basis)
-	stat := make([]vstat, len(rv.stat))
-	copy(stat, rv.stat)
-	return basis, stat
-}
-
-// adoptBasis installs a basis snapshot produced by another engine over the
-// same Problem — the float half of a hybrid solve, or a deliberately
-// corrupted snapshot in the fault-injection tests. Declared bounds must
-// already be installed (setBounds). The snapshot is validated rather than
-// trusted: wrong shape, statuses inconsistent with the bound structure,
-// artificial columns still basic, or a column set that is singular in exact
-// arithmetic all report false, leaving the engine cold so callers fall back
-// to the deterministic cold exact solve. On success the basis is factorized
-// and the caller re-enters through rewarm()/dual() (directly or via a warm
-// solveNode); basic values are not computed here — rewarm rebuilds them.
-func (rv *revised[T, A]) adoptBasis(basis []int, stat []vstat) bool {
-	if len(basis) != rv.m || len(stat) != rv.n {
-		return false
-	}
-	for j := range rv.rowOf {
-		rv.rowOf[j] = -1
-	}
-	for i, j := range basis {
-		if j < 0 || j >= rv.artStart || rv.rowOf[j] >= 0 || stat[j] != inBasis {
-			return false
-		}
-		rv.rowOf[j] = i
-	}
-	for j := 0; j < rv.artStart; j++ {
-		switch stat[j] {
-		case inBasis:
-			if rv.rowOf[j] < 0 {
-				return false
-			}
-		case nbLower:
-			if !rv.loF[j] {
-				return false
-			}
-		case nbUpper:
-			if !rv.hiF[j] {
-				return false
-			}
-		case nbFree:
-			if rv.loF[j] || rv.hiF[j] {
-				return false
-			}
-		default:
-			return false
-		}
-		rv.stat[j] = stat[j]
-	}
-	// Artificials stay locked at [0,0], as after any completed phase 1.
-	for j := rv.artStart; j < rv.n; j++ {
-		rv.stat[j] = nbLower
-		rv.lo[j], rv.hi[j] = rv.zero, rv.zero
-		rv.loF[j], rv.hiF[j] = true, true
-	}
-	copy(rv.basis, basis)
-	if !rv.fac.tryRefactor(rv.basis) {
-		return false
-	}
-	rv.nArt = 0
-	rv.warmOK = false
-	rv.basisOK = false
-	return true
 }
 
 // setCancel installs the cancellation channel for subsequent solves and

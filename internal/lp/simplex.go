@@ -35,12 +35,6 @@ func SolveLP(p *Problem) (*Solution, error) {
 
 // SolveOptions tunes SolveLP.
 type SolveOptions struct {
-	// Hybrid selects the float-first/exact-verify solve mode: solve on the
-	// partial-pricing float engine, then verify its basis with the exact
-	// engine warm-started from it. Certified answers are bit-identical to
-	// an exact-only solve, and anything that fails certification falls
-	// back to the cold exact path (see solveLPHybrid).
-	Hybrid bool
 	// Cancel, when non-nil, aborts the solve when the channel fires; the
 	// solve then returns StatusCanceled. See ILPOptions.Cancel for the
 	// tick semantics.
@@ -49,9 +43,6 @@ type SolveOptions struct {
 
 // SolveLPWith is SolveLP with explicit solve options.
 func SolveLPWith(p *Problem, opts SolveOptions) (*Solution, error) {
-	if opts.Hybrid {
-		return solveLPHybrid(p, opts.Cancel)
-	}
 	var sol *Solution
 	var err error
 	if promote(func() { sol, err = solveLPWith[rat64, rat64Arith](p, rat64Arith{}, opts.Cancel) }) {
@@ -91,6 +82,18 @@ func solveArenaLP[T any](tb arena[T]) (*Solution, error) {
 		return &Solution{Status: StatusCanceled}, nil
 	}
 	return optimalSolution(tb), nil
+}
+
+// declaredBounds returns the per-variable declared bounds — the bound
+// vectors of an LP solve.
+func declaredBounds(p *Problem) (lo, hi []*big.Rat) {
+	lo = make([]*big.Rat, len(p.Vars))
+	hi = make([]*big.Rat, len(p.Vars))
+	for i := range p.Vars {
+		lo[i] = p.Vars[i].Lower
+		hi[i] = p.Vars[i].Upper
+	}
+	return lo, hi
 }
 
 // optimalSolution materializes the arena's current (optimal) basis into a

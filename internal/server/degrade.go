@@ -14,24 +14,16 @@ import (
 //
 //	rung 1: exact rational arithmetic → the revised partial-pricing
 //	        float engine (same pipeline, cheapest arithmetic)
-//	rung 2: ContractILP → RoutePacking synthesis, and within-instance
-//	        parallelism shed to sequential — under load the extra search
-//	        workers only steal cores from concurrent requests, and
-//	        shedding them never changes an answer, so they go before any
-//	        budget does
-//	rung 3: shrunken work/node budgets (fail fast instead of grinding)
+//	rung 2: ContractILP → RoutePacking synthesis
+//	rung 3: one synthesize→realize→verify attempt instead of the retry
+//	        loop (fail fast instead of grinding; wire label
+//	        "budget-shrink")
 //
 // Degraded responses are still real, validated plans — they are labeled
 // `degraded: true` with the applied rungs, never silently substituted.
 
 // ladder thresholds: load ≥ degradeAt[i] ⇒ rung i+1.
 var degradeAt = [3]float64{0.50, 0.75, 0.90}
-
-// shrink factors applied at rung 3 to whatever budget would have run.
-const (
-	shrinkWork  = 2_000_000
-	shrinkNodes = 20_000
-)
 
 const loadBucketCount = 16
 
@@ -148,32 +140,16 @@ func degradeConfig(cfg wsp.Config, r int) (wsp.Config, []string) {
 	var steps []string
 	if r >= 1 && cfg.Exact {
 		cfg.Exact = false
-		// The float rung rides the partial-pricing float engine: clear the
-		// exact-side hybrid mode and root cuts, so the degraded solve is
-		// the cheap one.
-		cfg.Hybrid = false
-		cfg.RootCuts = false
 		steps = append(steps, "float-arith")
 	}
 	if r >= 2 && cfg.Strategy == wsp.ContractILP {
 		cfg.Strategy = wsp.RoutePacking
 		steps = append(steps, "route-packing")
 	}
-	if r >= 2 && cfg.SearchParallel > 1 {
-		// Shed within-instance workers BEFORE touching budgets: dropping to
-		// the sequential search returns the bit-identical answer (just
-		// slower for this one request), while a shrunken budget can change
-		// it — so parallelism is always the first sacrifice.
-		cfg.SearchParallel = 0
-		steps = append(steps, "search-shed")
-	}
 	if r >= 3 {
-		if cfg.WorkBudget == 0 || cfg.WorkBudget > shrinkWork {
-			cfg.WorkBudget = shrinkWork
-		}
-		if cfg.NodeBudget == 0 || cfg.NodeBudget > shrinkNodes {
-			cfg.NodeBudget = shrinkNodes
-		}
+		// The work and node budgets are left alone: by this rung the
+		// contract path is gone, and neither route packing nor sequential
+		// flows reads them. The wire label predates that and stays.
 		cfg.MaxAttempts = 1
 		steps = append(steps, "budget-shrink")
 	}

@@ -6,33 +6,19 @@ import (
 	"repro/wsp"
 )
 
-// Within-instance parallelism is shed at rung 2 — before any budget is
-// touched at rung 3 — because dropping to the sequential search returns
-// the bit-identical answer while a shrunken budget can change it.
-func TestDegradeShedsSearchWorkersBeforeBudgets(t *testing.T) {
-	base := wsp.Config{Strategy: wsp.RoutePacking, SearchParallel: 4}
-
-	cfg, steps := degradeConfig(base, 1)
-	if cfg.SearchParallel != 4 || hasStep(steps, "search-shed") {
-		t.Errorf("rung 1 shed workers early: cfg=%+v steps=%v", cfg, steps)
+// Rung 3 on an exact contract config: float arithmetic, route packing and a
+// single attempt, with the work and node budgets untouched — by then no
+// stage of the degraded solve reads them.
+func TestDegradeRungThreeLeavesBudgets(t *testing.T) {
+	cfg, steps := degradeConfig(wsp.Config{Strategy: wsp.ContractILP, Exact: true}, 3)
+	want := wsp.Config{Strategy: wsp.RoutePacking, MaxAttempts: 1}
+	if cfg != want {
+		t.Errorf("rung 3 config %+v, want %+v", cfg, want)
 	}
-
-	cfg, steps = degradeConfig(base, 2)
-	if cfg.SearchParallel != 0 || !hasStep(steps, "search-shed") {
-		t.Errorf("rung 2 kept workers: cfg=%+v steps=%v", cfg, steps)
-	}
-	if cfg.WorkBudget != 0 || cfg.NodeBudget != 0 {
-		t.Errorf("rung 2 touched budgets before shedding finished: %+v", cfg)
-	}
-
-	cfg, steps = degradeConfig(base, 3)
-	if cfg.SearchParallel != 0 || !hasStep(steps, "search-shed") || !hasStep(steps, "budget-shrink") {
-		t.Errorf("rung 3: cfg=%+v steps=%v", cfg, steps)
-	}
-
-	// A sequential base config has nothing to shed — no misleading label.
-	if _, steps = degradeConfig(wsp.Config{Strategy: wsp.RoutePacking}, 3); hasStep(steps, "search-shed") {
-		t.Errorf("sequential config labeled search-shed: %v", steps)
+	for _, step := range []string{"float-arith", "route-packing", "budget-shrink"} {
+		if !hasStep(steps, step) {
+			t.Errorf("rung 3 steps %v lack %q", steps, step)
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{"map":"T.\n..","num_products":20000000000000,"stock":[],"components":[]}`))
 	f.Add([]byte(`{"map":"T.\n..","num_products":20000000000000,` +
 		`"stock":[{"product":19999999999999,"x":1,"y":0,"units":1}],"components":[]}`))
+	f.Add(wideStockBody())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst, err := Unmarshal(data)
 		if err != nil {

@@ -5,6 +5,7 @@ package wspio
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/grid"
@@ -33,6 +34,19 @@ type Instance struct {
 	Workload    []int        `json:"workload,omitempty"`
 	T           int          `json:"t,omitempty"`
 }
+
+// maxStockCells bounds the dense stock matrix Decode allocates, products ×
+// access cells. Each factor is backed by the body alone — a product per
+// stock entry, an access cell per distinct entry position — so without a
+// cap a body of n entries asks for n² cells, and a daemon-sized body for
+// enough to exhaust memory. The largest real instance, Fulfillment1,
+// needs 55 × 420 = 23,100 cells; the cap leaves two orders of magnitude
+// of headroom above it while holding the matrix to 32 MiB.
+const maxStockCells = 1 << 22
+
+// errStockMatrix rejects an instance whose stock matrix exceeds
+// maxStockCells.
+var errStockMatrix = errors.New("wspio: stock matrix too large")
 
 // Encode captures a live warehouse + traffic system (+ optional workload)
 // into an Instance.
@@ -112,6 +126,10 @@ func Decode(inst *Instance) (*traffic.System, *warehouse.Workload, error) {
 			accessIdx[v] = len(access)
 			access = append(access, v)
 		}
+	}
+	if len(access) > 0 && inst.NumProducts > maxStockCells/len(access) {
+		return nil, nil, fmt.Errorf("%w: %d products × %d access cells exceeds %d cells",
+			errStockMatrix, inst.NumProducts, len(access), maxStockCells)
 	}
 	stock := make([][]int, inst.NumProducts)
 	for k := range stock {

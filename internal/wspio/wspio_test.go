@@ -2,6 +2,10 @@ package wspio
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -124,5 +128,48 @@ func TestDecodeRejectsCorruptInstances(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte("{")); err == nil {
 		t.Error("corrupt JSON accepted")
+	}
+}
+
+// wideStockBody is a hostile instance body: a 64×64 open map with 4,000
+// stock entries at distinct cells, one product each, and no workload —
+// every product and every access cell backed by an entry, so only the
+// stock-matrix cap stands between it and a 16-million-cell allocation.
+func wideStockBody() []byte {
+	const side, entries = 64, 4000
+	var b strings.Builder
+	b.WriteString(`{"map":"`)
+	for y := 0; y < side; y++ {
+		if y > 0 {
+			b.WriteString(`\n`)
+		}
+		b.WriteString(strings.Repeat(".", side))
+	}
+	fmt.Fprintf(&b, `","num_products":%d,"stock":[`, entries)
+	for i := 0; i < entries; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"product":%d,"x":%d,"y":%d,"units":1}`, i, i%side, i/side)
+	}
+	b.WriteString(`],"components":[]}`)
+	return []byte(b.String())
+}
+
+// The dense stock matrix is rejected before it is allocated.
+func TestDecodeBoundsStockMatrix(t *testing.T) {
+	inst, err := Unmarshal(wideStockBody())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = Decode(inst)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errStockMatrix) {
+		t.Fatalf("err = %v, want the stock-matrix bound", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("Decode allocated %d bytes before rejecting", alloc)
 	}
 }

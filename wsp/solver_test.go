@@ -226,7 +226,6 @@ func TestConfigResolution(t *testing.T) {
 	s := New(
 		WithStrategy(SequentialFlows),
 		WithExact(true),
-		WithHybrid(true),
 		WithAdmissionCheck(true),
 		WithSkipRealization(true),
 		WithMaxAttempts(5),
@@ -236,7 +235,7 @@ func TestConfigResolution(t *testing.T) {
 	)
 	got := s.Config()
 	want := Config{
-		Strategy: SequentialFlows, Exact: true, Hybrid: true,
+		Strategy: SequentialFlows, Exact: true,
 		AdmissionCheck: true, SkipRealization: true, MaxAttempts: 5,
 		WorkBudget: 123, NodeBudget: 45, Parallel: 7,
 	}

@@ -81,17 +81,6 @@ type Config struct {
 	// Exact switches the ContractILP strategy to exact rational
 	// arithmetic.
 	Exact bool
-	// Hybrid selects the float-first/exact-verify solve mode: solve on the
-	// partial-pricing float engine, then verify with the exact engine
-	// warm-started from the float basis. Certified answers are
-	// bit-identical to exact-only solves, with a deterministic cold exact
-	// fallback otherwise.
-	Hybrid bool
-	// RootCuts enables Gomory fractional and knapsack-cover cuts at the
-	// branch-and-bound root of exact contract solves. The optimal objective
-	// is exactly preserved; alternate integer optima may surface
-	// differently than the cut-free search.
-	RootCuts bool
 	// AdmissionCheck gates synthesis on the LP-relaxation infeasibility
 	// certificate (fail fast with a sound proof).
 	AdmissionCheck bool
@@ -110,15 +99,6 @@ type Config struct {
 	// Parallel is the SolveBatch / Sweep worker-pool width
 	// (0 = GOMAXPROCS).
 	Parallel int
-	// SearchParallel is the WITHIN-instance parallelism width: open
-	// branch-and-bound subtrees of each contract solve and route-packing
-	// candidate probes of each synthesis are distributed across up to this
-	// many workers (0 or 1 = sequential). Results are bit-identical to the
-	// sequential engines at every width, and a process-wide token pool
-	// clamps the extra workers, so combining this with Parallel (many
-	// concurrent solves, each parallel inside) never oversubscribes the
-	// machine — it only changes how fast the same answer arrives.
-	SearchParallel int
 }
 
 // coreOptions resolves the Config into the internal per-layer options.
@@ -126,15 +106,11 @@ func (c Config) coreOptions() core.Options {
 	return core.Options{
 		Strategy:        c.Strategy,
 		ExactILP:        c.Exact,
-		Hybrid:          c.Hybrid,
-		RootCuts:        c.RootCuts,
 		AdmissionCheck:  c.AdmissionCheck,
 		SkipRealization: c.SkipRealization,
 		MaxAttempts:     c.MaxAttempts,
 		MaxWork:         c.WorkBudget,
 		MaxNodes:        c.NodeBudget,
-		SearchParallel:  c.SearchParallel,
-		PackParallel:    c.SearchParallel,
 	}
 }
 
@@ -146,13 +122,6 @@ func WithStrategy(s Strategy) Option { return func(c *Config) { c.Strategy = s }
 
 // WithExact toggles exact rational arithmetic for the ContractILP strategy.
 func WithExact(exact bool) Option { return func(c *Config) { c.Exact = exact } }
-
-// WithHybrid toggles the float-first/exact-verify hybrid solve mode.
-func WithHybrid(on bool) Option { return func(c *Config) { c.Hybrid = on } }
-
-// WithRootCuts toggles Gomory fractional and knapsack-cover cuts at the
-// branch-and-bound root of exact contract solves.
-func WithRootCuts(on bool) Option { return func(c *Config) { c.RootCuts = on } }
 
 // WithAdmissionCheck toggles the LP-relaxation admission certificate
 // before synthesis.
@@ -173,13 +142,6 @@ func WithWorkBudget(units int64) Option { return func(c *Config) { c.WorkBudget 
 // WithNodeBudget bounds the contract path's per-attempt branch-and-bound
 // tree.
 func WithNodeBudget(nodes int) Option { return func(c *Config) { c.NodeBudget = nodes } }
-
-// WithSearchParallel sets the within-instance parallelism width: subtree-
-// parallel branch and bound plus parallel route packing, bit-identical to
-// the sequential engines at every width (0 or 1 = sequential).
-func WithSearchParallel(workers int) Option {
-	return func(c *Config) { c.SearchParallel = workers }
-}
 
 // WithParallel sets the worker-pool width used by SolveBatch and Sweep
 // (0 selects GOMAXPROCS). Results are bit-identical for every width.
