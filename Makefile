@@ -27,13 +27,14 @@ race:
 	$(GO) test -race ./...
 
 # Table I synthesis + the full Table I solve and its two dominant stages
-# (Algorithm 1 realization, validation by simulation) + solver-pool
+# (Algorithm 1 realization, validation by simulation), apart and as the one
+# streamed pass the solve runs + solver-pool
 # throughput + the contract→ILP path (ablation with its exact variant, and
 # the LP-core microbenchmarks in their exact and float engines) + the
 # repeated-solve layers (refinement, lifelong, design sweep), recorded with
 # allocation stats.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkRealizeValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
 		$(GO) run ./scripts/benchjson -o BENCH_table1.json -label "$(BENCH_LABEL)"
 
 # Diff the last two recorded snapshots per benchmark — the trajectory file

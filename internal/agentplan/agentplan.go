@@ -32,10 +32,10 @@ import (
 	"repro/internal/warehouse"
 )
 
-// tileSteps is how many timesteps of states Realize buffers per agent in a
-// small tile before copying them into the plan: each step writes into the
-// tile instead of into every agent's row of the agents×T slab, and each
-// flush copies one contiguous run of states per row.
+// tileSteps is how many timesteps of states Stream buffers per agent in a
+// small tile before handing them on: each step writes into the tile, which
+// stays in cache, and each hand-off passes one contiguous run of states per
+// agent.
 const tileSteps = 64
 
 // Stats summarizes a realization.
@@ -89,21 +89,54 @@ type handoff struct{ from, to int32 }
 // Realize executes the cycle set for T timesteps and returns the plan
 // (π, φ) together with realization statistics. The returned plan always
 // spans exactly T timesteps; agents keep circulating after the workload is
-// serviced.
+// serviced. It is Stream with a sink that copies every tile into the plan.
 func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Stats, error) {
+	// The rows slice one agents×T slab, allocated at the first tile, once
+	// Stream has accepted the inputs.
+	var rows [][]warehouse.AgentState
+	base := 0
+	stats, err := Stream(cs, wl, T, func(tile []warehouse.AgentState, width, steps int) error {
+		if rows == nil {
+			n := cs.NumAgents()
+			slab := make([]warehouse.AgentState, n*T)
+			rows = make([][]warehouse.AgentState, n)
+			for i := range rows {
+				rows[i] = slab[i*T : (i+1)*T : (i+1)*T]
+			}
+		}
+		for i, row := range rows {
+			copy(row[base:base+steps], tile[i*width:i*width+steps])
+		}
+		base += steps
+		return nil
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return warehouse.NewPlan(rows), stats, nil
+}
+
+// Stream executes the cycle set for T timesteps as Realize does, but hands
+// the plan to emit one tile at a time instead of keeping it, so its memory
+// does not depend on T. In the tile, tile[i*width+s] for s < steps is agent
+// i's state at timestep base+s, where base is the number of timesteps
+// emitted before; every tile but the last has steps == width, and the tiles
+// cover timesteps 0..T-1 in order. The tile is reused once emit returns.
+// When emit returns an error, Stream stops and returns it.
+func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []warehouse.AgentState, width, steps int) error) (Stats, error) {
 	s := cs.S
 	w := s.W
 	tc := cs.Tc
 	if T < 1 {
-		return nil, Stats{}, fmt.Errorf("agentplan: horizon %d too short", T)
+		return Stats{}, fmt.Errorf("agentplan: horizon %d too short", T)
 	}
 	if tc < 2 {
-		return nil, Stats{}, fmt.Errorf("agentplan: cycle time %d too short", tc)
+		return Stats{}, fmt.Errorf("agentplan: cycle time %d too short", tc)
 	}
 
 	// Property 4.1 preconditions.
 	if errs := cs.Check(wl); len(errs) > 0 {
-		return nil, Stats{}, fmt.Errorf("agentplan: invalid cycle set: %v", errs[0])
+		return Stats{}, fmt.Errorf("agentplan: invalid cycle set: %v", errs[0])
 	}
 
 	// The flat cell array, slot -> vertex, and one empty ring per component
@@ -149,7 +182,7 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		for pos, comp := range cyc.Components {
 			r := &rings[comp]
 			if r.n == r.size {
-				return nil, Stats{}, fmt.Errorf("agentplan: component %d overfull at initialization", comp)
+				return Stats{}, fmt.Errorf("agentplan: component %d overfull at initialization", comp)
 			}
 			members[r.lo+r.n] = int32(ai)
 			cur[ai] = r.lo + r.size - 1 - r.n
@@ -173,12 +206,6 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		}
 	}
 
-	// One agents×T slab, sliced into capacity-capped rows.
-	slab := make([]warehouse.AgentState, n*T)
-	plan := &warehouse.Plan{States: make([][]warehouse.AgentState, n)}
-	for i := range plan.States {
-		plan.States[i] = slab[i*T : (i+1)*T : (i+1)*T]
-	}
 	// tile[i*width+r] holds agent i's state at timestep base+r.
 	width := min(tileSteps, T)
 	tile := warehouse.GetStates(width * n)
@@ -251,7 +278,9 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 
 		r := t + 1 - base
 		if r == width {
-			flushTile(plan.States, tile, width, base, width)
+			if err := emit(tile, width, width); err != nil {
+				return Stats{}, err
+			}
 			base += width
 			r = 0
 		}
@@ -320,15 +349,8 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 			stats.ServicedAt = t + 1
 		}
 	}
-	flushTile(plan.States, tile, width, base, T-base)
-	return plan, stats, nil
-}
-
-// flushTile copies the first steps states of every agent's run of width
-// states in the tile, its states at timesteps base..base+steps-1, into the
-// agent's plan row.
-func flushTile(states [][]warehouse.AgentState, tile []warehouse.AgentState, width, base, steps int) {
-	for i, row := range states {
-		copy(row[base:base+steps], tile[i*width:i*width+steps])
+	if err := emit(tile, width, T-base); err != nil {
+		return Stats{}, err
 	}
+	return stats, nil
 }

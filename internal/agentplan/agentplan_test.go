@@ -160,8 +160,8 @@ func TestRealizePlanShapeAndWarmup(t *testing.T) {
 	}
 	// All agents start empty.
 	for i := 0; i < plan.NumAgents(); i++ {
-		if plan.States[i][0].Carried != warehouse.NoProduct {
-			t.Errorf("agent %d starts carrying %d", i, plan.States[i][0].Carried)
+		if st := plan.Rows()[i][0]; st.Carried != warehouse.NoProduct {
+			t.Errorf("agent %d starts carrying %d", i, st.Carried)
 		}
 	}
 	// Delivery cannot happen before anything was picked up: the serviced

@@ -60,8 +60,8 @@ func TestAlgorithmOneInvariants(t *testing.T) {
 		crossings := 0
 		period := -1
 		for tt := 0; tt+1 < plan.Horizon(); tt++ {
-			cur := cellComp[plan.States[i][tt].Vertex]
-			next := cellComp[plan.States[i][tt+1].Vertex]
+			cur := cellComp[plan.Rows()[i][tt].Vertex]
+			next := cellComp[plan.Rows()[i][tt+1].Vertex]
 			if !cycleComps[agentCycle[i]][cur] {
 				t.Fatalf("agent %d at t=%d occupies component %d outside its cycle", i, tt, cur)
 			}
@@ -69,7 +69,7 @@ func TestAlgorithmOneInvariants(t *testing.T) {
 				continue
 			}
 			// Component crossing: must land on the entry cell.
-			if plan.States[i][tt+1].Vertex != entry[next] {
+			if plan.Rows()[i][tt+1].Vertex != entry[next] {
 				t.Errorf("agent %d enters component %d at a non-entry cell (t=%d)", i, next, tt+1)
 			}
 			p := (tt + 1) / tc
@@ -104,9 +104,9 @@ func TestRealizeDeterministic(t *testing.T) {
 	if st1.Delivered[0] != st2.Delivered[0] || st1.ServicedAt != st2.ServicedAt {
 		t.Error("stats differ between identical runs")
 	}
-	for i := range p1.States {
-		for tt := range p1.States[i] {
-			if p1.States[i][tt] != p2.States[i][tt] {
+	for i, row := range p1.Rows() {
+		for tt := range row {
+			if row[tt] != p2.Rows()[i][tt] {
 				t.Fatalf("plans diverge at agent %d t=%d", i, tt)
 			}
 		}
@@ -132,7 +132,7 @@ func TestRealizeAgentsStayEmptyAfterQuota(t *testing.T) {
 	}
 	last := plan.Horizon() - 1
 	for i := 0; i < plan.NumAgents(); i++ {
-		if plan.States[i][last].Carried != warehouse.NoProduct {
+		if plan.Rows()[i][last].Carried != warehouse.NoProduct {
 			t.Errorf("agent %d still carrying at the horizon", i)
 		}
 	}

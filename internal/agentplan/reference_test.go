@@ -87,10 +87,10 @@ func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, 
 		}
 	}
 
-	plan := &warehouse.Plan{States: make([][]warehouse.AgentState, len(agents))}
+	rows := make([][]warehouse.AgentState, len(agents))
 	for i := range agents {
-		plan.States[i] = make([]warehouse.AgentState, T)
-		plan.States[i][0] = warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct}
+		rows[i] = make([]warehouse.AgentState, T)
+		rows[i][0] = warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct}
 	}
 
 	stats := Stats{
@@ -214,11 +214,11 @@ func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, 
 		}
 
 		for ai, a := range agents {
-			plan.States[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
+			rows[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
 		}
 		if stats.ServicedAt < 0 && serviced() {
 			stats.ServicedAt = t + 1
 		}
 	}
-	return plan, stats, nil
+	return warehouse.NewPlan(rows), stats, nil
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/agentplan"
@@ -86,13 +87,21 @@ type Options struct {
 type Timing struct {
 	Synthesis time.Duration // flow/cycle synthesis (the Table I column)
 	Mapping   time.Duration // flow set → cycle set
-	Realize   time.Duration // Algorithm 1
-	Validate  time.Duration // simulation / servicing check
+	// Realize is Algorithm 1 together with the validation that checks its
+	// states as they are produced, tile by tile: one fused pass.
+	Realize time.Duration
 }
 
 // Result is a solved WSP instance.
 type Result struct {
-	Plan     *warehouse.Plan // nil when SkipRealization is set
+	// Plan is the realized plan, nil when SkipRealization is set. It is
+	// deferred: the solve validated the plan's states as they streamed by
+	// and kept none of them, and the first Plan.Rows call rebuilds them by
+	// realizing CycleSet again, which is deterministic and so yields the
+	// states the solve validated.
+	Plan *warehouse.Plan
+	// CycleSet is the synthesized cycle set. It is read-only: the deferred
+	// Plan rebuilds from it.
 	CycleSet *cycles.Set
 	FlowSet  *flow.Set // nil for the RoutePacking strategy
 	Stats    agentplan.Stats
@@ -240,18 +249,24 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 	if opts.SkipRealization {
 		return res, nil
 	}
+	// Realize and validate in one pass: each tile Algorithm 1 fills goes
+	// straight to the replayer, so no agents×T plan is kept.
 	realizeStart := time.Now()
-	plan, stats, err := agentplan.Realize(cs, wl, T)
+	rp := warehouse.NewReplayer(s.W, cs.NumAgents(), T, wl)
+	stats, err := agentplan.Stream(cs, wl, T, func(tile []warehouse.AgentState, width, steps int) error {
+		if ctx.Err() != nil {
+			return fmt.Errorf("core: realization canceled: %w", lp.ErrCanceled)
+		}
+		rp.Feed(tile, width, steps)
+		return nil
+	})
+	rep := rp.Finish()
 	if err != nil {
 		return nil, err
 	}
 	res.Timing.Realize = time.Since(realizeStart)
-	res.Plan = plan
 	res.Stats = stats
-
-	valStart := time.Now()
-	res.Sim = sim.Run(s.W, plan, wl)
-	res.Timing.Validate = time.Since(valStart)
+	res.Sim = sim.Result(rep)
 	if len(res.Sim.Violations) > 0 {
 		return nil, fmt.Errorf("core: realized plan violates feasibility: %w", res.Sim.Violations[0])
 	}
@@ -259,5 +274,15 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 		return nil, fmt.Errorf("core: plan delivers %v of %v within %d steps (warm-up shortfall)",
 			res.Sim.Delivered, wl.Units, T)
 	}
+	units := slices.Clone(wl.Units)
+	res.Plan = warehouse.NewDeferredPlan(stats.Agents, T, func() [][]warehouse.AgentState {
+		plan, _, err := agentplan.Realize(cs, warehouse.Workload{Units: units}, T)
+		if err != nil {
+			// These inputs were realized once already, and Realize is
+			// deterministic.
+			panic(fmt.Sprintf("core: rebuilding a realized plan: %v", err))
+		}
+		return plan.Rows()
+	})
 	return res, nil
 }

@@ -3,12 +3,20 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/agentplan"
 	"repro/internal/flow"
 	"repro/internal/lp"
+	"repro/internal/maps"
+	"repro/internal/sim"
 	"repro/internal/testmaps"
 	"repro/internal/warehouse"
+	"repro/internal/workload"
 )
 
 func TestSolveAllStrategiesOnRing(t *testing.T) {
@@ -26,6 +34,7 @@ func TestSolveAllStrategiesOnRing(t *testing.T) {
 			if res.Plan == nil || res.CycleSet == nil {
 				t.Fatal("missing plan or cycle set")
 			}
+			checkDeferredPlan(t, w, res, wl, 800)
 			if ok, why := warehouse.Services(w, res.Plan, wl); !ok {
 				t.Fatalf("not serviced: %v", why)
 			}
@@ -42,6 +51,93 @@ func TestSolveAllStrategiesOnRing(t *testing.T) {
 				t.Errorf("attempts = %d", res.Attempts)
 			}
 		})
+	}
+}
+
+// checkDeferredPlan requires res.Plan, first read by four goroutines at
+// once, to hold the rows agentplan.Realize gives for res.CycleSet, and its
+// replay to be the one the solve reported.
+func checkDeferredPlan(t *testing.T, w *warehouse.Warehouse, res *Result, wl warehouse.Workload, T int) {
+	t.Helper()
+	want, _, err := agentplan.Realize(res.CycleSet, wl, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan.NumAgents() != want.NumAgents() || res.Plan.Horizon() != want.Horizon() {
+		t.Errorf("plan is %d agents × %d steps, Realize %d × %d",
+			res.Plan.NumAgents(), res.Plan.Horizon(), want.NumAgents(), want.Horizon())
+	}
+	got := make([][][]warehouse.AgentState, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = res.Plan.Rows()
+		}()
+	}
+	wg.Wait()
+	for g, rows := range got {
+		if !reflect.DeepEqual(rows, want.Rows()) {
+			t.Errorf("goroutine %d: deferred plan rows differ from Realize", g)
+		}
+	}
+	if sr := sim.Run(w, res.Plan, wl); !reflect.DeepEqual(sr, res.Sim) {
+		t.Errorf("sim.Run = %+v, solve reported %+v", sr, res.Sim)
+	}
+}
+
+// TestSolveCanceledDuringRealization: a deadline that expires while the
+// plan streams stops the solve within a tile. Synthesis of this instance
+// takes well under a millisecond at any horizon; realizing and validating
+// its 24 agents over 10⁶ steps takes over a second.
+func TestSolveCanceledDuringRealization(t *testing.T) {
+	m, err := maps.SortingCenter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.Uniform(m.W, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = Solve(ctx, m.S, wl, 1_000_000, Options{})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("canceled solve returned after %v", elapsed)
+	}
+	if !errors.Is(err, lp.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want lp.ErrCanceled caused by the deadline", err)
+	}
+}
+
+// TestSolveMemoryIndependentOfHorizon: a solve keeps no agents×T plan, so
+// one solve allocates about the same at T = 3,600 and 36,000; keeping the
+// plan took 1.4 and 13 MB.
+func TestSolveMemoryIndependentOfHorizon(t *testing.T) {
+	m, err := maps.SortingCenter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.Uniform(m.W, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, T := range []int{3600, 36_000} {
+		solve := func() {
+			if _, err := Solve(context.Background(), m.S, wl, T, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solve() // warm the buffer pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		solve()
+		runtime.ReadMemStats(&after)
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 0.5 {
+			t.Errorf("T=%d: one solve allocated %.2f MB, want under 0.5", T, mb)
+		}
 	}
 }
 

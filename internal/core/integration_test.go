@@ -11,7 +11,8 @@ import (
 
 // TestTableIInstancesSolve runs the nine Table I instances end to end
 // (synthesis → cycles → realization → simulation) with the route-packing
-// strategy and verifies every plan services its workload within T = 3600.
+// strategy and verifies every plan services its workload within T = 3600,
+// and that every deferred plan rebuilds the plan the solve validated.
 func TestTableIInstancesSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -41,6 +42,7 @@ func TestTableIInstancesSolve(t *testing.T) {
 				t.Errorf("%s/%d: %v", tc.name, total, err)
 				continue
 			}
+			checkDeferredPlan(t, m.W, res, wl, T)
 			if ok, why := warehouse.Services(m.W, res.Plan, wl); !ok {
 				t.Errorf("%s/%d: not serviced: %v", tc.name, total, why)
 			}

@@ -73,12 +73,12 @@ func ExecuteMCP(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workl
 		deliver warehouse.ProductID // product delivered on arrival, or NoProduct
 	}
 	seqs := make([][]step, c)
-	for i := 0; i < c; i++ {
-		st := plan.States[i][0]
+	for i, row := range plan.Rows() {
+		st := row[0]
 		seqs[i] = []step{{v: st.Vertex, carried: st.Carried, deliver: warehouse.NoProduct}}
 		for t := 1; t < T; t++ {
-			cur := plan.States[i][t]
-			prev := plan.States[i][t-1]
+			cur := row[t]
+			prev := row[t-1]
 			deliver := warehouse.NoProduct
 			if prev.Carried != warehouse.NoProduct && cur.Carried == warehouse.NoProduct && w.IsStation(prev.Vertex) {
 				deliver = prev.Carried

@@ -30,16 +30,7 @@ type Result struct {
 // Run replays plan against the warehouse and workload: one
 // warehouse.ReplayPlan pass validates every step and tallies the result.
 func Run(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) Result {
-	r := warehouse.ReplayPlan(w, plan, wl)
-	return Result{
-		Delivered:     r.Delivered,
-		DeliveryTimes: r.DeliveryTimes,
-		Moves:         r.Moves,
-		Waits:         r.Waits,
-		Carrying:      r.Carrying,
-		Violations:    r.Violations,
-		ServicedAt:    r.ServicedAt,
-	}
+	return Result(warehouse.ReplayPlan(w, plan, wl))
 }
 
 // Throughput bins DeliveryTimes into windows of the given width and returns

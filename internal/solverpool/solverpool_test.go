@@ -73,7 +73,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(g.Res.CycleSet.Cycles, want[i].CycleSet.Cycles) {
 			t.Errorf("request %d: parallel cycle set differs from sequential", i)
 		}
-		if !reflect.DeepEqual(g.Res.Plan, want[i].Plan) {
+		if !reflect.DeepEqual(g.Res.Plan.Rows(), want[i].Plan.Rows()) {
 			t.Errorf("request %d: parallel plan differs from sequential", i)
 		}
 		if !reflect.DeepEqual(g.Res.Sim.Delivered, want[i].Sim.Delivered) {
@@ -132,7 +132,7 @@ func TestContractModelReuseMatchesScratchless(t *testing.T) {
 			if !reflect.DeepEqual(g.Res.CycleSet.Cycles, want[i].CycleSet.Cycles) {
 				t.Errorf("workers=%d request %d: cycle set differs from scratchless", workers, i)
 			}
-			if !reflect.DeepEqual(g.Res.Plan, want[i].Plan) {
+			if !reflect.DeepEqual(g.Res.Plan.Rows(), want[i].Plan.Rows()) {
 				t.Errorf("workers=%d request %d: plan differs from scratchless", workers, i)
 			}
 			if g.Res.Sim.ServicedAt != want[i].Sim.ServicedAt {

@@ -25,10 +25,11 @@ func refValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehouse.Plan
 	var out []warehouse.PlanViolation
 	T := p.Horizon()
 	c := p.NumAgents()
+	st := p.Rows()
 	for i := 0; i < c; i++ {
-		if len(p.States[i]) != T {
+		if len(st[i]) != T {
 			out = append(out, warehouse.PlanViolation{Agent: i, OtherIdx: -1, Condition: 1,
-				Detail: fmt.Sprintf("agent has %d states, want %d", len(p.States[i]), T)})
+				Detail: fmt.Sprintf("agent has %d states, want %d", len(st[i]), T)})
 			return out
 		}
 	}
@@ -50,7 +51,7 @@ func refValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehouse.Plan
 		stamp := int32(t) + 1
 		// Condition 2a: vertex conflicts.
 		for i := 0; i < c; i++ {
-			v := p.States[i][t].Vertex
+			v := st[i][t].Vertex
 			if v < 0 || int(v) >= nv {
 				out = append(out, warehouse.PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
 					Detail: fmt.Sprintf("vertex %d out of range", v)})
@@ -67,7 +68,7 @@ func refValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehouse.Plan
 			break
 		}
 		for i := 0; i < c; i++ {
-			cur, next := p.States[i][t], p.States[i][t+1]
+			cur, next := st[i][t], st[i][t+1]
 			// Condition 1: unit moves.
 			if cur.Vertex != next.Vertex && !w.Graph.Adjacent(cur.Vertex, next.Vertex) {
 				out = append(out, warehouse.PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
@@ -75,7 +76,7 @@ func refValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehouse.Plan
 			}
 			// Condition 2b: edge swaps.
 			if next.Vertex >= 0 && int(next.Vertex) < nv && occStamp[next.Vertex] == stamp {
-				if j := int(occAgent[next.Vertex]); j != i && p.States[j][t+1].Vertex == cur.Vertex {
+				if j := int(occAgent[next.Vertex]); j != i && st[j][t+1].Vertex == cur.Vertex {
 					if i < j { // report each swap once
 						out = append(out, warehouse.PlanViolation{Timestep: t, Agent: i, OtherIdx: j, Condition: 2,
 							Detail: fmt.Sprintf("agents %d and %d swap across edge %d-%d", i, j, cur.Vertex, next.Vertex)})
@@ -117,9 +118,10 @@ func refValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehouse.Plan
 
 func refDelivered(w *warehouse.Warehouse, p *warehouse.Plan) []int {
 	units := make([]int, w.NumProducts)
+	st := p.Rows()
 	for i := 0; i < p.NumAgents(); i++ {
 		for t := 0; t+1 < p.Horizon(); t++ {
-			cur, next := p.States[i][t], p.States[i][t+1]
+			cur, next := st[i][t], st[i][t+1]
 			if cur.Carried != warehouse.NoProduct && next.Carried == warehouse.NoProduct && w.IsStation(cur.Vertex) {
 				units[cur.Carried]++
 			}
@@ -161,9 +163,10 @@ func refRun(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload)
 	if serviced() {
 		res.ServicedAt = 0
 	}
+	st := plan.Rows()
 	for t := 0; t+1 < T; t++ {
 		for i := 0; i < c; i++ {
-			cur, next := plan.States[i][t], plan.States[i][t+1]
+			cur, next := st[i][t], st[i][t+1]
 			if cur.Vertex == next.Vertex {
 				res.Waits++
 			} else {
@@ -197,11 +200,18 @@ func canon(vs []warehouse.PlanViolation) []warehouse.PlanViolation {
 }
 
 // checkParity requires ValidatePlan, Delivered, Services and sim.Run to
-// answer exactly as the reference does on p.
+// answer exactly as the reference does on p, and a Replayer fed p's rows in
+// tiles of every width in tileWidths to answer as ValidatePlan and sim.Run.
 func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ...warehouse.Workload) {
 	t.Helper()
-	if got, want := canon(warehouse.ValidatePlan(w, p)), canon(refValidatePlan(w, p)); !reflect.DeepEqual(got, want) {
-		t.Errorf("ValidatePlan = %v, reference %v", got, want)
+	wantVs := canon(refValidatePlan(w, p))
+	if got := canon(warehouse.ValidatePlan(w, p)); !reflect.DeepEqual(got, wantVs) {
+		t.Errorf("ValidatePlan = %v, reference %v", got, wantVs)
+	}
+	for _, width := range tileWidths(p.Horizon()) {
+		if got := canon(feedTiles(w, p, warehouse.Workload{}, width).Violations); !reflect.DeepEqual(got, wantVs) {
+			t.Errorf("width %d: Replayer violations = %v, reference %v", width, got, wantVs)
+		}
 	}
 	if got, want := warehouse.Delivered(w, p), refDelivered(w, p); !reflect.DeepEqual(got, want) {
 		t.Errorf("Delivered = %v, reference %v", got, want)
@@ -212,12 +222,46 @@ func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ..
 		if ok != wantOK || !reflect.DeepEqual(canon(vs), canon(wantVs)) {
 			t.Errorf("Services(%v) = %v %v, reference %v %v", wl.Units, ok, vs, wantOK, wantVs)
 		}
-		got, want := sim.Run(w, p, wl), refRun(w, p, wl)
-		got.Violations, want.Violations = canon(got.Violations), canon(want.Violations)
+		want := refRun(w, p, wl)
+		want.Violations = canon(want.Violations)
+		got := sim.Run(w, p, wl)
+		got.Violations = canon(got.Violations)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("sim.Run(%v) = %+v, reference %+v", wl.Units, got, want)
 		}
+		for _, width := range tileWidths(p.Horizon()) {
+			got := feedTiles(w, p, wl, width)
+			got.Violations = canon(got.Violations)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("width %d: Replayer(%v) = %+v, reference %+v", width, wl.Units, got, want)
+			}
+		}
 	}
+}
+
+// tileWidths are the tile widths checkParity feeds a T-step plan to a
+// Replayer at: one step at a time, a width prime to 64, the edges of
+// ReplayPlan's 64-step tile, and the whole plan at once.
+func tileWidths(T int) []int { return []int{1, 7, 63, 64, 65, T} }
+
+// feedTiles replays p through a Replayer fed tiles of the given width. The
+// tile is refilled with an off-grid state before every copy, so a read of a
+// state outside the steps fed shows as a violation.
+func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload, width int) sim.Result {
+	rows, T := p.Rows(), p.Horizon()
+	rp := warehouse.NewReplayer(w, len(rows), T, wl)
+	tile := make([]warehouse.AgentState, width*len(rows))
+	for t0 := 0; t0 < T; t0 += width {
+		n := min(width, T-t0)
+		for i := range tile {
+			tile[i] = warehouse.AgentState{Vertex: -2, Carried: -2}
+		}
+		for i, row := range rows {
+			copy(tile[i*width:i*width+n], row[t0:t0+n])
+		}
+		rp.Feed(tile, width, n)
+	}
+	return sim.Result(rp.Finish())
 }
 
 // demands returns the zero workload and a unit demand for every product.
@@ -283,7 +327,7 @@ func TestReplayMatchesReferenceOnRealizedPlans(t *testing.T) {
 // changes or conjures its load, and one is sent off the grid.
 func corrupt(plan *warehouse.Plan, wl warehouse.Workload) {
 	c := plan.NumAgents()
-	st := plan.States
+	st := plan.Rows()
 	for n, t := range []int{0, 62, 63, 64, 125, 126, 1000, 3598} {
 		i, j := n%c, (n+3)%c
 		switch n % 4 {
@@ -313,13 +357,13 @@ func TestMalformedPlansReportViolations(t *testing.T) {
 		condition int
 		detail    string
 	}{
-		{"vertexOffGrid", fig1, &warehouse.Plan{States: [][]warehouse.AgentState{
+		{"vertexOffGrid", fig1, warehouse.NewPlan([][]warehouse.AgentState{
 			{{Vertex: 9999, Carried: warehouse.NoProduct}, {Vertex: v0, Carried: warehouse.NoProduct}},
-		}}, 1, "vertex 9999 out of range"},
+		}), 1, "vertex 9999 out of range"},
 		{"ragged", fig1, plans["ragged"].P, 1, "agent has 1 states, want 2"},
-		{"unknownProductDropped", line, &warehouse.Plan{States: [][]warehouse.AgentState{
+		{"unknownProductDropped", line, warehouse.NewPlan([][]warehouse.AgentState{
 			{{Vertex: station, Carried: 7}, {Vertex: station, Carried: warehouse.NoProduct}},
-		}}, 3, "dropped unknown product 7"},
+		}), 3, "dropped unknown product 7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			has := func(vs []warehouse.PlanViolation) bool {

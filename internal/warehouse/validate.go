@@ -20,19 +20,18 @@ func (v PlanViolation) Error() string {
 	return fmt.Sprintf("plan violation (condition %d) at t=%d agent=%d: %s", v.Condition, v.Timestep, v.Agent, v.Detail)
 }
 
-// replayTile is how many states ReplayPlan copies out of every agent's plan
-// row at a time; consecutive runs overlap by one state. The per-step sweeps
-// over all agents then read a small tile that stays in cache instead of one
-// cache line in each agent's row of a plan that spans megabytes. It equals
-// agentplan's write-tile width, so replaying a freshly realized plan reuses
-// the tile the realization returned to the pool.
+// replayTile is how many timesteps ReplayPlan copies out of every agent's
+// plan row at a time. The per-step sweeps over all agents then read a small
+// tile that stays in cache instead of one cache line in each agent's row of
+// a plan that spans megabytes. It equals agentplan's tile width, so
+// replaying a freshly realized plan reuses the tile the realization
+// returned to the pool.
 const replayTile = 64
 
 // Replay is what one pass over a plan establishes: every feasibility
-// violation, and the delivery and movement tallies.
+// violation, and the delivery and movement tallies. Its fields are
+// sim.Result's, in the same order, so sim converts one into the other.
 type Replay struct {
-	// Violations lists every breach, in ValidatePlan's order.
-	Violations []PlanViolation
 	// Delivered counts units dropped at stations, per product.
 	Delivered []int
 	// DeliveryTimes records the timestep of every delivery, in order.
@@ -41,110 +40,128 @@ type Replay struct {
 	// Moves+Waits = agents × (T-1). Carrying counts agent-steps spent
 	// loaded over the same transitions.
 	Moves, Waits, Carrying int
+	// Violations lists every breach, in ValidatePlan's order.
+	Violations []PlanViolation
 	// ServicedAt is the first timestep by which the workload was fully
 	// delivered, or -1.
 	ServicedAt int
 }
 
-// ReplayPlan replays p against the warehouse in one time-major pass. It
-// reports the violations ValidatePlan describes, in timestep order: for each
-// timestep the vertex checks of every agent, then the checks of every
-// agent's move to the next timestep, and after the last timestep the stock
-// overdraws in (shelf column, product) order. Along the way it tallies what
-// sim.Run reports, with ServicedAt measured against wl. A ragged plan, whose
-// agents have different horizons, is reported at its first mismatching agent
-// and not replayed.
+// ReplayPlan replays p against the warehouse in one time-major pass,
+// feeding its rows to a Replayer one tile at a time. It reports the
+// violations ValidatePlan describes, in timestep order: for each timestep
+// the vertex checks of every agent, then the checks of every agent's move to
+// the next timestep, and after the last timestep the stock overdraws in
+// (shelf column, product) order. Along the way it tallies what sim.Run
+// reports, with ServicedAt measured against wl. A ragged plan, whose agents
+// have different horizons, is reported at its first mismatching agent and
+// not replayed.
 func ReplayPlan(w *Warehouse, p *Plan, wl Workload) Replay {
-	r := Replay{Delivered: make([]int, w.NumProducts), ServicedAt: -1}
-	short := 0 // products still below their demand
-	for _, want := range wl.Units {
-		if want > 0 {
-			short++
-		}
-	}
-	if short == 0 {
-		r.ServicedAt = 0
-	}
-	T := p.Horizon()
-	c := p.NumAgents()
-	for i := 0; i < c; i++ {
-		if len(p.States[i]) != T {
+	rows, T := p.Rows(), p.Horizon()
+	for i, row := range rows {
+		if len(row) != T {
+			r := NewReplayer(w, 0, 0, wl).Finish()
 			r.Violations = append(r.Violations, PlanViolation{Agent: i, OtherIdx: -1, Condition: 1,
-				Detail: fmt.Sprintf("agent has %d states, want %d", len(p.States[i]), T)})
+				Detail: fmt.Sprintf("agent has %d states, want %d", len(row), T)})
 			return r
 		}
 	}
-	if T == 0 {
-		return r
-	}
-
-	np := w.NumProducts
-	// Stamped occupancy arena: occAgent[v] holds the occupant at timestep t
-	// iff occStamp[v] == t+1, so no per-step clearing is needed.
-	nv := w.Graph.NumVertices()
-	occAgent := grid.GetInt32(nv)
-	occStamp := grid.GetInt32(nv)
-	defer grid.PutInt32(occAgent)
-	defer grid.PutInt32(occStamp)
-	// Pickups per shelf column × product at col*|ρ|+k, allocated at the
-	// first pickup; over lists the entries that exceeded their stock.
-	var picked []int32
-	var over []int
-	moves, carrying := 0, 0
-
-	// tile[i*width+s] holds agent i's state at timestep t0+s. A block's
-	// first state is the previous block's last one, carried over.
+	c := len(rows)
+	rp := NewReplayer(w, c, T, wl)
+	// tile[i*width+s] holds agent i's state at timestep t0+s.
 	width := min(replayTile, T)
 	tile := GetStates(width * c)
 	defer PutStates(tile)
-	for t0 := 0; t0 < T; t0 += replayTile - 1 {
+	for t0 := 0; t0 < T; t0 += width {
 		n := min(width, T-t0)
-		for i, states := range p.States {
-			run := tile[i*width : i*width+n]
-			first := 0
-			if t0 > 0 {
-				run[0] = tile[i*width+replayTile-1]
-				first = 1
-			}
-			copy(run[first:], states[t0+first:t0+n])
+		for i, row := range rows {
+			copy(tile[i*width:i*width+n], row[t0:t0+n])
 		}
-		for step := range min(replayTile-1, T-t0) {
-			t := t0 + step
-			stamp := int32(t) + 1
-			// Condition 2a: vertex conflicts.
+		rp.Feed(tile, width, n)
+	}
+	return rp.Finish()
+}
+
+// Replayer checks a plan fed to it in timestep order, one tile at a time,
+// and tallies what ReplayPlan reports. Whatever the tile widths, it reports
+// the same violations in the same order. Between tiles it keeps every
+// agent's last state, the occupancy of the last timestep and the pickup
+// counts, so its memory does not depend on the horizon.
+//
+// Like ReplayPlan, it sees only agent states, never how they were chosen,
+// so it checks a realization independently of the code that produced it.
+type Replayer struct {
+	w     *Warehouse
+	units []int // the workload's demand per product
+	c, T  int
+	t     int // timesteps fed so far
+	short int // products still below their demand
+	// last[i] is agent i's state at timestep t-1, and occAgent[v] the agent
+	// at vertex v then iff occStamp[v] == t: stamps spare a per-step clear.
+	last               []AgentState
+	occAgent, occStamp []int32
+	// Pickups per shelf column × product at col*|ρ|+k, allocated at the
+	// first pickup; over lists the entries that exceeded their stock.
+	picked          []int32
+	over            []int
+	moves, carrying int
+	r               Replay
+}
+
+// NewReplayer returns a Replayer for a plan of agents agents over T
+// timesteps, measuring ServicedAt against wl. Feed it every timestep in
+// order, then call Finish once.
+func NewReplayer(w *Warehouse, agents, T int, wl Workload) *Replayer {
+	rp := &Replayer{w: w, units: wl.Units, c: agents, T: T,
+		last:     make([]AgentState, agents),
+		occAgent: grid.GetInt32(w.Graph.NumVertices()),
+		occStamp: grid.GetInt32(w.Graph.NumVertices()),
+		r:        Replay{Delivered: make([]int, w.NumProducts), ServicedAt: -1}}
+	for _, want := range wl.Units {
+		if want > 0 {
+			rp.short++
+		}
+	}
+	if rp.short == 0 {
+		rp.r.ServicedAt = 0
+	}
+	return rp
+}
+
+// Feed checks the next steps timesteps: tile[i*width+s], for s < steps, is
+// agent i's state at the s-th of them. Feed reads the tile only during the
+// call. It checks each timestep's moves from the one before, then its
+// vertices, so every timestep's vertex violations precede those of its
+// moves to the next, as in ReplayPlan.
+func (rp *Replayer) Feed(tile []AgentState, width, steps int) {
+	if rp.t+steps > rp.T {
+		panic(fmt.Sprintf("warehouse: Feed past the horizon: %d+%d of %d timesteps", rp.t, steps, rp.T))
+	}
+	w, c, r := rp.w, rp.c, &rp.r
+	np := w.NumProducts
+	last, occAgent, occStamp := rp.last[:c], rp.occAgent, rp.occStamp
+	nv := len(occStamp)
+	moves, carrying, short := rp.moves, rp.carrying, rp.short
+	for s := range steps {
+		t := rp.t + s
+		if t > 0 {
+			// The moves from timestep t-1, whose occupancy has stamp t.
+			stamp := int32(t)
 			for i := range c {
-				st := tile[i*width+step]
-				v := st.Vertex
-				if v < 0 || int(v) >= nv {
-					r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
-						Detail: fmt.Sprintf("vertex %d out of range", v)})
-					continue
-				}
-				if occStamp[v] == stamp {
-					r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: int(occAgent[v]), Condition: 2,
-						Detail: fmt.Sprintf("agents %d and %d both at vertex %d", occAgent[v], i, v)})
-				}
-				occAgent[v] = int32(i)
-				occStamp[v] = stamp
-			}
-			if t+1 >= T {
-				break
-			}
-			for i := range c {
-				cu, nx := tile[i*width+step], tile[i*width+step+1]
+				cu, nx := last[i], tile[i*width+s]
 				// Condition 1: unit moves.
 				if cu.Vertex != nx.Vertex {
 					moves++
 					if !w.Graph.Adjacent(cu.Vertex, nx.Vertex) {
-						r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
+						r.Violations = append(r.Violations, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 1,
 							Detail: fmt.Sprintf("teleport %d -> %d", cu.Vertex, nx.Vertex)})
 					}
 				}
 				// Condition 2b: edge swaps.
 				if v := nx.Vertex; v >= 0 && int(v) < nv && occStamp[v] == stamp {
-					if j := int(occAgent[v]); j != i && tile[j*width+step+1].Vertex == cu.Vertex {
+					if j := int(occAgent[v]); j != i && tile[j*width+s].Vertex == cu.Vertex {
 						if i < j { // report each swap once
-							r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: j, Condition: 2,
+							r.Violations = append(r.Violations, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: j, Condition: 2,
 								Detail: fmt.Sprintf("agents %d and %d swap across edge %d-%d", i, j, cu.Vertex, v)})
 						}
 					}
@@ -160,53 +177,86 @@ func ReplayPlan(w *Warehouse, p *Plan, wl Workload) Replay {
 					// pickup: must stand at a shelf-access vertex stocking it
 					units := w.UnitsAt(cu.Vertex, nx.Carried)
 					if units <= 0 {
-						r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 3,
+						r.Violations = append(r.Violations, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
 							Detail: fmt.Sprintf("picked product %d at vertex %d which stocks none", nx.Carried, cu.Vertex)})
 						break
 					}
-					if picked == nil {
-						picked = grid.GetInt32(len(w.ShelfAccess) * np)
+					if rp.picked == nil {
+						rp.picked = grid.GetInt32(len(w.ShelfAccess) * np)
 					}
 					at := w.ShelfColumn(cu.Vertex)*np + int(nx.Carried)
-					if picked[at]++; int(picked[at]) == units+1 {
-						over = append(over, at)
+					if rp.picked[at]++; int(rp.picked[at]) == units+1 {
+						rp.over = append(rp.over, at)
 					}
 				case nx.Carried == NoProduct:
 					// drop-off: must stand at a station
 					switch {
 					case !w.IsStation(cu.Vertex):
-						r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 3,
+						r.Violations = append(r.Violations, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
 							Detail: fmt.Sprintf("dropped product %d at non-station vertex %d", k, cu.Vertex)})
 					case k < 0 || int(k) >= np:
-						r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 3,
+						r.Violations = append(r.Violations, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
 							Detail: fmt.Sprintf("dropped unknown product %d at station vertex %d", k, cu.Vertex)})
 					default:
 						r.Delivered[k]++
-						r.DeliveryTimes = append(r.DeliveryTimes, t+1)
-						if int(k) < len(wl.Units) && r.Delivered[k] == wl.Units[k] {
+						r.DeliveryTimes = append(r.DeliveryTimes, t)
+						if int(k) < len(rp.units) && r.Delivered[k] == rp.units[k] {
 							short--
 						}
 					}
 				default:
-					r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 3,
+					r.Violations = append(r.Violations, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
 						Detail: fmt.Sprintf("carried product mutated %d -> %d", k, nx.Carried)})
 				}
 			}
 			if r.ServicedAt < 0 && short == 0 {
-				r.ServicedAt = t + 1
+				r.ServicedAt = t
 			}
 		}
+		// Condition 2a: vertex conflicts at timestep t.
+		stamp := int32(t) + 1
+		for i := range c {
+			st := tile[i*width+s]
+			last[i] = st
+			v := st.Vertex
+			if v < 0 || int(v) >= nv {
+				r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
+					Detail: fmt.Sprintf("vertex %d out of range", v)})
+				continue
+			}
+			if occStamp[v] == stamp {
+				r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: int(occAgent[v]), Condition: 2,
+					Detail: fmt.Sprintf("agents %d and %d both at vertex %d", occAgent[v], i, v)})
+			}
+			occAgent[v] = int32(i)
+			occStamp[v] = stamp
+		}
 	}
-	r.Moves, r.Waits, r.Carrying = moves, c*(T-1)-moves, carrying
-	slices.Sort(over)
-	for _, at := range over {
+	rp.t += steps
+	rp.moves, rp.carrying, rp.short = moves, carrying, short
+}
+
+// Finish returns the replay of the timesteps fed: their violations, then the
+// stock overdraws in (shelf column, product) order, and their tallies. It
+// releases the Replayer's buffers, so the Replayer must not be used again.
+func (rp *Replayer) Finish() Replay {
+	r := rp.r
+	if rp.t > 0 {
+		r.Moves, r.Waits, r.Carrying = rp.moves, rp.c*(rp.t-1)-rp.moves, rp.carrying
+	}
+	w, np := rp.w, rp.w.NumProducts
+	slices.Sort(rp.over)
+	for _, at := range rp.over {
 		v, k := w.ShelfAccess[at/np], ProductID(at%np)
-		r.Violations = append(r.Violations, PlanViolation{Timestep: T - 1, Agent: -1, OtherIdx: -1, Condition: 3,
-			Detail: fmt.Sprintf("picked %d units of product %d at vertex %d, stock is %d", picked[at], k, v, w.UnitsAt(v, k))})
+		r.Violations = append(r.Violations, PlanViolation{Timestep: rp.T - 1, Agent: -1, OtherIdx: -1, Condition: 3,
+			Detail: fmt.Sprintf("picked %d units of product %d at vertex %d, stock is %d", rp.picked[at], k, v, w.UnitsAt(v, k))})
 	}
-	if picked != nil {
-		grid.PutInt32(picked)
+	if rp.picked != nil {
+		grid.PutInt32(rp.picked)
 	}
+	grid.PutInt32(rp.occAgent)
+	grid.PutInt32(rp.occStamp)
+	*rp = Replayer{}
 	return r
 }
 

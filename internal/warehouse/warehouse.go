@@ -190,22 +190,52 @@ type AgentState struct {
 	Carried ProductID
 }
 
-// Plan is a T-timestep plan (π, φ) for c agents: States[i][t] is agent i's
+// Plan is a T-timestep plan (π, φ) for c agents: Rows()[i][t] is agent i's
 // state at timestep t (0-based; the paper's t ∈ [1, T] maps to t-1 here).
+// The zero Plan has no agents and no timesteps.
+//
+// A deferred plan (NewDeferredPlan) knows its size up front and builds its
+// rows on the first Rows call, so a caller that never reads them never pays
+// for the agents × T states.
 type Plan struct {
-	States [][]AgentState
+	agents, horizon int
+	rows            [][]AgentState
+	build           func() [][]AgentState // nil for a plan built eagerly
+	once            sync.Once
+}
+
+// NewPlan returns the plan whose agent i has states rows[i]. Its horizon is
+// the length of the first row; ReplayPlan reports rows of other lengths.
+func NewPlan(rows [][]AgentState) *Plan {
+	p := &Plan{agents: len(rows), rows: rows}
+	if len(rows) > 0 {
+		p.horizon = len(rows[0])
+	}
+	return p
+}
+
+// NewDeferredPlan returns a plan of agents agents over horizon timesteps
+// whose rows build returns, called once, on the first Rows call. build must
+// return agents rows of horizon states each.
+func NewDeferredPlan(agents, horizon int, build func() [][]AgentState) *Plan {
+	return &Plan{agents: agents, horizon: horizon, build: build}
+}
+
+// Rows returns every agent's states, building a deferred plan's rows on the
+// first call; concurrent calls are safe. The rows are the plan's own
+// storage, not a copy.
+func (p *Plan) Rows() [][]AgentState {
+	if p.build != nil {
+		p.once.Do(func() { p.rows = p.build() })
+	}
+	return p.rows
 }
 
 // NumAgents returns c, the team size.
-func (p *Plan) NumAgents() int { return len(p.States) }
+func (p *Plan) NumAgents() int { return p.agents }
 
 // Horizon returns T, the number of timesteps.
-func (p *Plan) Horizon() int {
-	if len(p.States) == 0 {
-		return 0
-	}
-	return len(p.States[0])
-}
+func (p *Plan) Horizon() int { return p.horizon }
 
 // statesPool recycles the agent-state tiles that plan realization and
 // replay stage their work in.

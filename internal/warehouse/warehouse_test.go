@@ -3,6 +3,8 @@ package warehouse
 import (
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/grid"
@@ -120,7 +122,7 @@ func TestWorkloadValidation(t *testing.T) {
 
 // handPlan builds a 1-agent plan walking a vertex/product sequence.
 func handPlan(states ...AgentState) *Plan {
-	return &Plan{States: [][]AgentState{states}}
+	return NewPlan([][]AgentState{states})
 }
 
 // HandBuilt is one hand-built plan the validator tests check, with the
@@ -154,14 +156,14 @@ func HandBuiltPlans(t *testing.T) map[string]HandBuilt {
 			AgentState{at(0, 0), NoProduct},
 			AgentState{at(4, 0), NoProduct},
 		)},
-		"vertexConflict": {w, &Plan{States: [][]AgentState{
+		"vertexConflict": {w, NewPlan([][]AgentState{
 			{{at(0, 0), NoProduct}},
 			{{at(0, 0), NoProduct}},
-		}}},
-		"edgeSwap": {w, &Plan{States: [][]AgentState{
+		})},
+		"edgeSwap": {w, NewPlan([][]AgentState{
 			{{at(0, 0), NoProduct}, {at(1, 0), NoProduct}},
 			{{at(1, 0), NoProduct}, {at(0, 0), NoProduct}},
-		}}},
+		})},
 		// Picking ρ2 at the left shelf access, which stocks only ρ1.
 		"illegalPickup": {w, handPlan(AgentState{at(0, 2), NoProduct}, AgentState{at(0, 2), 1})},
 		"illegalDrop": {w, handPlan(
@@ -186,10 +188,10 @@ func HandBuiltPlans(t *testing.T) map[string]HandBuilt {
 			AgentState{station, 0},
 			AgentState{station, NoProduct},
 		)},
-		"ragged": {w, &Plan{States: [][]AgentState{
+		"ragged": {w, NewPlan([][]AgentState{
 			{{at(0, 0), NoProduct}, {at(0, 0), NoProduct}},
 			{{at(0, 0), NoProduct}},
-		}}},
+		})},
 		// Each product picked twice from a shelf stocking one unit of it:
 		// product 1 at the east shelf runs out first, product 0 at the west
 		// shelf second.
@@ -318,6 +320,39 @@ func TestPlanAccessors(t *testing.T) {
 	p := handPlan(AgentState{0, NoProduct}, AgentState{0, NoProduct})
 	if p.NumAgents() != 1 || p.Horizon() != 2 {
 		t.Errorf("accessors = (%d,%d), want (1,2)", p.NumAgents(), p.Horizon())
+	}
+}
+
+// TestDeferredPlanBuildsOnce: a deferred plan reports its size without
+// building, and concurrent first reads build its rows exactly once and all
+// see them.
+func TestDeferredPlanBuildsOnce(t *testing.T) {
+	rows := [][]AgentState{{{0, NoProduct}, {1, NoProduct}, {1, 0}}, {{2, NoProduct}, {2, NoProduct}, {3, NoProduct}}}
+	var builds atomic.Int32
+	p := NewDeferredPlan(2, 3, func() [][]AgentState {
+		builds.Add(1)
+		return rows
+	})
+	if p.NumAgents() != 2 || p.Horizon() != 3 || builds.Load() != 0 {
+		t.Fatalf("accessors = (%d,%d) after %d builds, want (2,3) after none", p.NumAgents(), p.Horizon(), builds.Load())
+	}
+	got := make([][][]AgentState, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = p.Rows()
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d builds, want 1", n)
+	}
+	for g, r := range got {
+		if &r[0][0] != &rows[0][0] {
+			t.Errorf("goroutine %d read rows other than the built ones", g)
+		}
 	}
 }
 
