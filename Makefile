@@ -64,13 +64,21 @@ serve-smoke:
 # default knobs, write the JSON report and its bench lines, and require
 # benchjson to ingest those lines (it exits 1 when nothing parses) — the
 # gate that keeps the corpus runner, the wsp-corpus-report/v3 schema, and
-# the benchjson label format from drifting apart.
+# the benchjson label format from drifting apart. Then run the contract
+# path with every ILP knob flag set and require the report's "knobs"
+# object to echo them, and require a negative budget to fail the command.
 corpus-smoke:
 	$(GO) run ./cmd/wsp corpus run -families stripes,rings -label corpus-smoke \
 		-json /tmp/wsp-corpus-report.json -bench /tmp/wsp-corpus-bench.txt
 	rm -f /tmp/wsp-corpus-trajectory.json
 	$(GO) run ./scripts/benchjson -o /tmp/wsp-corpus-trajectory.json -label corpus-smoke \
 		< /tmp/wsp-corpus-bench.txt
+	$(GO) run ./cmd/wsp corpus run -families rings -strategy contract -exact -maxnodes 300 \
+		-maxwork 400000000 -label corpus-smoke-contract -json /tmp/wsp-corpus-contract.json
+	tr -d ' \n' < /tmp/wsp-corpus-contract.json | grep -q \
+		'"knobs":{"strategy":"contract-ilp","exact":true,"work_budget":400000000,"node_budget":300}'
+	@if $(GO) run ./cmd/wsp corpus run -maxnodes -1 >/dev/null 2>&1; then \
+		echo "corpus run accepted -maxnodes -1"; exit 1; fi
 
 # The benchmark is its own module (perfbench/go.mod, `replace repro => ../`),
 # so `./...` above never builds it; vet and test it here so a change to the

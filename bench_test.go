@@ -235,7 +235,7 @@ func BenchmarkSynthesizerAblation(b *testing.B) {
 	// The exact-arithmetic contract path.
 	b.Run("contract-ilp-exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			opts := core.Options{Strategy: core.ContractILP, SkipRealization: true, ExactILP: true}
+			opts := core.Options{Strategy: core.ContractILP, SkipRealization: true, Limits: lp.Limits{Exact: true}}
 			if _, err := core.Solve(context.Background(), s, wl, 800, opts); err != nil {
 				b.Fatal(err)
 			}

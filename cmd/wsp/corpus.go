@@ -79,14 +79,6 @@ func cmdCorpusList(args []string) error {
 	return tw.Flush()
 }
 
-func corpusKnobsFlags(fs *flag.FlagSet) (strat *string, exact *bool, maxNodes *int, maxWork *int64) {
-	strat = fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
-	exact = fs.Bool("exact", false, "exact rational arithmetic for the contract strategy")
-	maxWork = fs.Int64("maxwork", 0, "per-attempt simplex work budget (0 = default)")
-	maxNodes = fs.Int("maxnodes", 0, "per-attempt branch-and-bound node budget (0 = default)")
-	return
-}
-
 // cmdCorpusRun solves the corpus under one knob set and prints per-family
 // health: solve rate, verdicts, latency percentiles, deterministic work.
 func cmdCorpusRun(ctx context.Context, args []string) error {
@@ -96,7 +88,11 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 	label := fs.String("label", "corpus", "report label (benchjson snapshot label)")
 	jsonOut := fs.String("json", "", "write the full JSON report to this file")
 	bench := fs.String("bench", "", "write benchjson-compatible lines to this file ('-' = stdout)")
-	strat, exact, maxNodes, maxWork := corpusKnobsFlags(fs)
+	strat := fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
+	var cfg wsp.Config
+	fs.BoolVar(&cfg.Exact, "exact", false, "exact rational arithmetic for the contract strategy")
+	fs.Int64Var(&cfg.MaxWork, "maxwork", 0, "per-attempt simplex work budget (0 = default)")
+	fs.IntVar(&cfg.MaxNodes, "maxnodes", 0, "per-attempt branch-and-bound node budget (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -104,16 +100,16 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	cfg.Strategy = strategy
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	insts, err := wsp.GenerateCorpus(*seed, parseFamilies(*families)...)
 	if err != nil {
 		return err
 	}
-	knobs := wsp.CorpusKnobs{
-		Strategy: strategy, Exact: *exact,
-		WorkBudget: *maxWork, NodeBudget: *maxNodes,
-	}
 	start := time.Now()
-	rep := wsp.RunCorpus(ctx, insts, knobs, *label, *seed)
+	rep := wsp.RunCorpus(ctx, insts, cfg, *label, *seed)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Family\tSolved\tVerdicts\tp50ms\tp95ms\tp99ms\tWork")
 	for _, f := range rep.Families {
@@ -207,13 +203,16 @@ func cmdCorpusCalibrate(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("bad -maxnodes: %w", err)
 	}
+	spec := wsp.CalibrationSpec{
+		Base:        wsp.Config{Strategy: strategy},
+		WorkBudgets: wbs, NodeBudgets: nbs,
+	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	insts, err := wsp.GenerateCorpus(*seed, parseFamilies(*families)...)
 	if err != nil {
 		return err
-	}
-	spec := wsp.CalibrationSpec{
-		Base:        wsp.CorpusKnobs{Strategy: strategy},
-		WorkBudgets: wbs, NodeBudgets: nbs,
 	}
 	start := time.Now()
 	table, err := wsp.CalibrateCorpus(ctx, insts, spec)

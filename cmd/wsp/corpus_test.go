@@ -97,3 +97,22 @@ func TestCmdCorpusCalibrate(t *testing.T) {
 		t.Error("unknown subcommand accepted")
 	}
 }
+
+// TestCmdCorpusRejectsNegativeBudgets: both corpus subcommands reject a
+// negative budget flag right after parsing, before any instance is
+// generated or solved.
+func TestCmdCorpusRejectsNegativeBudgets(t *testing.T) {
+	for _, sub := range []string{"run", "calibrate"} {
+		for _, flag := range []string{"-maxwork", "-maxnodes"} {
+			out, err := captureStdout(t, func() error {
+				return cmdCorpus(context.Background(), []string{sub, "-families", "rings", "-strategy", "contract", flag, "-1"})
+			})
+			if err == nil || !strings.Contains(err.Error(), "negative") {
+				t.Errorf("corpus %s %s -1: err = %v, want a negative-budget error", sub, flag, err)
+			}
+			if out != "" {
+				t.Errorf("corpus %s %s -1 ran anyway:\n%s", sub, flag, out)
+			}
+		}
+	}
+}

@@ -66,7 +66,8 @@ func run(args []string) int {
 	maxDeadline := fs.Duration("max-deadline", 0, "clamp on client deadlines (0 = 2m)")
 	drain := fs.Duration("drain", 0, "shutdown drain budget (0 = 30s)")
 	strategy := fs.String("strategy", "contract", "base strategy: route|flows|contract")
-	exact := fs.Bool("exact", false, "base config: exact rational ILP arithmetic")
+	var base wsp.Config
+	fs.BoolVar(&base.Exact, "exact", false, "base config: exact rational ILP arithmetic")
 	noDegrade := fs.Bool("no-degrade", false, "disable the graceful-degradation ladder")
 	clientRate := fs.Int64("client-rate", 0, "per-client budget refill, work units/sec (0 = default)")
 	configPath := fs.String("config", "", "JSON config file (flag names with dashes as underscores); explicit flags and WSPD_* env vars override it")
@@ -82,10 +83,11 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "wspd:", err)
 		return 2
 	}
+	base.Strategy = st
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	srv := server.New(server.Config{
-		Solver:          wsp.Config{Strategy: st, Exact: *exact},
+		Solver:          base,
 		MaxInFlight:     *maxInFlight,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"text/tabwriter"
 
+	"repro/internal/core"
 	"repro/internal/datasets"
 )
 
@@ -15,7 +16,7 @@ import (
 // The grid is the cross product of all axes.
 type Spec struct {
 	// Base supplies every knob not being swept.
-	Base Knobs
+	Base core.Options
 	// WorkBudgets values for the per-attempt work cap (0 = default).
 	WorkBudgets []int64
 	// NodeBudgets values for the per-attempt node cap (0 = default).
@@ -24,10 +25,10 @@ type Spec struct {
 
 // Candidate is one evaluated grid point.
 type Candidate struct {
-	Knobs     Knobs   `json:"knobs"`
-	Instances int     `json:"instances"`
-	Solved    int     `json:"solved"`
-	SolveRate float64 `json:"solve_rate"`
+	Knobs     core.Options `json:"knobs"`
+	Instances int          `json:"instances"`
+	Solved    int          `json:"solved"`
+	SolveRate float64      `json:"solve_rate"`
 	// Budget counts instances stopped by work/node budget exhaustion.
 	Budget int `json:"budget"`
 	// Work is total deterministic simplex work across the corpus.
@@ -42,8 +43,8 @@ type Candidate struct {
 // Table is a scored calibration result: candidates sorted best-first
 // under a deterministic total order, with the winner's knobs pinned.
 type Table struct {
-	Candidates  []Candidate `json:"candidates"`
-	Recommended Knobs       `json:"recommended"`
+	Candidates  []Candidate  `json:"candidates"`
+	Recommended core.Options `json:"recommended"`
 }
 
 // score computes the deterministic candidate score: each solved instance
@@ -68,32 +69,43 @@ func less(a, b Candidate) bool {
 		return a.Work < b.Work
 	}
 	ka, kb := a.Knobs, b.Knobs
-	if ka.WorkBudget != kb.WorkBudget {
-		return ka.WorkBudget < kb.WorkBudget
+	if ka.MaxWork != kb.MaxWork {
+		return ka.MaxWork < kb.MaxWork
 	}
-	return ka.NodeBudget < kb.NodeBudget
+	return ka.MaxNodes < kb.MaxNodes
 }
 
 // grid expands the spec's cross product into concrete knob sets.
-func (s Spec) grid() []Knobs {
+func (s Spec) grid() []core.Options {
 	workBudgets := s.WorkBudgets
 	if len(workBudgets) == 0 {
-		workBudgets = []int64{s.Base.WorkBudget}
+		workBudgets = []int64{s.Base.MaxWork}
 	}
 	nodeBudgets := s.NodeBudgets
 	if len(nodeBudgets) == 0 {
-		nodeBudgets = []int{s.Base.NodeBudget}
+		nodeBudgets = []int{s.Base.MaxNodes}
 	}
-	var out []Knobs
+	var out []core.Options
 	for _, wb := range workBudgets {
 		for _, nb := range nodeBudgets {
 			k := s.Base
-			k.WorkBudget = wb
-			k.NodeBudget = nb
+			k.MaxWork = wb
+			k.MaxNodes = nb
 			out = append(out, k)
 		}
 	}
 	return out
+}
+
+// Validate checks every grid point with core.Options.Validate, so a bad
+// axis value fails before any corpus instance is solved.
+func (s Spec) Validate() error {
+	for _, k := range s.grid() {
+		if err := k.Validate(); err != nil {
+			return fmt.Errorf("calibrate: %w", err)
+		}
+	}
+	return nil
 }
 
 // Calibrate evaluates every grid point of spec over the corpus and
@@ -102,10 +114,10 @@ func (s Spec) grid() []Knobs {
 // same knobs — pinned by TestCalibrateStable. The sort is stable over a
 // deterministic enumeration order, making ties reproducible too.
 func Calibrate(ctx context.Context, insts []*datasets.Instance, spec Spec) (*Table, error) {
-	points := spec.grid()
-	if len(points) == 0 {
-		return nil, fmt.Errorf("calibrate: empty knob grid")
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
+	points := spec.grid()
 	t := &Table{}
 	for i, k := range points {
 		rep := Run(ctx, insts, k, fmt.Sprintf("cand-%d", i), 0)
@@ -141,13 +153,13 @@ func (t *Table) Format(w io.Writer) error {
 	for _, c := range t.Candidates {
 		fmt.Fprintf(tw, "%.1f\t%d/%d\t%d\t%d\t%d\t%d\t%.0f\n",
 			c.Score, c.Solved, c.Instances, c.Budget, c.Work,
-			c.Knobs.WorkBudget, c.Knobs.NodeBudget, c.Millis)
+			c.Knobs.MaxWork, c.Knobs.MaxNodes, c.Millis)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	k := t.Recommended
 	_, err := fmt.Fprintf(w, "\nrecommended: maxwork=%d maxnodes=%d (strategy=%s)\n",
-		k.WorkBudget, k.NodeBudget, strategyName(k.Strategy))
+		k.MaxWork, k.MaxNodes, k.Strategy)
 	return err
 }

@@ -60,8 +60,8 @@ func contractCorpus(t *testing.T) []*datasets.Instance {
 // work figure (latency is explicitly exempt).
 func TestRunDeterministic(t *testing.T) {
 	insts := smallCorpus(t)
-	a := Run(context.Background(), insts, Knobs{}, "a", 1)
-	b := Run(context.Background(), insts, Knobs{}, "b", 1)
+	a := Run(context.Background(), insts, core.Options{}, "a", 1)
+	b := Run(context.Background(), insts, core.Options{}, "b", 1)
 	if len(a.Instances) != len(b.Instances) {
 		t.Fatalf("instance counts differ: %d vs %d", len(a.Instances), len(b.Instances))
 	}
@@ -89,7 +89,7 @@ func TestCorpusSolvableByRoutePacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Run(context.Background(), insts, Knobs{}, "health", 1)
+	rep := Run(context.Background(), insts, core.Options{}, "health", 1)
 	for _, ir := range rep.Instances {
 		if ir.Verdict != VerdictSolved {
 			t.Errorf("%s: %s (%s)", ir.Name, ir.Verdict, ir.Err)
@@ -99,7 +99,7 @@ func TestCorpusSolvableByRoutePacking(t *testing.T) {
 
 func TestRunReportShape(t *testing.T) {
 	insts := contractCorpus(t)
-	rep := Run(context.Background(), insts, Knobs{Strategy: core.ContractILP}, "shape", 7)
+	rep := Run(context.Background(), insts, core.Options{Strategy: core.ContractILP}, "shape", 7)
 	if rep.Schema != ReportSchema {
 		t.Errorf("schema %q", rep.Schema)
 	}
@@ -123,20 +123,28 @@ func TestRunReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"schema":"wsp-corpus-report/v3"`, `"strategy":"contract-ilp"`} {
+	for _, want := range []string{`"schema":"wsp-corpus-report/v3"`, `"knobs":{"strategy":"contract-ilp"}`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("report JSON missing %s", want)
 		}
 	}
-	if strings.Contains(string(data), `"exact"`) {
-		t.Errorf("default knobs rendered the exact flag: %s", data)
-	}
-	exact, err := json.Marshal(Knobs{Strategy: core.ContractILP, Exact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(exact), `"exact":true`) {
-		t.Errorf("exact knobs JSON %s lacks \"exact\":true", exact)
+	// The knobs object byte for byte: the strategy by name, and the ILP
+	// settings under their wire names, omitted when zero.
+	for _, tc := range []struct {
+		knobs core.Options
+		want  string
+	}{
+		{core.Options{}, `{"strategy":"route-packing"}`},
+		{core.Options{Strategy: core.ContractILP, Limits: lp.Limits{Exact: true, MaxWork: 400000000, MaxNodes: 300}},
+			`{"strategy":"contract-ilp","exact":true,"work_budget":400000000,"node_budget":300}`},
+	} {
+		got, err := json.Marshal(Run(context.Background(), nil, tc.knobs, "wire", 1).Knobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("knobs %+v marshal to %s, want %s", tc.knobs, got, tc.want)
+		}
 	}
 }
 
@@ -146,7 +154,7 @@ func TestRunReportShape(t *testing.T) {
 func TestCalibrateStable(t *testing.T) {
 	insts := contractCorpus(t)
 	spec := Spec{
-		Base:        Knobs{Strategy: core.ContractILP},
+		Base:        core.Options{Strategy: core.ContractILP},
 		WorkBudgets: []int64{1, 0},
 	}
 	a, err := Calibrate(context.Background(), insts, spec)
@@ -169,7 +177,7 @@ func TestCalibrateStable(t *testing.T) {
 		}
 	}
 	best, worst := a.Candidates[0], a.Candidates[1]
-	if best.Knobs.WorkBudget != 0 || best.Solved != 1 {
+	if best.Knobs.MaxWork != 0 || best.Solved != 1 {
 		t.Errorf("best candidate %+v, want the unbudgeted clean solve", best)
 	}
 	if worst.Budget != 1 || worst.Score >= best.Score {

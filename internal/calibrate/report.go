@@ -12,7 +12,6 @@ package calibrate
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -27,50 +26,6 @@ import (
 
 // ReportSchema versions the JSON report layout.
 const ReportSchema = "wsp-corpus-report/v3"
-
-// Knobs is one solver configuration under measurement — the subset of
-// core.Options the corpus and calibration stages sweep.
-type Knobs struct {
-	// Strategy selects the synthesis pipeline (core.RoutePacking default).
-	Strategy core.Strategy
-	// Exact switches ContractILP to exact rational arithmetic.
-	Exact bool
-	// WorkBudget caps per-attempt deterministic simplex work
-	// (core.Options.MaxWork); 0 keeps the footprint-scaled default.
-	WorkBudget int64
-	// NodeBudget caps per-attempt branch-and-bound nodes; 0 = default.
-	NodeBudget int
-}
-
-func (k Knobs) coreOptions() core.Options {
-	return core.Options{
-		Strategy: k.Strategy,
-		ExactILP: k.Exact,
-		MaxWork:  k.WorkBudget,
-		MaxNodes: k.NodeBudget,
-	}
-}
-
-func strategyName(s core.Strategy) string { return s.String() }
-
-// knobsJSON is the report wire form of Knobs: enum knobs as names, not
-// iota values, so reports stay readable and stable across enum reorders.
-type knobsJSON struct {
-	Strategy   string `json:"strategy"`
-	Exact      bool   `json:"exact,omitempty"`
-	WorkBudget int64  `json:"work_budget,omitempty"`
-	NodeBudget int    `json:"node_budget,omitempty"`
-}
-
-// MarshalJSON renders enum knobs by name.
-func (k Knobs) MarshalJSON() ([]byte, error) {
-	return json.Marshal(knobsJSON{
-		Strategy:   strategyName(k.Strategy),
-		Exact:      k.Exact,
-		WorkBudget: k.WorkBudget,
-		NodeBudget: k.NodeBudget,
-	})
-}
 
 // Verdict classifies how one instance solve ended.
 type Verdict string
@@ -140,12 +95,12 @@ type Report struct {
 	Schema    string           `json:"schema"`
 	Label     string           `json:"label"`
 	Seed      int64            `json:"seed"`
-	Knobs     Knobs            `json:"knobs"`
+	Knobs     core.Options     `json:"knobs"`
 	Families  []FamilyStats    `json:"families"`
 	Instances []InstanceResult `json:"instances"`
 }
 
-// Run solves every corpus instance sequentially under k and aggregates
+// Run solves every corpus instance sequentially under opts and aggregates
 // the outcomes. One core.Scratch is reused across the run, matching how a
 // solver-pool worker would consume the corpus. Cancelling ctx drains the
 // remaining instances as VerdictCanceled rather than failing the run, so
@@ -153,13 +108,13 @@ type Report struct {
 //
 // Verdicts and work are deterministic for a fixed corpus and knob set;
 // latencies are wall-clock.
-func Run(ctx context.Context, insts []*datasets.Instance, k Knobs, label string, seed int64) *Report {
-	rep := &Report{Schema: ReportSchema, Label: label, Seed: seed, Knobs: k}
+func Run(ctx context.Context, insts []*datasets.Instance, opts core.Options, label string, seed int64) *Report {
+	rep := &Report{Schema: ReportSchema, Label: label, Seed: seed, Knobs: opts}
 	sc := &core.Scratch{}
 	for _, in := range insts {
 		w0 := lp.WorkMeter()
 		t0 := time.Now()
-		res, err := core.SolveScratch(ctx, in.Sys, in.WL, in.T, k.coreOptions(), sc)
+		res, err := core.SolveScratch(ctx, in.Sys, in.WL, in.T, opts, sc)
 		ir := InstanceResult{
 			Name:    in.Name,
 			Family:  in.Family,

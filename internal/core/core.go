@@ -40,6 +40,10 @@ const (
 	ContractILP
 )
 
+// MarshalText renders the strategy by name, so JSON reports stay readable
+// and stable across enum reorders.
+func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 func (s Strategy) String() string {
 	switch s {
 	case RoutePacking:
@@ -52,19 +56,19 @@ func (s Strategy) String() string {
 	return "unknown"
 }
 
-// Options tunes Solve.
+// Options tunes Solve. It is the one solver configuration value: the
+// facade's wsp.Config is this type, the corpus report's "knobs" object is
+// its JSON form, and wspd applies request overrides onto it. Zero fields
+// select defaults.
 type Options struct {
-	Strategy Strategy
+	Strategy Strategy `json:"strategy"`
 	// MaxAttempts bounds the synthesize→realize→verify retry loop; each
 	// retry doubles the warm-up margin. Zero means 3.
-	MaxAttempts int
+	MaxAttempts int `json:"max_attempts,omitempty"`
 	// SkipRealization stops after cycle synthesis (Table I times only the
 	// flow-set generation; "the time required to convert an agent flow set
 	// into a plan is small").
-	SkipRealization bool
-	// ExactILP switches the ContractILP strategy to exact rational
-	// arithmetic.
-	ExactILP bool
+	SkipRealization bool `json:"skip_realization,omitempty"`
 	// AdmissionCheck runs the LP-relaxation infeasibility certificate
 	// (flow.Admit) before synthesis, failing fast with a sound proof when
 	// no agent flow set can exist. The relaxation has |Es|·(|ρ|+1)
@@ -72,15 +76,27 @@ type Options struct {
 	// cheaper than the retry loop. The admission LP has no work budget:
 	// MaxWork and MaxNodes bound synthesis only, so the check runs to a
 	// verdict and stops early only when ctx is cancelled.
-	AdmissionCheck bool
-	// MaxWork overrides the contract path's per-attempt deterministic
-	// simplex work budget (lp.ILPOptions.MaxWork units); 0 keeps the
-	// tableau-footprint-scaled default. Exhaustion surfaces as an error
-	// wrapping lp.ErrBudgetExhausted.
-	MaxWork int64
-	// MaxNodes overrides the contract path's per-attempt branch-and-bound
-	// node budget; 0 keeps the default.
-	MaxNodes int
+	AdmissionCheck bool `json:"admission_check,omitempty"`
+	// Limits configures the ContractILP strategy's ILP per attempt: exact
+	// arithmetic, and work and node budgets that override flow's defaults
+	// when non-zero. Exhaustion wraps lp.ErrBudgetExhausted.
+	lp.Limits
+}
+
+// Validate rejects the settings no solve can honor: a negative attempt
+// count or budget. Zero selects a default everywhere, so every other value
+// is valid. SolveScratch calls it before any work; wspd and the corpus
+// CLIs call it on their inputs.
+func (o Options) Validate() error {
+	switch {
+	case o.MaxAttempts < 0:
+		return fmt.Errorf("core: MaxAttempts %d is negative (0 selects the default)", o.MaxAttempts)
+	case o.MaxWork < 0:
+		return fmt.Errorf("core: MaxWork %d is negative (0 selects the default)", o.MaxWork)
+	case o.MaxNodes < 0:
+		return fmt.Errorf("core: MaxNodes %d is negative (0 selects the default)", o.MaxNodes)
+	}
+	return nil
 }
 
 // Timing breaks down where Solve spent its time.
@@ -141,6 +157,9 @@ func Solve(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int,
 
 // SolveScratch is Solve with caller-owned scratch buffers; sc may be nil.
 func SolveScratch(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options, sc *Scratch) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	maxAttempts := opts.MaxAttempts
 	if maxAttempts == 0 {
 		maxAttempts = 3
@@ -218,8 +237,7 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 		res.Timing.Synthesis = time.Since(start)
 		cs = c
 	case SequentialFlows, ContractILP:
-		fopts := flow.Options{WarmupMargin: margin, ExactILP: opts.ExactILP,
-			MaxWork: opts.MaxWork, MaxNodes: opts.MaxNodes}
+		fopts := flow.Options{WarmupMargin: margin, Limits: opts.Limits}
 		var set *flow.Set
 		var err error
 		if opts.Strategy == SequentialFlows {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -206,7 +207,7 @@ func TestAdmissionLPHasNoWorkBudget(t *testing.T) {
 	for _, strat := range []Strategy{RoutePacking, ContractILP} {
 		t.Run(strat.String(), func(t *testing.T) {
 			_, err := Solve(context.Background(), s, over, 120,
-				Options{Strategy: strat, AdmissionCheck: true, MaxWork: 1, MaxNodes: 1})
+				Options{Strategy: strat, AdmissionCheck: true, Limits: lp.Limits{MaxWork: 1, MaxNodes: 1}})
 			var inf *flow.InfeasibleError
 			if !errors.As(err, &inf) || inf.Cert != flow.CertInfeasible {
 				t.Fatalf("err = %v, want a CertInfeasible *flow.InfeasibleError", err)
@@ -221,7 +222,7 @@ func TestAdmissionLPHasNoWorkBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Solve(context.Background(), s, feasible, 800,
-		Options{Strategy: ContractILP, AdmissionCheck: true, MaxWork: 1})
+		Options{Strategy: ContractILP, AdmissionCheck: true, Limits: lp.Limits{MaxWork: 1}})
 	if !errors.Is(err, lp.ErrBudgetExhausted) {
 		t.Fatalf("starved contract synthesis: err = %v, want ErrBudgetExhausted", err)
 	}
@@ -235,6 +236,24 @@ func TestSolveUnknownStrategy(t *testing.T) {
 	}
 	if Strategy(99).String() != "unknown" {
 		t.Error("Strategy.String for unknown value")
+	}
+}
+
+// TestSolveRejectsNegativeOptions: a negative attempt count or budget is a
+// caller error, reported before any work and naming the field, not a
+// zero-node search, an unlimited one, or a retry loop that never ran.
+func TestSolveRejectsNegativeOptions(t *testing.T) {
+	w, s := testmaps.MustRing()
+	wl, _ := warehouse.NewWorkload(w, []int{1, 0})
+	for field, opts := range map[string]Options{
+		"MaxAttempts": {Strategy: ContractILP, MaxAttempts: -1},
+		"MaxWork":     {Strategy: ContractILP, Limits: lp.Limits{MaxWork: -1}},
+		"MaxNodes":    {Strategy: ContractILP, Limits: lp.Limits{MaxNodes: -1}},
+	} {
+		_, err := Solve(context.Background(), s, wl, 800, opts)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: err = %v, want an error naming it", field, err)
+		}
 	}
 }
 

@@ -224,11 +224,12 @@ func contractWorkBudget(goal *contracts.Contract) int64 {
 }
 
 // synthesisILPOptions resolves the branch-and-bound budgets for one
-// contract synthesis attempt: caller overrides from Options when set, the
-// package defaults otherwise, plus the context's cancellation channel.
+// contract synthesis attempt: the caller's Limits where set, the package
+// defaults otherwise, plus the context's cancellation channel. It is the
+// one place lp.Limits becomes lp.ILPOptions.
 func synthesisILPOptions(ctx context.Context, goal *contracts.Contract, opts Options) lp.ILPOptions {
 	engine := lp.EngineFloat
-	if opts.ExactILP {
+	if opts.Exact {
 		engine = lp.EngineExact
 	}
 	maxNodes := opts.MaxNodes
@@ -413,16 +414,11 @@ type Options struct {
 	// an automatic margin of the longest plausible cycle (the number of
 	// components) capped at qc/2.
 	WarmupMargin int
-	// ExactILP switches the contract path to the exact rational ILP engine.
-	ExactILP bool
-	// MaxNodes overrides the per-attempt branch-and-bound node budget of
-	// the contract path; 0 selects the package default
-	// (contractNodeBudget). Exhaustion wraps lp.ErrBudgetExhausted.
-	MaxNodes int
-	// MaxWork overrides the per-attempt deterministic simplex work budget
-	// (row-update units); 0 selects the tableau-footprint-scaled default
-	// (contractWorkBudget).
-	MaxWork int64
+	// Limits configures the contract path's ILP: Exact selects the exact
+	// rational engine, and a zero MaxNodes or MaxWork selects the package
+	// default (contractNodeBudget, or contractWorkBudget scaled to the
+	// tableau footprint). Exhaustion wraps lp.ErrBudgetExhausted.
+	lp.Limits
 }
 
 // autoMargin picks a warm-up margin when the caller did not: enough periods

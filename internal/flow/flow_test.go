@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/lp"
 	"repro/internal/traffic"
 	"repro/internal/warehouse"
 )
@@ -141,7 +142,7 @@ func TestSynthesizeContractRing(t *testing.T) {
 func TestSynthesizeContractExactEngine(t *testing.T) {
 	w, s := ringSystem(t)
 	wl := ringWorkload(t, w, 2, 2)
-	set, err := SynthesizeContract(context.Background(), s, wl, 600, Options{ExactILP: true})
+	set, err := SynthesizeContract(context.Background(), s, wl, 600, Options{Limits: lp.Limits{Exact: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

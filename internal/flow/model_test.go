@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/lp"
 	"repro/internal/testmaps"
 	"repro/internal/traffic"
 	"repro/internal/warehouse"
@@ -35,7 +36,7 @@ func TestContractModelMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		opts := Options{ExactILP: tc.exact}
+		opts := Options{Limits: lp.Limits{Exact: tc.exact}}
 		got, gotErr := cm.Synthesize(context.Background(), s, wl, tc.T, opts)
 		want, wantErr := SynthesizeContract(context.Background(), s, wl, tc.T, opts)
 		if (gotErr == nil) != (wantErr == nil) {

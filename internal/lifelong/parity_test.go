@@ -230,7 +230,7 @@ func parityCorpus(t *testing.T) []parityCase {
 			cases = append(cases, parityCase{
 				name:    fmt.Sprintf("case%d/exhausted", i),
 				batches: batches, T: T,
-				opts: Options{Core: core.Options{Strategy: core.ContractILP, MaxWork: 50}},
+				opts: Options{Core: core.Options{Strategy: core.ContractILP, Limits: lp.Limits{MaxWork: 50}}},
 				ctx:  context.Background(),
 			})
 		}

@@ -22,7 +22,24 @@ const (
 	EngineFloat
 )
 
-// ILPOptions tunes SolveILP.
+// Limits is the ILP configuration the layers above lp carry: exact
+// arithmetic and the per-attempt budgets of a contract synthesis.
+// flow.Options and core.Options (so also wsp.Config) embed it, and flow
+// resolves it with its own defaults into one ILPOptions per attempt; the
+// zero value means the float engine. The JSON names are the corpus
+// report's and wspd's.
+type Limits struct {
+	// Exact selects EngineExact instead of EngineFloat.
+	Exact bool `json:"exact,omitempty"`
+	// MaxWork overrides the per-attempt work budget (ILPOptions.MaxWork
+	// units); 0 selects the caller's default.
+	MaxWork int64 `json:"work_budget,omitempty"`
+	// MaxNodes overrides the per-attempt node budget (ILPOptions.MaxNodes);
+	// 0 selects the caller's default.
+	MaxNodes int `json:"node_budget,omitempty"`
+}
+
+// ILPOptions tunes SolveILP: one call's engine, caps and cancellation.
 type ILPOptions struct {
 	Engine Engine
 	// MaxNodes bounds the branch-and-bound search tree; 0 means the default

@@ -114,8 +114,11 @@ type HorizonResult struct {
 //
 // Cancelling ctx aborts the probe in flight and returns an error wrapping
 // lp.ErrCanceled; an infeasible probe (any other error) just narrows the
-// search window.
+// search window, so invalid options are rejected before the first probe.
 func MinimalHorizon(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts core.Options) (*HorizonResult, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	lo := s.CycleTime()
 	hi := T
 	if lo > hi {

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/agentplan"
@@ -149,5 +150,9 @@ func TestMinimalHorizonErrors(t *testing.T) {
 	}
 	if _, err := MinimalHorizon(context.Background(), s, wl2, 800, core.Options{SkipRealization: true}); err == nil {
 		t.Error("SkipRealization accepted")
+	}
+	if _, err := MinimalHorizon(context.Background(), s, wl2, 800, core.Options{MaxAttempts: -1}); err == nil ||
+		!strings.Contains(err.Error(), "MaxAttempts") {
+		t.Errorf("negative MaxAttempts: err = %v, want an error naming it", err)
 	}
 }

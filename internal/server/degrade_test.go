@@ -10,7 +10,7 @@ import (
 // single attempt, with the work and node budgets untouched — by then no
 // stage of the degraded solve reads them.
 func TestDegradeRungThreeLeavesBudgets(t *testing.T) {
-	cfg, steps := degradeConfig(wsp.Config{Strategy: wsp.ContractILP, Exact: true}, 3)
+	cfg, steps := degradeConfig(wsp.Config{Strategy: wsp.ContractILP, Limits: wsp.Limits{Exact: true}}, 3)
 	want := wsp.Config{Strategy: wsp.RoutePacking, MaxAttempts: 1}
 	if cfg != want {
 		t.Errorf("rung 3 config %+v, want %+v", cfg, want)

@@ -40,8 +40,9 @@ type InstanceSpec struct {
 	Horizon int `json:"horizon,omitempty"`
 }
 
-// SolveOverrides are the per-request solver knobs shared by the solve and
-// batch endpoints. Zero values inherit the server's base configuration.
+// SolveOverrides are the per-request solver knobs shared by the solve,
+// batch, sweep and lifelong endpoints. Zero values inherit the server's
+// base configuration; negative ones are rejected with 400 bad-request.
 type SolveOverrides struct {
 	Strategy   string `json:"strategy,omitempty"` // route|flows|contract
 	Exact      *bool  `json:"exact,omitempty"`
@@ -215,6 +216,17 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string,
 	writeJSON(w, status, resp)
 }
 
+// countExhausted accounts one answer that ended budget-exhausted — a
+// /v1/solve or /v1/lifelong response, a /v1/batch item, or a /v1/sweep
+// point — in budget_exhausted_total, and feeds it to the degradation
+// ladder as a load signal.
+func (s *Server) countExhausted(code string) {
+	if code == "budget-exhausted" {
+		s.met.budgetExhausted.Add(1)
+		s.deg.observeExhausted()
+	}
+}
+
 // countStatus attributes an error status to the outcome counters. Factored
 // out of writeError so streaming handlers — which have already committed a
 // 200 status line by the time a run fails — can account an in-band error
@@ -296,8 +308,9 @@ func (s *Server) buildInstance(spec *InstanceSpec) (wsp.Instance, error) {
 	return inst, nil
 }
 
-// requestConfig resolves the per-request solver configuration from the
-// server base and the request's overrides.
+// requestConfig applies the request's overrides onto the server's base
+// solver configuration and validates the result; the deadline, which is
+// not part of that value, is checked here too.
 func (s *Server) requestConfig(ov *SolveOverrides) (wsp.Config, error) {
 	cfg := s.cfg.Solver
 	if ov.Strategy != "" {
@@ -310,13 +323,16 @@ func (s *Server) requestConfig(ov *SolveOverrides) (wsp.Config, error) {
 	if ov.Exact != nil {
 		cfg.Exact = *ov.Exact
 	}
-	if ov.WorkBudget > 0 {
-		cfg.WorkBudget = ov.WorkBudget
+	if ov.WorkBudget != 0 {
+		cfg.MaxWork = ov.WorkBudget
 	}
-	if ov.NodeBudget > 0 {
-		cfg.NodeBudget = ov.NodeBudget
+	if ov.NodeBudget != 0 {
+		cfg.MaxNodes = ov.NodeBudget
 	}
-	return cfg, nil
+	if ov.DeadlineMS < 0 {
+		return cfg, fmt.Errorf("deadline_ms %d is negative", ov.DeadlineMS)
+	}
+	return cfg, cfg.Validate()
 }
 
 // solveCost is the admission charge for one solve under ov.
@@ -405,7 +421,7 @@ func (s *Server) solveGuarded(ctx context.Context, cfg wsp.Config, inst wsp.Inst
 	if err != nil {
 		return nil, err
 	}
-	res, err = s.solverFor(cfg).SolveWithScratch(ctx, inst, sc)
+	res, err = wsp.NewFromConfig(cfg).SolveWithScratch(ctx, inst, sc)
 	clean = true
 	return res, err
 }
@@ -443,23 +459,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	info := faultinject.Info{Path: "/v1/solve", Client: clientID(r), Horizon: inst.Horizon}
 	start := time.Now()
 	res, err := s.solveGuarded(ctx, cfg, inst, info)
-	if err != nil && errors.Is(err, wsp.ErrBudgetExhausted) {
+	if errors.Is(err, wsp.ErrBudgetExhausted) && !req.NoDegrade && cfg.Strategy != wsp.RoutePacking {
 		// Budget exhaustion is itself a load signal — and, when the
 		// request allows degradation, a recoverable one: answer with the
 		// cheap strategy instead of erroring.
 		s.deg.observeExhausted()
-		if !req.NoDegrade && cfg.Strategy != wsp.RoutePacking {
-			var more []string
-			cfg, more = degradeConfig(cfg, 2)
-			steps = append(steps, more...)
-			res, err = s.solveGuarded(ctx, cfg, inst, info)
-		}
+		var more []string
+		cfg, more = degradeConfig(cfg, 2)
+		steps = append(steps, more...)
+		res, err = s.solveGuarded(ctx, cfg, inst, info)
 	}
 	if err != nil {
 		status, code := errStatus(err)
-		if code == "budget-exhausted" {
-			s.met.budgetExhausted.Add(1)
-		}
+		s.countExhausted(code)
 		s.writeError(w, status, code, err.Error(), 0)
 		return
 	}
@@ -538,7 +550,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
-		results = s.solverFor(cfg).SolveBatch(ctx, insts)
+		results = wsp.NewFromConfig(cfg).SolveBatch(ctx, insts)
 		return nil
 	}()
 	if err != nil {
@@ -553,9 +565,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if br.Err != nil {
 			_, item.Code = errStatus(br.Err)
 			item.Error = br.Err.Error()
-			if item.Code == "budget-exhausted" {
-				s.deg.observeExhausted()
-			}
+			s.countExhausted(item.Code)
 		} else {
 			item.OK = true
 			item.Agents = br.Res.Stats.Agents
@@ -636,7 +646,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
-		cells, err = s.solverFor(cfg).Sweep(ctx, spec)
+		cells, err = wsp.NewFromConfig(cfg).Sweep(ctx, spec)
 		return err
 	}()
 	if err != nil {
@@ -647,7 +657,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	resp := SweepResponse{OK: true, Degraded: len(steps) > 0, DegradeSteps: steps}
 	for _, c := range cells {
-		resp.Cells = append(resp.Cells, sweepCellResult(c))
+		resp.Cells = append(resp.Cells, s.sweepCellResult(c))
 	}
 	s.met.completed.Add(1)
 	if resp.Degraded {
@@ -657,13 +667,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepCellResult converts one engine cell to its wire form, mapping
-// per-point errors through the taxonomy exactly like the batch endpoint.
-func sweepCellResult(c wsp.SweepCell) SweepCellResult {
+// per-point errors through the taxonomy and counting budget exhaustion
+// exactly like the batch endpoint.
+func (s *Server) sweepCellResult(c wsp.SweepCell) SweepCellResult {
 	cell := SweepCellResult{Corridor: c.Corridor, MaxLen: c.MaxLen, Components: c.Stats.Components}
 	for _, pt := range c.Points {
 		pr := SweepPointResult{Units: pt.Units}
 		if pt.Err != nil {
 			_, pr.Code = errStatus(pt.Err)
+			s.countExhausted(pr.Code)
 		} else {
 			pr.OK = true
 			pr.Agents = pt.Result.Stats.Agents
@@ -704,7 +716,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, ctx context
 			w.WriteHeader(http.StatusOK)
 			streamed = true
 		}
-		enc.Encode(SweepCellLine{Type: "cell", SweepCellResult: sweepCellResult(c)})
+		enc.Encode(SweepCellLine{Type: "cell", SweepCellResult: s.sweepCellResult(c)})
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -724,7 +736,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, ctx context
 				return err
 			}
 		}
-		_, err = s.solverFor(cfg).SweepObserve(runCtx, spec, observe)
+		_, err = wsp.NewFromConfig(cfg).SweepObserve(runCtx, spec, observe)
 		if err == nil && runCtx.Err() != nil {
 			// The per-cell hook aborted on the walk's final topology: no
 			// later pre-check could observe the cancellation, so surface

@@ -263,18 +263,15 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
-		rep, err = s.solverFor(cfg).Lifelong(runCtx, sys, batches, T, wsp.WithLifelongObserver(obs))
+		rep, err = wsp.NewFromConfig(cfg).Lifelong(runCtx, sys, batches, T, wsp.WithLifelongObserver(obs))
 		return err
 	}()
 	if err != nil {
 		status, code := errStatus(err)
-		if code == "budget-exhausted" {
-			// A load signal like everywhere else — but no degraded retry
-			// here: epochs already streamed cannot be replayed by a
-			// restarted cheaper run.
-			s.met.budgetExhausted.Add(1)
-			s.deg.observeExhausted()
-		}
+		// Counted like everywhere else — but no degraded retry here:
+		// epochs already streamed cannot be replayed by a restarted
+		// cheaper run.
+		s.countExhausted(code)
 		if !streamed {
 			s.writeError(w, status, code, err.Error(), 0)
 			return

@@ -474,7 +474,7 @@ func TestDegradationUnderRealLoad(t *testing.T) {
 	release := make(chan struct{})
 	srv := New(Config{
 		MaxInFlight: 1,
-		Solver:      wsp.Config{Strategy: wsp.ContractILP, Exact: true},
+		Solver:      wsp.Config{Strategy: wsp.ContractILP, Limits: wsp.Limits{Exact: true}},
 		Fault: func(ctx context.Context, info faultinject.Info) error {
 			if info.Client != "staller" {
 				return nil

@@ -23,7 +23,7 @@ type metrics struct {
 	deadline        atomic.Int64 // 504: server deadline fired mid-solve
 	clientGone      atomic.Int64 // 499: client disconnected mid-solve
 	panics          atomic.Int64 // 500: solver panic caught by recover
-	budgetExhausted atomic.Int64 // solves undecided within work/node budget
+	budgetExhausted atomic.Int64 // answers undecided within work/node budget; per batch item, per sweep point
 	degraded        atomic.Int64 // responses labeled degraded
 	cacheHits       atomic.Int64 // warm-scratch checkouts
 	cacheMisses     atomic.Int64 // cold-scratch checkouts

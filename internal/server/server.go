@@ -34,9 +34,8 @@ type Server struct {
 
 	draining atomic.Bool
 
-	mu      sync.Mutex
-	solvers map[wsp.Config]*wsp.Solver // one long-lived Solver per resolved config
-	maps    map[string]*wsp.Map        // builtin maps, built once
+	mu   sync.Mutex
+	maps map[string]*wsp.Map // builtin maps, built once
 
 	hsMu sync.Mutex
 	hs   *http.Server // set by Serve, consumed by Drain
@@ -47,11 +46,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		adm:     newAdmission(cfg),
-		deg:     newDegrader(cfg),
-		solvers: make(map[wsp.Config]*wsp.Solver),
-		maps:    make(map[string]*wsp.Map),
+		cfg:  cfg,
+		adm:  newAdmission(cfg),
+		deg:  newDegrader(cfg),
+		maps: make(map[string]*wsp.Map),
 	}
 	s.cache = newScratchCache(cfg, &s.met)
 	mux := http.NewServeMux()
@@ -72,21 +70,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics snapshots the service counters.
 func (s *Server) Metrics() map[string]int64 { return s.met.snapshot() }
-
-// solverFor returns the long-lived Solver for a resolved configuration.
-// Solvers are config-keyed and never discarded: the config space reachable
-// from requests is tiny (strategy × exact × the ladder's budget rungs),
-// and wsp.Solver is stateless apart from its scratch pool.
-func (s *Server) solverFor(cfg wsp.Config) *wsp.Solver {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sv := s.solvers[cfg]
-	if sv == nil {
-		sv = wsp.NewFromConfig(cfg)
-		s.solvers[cfg] = sv
-	}
-	return sv
-}
 
 // builtinMap builds (once) and returns a named evaluation map. Built maps
 // are shared across requests: a traffic.System is read-only after Build.

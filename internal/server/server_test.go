@@ -69,7 +69,7 @@ func decodeAs[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 // call — cold scratch and warm cache hit alike.
 func TestSolveBitIdentical(t *testing.T) {
 	inst := testInstance(t)
-	cfg := wsp.Config{Strategy: wsp.ContractILP, Exact: true}
+	cfg := wsp.Config{Strategy: wsp.ContractILP, Limits: wsp.Limits{Exact: true}}
 	srv := New(Config{Solver: cfg, NoDegrade: true})
 
 	sys, wl, err := wsp.DecodeInstance(inst)
@@ -322,7 +322,7 @@ func TestNegativeProductCountIsBadInstance(t *testing.T) {
 // request on the same loaded server runs exactly as configured.
 func TestDegradationLadder(t *testing.T) {
 	inst := testInstance(t)
-	srv := New(Config{Solver: wsp.Config{Strategy: wsp.ContractILP, Exact: true}})
+	srv := New(Config{Solver: wsp.Config{Strategy: wsp.ContractILP, Limits: wsp.Limits{Exact: true}}})
 	for i := 0; i < 50; i++ {
 		srv.deg.observeReject() // synthesize a saturated window
 	}
@@ -369,7 +369,7 @@ func TestDegradationLadder(t *testing.T) {
 // of erroring.
 func TestBudgetExhaustedDegradesOnce(t *testing.T) {
 	inst := testInstance(t)
-	srv := New(Config{Solver: wsp.Config{Strategy: wsp.ContractILP, WorkBudget: 50, MaxAttempts: 1}})
+	srv := New(Config{Solver: wsp.Config{Strategy: wsp.ContractILP, MaxAttempts: 1, Limits: wsp.Limits{MaxWork: 50}}})
 
 	w := postJSON(t, srv.Handler(), "/v1/solve", SolveRequest{
 		InstanceSpec: InstanceSpec{Instance: inst},
@@ -392,6 +392,103 @@ func TestBudgetExhaustedDegradesOnce(t *testing.T) {
 	}
 	if resp := decodeAs[ErrorResponse](t, w); resp.Code != "budget-exhausted" {
 		t.Errorf("code %q, want budget-exhausted", resp.Code)
+	}
+}
+
+// TestRequestConfigOverrides pins how a request's overrides map onto the
+// server's base solver configuration: each wire field sets its one field
+// of the value, absent fields inherit the base, and "exact": false clears
+// a base Exact.
+func TestRequestConfigOverrides(t *testing.T) {
+	route := wsp.Config{Strategy: wsp.RoutePacking, MaxAttempts: 2}
+	for _, tc := range []struct {
+		name string
+		base wsp.Config
+		body string
+		want wsp.Config
+	}{
+		{"every knob", route, `{"strategy":"contract","exact":true,"work_budget":5,"node_budget":7}`,
+			wsp.Config{Strategy: wsp.ContractILP, MaxAttempts: 2, Limits: wsp.Limits{Exact: true, MaxWork: 5, MaxNodes: 7}}},
+		{"none inherits the base", route, `{}`, route},
+		{"exact false clears the base", wsp.Config{Limits: wsp.Limits{Exact: true}}, `{"exact":false}`, wsp.Config{}},
+	} {
+		var ov SolveOverrides
+		if err := json.Unmarshal([]byte(tc.body), &ov); err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(Config{Solver: tc.base}).requestConfig(&ov)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: %s on %+v resolves to %+v, want %+v", tc.name, tc.body, tc.base, got, tc.want)
+		}
+	}
+}
+
+// TestNegativeOverridesRejected: a negative budget or deadline is a bad
+// request on every solving endpoint, not a silently ignored field.
+func TestNegativeOverridesRejected(t *testing.T) {
+	inst := testInstance(t)
+	srv := New(Config{})
+	for field, ov := range map[string]SolveOverrides{
+		"work_budget": {WorkBudget: -1},
+		"node_budget": {NodeBudget: -1},
+		"deadline_ms": {DeadlineMS: -1},
+	} {
+		for path, body := range map[string]any{
+			"/v1/solve": SolveRequest{InstanceSpec: InstanceSpec{Instance: inst}, SolveOverrides: ov},
+			"/v1/batch": BatchRequest{Instances: []InstanceSpec{{Instance: inst}}, SolveOverrides: ov},
+			"/v1/sweep": SweepRequest{Corridors: []int{2}, Lens: []int{6}, Units: 60, Points: 2, Horizon: 1200,
+				SolveOverrides: ov},
+		} {
+			w := postJSON(t, srv.Handler(), path, body, nil)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s with negative %s: status %d, want 400: %s", path, field, w.Code, w.Body.String())
+			}
+			if resp := decodeAs[ErrorResponse](t, w); resp.Code != "bad-request" {
+				t.Errorf("%s with negative %s: code %q, want bad-request", path, field, resp.Code)
+			}
+		}
+	}
+	if m := srv.Metrics(); m["admitted_total"] != 0 {
+		t.Errorf("admitted_total = %d, want 0: a rejected request must not be admitted", m["admitted_total"])
+	}
+}
+
+// TestBudgetExhaustedCountedPerAnswer: budget_exhausted_total counts every
+// answer that ended budget-exhausted — each batch item and each sweep
+// point, streamed or not — like a /v1/solve response, and each one feeds
+// the degradation ladder.
+func TestBudgetExhaustedCountedPerAnswer(t *testing.T) {
+	inst := testInstance(t)
+	starved := SolveOverrides{Strategy: "contract", WorkBudget: 1}
+	sweep := func(stream bool) SweepRequest {
+		return SweepRequest{Corridors: []int{2}, Lens: []int{6}, Units: 60, Points: 2, Horizon: 1200,
+			Stream: stream, SolveOverrides: starved}
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"batch", "/v1/batch", BatchRequest{Instances: []InstanceSpec{{Instance: inst}, {Instance: inst}}, SolveOverrides: starved}},
+		{"sweep", "/v1/sweep", sweep(false)},
+		{"streamed sweep", "/v1/sweep", sweep(true)},
+	} {
+		srv := New(Config{})
+		w := postJSON(t, srv.Handler(), tc.path, tc.body, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, w.Code, w.Body.String())
+		}
+		if got := strings.Count(w.Body.String(), `"code":"budget-exhausted"`); got != 2 {
+			t.Fatalf("%s: %d budget-exhausted answers, want 2: %s", tc.name, got, w.Body.String())
+		}
+		if got := srv.Metrics()["budget_exhausted_total"]; got != 2 {
+			t.Errorf("%s: budget_exhausted_total = %d, want 2", tc.name, got)
+		}
+		if r := srv.deg.rung(); r == 0 {
+			t.Errorf("%s: two exhausted answers left the degradation ladder at rung 0", tc.name)
+		}
 	}
 }
 

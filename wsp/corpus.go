@@ -33,9 +33,6 @@ func GenerateCorpus(seed int64, families ...string) ([]*CorpusInstance, error) {
 	return datasets.Generate(seed, families...)
 }
 
-// CorpusKnobs is one solver configuration under corpus measurement.
-type CorpusKnobs = calibrate.Knobs
-
 // CorpusVerdict classifies how one corpus solve ended.
 type CorpusVerdict = calibrate.Verdict
 
@@ -52,10 +49,10 @@ const (
 // CorpusReport is one corpus run's JSON-serializable result.
 type CorpusReport = calibrate.Report
 
-// RunCorpus solves every instance under k and aggregates per-family
+// RunCorpus solves every instance under cfg and aggregates per-family
 // solve rates, verdicts, latency percentiles and deterministic work.
-func RunCorpus(ctx context.Context, insts []*CorpusInstance, k CorpusKnobs, label string, seed int64) *CorpusReport {
-	return calibrate.Run(ctx, insts, k, label, seed)
+func RunCorpus(ctx context.Context, insts []*CorpusInstance, cfg Config, label string, seed int64) *CorpusReport {
+	return calibrate.Run(ctx, insts, cfg, label, seed)
 }
 
 // WriteCorpusBenchLines renders a report as `go test -bench`-style lines

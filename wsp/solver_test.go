@@ -221,7 +221,8 @@ func TestSweepCanceledReturnsCompletedCells(t *testing.T) {
 }
 
 // TestConfigResolution pins the option → config mapping the facade
-// documents.
+// documents: every With* option but WithParallel sets one field of the
+// Config value, and WithParallel sets the Solver's pool width.
 func TestConfigResolution(t *testing.T) {
 	s := New(
 		WithStrategy(SequentialFlows),
@@ -235,11 +236,13 @@ func TestConfigResolution(t *testing.T) {
 	)
 	got := s.Config()
 	want := Config{
-		Strategy: SequentialFlows, Exact: true,
-		AdmissionCheck: true, SkipRealization: true, MaxAttempts: 5,
-		WorkBudget: 123, NodeBudget: 45, Parallel: 7,
+		Strategy: SequentialFlows, AdmissionCheck: true, SkipRealization: true, MaxAttempts: 5,
+		Limits: Limits{Exact: true, MaxWork: 123, MaxNodes: 45},
 	}
 	if got != want {
 		t.Fatalf("config %+v, want %+v", got, want)
+	}
+	if s.parallel != 7 {
+		t.Fatalf("pool width %d, want 7", s.parallel)
 	}
 }

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifelong"
+	"repro/internal/lp"
 	"repro/internal/refine"
 	"repro/internal/solverpool"
 )
@@ -72,80 +73,58 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("wsp: unknown strategy %q (want route, flows, or contract)", name)
 }
 
-// Config is the resolved knob set of a Solver: one struct in place of the
-// per-layer option plumbing (core.Options, flow.Options, lp.ILPOptions)
-// that the facade threads internally. Zero value = defaults.
-type Config struct {
-	// Strategy selects the synthesis pipeline (default RoutePacking).
-	Strategy Strategy
-	// Exact switches the ContractILP strategy to exact rational
-	// arithmetic.
-	Exact bool
-	// AdmissionCheck gates synthesis on the LP-relaxation infeasibility
-	// certificate (fail fast with a sound proof).
-	AdmissionCheck bool
-	// SkipRealization stops after cycle synthesis.
-	SkipRealization bool
-	// MaxAttempts bounds the synthesize→realize→verify retry loop
-	// (0 = default 3).
-	MaxAttempts int
-	// WorkBudget bounds the contract path's per-attempt simplex work in
-	// deterministic row-update units (0 = auto-scaled default);
-	// exhaustion wraps ErrBudgetExhausted.
-	WorkBudget int64
-	// NodeBudget bounds the per-attempt branch-and-bound tree
-	// (0 = default).
-	NodeBudget int
-	// Parallel is the SolveBatch / Sweep worker-pool width
-	// (0 = GOMAXPROCS).
-	Parallel int
-}
+// Config is the one solver configuration value, from the CLIs and wspd
+// down to the ILP. It is core.Options itself:
+//
+//	Strategy        synthesis pipeline (default RoutePacking)
+//	MaxAttempts     synthesize→realize→verify attempts (0 = 3)
+//	SkipRealization stop after cycle synthesis
+//	AdmissionCheck  gate synthesis on the LP-relaxation certificate
+//	Limits          the ContractILP strategy's ILP: Exact, MaxWork, MaxNodes
+//
+// The zero value means defaults; Validate rejects negative counts.
+//
+//	cfg := wsp.Config{Strategy: wsp.ContractILP, Limits: wsp.Limits{Exact: true, MaxNodes: 300}}
+type Config = core.Options
 
-// coreOptions resolves the Config into the internal per-layer options.
-func (c Config) coreOptions() core.Options {
-	return core.Options{
-		Strategy:        c.Strategy,
-		ExactILP:        c.Exact,
-		AdmissionCheck:  c.AdmissionCheck,
-		SkipRealization: c.SkipRealization,
-		MaxAttempts:     c.MaxAttempts,
-		MaxWork:         c.WorkBudget,
-		MaxNodes:        c.NodeBudget,
-	}
-}
+// Limits is the ContractILP strategy's ILP settings within a Config:
+// exact arithmetic, and the per-attempt work and node budgets (0 selects
+// the auto-scaled defaults; exhaustion wraps ErrBudgetExhausted).
+type Limits = lp.Limits
 
 // Option configures a Solver at construction.
-type Option func(*Config)
+type Option func(*Solver)
 
 // WithStrategy selects the synthesis strategy.
-func WithStrategy(s Strategy) Option { return func(c *Config) { c.Strategy = s } }
+func WithStrategy(s Strategy) Option { return func(sv *Solver) { sv.cfg.Strategy = s } }
 
 // WithExact toggles exact rational arithmetic for the ContractILP strategy.
-func WithExact(exact bool) Option { return func(c *Config) { c.Exact = exact } }
+func WithExact(exact bool) Option { return func(sv *Solver) { sv.cfg.Exact = exact } }
 
 // WithAdmissionCheck toggles the LP-relaxation admission certificate
 // before synthesis.
-func WithAdmissionCheck(check bool) Option { return func(c *Config) { c.AdmissionCheck = check } }
+func WithAdmissionCheck(check bool) Option { return func(sv *Solver) { sv.cfg.AdmissionCheck = check } }
 
 // WithSkipRealization stops solves after cycle synthesis (no plan,
 // no simulation).
-func WithSkipRealization(skip bool) Option { return func(c *Config) { c.SkipRealization = skip } }
+func WithSkipRealization(skip bool) Option { return func(sv *Solver) { sv.cfg.SkipRealization = skip } }
 
 // WithMaxAttempts bounds the synthesize→realize→verify retry loop.
-func WithMaxAttempts(n int) Option { return func(c *Config) { c.MaxAttempts = n } }
+func WithMaxAttempts(n int) Option { return func(sv *Solver) { sv.cfg.MaxAttempts = n } }
 
 // WithWorkBudget bounds the contract path's per-attempt simplex work in
 // deterministic row-update units; exhaustion surfaces as an error wrapping
 // ErrBudgetExhausted.
-func WithWorkBudget(units int64) Option { return func(c *Config) { c.WorkBudget = units } }
+func WithWorkBudget(units int64) Option { return func(sv *Solver) { sv.cfg.MaxWork = units } }
 
 // WithNodeBudget bounds the contract path's per-attempt branch-and-bound
 // tree.
-func WithNodeBudget(nodes int) Option { return func(c *Config) { c.NodeBudget = nodes } }
+func WithNodeBudget(nodes int) Option { return func(sv *Solver) { sv.cfg.MaxNodes = nodes } }
 
 // WithParallel sets the worker-pool width used by SolveBatch and Sweep
-// (0 selects GOMAXPROCS). Results are bit-identical for every width.
-func WithParallel(workers int) Option { return func(c *Config) { c.Parallel = workers } }
+// (0 selects GOMAXPROCS). It belongs to the Solver, not to Config: results
+// are bit-identical for every width.
+func WithParallel(workers int) Option { return func(sv *Solver) { sv.parallel = workers } }
 
 // Solver is the facade over the whole pipeline. Build one with New and
 // reuse it: a Solver is safe for concurrent use, and it recycles per-call
@@ -153,6 +132,8 @@ func WithParallel(workers int) Option { return func(c *Config) { c.Parallel = wo
 // solves, so repeated calls on similar instances skip recompilation.
 type Solver struct {
 	cfg Config
+	// parallel is the SolveBatch / Sweep worker-pool width.
+	parallel int
 	// scratch recycles core.Scratch values across calls; each concurrent
 	// Solve borrows one, so reuse never races and results stay
 	// bit-identical to scratchless solves.
@@ -161,17 +142,17 @@ type Solver struct {
 
 // New builds a Solver from functional options.
 func New(opts ...Option) *Solver {
-	s := &Solver{}
+	s := NewFromConfig(Config{})
 	for _, o := range opts {
-		o(&s.cfg)
+		o(s)
 	}
-	s.scratch.New = func() any { return &core.Scratch{} }
 	return s
 }
 
 // NewFromConfig builds a Solver from an already-resolved Config — the form
 // a server uses when the knob set is computed per request (degradation
-// ladders, per-client overrides) rather than fixed at construction.
+// ladders, per-client overrides) rather than fixed at construction. Its
+// pool width is the default, GOMAXPROCS.
 func NewFromConfig(cfg Config) *Solver {
 	s := &Solver{cfg: cfg}
 	s.scratch.New = func() any { return &core.Scratch{} }
@@ -199,7 +180,7 @@ func (s *Solver) Solve(ctx context.Context, inst Instance) (*Result, error) {
 	}
 	sc := s.scratch.Get().(*core.Scratch)
 	defer s.scratch.Put(sc)
-	res, err := core.SolveScratch(ctx, inst.System, inst.Workload, inst.Horizon, s.cfg.coreOptions(), sc)
+	res, err := core.SolveScratch(ctx, inst.System, inst.Workload, inst.Horizon, s.cfg, sc)
 	if err != nil {
 		return nil, fmt.Errorf("wsp: solve (T=%d): %w", inst.Horizon, err)
 	}
@@ -232,7 +213,7 @@ func (s *Solver) SolveWithScratch(ctx context.Context, inst Instance, sc *Scratc
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res, err := core.SolveScratch(ctx, inst.System, inst.Workload, inst.Horizon, s.cfg.coreOptions(), &sc.sc)
+	res, err := core.SolveScratch(ctx, inst.System, inst.Workload, inst.Horizon, s.cfg, &sc.sc)
 	if err != nil {
 		return nil, fmt.Errorf("wsp: solve (T=%d): %w", inst.Horizon, err)
 	}
@@ -254,11 +235,10 @@ func (s *Solver) SolveBatch(ctx context.Context, insts []Instance) []BatchResult
 		ctx = context.Background()
 	}
 	reqs := make([]solverpool.Request, len(insts))
-	opts := s.cfg.coreOptions()
 	for i, inst := range insts {
-		reqs[i] = solverpool.Request{S: inst.System, WL: inst.Workload, T: inst.Horizon, Opts: opts}
+		reqs[i] = solverpool.Request{S: inst.System, WL: inst.Workload, T: inst.Horizon, Opts: s.cfg}
 	}
-	return solverpool.New(s.cfg.Parallel).SolveBatch(ctx, reqs)
+	return solverpool.New(s.parallel).SolveBatch(ctx, reqs)
 }
 
 // HorizonResult reports a MinimalHorizon search.
@@ -272,7 +252,7 @@ func (s *Solver) MinimalHorizon(ctx context.Context, inst Instance) (*HorizonRes
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hr, err := refine.MinimalHorizon(ctx, inst.System, inst.Workload, inst.Horizon, s.cfg.coreOptions())
+	hr, err := refine.MinimalHorizon(ctx, inst.System, inst.Workload, inst.Horizon, s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("wsp: minimal horizon: %w", err)
 	}
@@ -332,7 +312,7 @@ func (s *Solver) Lifelong(ctx context.Context, sys *System, batches []Batch, T i
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	lo := lifelong.Options{Core: s.cfg.coreOptions()}
+	lo := lifelong.Options{Core: s.cfg}
 	for _, opt := range opts {
 		opt(&lo)
 	}
