@@ -30,11 +30,12 @@ race:
 # (Algorithm 1 realization, validation by simulation), apart and as the one
 # streamed pass the solve runs + solver-pool
 # throughput + the contract→ILP path (ablation with its exact variant, and
-# the LP-core microbenchmarks in their exact and float engines) + the
+# the LP-core microbenchmarks in their exact and float engines, and one
+# contract-synthesis attempt on three corpus instances) + the
 # repeated-solve layers (refinement, lifelong, design sweep), recorded with
 # allocation stats.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkRealizeValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkRealizeValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkContractAttempt|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
 		$(GO) run ./scripts/benchjson -o BENCH_table1.json -label "$(BENCH_LABEL)"
 
 # Diff the last two recorded snapshots per benchmark — the trajectory file
@@ -45,14 +46,15 @@ bench-compare:
 	$(GO) run ./scripts/benchjson -compare -o BENCH_table1.json
 
 # Long-running simplex parity fuzz (production revised engine against the
-# dense test oracle, the float engine against exact) under the race
-# detector, plus the fence fuzz (the fenced branch-and-bound task loop
-# against its reference commit loop, with the fence lowered so small trees
-# decompose).
+# dense test oracle, the float engine against exact, the float engine's
+# concrete FTRAN/BTRAN/pricing kernels against the generic loops bit for
+# bit) under the race detector, plus the fence fuzz (the fenced
+# branch-and-bound task loop against its reference commit loop, with the
+# fence lowered so small trees decompose).
 # The short version of the same property tests runs in every `go test ./...`;
 # LP_PARITY_ROUNDS scales the fuzz rounds.
 test-lp-long:
-	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestParallelSearch' -timeout 40m ./internal/lp
+	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestParallelSearch' -timeout 40m ./internal/lp
 
 # End-to-end daemon smoke: build wspd, start it, hit /healthz and one
 # /v1/solve, then SIGTERM and require a drain-clean exit 0. This is the

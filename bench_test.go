@@ -15,8 +15,10 @@ import (
 	"testing"
 
 	"repro/internal/agentplan"
+	"repro/internal/calibrate"
 	"repro/internal/core"
 	"repro/internal/cycles"
+	"repro/internal/datasets"
 	"repro/internal/grid"
 	"repro/internal/lifelong"
 	"repro/internal/lp"
@@ -352,6 +354,53 @@ func BenchmarkLP(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkContractAttempt times one contract-synthesis attempt (the §IV-D
+// conjunction solved by the default float engine, no realization) on three
+// seed-1 corpus instances: one the search solves, one it proves
+// unsatisfiable and one that runs out of its node budget. Unlike
+// BenchmarkLP's synthetic rings, these reach the corpus's budget-bound
+// searches, where the simplex spends its time. work/op is the deterministic
+// simplex work of one attempt (the calibrate pins hold the same figures),
+// so a change to it means the pivot sequence changed.
+func BenchmarkContractAttempt(b *testing.B) {
+	insts, err := datasets.Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.Options{Strategy: core.ContractILP, MaxAttempts: 1, SkipRealization: true}
+	for _, c := range []struct {
+		name    string
+		verdict calibrate.Verdict
+	}{
+		{"stripes/S1-R3-V2-L6-st1", calibrate.VerdictSolved},
+		{"rings/14x8-L6-st2", calibrate.VerdictInfeasible},
+		{"demand/bursty-0", calibrate.VerdictBudget},
+	} {
+		var in *datasets.Instance
+		for _, cand := range insts {
+			if cand.Name == c.name {
+				in = cand
+			}
+		}
+		if in == nil {
+			b.Fatalf("corpus seed 1 has no instance %s", c.name)
+		}
+		// The verdict suffix keeps benchjson from reading an instance name's
+		// trailing "-0" as a GOMAXPROCS suffix.
+		b.Run(c.name+"/"+string(c.verdict), func(b *testing.B) {
+			sc := &core.Scratch{}
+			w0 := lp.WorkMeter()
+			for i := 0; i < b.N; i++ {
+				_, err := core.SolveScratch(context.Background(), in.Sys, in.WL, in.T, opts, sc)
+				if v := calibrate.Classify(err); v != c.verdict {
+					b.Fatalf("verdict %s (%v), want %s", v, err, c.verdict)
+				}
+			}
+			b.ReportMetric(float64(lp.WorkMeter()-w0)/float64(b.N), "work/op")
+		})
 	}
 }
 

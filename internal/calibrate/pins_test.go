@@ -1,0 +1,56 @@
+package calibrate
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datasets"
+)
+
+// TestContractFloatDecisionsPinned pins the default contract engine's
+// decisions: the verdict and the deterministic simplex work of a single
+// ContractILP attempt on five seed-1 corpus instances. The default engine
+// is the float revised simplex, whose pivot sequence no other test in
+// `go test ./...` observes; any change to its arithmetic, pricing or
+// branching that alters a pivot moves a work figure here. The instances
+// cover a cheap and a mid-size solve, the costliest solve, a proven
+// unsatisfiable search and a node-budget-bound one.
+//
+// Not parallel: Work is a delta of the process-global lp.WorkMeter.
+func TestContractFloatDecisionsPinned(t *testing.T) {
+	want := []struct {
+		name    string
+		verdict Verdict
+		work    int64
+	}{
+		{"stripes/S1-R2-V2-L6-st1", VerdictSolved, 232_029},
+		{"stripes/S1-R3-V2-L6-st1", VerdictSolved, 401_128},
+		{"demand/spike-0", VerdictSolved, 1_659_476},
+		{"rings/14x8-L6-st2", VerdictInfeasible, 175_284},
+		{"demand/bursty-0", VerdictBudget, 49_337_810},
+	}
+	all, err := datasets.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]*datasets.Instance{}
+	for _, in := range all {
+		byName[in.Name] = in
+	}
+	insts := make([]*datasets.Instance, len(want))
+	for i, w := range want {
+		if insts[i] = byName[w.name]; insts[i] == nil {
+			t.Fatalf("corpus seed 1 has no instance %s", w.name)
+		}
+	}
+	opts := core.Options{Strategy: core.ContractILP, MaxAttempts: 1, SkipRealization: true}
+	rep := Run(context.Background(), insts, opts, "pins", 1)
+	for i, got := range rep.Instances {
+		w := want[i]
+		if got.Verdict != w.verdict || got.Work != w.work {
+			t.Errorf("%s: %s with work %d (%s), want %s with work %d",
+				w.name, got.Verdict, got.Work, got.Err, w.verdict, w.work)
+		}
+	}
+}

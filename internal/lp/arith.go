@@ -8,6 +8,15 @@ import (
 // arith abstracts the field the simplex pivots over, so one implementation
 // serves the exact rational engines (big.Rat, and the int64 fast path in
 // rat64.go) and the float64 engine.
+//
+// Go compiles a generic function once per GC shape and reaches the type
+// argument's methods through a dictionary, so none of the scalar methods
+// below inline into generic code. The three loops that dominate a solve —
+// FTRAN's and BTRAN's eta sweeps and pricing's sparse column dot — are
+// therefore methods of the field too: the exact fields forward to the one
+// generic body (ftranEtasOf, btranEtasOf, colDotOf), and floatArith writes
+// each as a plain float64 loop that performs the generic body's operations
+// in the same order, so its results are bit-identical.
 type arith[T any] interface {
 	add(a, b T) T
 	sub(a, b T) T
@@ -28,6 +37,62 @@ type arith[T any] interface {
 	// isInt reports whether a is integral, under the same tolerance regime
 	// as setRat (the float engine snaps near-integers).
 	isInt(a T) bool
+	// ftranEtas applies E⁻¹ for each eta of es in order (ftranEtasOf).
+	ftranEtas(es []eta[T], v *spVec[T])
+	// btranEtas applies E⁻ᵀ for each eta of es in reverse order
+	// (btranEtasOf).
+	btranEtas(es []eta[T], v *spVec[T])
+	// colDot returns Σ y[rows[k]]·vals[k] over the nonzero y entries
+	// (colDotOf).
+	colDot(y []T, rows []int32, vals []T) T
+}
+
+// ftranEtasOf is FTRAN's eta sweep, v ← E_k⁻¹···E_1⁻¹·v: an eta whose
+// pivot entry is zero leaves v unchanged and is skipped.
+func ftranEtasOf[T any, A arith[T]](ar A, es []eta[T], v *spVec[T]) {
+	for ei := range es {
+		e := &es[ei]
+		t := v.val[e.piv]
+		if ar.sign(t) == 0 {
+			continue
+		}
+		t = ar.div(t, e.pivV)
+		for k, r := range e.rows {
+			v.set(r, ar.sub(v.val[r], ar.mul(t, e.vals[k])))
+		}
+		v.set(e.piv, t)
+	}
+}
+
+// btranEtasOf is BTRAN's eta sweep, v ← E_1⁻ᵀ···E_k⁻ᵀ·v: each transposed
+// eta rewrites only its pivot entry, from the nonzero entries on its rows.
+func btranEtasOf[T any, A arith[T]](ar A, es []eta[T], v *spVec[T]) {
+	for ei := len(es) - 1; ei >= 0; ei-- {
+		e := &es[ei]
+		s := v.val[e.piv]
+		for k, r := range e.rows {
+			yr := v.val[r]
+			if ar.sign(yr) != 0 {
+				s = ar.sub(s, ar.mul(e.vals[k], yr))
+			}
+		}
+		if ar.sign(s) == 0 && !v.mark[e.piv] {
+			continue
+		}
+		v.set(e.piv, ar.div(s, e.pivV))
+	}
+}
+
+// colDotOf is yᵀA_j over a structural column's sparse entries.
+func colDotOf[T any, A arith[T]](ar A, y []T, rows []int32, vals []T) T {
+	s := ar.zero()
+	for k, r := range rows {
+		yv := y[r]
+		if ar.sign(yv) != 0 {
+			s = ar.add(s, ar.mul(yv, vals[k]))
+		}
+	}
+	return s
 }
 
 // ratArith is exact arithmetic over *big.Rat. Values are treated as
@@ -50,6 +115,15 @@ func (ratArith) fromRat(r *big.Rat) *big.Rat {
 func (ratArith) toRat(a *big.Rat) *big.Rat       { return new(big.Rat).Set(a) }
 func (ratArith) setRat(dst *big.Rat, a *big.Rat) { dst.Set(a) }
 func (ratArith) isInt(a *big.Rat) bool           { return a.IsInt() }
+func (ra ratArith) ftranEtas(es []eta[*big.Rat], v *spVec[*big.Rat]) {
+	ftranEtasOf(ra, es, v)
+}
+func (ra ratArith) btranEtas(es []eta[*big.Rat], v *spVec[*big.Rat]) {
+	btranEtasOf(ra, es, v)
+}
+func (ra ratArith) colDot(y []*big.Rat, rows []int32, vals []*big.Rat) *big.Rat {
+	return colDotOf(ra, y, rows, vals)
+}
 
 // floatArith is float64 arithmetic with an absolute tolerance used by sign.
 type floatArith struct{ eps float64 }
@@ -71,7 +145,17 @@ func (f floatArith) sign(a float64) int {
 func (f floatArith) cmp(a, b float64) int { return f.sign(a - b) }
 func (floatArith) zero() float64          { return 0 }
 func (floatArith) one() float64           { return 1 }
+
+// fromRat converts an integer of magnitude at most 2^53 directly: float64
+// represents it exactly, so the result is what Rat.Float64 returns, without
+// the allocations Rat.Float64 makes. installBounds converts every bound on
+// every branch-and-bound node, and branching bounds are integers.
 func (floatArith) fromRat(r *big.Rat) float64 {
+	if r.IsInt() && r.Num().IsInt64() {
+		if n := r.Num().Int64(); -1<<53 <= n && n <= 1<<53 {
+			return float64(n)
+		}
+	}
 	v, _ := r.Float64()
 	return v
 }
@@ -93,6 +177,70 @@ func (floatArith) setRat(dst *big.Rat, a float64) {
 // setRat would emit an integer for it.
 func (floatArith) isInt(a float64) bool {
 	return math.Abs(a-math.Round(a)) < 1e-7 && math.Abs(a) < 1e15
+}
+
+// The float kernels below are ftranEtasOf, btranEtasOf and colDotOf
+// written out over float64, so every operation inlines. They keep the
+// generic bodies' results bit for bit:
+//   - a value is nonzero exactly when sign would say so (x > eps || x <
+//     -eps), so NaN and |x| ≤ eps count as zero;
+//   - the skip rules, the mark bookkeeping and the operand order of every
+//     subtraction, product and sum are the generic body's;
+//   - every product is wrapped in float64(…), which forbids the compiler
+//     from fusing it with the following add or subtract into one rounding
+//     (the Go spec allows fusion otherwise, and arm64 does it), while the
+//     generic body's separate non-inlined calls round each operation.
+//
+// Re-slicing vals to len(rows) lets the compiler drop the per-entry bounds
+// check on vals.
+
+func (f floatArith) ftranEtas(es []eta[float64], v *spVec[float64]) {
+	eps := f.eps
+	val := v.val
+	for ei := range es {
+		e := &es[ei]
+		t := val[e.piv]
+		if !(t > eps || t < -eps) {
+			continue
+		}
+		t /= e.pivV
+		vals := e.vals[:len(e.rows)]
+		for k, r := range e.rows {
+			v.set(r, val[r]-float64(t*vals[k]))
+		}
+		v.set(e.piv, t)
+	}
+}
+
+func (f floatArith) btranEtas(es []eta[float64], v *spVec[float64]) {
+	eps := f.eps
+	val := v.val
+	for ei := len(es) - 1; ei >= 0; ei-- {
+		e := &es[ei]
+		s := val[e.piv]
+		vals := e.vals[:len(e.rows)]
+		for k, r := range e.rows {
+			if yr := val[r]; yr > eps || yr < -eps {
+				s -= float64(vals[k] * yr)
+			}
+		}
+		if !(s > eps || s < -eps) && !v.mark[e.piv] {
+			continue
+		}
+		v.set(e.piv, s/e.pivV)
+	}
+}
+
+func (f floatArith) colDot(y []float64, rows []int32, vals []float64) float64 {
+	eps := f.eps
+	vals = vals[:len(rows)]
+	s := 0.0
+	for k, r := range rows {
+		if yv := y[r]; yv > eps || yv < -eps {
+			s += float64(yv * vals[k])
+		}
+	}
+	return s
 }
 
 // defaultEps is the float engine's zero tolerance.

@@ -1,6 +1,6 @@
 package lp
 
-import "sort"
+import "slices"
 
 // This file implements the basis factorization behind the revised simplex
 // engine (revised.go): a product-form LU of the basis matrix B, rebuilt by
@@ -31,6 +31,20 @@ import "sort"
 // trigger with an accuracy trigger; exact rational arithmetic cannot
 // drift, so what grows instead is the bit-length of the eta entries — the
 // fill bound is what caps that here.
+//
+// Kernels. The eta sweeps of FTRAN and BTRAN are methods of the field
+// (arith.ftranEtas, arith.btranEtas in arith.go): the exact fields run one
+// generic body, the float field a concrete float64 loop with the same
+// results bit for bit.
+//
+// Storage. Every eta's rows and vals are capacity-capped windows into two
+// slabs the factor owns (etaRows, etaVals), which refactor() truncates, so
+// a refactor-and-update cycle allocates nothing once the slabs have grown.
+// This is safe because an eta is never written after it is built, and
+// refactor() drops every eta before it truncates the slabs. A rat64
+// overflow that interrupts a refactor leaves a half-written slab behind,
+// but every such overflow discards the whole engine (promote(),
+// Model.dropRat64) and the solve reruns over big.Rat on a fresh one.
 
 // eta is one elementary matrix E: identity except column piv, which holds
 // pivV on the diagonal and vals on rows. E⁻¹·x is t := x[piv]/pivV;
@@ -133,14 +147,23 @@ type basisFactor[T any, A arith[T]] struct {
 	upd           []eta[T]
 	luNNZ, updNNZ int
 
+	// Slabs holding every eta's rows and vals (see Storage above).
+	etaRows []int32
+	etaVals []T
+
 	posOfPiv []int32 // raw pivot row → basis position
 	rowOfPos []int32 // basis position → raw pivot row
 
 	zero, one T
 
-	claimed []bool    // refactor scratch: rows already pivoted
-	work    *spVec[T] // refactor scratch: partially transformed column
+	claimed []bool      // refactor scratch: rows already pivoted
+	work    *spVec[T]   // refactor scratch: partially transformed column
+	structs []structCol // refactor scratch: structural basis columns
 }
+
+// structCol is a structural basis column queued for elimination: its basis
+// position, column index and nonzero count.
+type structCol struct{ pos, j, nnz int }
 
 func newBasisFactor[T any, A arith[T]](ar A, cols *colStore[T]) *basisFactor[T, A] {
 	m := cols.m
@@ -178,11 +201,12 @@ func (f *basisFactor[T, A]) refactor(basis []int) {
 	f.lu = f.lu[:0]
 	f.upd = f.upd[:0]
 	f.luNNZ, f.updNNZ = 0, 0
+	f.etaRows = f.etaRows[:0]
+	f.etaVals = f.etaVals[:0]
 	for i := range f.claimed {
 		f.claimed[i] = false
 	}
-	type structCol struct{ pos, j, nnz int }
-	var structs []structCol
+	structs := f.structs[:0]
 	for pos, j := range basis {
 		switch {
 		case j >= cs.artStart:
@@ -210,11 +234,14 @@ func (f *basisFactor[T, A]) refactor(basis []int) {
 			structs = append(structs, structCol{pos, j, int(cs.ptr[j+1] - cs.ptr[j])})
 		}
 	}
-	sort.Slice(structs, func(a, b int) bool {
-		if structs[a].nnz != structs[b].nnz {
-			return structs[a].nnz < structs[b].nnz
+	f.structs = structs
+	// (nnz, j) is a total order — a basis lists each column once — so the
+	// sorted order does not depend on the sort algorithm.
+	slices.SortFunc(structs, func(a, b structCol) int {
+		if a.nnz != b.nnz {
+			return a.nnz - b.nnz
 		}
-		return structs[a].j < structs[b].j
+		return a.j - b.j
 	})
 	for _, sc := range structs {
 		v := f.work
@@ -222,7 +249,7 @@ func (f *basisFactor[T, A]) refactor(basis []int) {
 		for k := cs.ptr[sc.j]; k < cs.ptr[sc.j+1]; k++ {
 			v.set(cs.rows[k], cs.vals[k])
 		}
-		f.applyEtas(f.lu, v)
+		ar.ftranEtas(f.lu, v)
 		piv := int32(-1)
 		for _, i := range v.idx {
 			if f.claimed[i] || ar.sign(v.val[i]) == 0 {
@@ -235,15 +262,15 @@ func (f *basisFactor[T, A]) refactor(basis []int) {
 		if piv < 0 {
 			panic("lp: singular basis") // structural column eliminated to zero
 		}
-		var rows []int32
-		var vals []T
+		a := len(f.etaRows)
 		for _, i := range v.idx {
 			if i == piv || ar.sign(v.val[i]) == 0 {
 				continue
 			}
-			rows = append(rows, i)
-			vals = append(vals, v.val[i])
+			f.etaRows = append(f.etaRows, i)
+			f.etaVals = append(f.etaVals, v.val[i])
 		}
+		rows, vals := f.etaWindow(a)
 		f.lu = append(f.lu, eta[T]{piv: piv, pivV: v.val[piv], rows: rows, vals: vals})
 		f.luNNZ += len(rows) + 1
 		f.claimed[piv] = true
@@ -258,15 +285,15 @@ func (f *basisFactor[T, A]) refactor(basis []int) {
 // dropped rather than stored.
 func (f *basisFactor[T, A]) update(alphaRaw *spVec[T], pivRow int32) {
 	ar := f.ar
-	var rows []int32
-	var vals []T
+	a := len(f.etaRows)
 	for _, i := range alphaRaw.idx {
 		if i == pivRow || ar.sign(alphaRaw.val[i]) == 0 {
 			continue
 		}
-		rows = append(rows, i)
-		vals = append(vals, alphaRaw.val[i])
+		f.etaRows = append(f.etaRows, i)
+		f.etaVals = append(f.etaVals, alphaRaw.val[i])
 	}
+	rows, vals := f.etaWindow(a)
 	pv := alphaRaw.val[pivRow]
 	if len(rows) == 0 && ar.cmp(pv, f.one) == 0 {
 		return
@@ -275,28 +302,20 @@ func (f *basisFactor[T, A]) update(alphaRaw *spVec[T], pivRow int32) {
 	f.updNNZ += len(rows) + 1
 }
 
+// etaWindow returns the slab entries appended since offset a as one eta's
+// rows and vals, capacity-capped so nothing can append through them into
+// the next eta's entries.
+func (f *basisFactor[T, A]) etaWindow(a int) ([]int32, []T) {
+	b := len(f.etaRows)
+	return f.etaRows[a:b:b], f.etaVals[a:b:b]
+}
+
 // ftran applies M in place: v ← E_k⁻¹···E_1⁻¹·v over the LU etas, then the
 // update file. Input and output are in constraint-row (raw) space; the
 // value of basis position posOfPiv[i] lands at raw index i.
 func (f *basisFactor[T, A]) ftran(v *spVec[T]) {
-	f.applyEtas(f.lu, v)
-	f.applyEtas(f.upd, v)
-}
-
-func (f *basisFactor[T, A]) applyEtas(es []eta[T], v *spVec[T]) {
-	ar := f.ar
-	for ei := range es {
-		e := &es[ei]
-		t := v.val[e.piv]
-		if ar.sign(t) == 0 {
-			continue
-		}
-		t = ar.div(t, e.pivV)
-		for k, r := range e.rows {
-			v.set(r, ar.sub(v.val[r], ar.mul(t, e.vals[k])))
-		}
-		v.set(e.piv, t)
-	}
+	f.ar.ftranEtas(f.lu, v)
+	f.ar.ftranEtas(f.upd, v)
 }
 
 // btran applies Mᵀ in place (transposed etas in reverse order): scatter
@@ -304,24 +323,6 @@ func (f *basisFactor[T, A]) applyEtas(es []eta[T], v *spVec[T]) {
 // yᵀ = c_Bᵀ·B⁻¹ in constraint-row space, ready to dot against matrix
 // columns.
 func (f *basisFactor[T, A]) btran(v *spVec[T]) {
-	f.applyEtasT(f.upd, v)
-	f.applyEtasT(f.lu, v)
-}
-
-func (f *basisFactor[T, A]) applyEtasT(es []eta[T], v *spVec[T]) {
-	ar := f.ar
-	for ei := len(es) - 1; ei >= 0; ei-- {
-		e := &es[ei]
-		s := v.val[e.piv]
-		for k, r := range e.rows {
-			yr := v.val[r]
-			if ar.sign(yr) != 0 {
-				s = ar.sub(s, ar.mul(e.vals[k], yr))
-			}
-		}
-		if ar.sign(s) == 0 && !v.mark[e.piv] {
-			continue
-		}
-		v.set(e.piv, ar.div(s, e.pivV))
-	}
+	f.ar.btranEtas(f.upd, v)
+	f.ar.btranEtas(f.lu, v)
 }

@@ -161,3 +161,11 @@ func (rat64Arith) toRat(a rat64) *big.Rat { return new(big.Rat).SetFrac64(a.n, a
 func (rat64Arith) setRat(dst *big.Rat, a rat64) { dst.SetFrac64(a.n, a.d) }
 
 func (rat64Arith) isInt(a rat64) bool { return a.d == 1 }
+
+func (ra rat64Arith) ftranEtas(es []eta[rat64], v *spVec[rat64]) { ftranEtasOf(ra, es, v) }
+
+func (ra rat64Arith) btranEtas(es []eta[rat64], v *spVec[rat64]) { btranEtasOf(ra, es, v) }
+
+func (ra rat64Arith) colDot(y []rat64, rows []int32, vals []rat64) rat64 {
+	return colDotOf(ra, y, rows, vals)
+}

@@ -533,21 +533,14 @@ func (rv *revised[T, A]) price(cost []T) {
 }
 
 // dot is yᵀA_j over column j's sparse entries (logical columns are unit
-// vectors).
+// vectors; structural columns go through the field's colDot kernel).
 func (rv *revised[T, A]) dot(y *spVec[T], j int) T {
-	ar := rv.ar
-	cs := rv.cols
 	if j >= rv.nv {
 		return y.val[j-rv.nv]
 	}
-	s := rv.zero
-	for k := cs.ptr[j]; k < cs.ptr[j+1]; k++ {
-		yv := y.val[cs.rows[k]]
-		if ar.sign(yv) != 0 {
-			s = ar.add(s, ar.mul(yv, cs.vals[k]))
-		}
-	}
-	return s
+	cs := rv.cols
+	a, b := cs.ptr[j], cs.ptr[j+1]
+	return rv.ar.colDot(y.val, cs.rows[a:b], cs.vals[a:b])
 }
 
 // ftranCol computes α = B⁻¹A_j: the column is scattered in raw space,
