@@ -5,7 +5,7 @@
 GO ?= go
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: build test vet race bench bench-compare test-lp-long examples serve-smoke corpus-smoke perfbench-check ci fmt
+.PHONY: build test vet race bench bench-smoke bench-compare test-lp-long examples serve-smoke corpus-smoke perfbench-check ci fmt
 
 build:
 	$(GO) build ./...
@@ -26,17 +26,24 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Table I synthesis + the full Table I solve and its two dominant stages
-# (Algorithm 1 realization, validation by simulation), apart and as the one
-# streamed pass the solve runs + solver-pool
-# throughput + the contract→ILP path (ablation with its exact variant, and
-# the LP-core microbenchmarks in their exact and float engines, and one
-# contract-synthesis attempt on three corpus instances) + the
-# repeated-solve layers (refinement, lifelong, design sweep), recorded with
-# allocation stats.
+# The trajectory's benchmarks: Table I synthesis + the full Table I solve
+# and its two dominant stages (Algorithm 1 realization, validation by
+# simulation), apart and as the one streamed pass the solve runs +
+# solver-pool throughput + the contract→ILP path (ablation with its exact
+# variant, and the LP-core microbenchmarks in their exact and float
+# engines, and one contract-synthesis attempt on three corpus instances) +
+# the repeated-solve layers (refinement, lifelong, design sweep).
+BENCH_REGEXP = BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkRealizeValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkContractAttempt|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep
+
+# Record every trajectory benchmark, with allocation stats.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkRealizeValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkContractAttempt|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
+	$(GO) test -run '^$$' -bench '$(BENCH_REGEXP)' -benchmem -benchtime 100x . | \
 		$(GO) run ./scripts/benchjson -o BENCH_table1.json -label "$(BENCH_LABEL)"
+
+# One iteration of every trajectory benchmark, recording nothing, so
+# bench-only code paths cannot rot unseen.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '$(BENCH_REGEXP)' -benchtime 1x .
 
 # Diff the last two recorded snapshots per benchmark — the trajectory file
 # is long enough that regressions hide in the raw JSON. Benchmark names are
@@ -47,14 +54,15 @@ bench-compare:
 
 # Long-running simplex parity fuzz (production revised engine against the
 # dense test oracle, the float engine against exact, the float engine's
-# concrete FTRAN/BTRAN/pricing kernels against the generic loops bit for
-# bit) under the race detector, plus the fence fuzz (the fenced
+# concrete FTRAN/BTRAN/pricing/leaving-row kernels against the generic
+# loops bit for bit, the dual's candidate list against its definition)
+# under the race detector, plus the fence fuzz (the fenced
 # branch-and-bound task loop against its reference commit loop, with the
 # fence lowered so small trees decompose).
 # The short version of the same property tests runs in every `go test ./...`;
 # LP_PARITY_ROUNDS scales the fuzz rounds.
 test-lp-long:
-	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestParallelSearch' -timeout 40m ./internal/lp
+	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
 
 # End-to-end daemon smoke: build wspd, start it, hit /healthz and one
 # /v1/solve, then SIGTERM and require a drain-clean exit 0. This is the
@@ -93,4 +101,4 @@ perfbench-check:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-ci: fmt build vet test race examples serve-smoke corpus-smoke perfbench-check
+ci: fmt build vet test race examples serve-smoke bench-smoke corpus-smoke perfbench-check

@@ -11,12 +11,13 @@ import (
 //
 // Go compiles a generic function once per GC shape and reaches the type
 // argument's methods through a dictionary, so none of the scalar methods
-// below inline into generic code. The three loops that dominate a solve —
-// FTRAN's and BTRAN's eta sweeps and pricing's sparse column dot — are
-// therefore methods of the field too: the exact fields forward to the one
-// generic body (ftranEtasOf, btranEtasOf, colDotOf), and floatArith writes
-// each as a plain float64 loop that performs the generic body's operations
-// in the same order, so its results are bit-identical.
+// below inline into generic code. The four loops that dominate a solve —
+// FTRAN's and BTRAN's eta sweeps, pricing's sparse column dot and the dual
+// simplex's leaving-row scan — are therefore methods of the field too: the
+// exact fields forward to the one generic body (ftranEtasOf, btranEtasOf,
+// colDotOf, dualLeaveOf), and floatArith writes each as a plain float64
+// loop that performs the generic body's operations and comparisons in the
+// same order, so its results are bit-identical.
 type arith[T any] interface {
 	add(a, b T) T
 	sub(a, b T) T
@@ -45,6 +46,10 @@ type arith[T any] interface {
 	// colDot returns Σ y[rows[k]]·vals[k] over the nonzero y entries
 	// (colDotOf).
 	colDot(y []T, rows []int32, vals []T) T
+	// dualLeave returns the dual simplex's leaving basis position and
+	// whether its value lies below its lower bound, or r = -1 when every
+	// basic value is within its bounds (dualLeaveOf).
+	dualLeave(basis []int, xB, lo, hi []T, loF, hiF []bool, bland bool) (r int, below bool)
 }
 
 // ftranEtasOf is FTRAN's eta sweep, v ← E_k⁻¹···E_1⁻¹·v: an eta whose
@@ -95,6 +100,33 @@ func colDotOf[T any, A arith[T]](ar A, y []T, rows []int32, vals []T) T {
 	return s
 }
 
+// dualLeaveOf picks the dual simplex's leaving row: the basic value with
+// the largest bound violation, the first such position winning ties, or
+// under Bland's rule the violated position with the least basic column.
+func dualLeaveOf[T any, A arith[T]](ar A, basis []int, xB, lo, hi []T, loF, hiF []bool, bland bool) (r int, below bool) {
+	r = -1
+	var bestViol T
+	for i := 0; i < len(basis); i++ {
+		k := basis[i]
+		var viol T
+		var vBelow bool
+		switch {
+		case loF[k] && ar.cmp(xB[i], lo[k]) < 0:
+			viol = ar.sub(lo[k], xB[i])
+			vBelow = true
+		case hiF[k] && ar.cmp(xB[i], hi[k]) > 0:
+			viol = ar.sub(xB[i], hi[k])
+			vBelow = false
+		default:
+			continue
+		}
+		if r < 0 || (bland && k < basis[r]) || (!bland && ar.cmp(viol, bestViol) > 0) {
+			r, bestViol, below = i, viol, vBelow
+		}
+	}
+	return r, below
+}
+
 // ratArith is exact arithmetic over *big.Rat. Values are treated as
 // immutable; every operation allocates. It is the promotion target when the
 // rat64 engine overflows machine words.
@@ -123,6 +155,9 @@ func (ra ratArith) btranEtas(es []eta[*big.Rat], v *spVec[*big.Rat]) {
 }
 func (ra ratArith) colDot(y []*big.Rat, rows []int32, vals []*big.Rat) *big.Rat {
 	return colDotOf(ra, y, rows, vals)
+}
+func (ra ratArith) dualLeave(basis []int, xB, lo, hi []*big.Rat, loF, hiF []bool, bland bool) (int, bool) {
+	return dualLeaveOf(ra, basis, xB, lo, hi, loF, hiF, bland)
 }
 
 // floatArith is float64 arithmetic with an absolute tolerance used by sign.
@@ -179,11 +214,12 @@ func (floatArith) isInt(a float64) bool {
 	return math.Abs(a-math.Round(a)) < 1e-7 && math.Abs(a) < 1e15
 }
 
-// The float kernels below are ftranEtasOf, btranEtasOf and colDotOf
-// written out over float64, so every operation inlines. They keep the
-// generic bodies' results bit for bit:
+// The float kernels below are ftranEtasOf, btranEtasOf, colDotOf and
+// dualLeaveOf written out over float64, so every operation inlines. They
+// keep the generic bodies' results bit for bit:
 //   - a value is nonzero exactly when sign would say so (x > eps || x <
-//     -eps), so NaN and |x| ≤ eps count as zero;
+//     -eps), so NaN and |x| ≤ eps count as zero, and a comparison tests
+//     a-b against ±eps, as cmp computes it;
 //   - the skip rules, the mark bookkeeping and the operand order of every
 //     subtraction, product and sum are the generic body's;
 //   - every product is wrapped in float64(…), which forbids the compiler
@@ -241,6 +277,32 @@ func (f floatArith) colDot(y []float64, rows []int32, vals []float64) float64 {
 		}
 	}
 	return s
+}
+
+func (f floatArith) dualLeave(basis []int, xB, lo, hi []float64, loF, hiF []bool, bland bool) (r int, below bool) {
+	eps := f.eps
+	xB = xB[:len(basis)]
+	r = -1
+	var bestViol float64
+	for i, k := range basis {
+		x := xB[i]
+		var viol float64
+		var vBelow bool
+		switch {
+		case loF[k] && x-lo[k] < -eps:
+			viol = lo[k] - x
+			vBelow = true
+		case hiF[k] && x-hi[k] > eps:
+			viol = x - hi[k]
+			vBelow = false
+		default:
+			continue
+		}
+		if r < 0 || (bland && k < basis[r]) || (!bland && viol-bestViol > eps) {
+			r, bestViol, below = i, viol, vBelow
+		}
+	}
+	return r, below
 }
 
 // defaultEps is the float engine's zero tolerance.

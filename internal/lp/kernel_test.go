@@ -10,10 +10,11 @@ import (
 )
 
 // This file holds floatArith's concrete kernels to the generic bodies the
-// exact fields run: instantiated on floatArith, ftranEtasOf, btranEtasOf
-// and colDotOf perform the same float64 operations through separate,
-// individually rounded method calls, so the kernels must reproduce their
-// results bit for bit — every value, the touched-index order and the marks.
+// exact fields run: instantiated on floatArith, ftranEtasOf, btranEtasOf,
+// colDotOf and dualLeaveOf perform the same float64 operations through
+// separate, individually rounded method calls, so the kernels must
+// reproduce their results bit for bit — every value, the touched-index
+// order and the marks, and the leaving row the dual simplex picks.
 
 // kernelValue draws from a pool built to stress the zero test and the
 // rounding order: exact zeros of both signs, values exactly at and inside
@@ -82,6 +83,47 @@ func randomSpVecs(rng *rand.Rand, fa floatArith, m int) (*spVec[float64], *spVec
 		}
 	}
 	return a, b
+}
+
+// leaveBound draws a bound for the leaving-row kernel. Narrow draws are
+// zeros of both signs, around which every violation leaveValue builds is
+// exact; wide ones add ±eps, small integers, NaN and random magnitudes.
+func leaveBound(rng *rand.Rand, eps float64, narrow bool) float64 {
+	if narrow || rng.Intn(4) == 0 {
+		return []float64{0, math.Copysign(0, -1)}[rng.Intn(2)]
+	}
+	if rng.Intn(3) == 0 {
+		return []float64{eps, -eps, 1, -1, 2, 3}[rng.Intn(6)]
+	}
+	return kernelValue(rng, eps)
+}
+
+// leaveValue draws a basic value around bound b: at it, exactly eps or
+// just beyond eps away from it, or a violation from a pool whose members
+// tie exactly (equal), differ by exactly eps around a zero bound (tie and
+// tie+eps) or by less than eps. Wide draws may also be any kernelValue
+// (NaN, −0.0, values inside ±eps) or a violation of about 1.
+func leaveValue(rng *rand.Rand, b, eps float64, narrow bool) float64 {
+	// Two ulps above eps, so tie+eps is exact and (tie+eps)−tie == eps.
+	tie := math.Nextafter(math.Nextafter(eps, 1), 1)
+	sign := []float64{-1, 1}[rng.Intn(2)]
+	switch rng.Intn(6) {
+	case 0:
+		return b
+	case 1:
+		return b + sign*eps
+	case 2:
+		return b + sign*math.Nextafter(eps, 1)
+	case 3:
+		if !narrow {
+			return kernelValue(rng, eps)
+		}
+	}
+	pool := []float64{tie, tie + eps, tie + eps/2, 1, 1 + eps/2}
+	if narrow {
+		pool = pool[:3]
+	}
+	return b + sign*pool[rng.Intn(len(pool))]
 }
 
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
@@ -160,6 +202,40 @@ func TestFloatKernelParity(t *testing.T) {
 		}
 		if g, w := fa.colDot(y, rows, vals), colDotOf(fa, y, rows, vals); !sameBits(g, w) {
 			t.Fatalf("seed %d colDot = %v (%#x), generic %v (%#x)", seed, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+
+		// Leaving row: a random basis over up to 2m columns, each with a
+		// bound side sometimes cleared, and every basic value placed
+		// around one of its column's bounds. Half the rounds keep every
+		// bound at zero, where ties to within eps are exact.
+		narrow := rng.Intn(2) == 0
+		cols := m + rng.Intn(m+1)
+		basis := rng.Perm(cols)[:m]
+		lo, hi := make([]float64, cols), make([]float64, cols)
+		loF, hiF := make([]bool, cols), make([]bool, cols)
+		for j := range lo {
+			lo[j] = leaveBound(rng, fa.eps, narrow)
+			hi[j] = lo[j]
+			if !narrow {
+				hi[j] += []float64{0, fa.eps, 1, math.Abs(kernelValue(rng, fa.eps))}[rng.Intn(4)]
+			}
+			loF[j], hiF[j] = rng.Intn(4) > 0, rng.Intn(4) > 0
+		}
+		xB := make([]float64, m)
+		for i, k := range basis {
+			b := lo[k]
+			if rng.Intn(2) == 0 {
+				b = hi[k]
+			}
+			xB[i] = leaveValue(rng, b, fa.eps, narrow)
+		}
+		for _, bland := range []bool{false, true} {
+			gr, gb := fa.dualLeave(basis, xB, lo, hi, loF, hiF, bland)
+			wr, wb := dualLeaveOf(fa, basis, xB, lo, hi, loF, hiF, bland)
+			if gr != wr || gb != wb {
+				t.Fatalf("seed %d dualLeave(bland=%v) = (%d, %v), generic (%d, %v)\nbasis %v\nxB %v\nlo %v %v\nhi %v %v",
+					seed, bland, gr, gb, wr, wb, basis, xB, lo, loF, hi, hiF)
+			}
 		}
 	}
 }

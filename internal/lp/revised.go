@@ -1,6 +1,9 @@
 package lp
 
-import "math/big"
+import (
+	"math/big"
+	"slices"
+)
 
 // This file implements the sparse revised simplex engine: the constraint
 // matrix is stored once (the CSR triplets every engine shares, plus a CSC
@@ -21,9 +24,14 @@ import "math/big"
 // only production simplex.
 //
 // Costs per pivot: the dense tableau pays O(m·(n+1)) row updates; the
-// revised engine pays one BTRAN + one FTRAN (O(factor fill)) plus one
-// reduced-cost pass over the matrix nonzeros. Contract-shaped systems are
-// extremely sparse, which is where the revised engine wins.
+// revised engine pays one BTRAN + one FTRAN (O(factor fill)), one scan of
+// the m basic values for the leaving row, and one pass over the candidate
+// columns — the nonbasic, non-fixed ones, kept in an ascending list that
+// each basis exchange updates — dotting each against the BTRAN'd row.
+// Pricing and the dual ratio test never pick a basic or fixed column, so
+// they skip those without looking. Contract-shaped systems are extremely
+// sparse, which is where the revised engine wins, and at a
+// branch-and-bound node most of their columns are basic or fixed.
 
 // revised is the factorized-basis counterpart of tableau. The column
 // layout, bound arrays, statuses and warm-state flags are identical; only
@@ -45,6 +53,18 @@ type revised[T any, A arith[T]] struct {
 	hi    []T
 	loF   []bool
 	hiF   []bool
+	// fixed caches fixedRange for columns 0..artStart-1: a logical's range
+	// is set once by newRevised, a structural's by setBounds, and nothing
+	// else writes those bounds (cold and phase 1 touch only artificials).
+	fixed []bool
+	// cand lists the candidate columns — j < artStart, nonbasic, not fixed
+	// — in ascending order while candOK holds. setBounds and cold clear
+	// candOK and the next reader rebuilds the list (candidates); while it
+	// is valid, exchange keeps it current, the only place a column enters
+	// or leaves the basis. The ascending order keeps every scan's
+	// tie-breaking that of a scan over all columns.
+	cand   []int32
+	candOK bool
 
 	cost   []T // phase-2 minimization costs, len n
 	hasObj bool
@@ -111,6 +131,8 @@ func newRevised[T any, A arith[T]](p *Problem, ar A) *revised[T, A] {
 	rv.hi = make([]T, rv.n)
 	rv.loF = make([]bool, rv.n)
 	rv.hiF = make([]bool, rv.n)
+	rv.fixed = make([]bool, rv.artStart)
+	rv.cand = make([]int32, 0, rv.artStart)
 	rv.cost = make([]T, rv.n)
 	rv.d = make([]T, rv.artStart)
 	rv.costP1 = make([]T, rv.n)
@@ -135,6 +157,7 @@ func newRevised[T any, A arith[T]](p *Problem, ar A) *revised[T, A] {
 			rv.hiF[lcol] = true // (-∞, 0]
 		case EQ:
 			rv.loF[lcol], rv.hiF[lcol] = true, true // [0, 0]
+			rv.fixed[lcol] = true
 		}
 		acol := rv.artStart + i
 		rv.loF[acol], rv.hiF[acol] = true, true
@@ -267,7 +290,12 @@ func (rv *revised[T, A]) updateRHSPristine(i int, rhs *big.Rat) {
 }
 
 func (rv *revised[T, A]) setBounds(lo, hi []*big.Rat) (ok, changed bool) {
-	return installBounds(rv.ar, rv.nv, lo, hi, rv.lo, rv.hi, rv.loF, rv.hiF)
+	ok, changed = installBounds(rv.ar, rv.nv, lo, hi, rv.lo, rv.hi, rv.loF, rv.hiF)
+	for j := 0; j < rv.nv; j++ {
+		rv.fixed[j] = rv.loF[j] && rv.hiF[j] && rv.ar.cmp(rv.lo[j], rv.hi[j]) == 0
+	}
+	rv.candOK = false
+	return ok, changed
 }
 
 func (rv *revised[T, A]) nbValue(j int) T {
@@ -280,8 +308,21 @@ func (rv *revised[T, A]) nbValue(j int) T {
 	return rv.zero
 }
 
-func (rv *revised[T, A]) fixedRange(j int) bool {
-	return rv.loF[j] && rv.hiF[j] && rv.ar.cmp(rv.lo[j], rv.hi[j]) == 0
+func (rv *revised[T, A]) fixedRange(j int) bool { return rv.fixed[j] }
+
+// candidates returns the candidate list, rebuilding it first if setBounds
+// or cold invalidated it.
+func (rv *revised[T, A]) candidates() []int32 {
+	if !rv.candOK {
+		rv.cand = rv.cand[:0]
+		for j := 0; j < rv.artStart; j++ {
+			if rv.stat[j] != inBasis && !rv.fixed[j] {
+				rv.cand = append(rv.cand, int32(j))
+			}
+		}
+		rv.candOK = true
+	}
+	return rv.cand
 }
 
 // solveNode mirrors tableau.solveNode: dual warm reentry when the basis is
@@ -375,6 +416,7 @@ func (rv *revised[T, A]) solveFresh() Status {
 // column store (artSign) and leaves the matrix untouched.
 func (rv *revised[T, A]) cold() {
 	ar := rv.ar
+	rv.candOK = false
 	for j := range rv.rowOf {
 		rv.rowOf[j] = -1
 	}
@@ -512,6 +554,11 @@ func (rv *revised[T, A]) phase2() Status {
 // the reduced-cost row the dense tableau maintains through eliminations,
 // bit for bit. Basic and fixed-range columns are never read by any
 // consumer and are set to zero.
+//
+// When no basic column has a nonzero cost, y is the zero vector: its BTRAN
+// would change and mark nothing and every dot would return zero, so both
+// are skipped and d_j = c_j − 0, the same value. Every warm re-entry of a
+// problem without an objective takes this path.
 func (rv *revised[T, A]) price(cost []T) {
 	ar := rv.ar
 	y := rv.yv
@@ -522,13 +569,19 @@ func (rv *revised[T, A]) price(cost []T) {
 			y.set(rv.fac.rowOfPos[pos], cb)
 		}
 	}
-	rv.fac.btran(y)
-	for j := 0; j < rv.artStart; j++ {
-		if rv.stat[j] == inBasis || rv.fixedRange(j) {
-			rv.d[j] = rv.zero
-			continue
+	for j := range rv.d {
+		rv.d[j] = rv.zero
+	}
+	cand := rv.candidates()
+	if len(y.idx) == 0 {
+		for _, j := range cand {
+			rv.d[j] = ar.sub(cost[j], rv.zero)
 		}
-		rv.d[j] = ar.sub(cost[j], rv.dot(y, j))
+		return
+	}
+	rv.fac.btran(y)
+	for _, j := range cand {
+		rv.d[j] = ar.sub(cost[j], rv.dot(y, int(j)))
 	}
 }
 
@@ -785,10 +838,8 @@ func (rv *revised[T, A]) priceEnter() (enter, dir int) {
 	best := -1
 	bestDir := 0
 	var bestMag T
-	for j := 0; j < rv.artStart; j++ {
-		if rv.stat[j] == inBasis || rv.fixedRange(j) {
-			continue
-		}
+	for _, j32 := range rv.candidates() {
+		j := int(j32)
 		dj := rv.d[j]
 		sd := ar.sign(dj)
 		jdir := 0
@@ -941,8 +992,25 @@ func (rv *revised[T, A]) exchange(r, e int, delta T, leaveStat vstat, chargeObj 
 	rv.rowOf[e] = r
 	rv.stat[e] = inBasis
 	rv.xB[r] = enterVal
+	if rv.candOK {
+		rv.exchangeCand(k, e)
+	}
 	if rv.fac.needRefactor() {
 		rv.fac.refactor(rv.basis)
+	}
+}
+
+// exchangeCand updates the candidate list for a basis exchange in which
+// column leave left the basis and column enter joined it. enter is absent
+// from the list when it is fixed (phase 1's drive-out may pick one), and
+// leave joins it only when it is a non-fixed column below artStart.
+func (rv *revised[T, A]) exchangeCand(leave, enter int) {
+	if i, found := slices.BinarySearch(rv.cand, int32(enter)); found {
+		rv.cand = slices.Delete(rv.cand, i, i+1)
+	}
+	if leave < rv.artStart && !rv.fixed[leave] {
+		i, _ := slices.BinarySearch(rv.cand, int32(leave))
+		rv.cand = slices.Insert(rv.cand, i, int32(leave))
 	}
 }
 
@@ -974,27 +1042,7 @@ func (rv *revised[T, A]) dual() dualResult {
 		}
 		// Leaving row: most violated basic bound (least basis index once
 		// the degenerate-stall fallback engages).
-		r := -1
-		below := false
-		var bestViol T
-		for i := 0; i < rv.m; i++ {
-			k := rv.basis[i]
-			var viol T
-			var vBelow bool
-			switch {
-			case rv.loF[k] && ar.cmp(rv.xB[i], rv.lo[k]) < 0:
-				viol = ar.sub(rv.lo[k], rv.xB[i])
-				vBelow = true
-			case rv.hiF[k] && ar.cmp(rv.xB[i], rv.hi[k]) > 0:
-				viol = ar.sub(rv.xB[i], rv.hi[k])
-				vBelow = false
-			default:
-				continue
-			}
-			if r < 0 || (rv.pr.bland && k < rv.basis[r]) || (!rv.pr.bland && ar.cmp(viol, bestViol) > 0) {
-				r, bestViol, below = i, viol, vBelow
-			}
-		}
+		r, below := ar.dualLeave(rv.basis, rv.xB, rv.lo, rv.hi, rv.loF, rv.hiF, rv.pr.bland)
 		if r < 0 {
 			return dualOptimal
 		}
@@ -1004,14 +1052,14 @@ func (rv *revised[T, A]) dual() dualResult {
 			target = rv.lo[k]
 		}
 		rv.pivotRow(r)
-		// Entering column: min |d_j|/|a_rj| over sign-eligible columns.
-		// Every scanned pivot-row entry is cached for the d update below.
+		// Entering column: min |d_j|/|a_rj| over sign-eligible candidates.
+		// Every scanned pivot-row entry is cached for the d update below,
+		// which walks the same list (exchange changes it only afterwards).
 		e := -1
 		var bestRatio, bestAbsA, prowE T
-		for j := 0; j < rv.artStart; j++ {
-			if rv.stat[j] == inBasis || rv.fixedRange(j) {
-				continue
-			}
+		cand := rv.candidates()
+		for _, j32 := range cand {
+			j := int(j32)
 			a := rv.dot(rv.rho, j)
 			rv.prow[j] = a
 			sa := ar.sign(a)
@@ -1061,10 +1109,7 @@ func (rv *revised[T, A]) dual() dualResult {
 		// automatically and the leaving one picks up −θ.
 		theta := ar.div(rv.d[e], prowE)
 		if ar.sign(theta) != 0 {
-			for j := 0; j < rv.artStart; j++ {
-				if rv.stat[j] == inBasis || rv.fixedRange(j) {
-					continue
-				}
+			for _, j := range cand {
 				if ar.sign(rv.prow[j]) != 0 {
 					rv.d[j] = ar.sub(rv.d[j], ar.mul(theta, rv.prow[j]))
 				}
@@ -1197,10 +1242,7 @@ func (rv *revised[T, A]) uniqueOptimum() bool {
 		return false
 	}
 	rv.price(rv.cost)
-	for j := 0; j < rv.artStart; j++ {
-		if rv.stat[j] == inBasis || rv.fixedRange(j) {
-			continue
-		}
+	for _, j := range rv.candidates() {
 		if rv.ar.sign(rv.d[j]) == 0 {
 			return false
 		}
