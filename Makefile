@@ -56,11 +56,13 @@ bench-compare:
 # dense test oracle, the float engine against exact, the float engine's
 # concrete FTRAN/BTRAN/pricing/leaving-row kernels against the generic
 # loops bit for bit, the dual's candidate list against its definition)
-# under the race detector, plus the fence fuzz (the fenced
-# branch-and-bound task loop against its reference commit loop, with the
-# fence lowered so small trees decompose).
+# under the race detector, plus the fence fuzz (the fenced depth-first
+# branch-and-bound loop against the oracle's own walk/task/fold loop in
+# internal/lp/fence_oracle_test.go, with the fence lowered so small trees
+# fence often).
 # The short version of the same property tests runs in every `go test ./...`;
-# LP_PARITY_ROUNDS scales the fuzz rounds.
+# LP_PARITY_ROUNDS scales the fuzz rounds. CI runs this nightly and on
+# manual dispatch (.github/workflows/ci.yml, job lp-long).
 test-lp-long:
 	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
 

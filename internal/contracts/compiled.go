@@ -16,7 +16,7 @@ import (
 // The compilation (variable ordering, constraint ordering, coefficients) is
 // frozen at Compile time; Satisfy and RelaxationFeasible answers are
 // bit-identical to re-compiling the edited contract and solving it from
-// scratch (see lp.Model for how the warm paths preserve that guarantee).
+// scratch, because lp.Model re-solves cold inside its retained arena.
 // The source Contract must not gain variables or constraints afterwards.
 type Compiled struct {
 	Contract *Contract
@@ -51,7 +51,7 @@ func (c *Contract) Compile() *Compiled {
 }
 
 // SetRHS retargets the named constraint's right-hand side for the next
-// solve. The edit keeps any warm basis usable (dual-simplex reentry).
+// solve.
 func (cc *Compiled) SetRHS(name string, rhs *big.Rat) error {
 	i, ok := cc.rows[name]
 	if !ok {
@@ -87,9 +87,9 @@ func (cc *Compiled) SetVarBound(name string, lo, hi *big.Rat) error {
 	return nil
 }
 
-// Satisfy searches for a satisfying assignment of the edited system — the
-// incremental counterpart of Contract.SatisfyOpts, with the same nil-means-
-// unsatisfiable convention and bit-identical assignments.
+// Satisfy searches for a satisfying assignment of the edited system. It
+// returns nil (no error) if the system is unsatisfiable; Contract.SatisfyOpts
+// is this on a fresh compilation.
 func (cc *Compiled) Satisfy(opts lp.ILPOptions) (Assignment, error) {
 	sol, err := cc.model.ResolveILP(opts)
 	if err != nil {
@@ -115,8 +115,8 @@ func (cc *Compiled) Satisfy(opts lp.ILPOptions) (Assignment, error) {
 
 // RelaxationFeasible decides the continuous relaxation of the edited system
 // with the exact engine — the incremental counterpart of the admission
-// test's SolveLP call. Infeasibility verdicts ride the warm dual reentry,
-// which is the common fast path when probing ever-tighter horizons.
+// test's SolveLP call, with the same answer and work: a cold solve in the
+// retained arena, which saves only the arena build.
 //
 // Only a proven StatusInfeasible counts as infeasible, exactly as the
 // from-scratch admission test maps statuses: an unbounded relaxation (only

@@ -272,27 +272,7 @@ func (c *Contract) Satisfy(engine lp.Engine) (Assignment, error) {
 // and bound may need an exponential tree to prove that; budgets turn such
 // searches into a bounded "undecided" error instead of an unbounded grind.
 func (c *Contract) SatisfyOpts(opts lp.ILPOptions) (Assignment, error) {
-	p, index := c.ToProblem()
-	sol, err := lp.SolveILP(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	switch sol.Status {
-	case lp.StatusOptimal:
-		out := make(Assignment, len(index))
-		for name, id := range index {
-			out[name] = sol.Value(id)
-		}
-		return out, nil
-	case lp.StatusInfeasible:
-		return nil, nil
-	case lp.StatusCanceled:
-		return nil, fmt.Errorf("contracts: %s solve abandoned: %w", c.Name, lp.ErrCanceled)
-	case lp.StatusLimit:
-		return nil, fmt.Errorf("contracts: %s undecided: %w", c.Name, lp.ErrBudgetExhausted)
-	default:
-		return nil, fmt.Errorf("contracts: solver returned %v for %s", sol.Status, c.Name)
-	}
+	return c.Compile().Satisfy(opts)
 }
 
 // Consistent reports whether the guarantees alone are satisfiable.

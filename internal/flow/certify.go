@@ -60,7 +60,7 @@ func Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int,
 		}
 		return CertMaybeFeasible, nil
 	}
-	cts, err := CompileSystemContract(s, qc, false)
+	cts, err := CompileSystemContract(s, qc)
 	if err != nil {
 		return CertMaybeFeasible, err
 	}

@@ -183,10 +183,11 @@ func CompileWorkloadContract(s *traffic.System, wl warehouse.Workload, qeff int)
 }
 
 // CompileSystemContract composes every component contract into the traffic
-// system contract C̃TS (Fig. 3, red). Discharge selects the full composition
-// operator (slow, entailment per assumption) or the fast conjunctive
-// approximation with the identical satisfying set.
-func CompileSystemContract(s *traffic.System, qc int, discharge bool) (*contracts.Contract, error) {
+// system contract C̃TS (Fig. 3, red) with contracts.ComposeAllFast: the
+// conjunctive composition, whose satisfying set is identical to the full
+// operator's (contracts.ComposeAll) without its entailment query per
+// assumption.
+func CompileSystemContract(s *traffic.System, qc int) (*contracts.Contract, error) {
 	var cs []*contracts.Contract
 	for _, comp := range s.Components {
 		c, err := CompileComponentContract(s, comp.ID, qc)
@@ -194,9 +195,6 @@ func CompileSystemContract(s *traffic.System, qc int, discharge bool) (*contract
 			return nil, err
 		}
 		cs = append(cs, c)
-	}
-	if discharge {
-		return contracts.ComposeAll(cs)
 	}
 	return contracts.ComposeAllFast(cs)
 }
@@ -274,7 +272,7 @@ func SynthesizeContract(ctx context.Context, s *traffic.System, wl warehouse.Wor
 	if err != nil {
 		return nil, err
 	}
-	cts, err := CompileSystemContract(s, qc, false)
+	cts, err := CompileSystemContract(s, qc)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +327,7 @@ func decodeSet(s *traffic.System, wl warehouse.Workload, tc, qc, qeff int, asn c
 // VerifyContracts re-checks a synthesized Set against the compiled contract
 // system by substituting its values into every assumption and guarantee.
 func VerifyContracts(set *Set, wl warehouse.Workload) error {
-	cts, err := CompileSystemContract(set.S, set.Qc, false)
+	cts, err := CompileSystemContract(set.S, set.Qc)
 	if err != nil {
 		return err
 	}

@@ -79,15 +79,7 @@ func (cm *ContractModel) target(s *traffic.System, wl warehouse.Workload, qc, qe
 	}
 	if cm.cc == nil || !slices.Equal(cm.support, support) {
 		if cm.cts == nil || cm.compQC != qc {
-			comps := make([]*contracts.Contract, 0, len(s.Components))
-			for _, comp := range s.Components {
-				c, err := CompileComponentContract(s, comp.ID, qc)
-				if err != nil {
-					return nil, err
-				}
-				comps = append(comps, c)
-			}
-			cts, err := contracts.ComposeAllFast(comps)
+			cts, err := CompileSystemContract(s, qc)
 			if err != nil {
 				return nil, err
 			}
@@ -192,9 +184,8 @@ func (cm *ContractModel) Synthesize(ctx context.Context, s *traffic.System, wl w
 
 // Admit is the model-reusing variant of the package-level Admit: the same
 // certificate and the same budget policy (no work budget; only ctx
-// cancellation stops the LP early), decided on the retained model.
-// Infeasible probes — the common case when shrinking a horizon — ride the
-// warm dual reentry.
+// cancellation stops the LP early), decided by a cold LP solve in the
+// retained model, which saves the compilation and the arena build.
 func (cm *ContractModel) Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) (Certificate, error) {
 	margin := opts.WarmupMargin
 	if margin == 0 {

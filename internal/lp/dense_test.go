@@ -119,8 +119,6 @@ func (tb *tableau[T, A]) startSearch(workBudget int64) {
 	tb.workBudget = workBudget
 }
 
-func (tb *tableau[T, A]) setWorkBudget(b int64) { tb.workBudget = b }
-
 func (tb *tableau[T, A]) workSpent() int64 { return tb.work }
 
 // dropWarm forgets any warm basis so the next solveNode runs the
@@ -182,11 +180,9 @@ func (tb *tableau[T, A]) exhausted() bool {
 
 // setBounds installs per-variable bounds for the next solve (structural
 // columns only; logical and artificial bounds are fixed by construction).
-// It reports ok=false when some lower bound exceeds its upper bound, which
-// proves the node infeasible before any pivoting, and changed=true when any
-// bound differs from the previously installed one (the Model layer uses
-// this to invalidate its primal-reentry state).
-func (tb *tableau[T, A]) setBounds(lo, hi []*big.Rat) (ok, changed bool) {
+// It reports false when some lower bound exceeds its upper bound, which
+// proves the node infeasible before any pivoting.
+func (tb *tableau[T, A]) setBounds(lo, hi []*big.Rat) bool {
 	return installBounds(tb.ar, tb.nv, lo, hi, tb.lo, tb.hi, tb.loF, tb.hiF)
 }
 
@@ -194,7 +190,7 @@ func (tb *tableau[T, A]) setBounds(lo, hi []*big.Rat) (ok, changed bool) {
 // the previous node's basis via dual simplex when the tableau still holds a
 // dual-feasible basis, and falling back to a cold two-phase solve otherwise.
 func (tb *tableau[T, A]) solveNode(lo, hi []*big.Rat) Status {
-	if ok, _ := tb.setBounds(lo, hi); !ok {
+	if !tb.setBounds(lo, hi) {
 		return StatusInfeasible
 	}
 	if tb.warmOK && tb.rewarm() {
@@ -925,10 +921,10 @@ func (tb *tableau[T, A]) objectiveValue() T {
 func denseLP(p *Problem) (*Solution, error) {
 	var sol *Solution
 	var err error
-	if promote(func() { sol, err = solveArenaLP[rat64](newTableau[rat64, rat64Arith](p, rat64Arith{})) }) {
+	if promote(func() { sol, err = solveArenaLP[rat64](newTableau[rat64, rat64Arith](p, rat64Arith{}), nil) }) {
 		return sol, err
 	}
-	return solveArenaLP[*big.Rat](newTableau[*big.Rat, ratArith](p, ratArith{}))
+	return solveArenaLP[*big.Rat](newTableau[*big.Rat, ratArith](p, ratArith{}), nil)
 }
 
 // denseILP is SolveILP's exact branch and bound on the dense oracle.
@@ -942,5 +938,5 @@ func denseILP(p *Problem, opts ILPOptions) (*Solution, error) {
 }
 
 func denseILPWith[T any, A arith[T]](p *Problem, ar A, opts ILPOptions) (*Solution, error) {
-	return bbSolveArena[T](p, newTableau[T, A](p, ar), ar, opts, nil)
+	return bbSolveArena[T](p, newTableau[T, A](p, ar), ar, opts)
 }

@@ -1,14 +1,15 @@
 package lp
 
-// Tests for the frontier-fenced search (search.go). The production task
-// loop is pinned against fenceOracle, a reference commit loop kept in the
-// shape of an ordered task queue: a first walk on the tree root, then a
-// queue whose every root restarts cold and whose frontier subtasks are
-// spliced in at the cursor. With the fence lowered to a few nodes, small random trees shed
-// many tasks, so any drift in task order or restart state shows up in the
-// Solution, the error text or the work metered. The TestParallelSearch*
-// names are kept from the speculative executor's parity tests, which these
-// replace.
+// Tests for the fenced depth-first search (search.go). The production loop
+// is pinned against fenceOracle, a reference commit loop kept in the shape
+// of an ordered task queue over its own walker and fold
+// (fence_oracle_test.go): a first walk on the tree root, then a queue whose
+// every root restarts cold and whose frontier subtasks are spliced in at
+// the cursor. With the fence lowered to a few nodes, small random trees
+// shed many tasks, so any drift in fence placement, pop order or restart
+// state shows up in the Solution, the error text or the work metered. The
+// TestParallelSearch* names are kept from the speculative executor's
+// parity tests, which these replace.
 
 import (
 	"fmt"
@@ -51,7 +52,7 @@ func oracleInsertAt[E any](s []E, at int, sub []E) []E {
 // fenceOracle is bbSolveArena with the reference commit loop in place of
 // bbSearch. tasks reports how many frontier tasks the search ran, so the
 // tests can tell that the fence really fired.
-func fenceOracle[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, tasks *int) (*Solution, error) {
+func fenceOracle[T any, A arith[T]](p *Problem, tb oracleArena[T], ar A, opts ILPOptions, tasks *int) (*Solution, error) {
 	tb.setCancel(opts.Cancel)
 	tb.startSearch(opts.MaxWork)
 	maxNodes := opts.MaxNodes
@@ -237,6 +238,76 @@ func TestParallelSearchCancelParity(t *testing.T) {
 		}
 		if sol.Status != StatusCanceled {
 			t.Fatalf("%s: status %v, want canceled", cfg.tag, sol.Status)
+		}
+	}
+}
+
+// untickedArena is a scripted arena whose solves never tick: each charges
+// ten work units and reports an optimum, fractional in x0 at the root and
+// integral below it. It stands for a node whose last pivot carries the work
+// past MaxWork without a tick noticing, which only the work check before a
+// cold restart can catch.
+type untickedArena struct {
+	p      *Problem
+	work   int64
+	solves int
+}
+
+func (a *untickedArena) prob() *Problem            { return a.p }
+func (a *untickedArena) startSearch(int64)         { a.work, a.solves = 0, 0 }
+func (a *untickedArena) setWorkBudget(int64)       {}
+func (a *untickedArena) workSpent() int64          { return a.work }
+func (a *untickedArena) dropWarm()                 {}
+func (a *untickedArena) setCancel(<-chan struct{}) {}
+func (a *untickedArena) canceled() bool            { return false }
+func (a *untickedArena) objectiveValue() float64   { return 0 }
+func (a *untickedArena) solveNode(_, _ []*big.Rat) Status {
+	a.solves++
+	a.work += 10
+	return StatusOptimal
+}
+func (a *untickedArena) value(int) float64 {
+	if a.solves == 1 {
+		return 0.5
+	}
+	return 0
+}
+func (a *untickedArena) extractInto(dst []*big.Rat) {
+	for _, d := range dst {
+		d.SetInt64(0)
+	}
+}
+func (a *untickedArena) firstFractionalInt() int {
+	if a.solves == 1 {
+		return 0
+	}
+	return -1
+}
+
+// With the fence at one node, the root's two children are fenced at once,
+// and the root alone has spent the whole work budget without a tick. The
+// search must stop at the first fenced pop — canceled when the channel has
+// fired, a limit otherwise — as the oracle's check before each task does,
+// instead of solving the child and returning its integral point. Random
+// trees almost never reach this case.
+func TestFencedPopChecksWorkBudget(t *testing.T) {
+	lowFence(t, 1)
+	p := &Problem{}
+	p.AddIntVar("x0", rat(0, 1), rat(1, 1))
+	ar := floatArith{eps: defaultEps}
+	for _, tc := range []struct {
+		cancel <-chan struct{}
+		want   Status
+	}{{nil, StatusLimit}, {closedChan(), StatusCanceled}} {
+		opts := ILPOptions{Engine: EngineFloat, MaxWork: 10, Cancel: tc.cancel}
+		tasks := 0
+		want, err := fenceOracle[float64](p, &untickedArena{p: p}, ar, opts, &tasks)
+		if err != nil || want.Status != tc.want {
+			t.Fatalf("oracle: %v, %v; want %v", want, err, tc.want)
+		}
+		got, err := bbSolveArena[float64](p, &untickedArena{p: p}, ar, opts)
+		if err != nil || got.Status != tc.want {
+			t.Fatalf("search: %v, %v; want %v", got, err, tc.want)
 		}
 	}
 }

@@ -67,14 +67,13 @@ type ILPOptions struct {
 	Cancel <-chan struct{}
 }
 
-// arena is the engine surface branch-and-bound and the Model layer drive,
+// arena is the engine surface branch-and-bound and the LP driver use,
 // implemented by the revised engine and by its dense test oracle. Every
 // method pair is decision-identical between the two, which is what the
 // parity tests check.
 type arena[T any] interface {
 	prob() *Problem
 	startSearch(workBudget int64)
-	setWorkBudget(int64)
 	workSpent() int64
 	dropWarm()
 	setCancel(<-chan struct{})
@@ -89,7 +88,8 @@ type arena[T any] interface {
 // SolveILP solves the mixed-integer program p by branch and bound over the
 // simplex relaxation. For pure feasibility problems (no objective) it stops
 // at the first integral solution. Every returned solution is exactly
-// verified against p with rational arithmetic.
+// verified against p with rational arithmetic. It is one ResolveILP of a
+// fresh Model.
 //
 // The search keeps ONE engine arena for the whole tree: a child node
 // differs from its parent by a single bound, so each relaxation warm-starts
@@ -97,30 +97,14 @@ type arena[T any] interface {
 // back to a cold solve only when the basis cannot be retargeted), and node
 // bounds live in a parent-linked diff chain instead of per-node slices.
 func SolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
-	if opts.Engine == EngineFloat {
-		// Float relaxations on the partial-pricing revised engine
-		// (candidates are exactly verified either way).
-		return bbSolveArena[float64](p, newRevisedFloat(p), floatArith{eps: defaultEps}, opts, nil)
-	}
-	var sol *Solution
-	var err error
-	if promote(func() { sol, err = bbSolve[rat64, rat64Arith](p, rat64Arith{}, opts) }) {
-		return sol, err
-	}
-	return bbSolve[*big.Rat, ratArith](p, ratArith{}, opts)
+	return NewModel(p).ResolveILP(opts)
 }
 
-func bbSolve[T any, A arith[T]](p *Problem, ar A, opts ILPOptions) (*Solution, error) {
-	return bbSolveArena[T](p, newRevised[T, A](p, ar), ar, opts, nil)
-}
-
-// bbSolveArena is the branch-and-bound search over a caller-provided
-// arena. Model.ResolveILP passes a retained arena here; resetting the warm
-// state and work counter first makes the search replay exactly the pivot
-// sequence a fresh arena would, so incremental re-solves stay bit-identical
-// to from-scratch ones while skipping the arena (re)build. box supplies a
-// memoized integer box (nil derives one per solve).
-func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, box func() *boundDiff) (*Solution, error) {
+// bbSolveArena is the branch-and-bound search over an arena. Resetting the
+// warm state and work counter first makes a retained arena replay exactly
+// the pivot sequence a fresh one would, so Model re-solves stay
+// bit-identical to from-scratch ones while skipping the arena (re)build.
+func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions) (*Solution, error) {
 	tb.setCancel(opts.Cancel)
 	tb.startSearch(opts.MaxWork) // cold root, as from a fresh arena
 	maxNodes := opts.MaxNodes
@@ -129,16 +113,9 @@ func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOpti
 	}
 	// Integer variables missing a bound side would let the branch chain
 	// walk the open direction forever on an integer-infeasible instance;
-	// derive an a priori box from the constraint data first (the walker's
-	// open-march guard rejects whatever the box cannot cover). A retained
-	// Model supplies its memoized chain.
-	var root *boundDiff
-	if box != nil {
-		root = box()
-	} else {
-		root = integerBox(p)
-	}
-	return bbSearch(p, tb, ar, opts, maxNodes, root)
+	// derive an a priori box from the constraint data first (the search's
+	// open-march guard rejects whatever the box cannot cover).
+	return bbSearch(p, tb, ar, opts, maxNodes, integerBox(p))
 }
 
 func betterOrEqual(p *Problem, obj, best *big.Rat) bool {

@@ -26,7 +26,7 @@ import "math/big"
 // algebra's entailment checks read StatusUnbounded as "not entailed", and
 // variables outside every row never branch at all). The runaway-branching
 // case those open sides could still cause is rejected lazily, inside the
-// search, by the open-march guard in the walker (ErrUnboundedIntDomain) —
+// search, by its open-march guard (ErrUnboundedIntDomain) —
 // so the a-priori box plus the in-search guard together make every solve
 // terminate.
 //

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // workMeter is the process-wide ledger of deterministic simplex work units
 // committed by finished solves. Every LP solve adds the arena work it spent
-// and every branch-and-bound search adds its fold's committed total — the
+// and every branch-and-bound search adds its total once, when it ends — the
 // same deterministic quantity the MaxWork budget is charged against, so the
 // meter advances identically across runs of the same instance sequence (and
 // across simplex representations, which share the work-unit contract).

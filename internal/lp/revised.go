@@ -69,7 +69,7 @@ type revised[T any, A arith[T]] struct {
 	cost   []T // phase-2 minimization costs, len n
 	hasObj bool
 	// d holds reduced costs for columns 0..artStart-1. It is refreshed by
-	// price() at every consumer (pricing loops, rewarm, uniqueOptimum), so
+	// price() at every consumer (pricing loops, rewarm), so
 	// it never serves stale values; in exact arithmetic the refresh equals
 	// the reduced-cost row the dense tableau maintains through pivots.
 	d []T
@@ -82,7 +82,6 @@ type revised[T any, A arith[T]] struct {
 
 	nArt       int
 	warmOK     bool
-	basisOK    bool
 	pr         pricer
 	work       int64
 	workBudget int64
@@ -143,6 +142,14 @@ func newRevised[T any, A arith[T]](p *Problem, ar A) *revised[T, A] {
 		rv.lo[j] = rv.zero
 		rv.hi[j] = rv.zero
 	}
+	rv.hasObj = len(p.Objective) > 0
+	for _, t := range p.Objective {
+		c := ar.fromRat(t.Coef)
+		if p.Maximize {
+			c = ar.neg(c)
+		}
+		rv.cost[t.Var] = ar.add(rv.cost[t.Var], c)
+	}
 	for j := range rv.d {
 		rv.d[j] = rv.zero
 		rv.prow[j] = rv.zero
@@ -166,7 +173,6 @@ func newRevised[T any, A arith[T]](p *Problem, ar A) *revised[T, A] {
 	rv.apos = newSpVec(ar, m)
 	rv.yv = newSpVec(ar, m)
 	rv.rho = newSpVec(ar, m)
-	rv.updateCost()
 	rv.pr = newPricer(m, rv.n)
 	return rv
 }
@@ -201,7 +207,6 @@ func (rv *revised[T, A]) prob() *Problem { return rv.p }
 
 func (rv *revised[T, A]) startSearch(workBudget int64) {
 	rv.warmOK = false
-	rv.basisOK = false
 	rv.work = 0
 	rv.workBudget = workBudget
 	// Partial pricing's window position is part of the pivot-sequence
@@ -210,18 +215,16 @@ func (rv *revised[T, A]) startSearch(workBudget int64) {
 	rv.scan = 0
 }
 
-func (rv *revised[T, A]) setWorkBudget(b int64) { rv.workBudget = b }
-
 func (rv *revised[T, A]) workSpent() int64 { return rv.work }
 
 // dropWarm mirrors tableau.dropWarm: forget the warm basis so the next
 // solveNode cold-solves deterministically from the pristine system. The
 // partial-pricing window is part of the pivot-sequence state, so it resets
-// with the warm state — a subtree root must start the rotation from column
-// zero on every arena for the fenced search to be arena-independent.
+// with the warm state: the cold solve at a fenced pop then replays the
+// pivots the same node would take on a freshly built arena, which keeps
+// that solve a pure function of the pristine system and the node's bounds.
 func (rv *revised[T, A]) dropWarm() {
 	rv.warmOK = false
-	rv.basisOK = false
 	rv.scan = 0
 }
 
@@ -250,52 +253,22 @@ func (rv *revised[T, A]) exhausted() bool {
 	return rv.workBudget > 0 && rv.work >= rv.workBudget
 }
 
-// updateCost mirrors tableau.updateCost: rebuild the phase-2 cost vector
-// and drop dual-feasible warm state (the basis itself stays valid).
-func (rv *revised[T, A]) updateCost() {
-	ar := rv.ar
-	for j := range rv.cost {
-		rv.cost[j] = rv.zero
-	}
-	rv.hasObj = len(rv.p.Objective) > 0
-	for _, t := range rv.p.Objective {
-		c := ar.fromRat(t.Coef)
-		if rv.p.Maximize {
-			c = ar.neg(c)
-		}
-		rv.cost[t.Var] = ar.add(rv.cost[t.Var], c)
-	}
-	rv.warmOK = false
-}
-
-// updateRHS retargets constraint i. Unlike the dense tableau there is no
-// maintained B⁻¹b column to delta-update: rewarm recomputes basic values
-// from the pristine right-hand sides through one FTRAN, so dual-feasible
-// warm state survives the edit for free. Primal reentry is invalidated.
+// updateRHS retargets constraint i in the pristine system. The warm basis
+// is dropped with it: its basic values solve the old right-hand side, and
+// every Model solve starts cold anyway.
 func (rv *revised[T, A]) updateRHS(i int, rhs *big.Rat) {
 	rv.convRHS[i] = rv.ar.fromRat(rhs)
 	rv.csr.rhs[i] = rhs
-	rv.basisOK = false
-}
-
-// updateRHSPristine is the RHS edit of the Model's float arena: pristine
-// system only, every warm state dropped — ResolveILP cold-rebuilds the
-// root, so a float warm basis is never consumed and keeping it would be a
-// rounding trap.
-func (rv *revised[T, A]) updateRHSPristine(i int, rhs *big.Rat) {
-	rv.convRHS[i] = rv.ar.fromRat(rhs)
-	rv.csr.rhs[i] = rhs
 	rv.warmOK = false
-	rv.basisOK = false
 }
 
-func (rv *revised[T, A]) setBounds(lo, hi []*big.Rat) (ok, changed bool) {
-	ok, changed = installBounds(rv.ar, rv.nv, lo, hi, rv.lo, rv.hi, rv.loF, rv.hiF)
+func (rv *revised[T, A]) setBounds(lo, hi []*big.Rat) bool {
+	ok := installBounds(rv.ar, rv.nv, lo, hi, rv.lo, rv.hi, rv.loF, rv.hiF)
 	for j := 0; j < rv.nv; j++ {
 		rv.fixed[j] = rv.loF[j] && rv.hiF[j] && rv.ar.cmp(rv.lo[j], rv.hi[j]) == 0
 	}
 	rv.candOK = false
-	return ok, changed
+	return ok
 }
 
 func (rv *revised[T, A]) nbValue(j int) T {
@@ -328,7 +301,7 @@ func (rv *revised[T, A]) candidates() []int32 {
 // solveNode mirrors tableau.solveNode: dual warm reentry when the basis is
 // still dual feasible, cold two-phase solve otherwise.
 func (rv *revised[T, A]) solveNode(lo, hi []*big.Rat) Status {
-	if ok, _ := rv.setBounds(lo, hi); !ok {
+	if !rv.setBounds(lo, hi) {
 		return StatusInfeasible
 	}
 	if rv.warmOK && rv.rewarm() {
@@ -345,59 +318,6 @@ func (rv *revised[T, A]) solveNode(lo, hi []*big.Rat) Status {
 	rv.warmOK = false
 	status := rv.solveFresh()
 	rv.warmOK = status == StatusOptimal
-	return status
-}
-
-// resolveModel solves under the given bounds for the Model, preferring
-// warm reentry but returning a warm answer only when it provably matches
-// the from-scratch one; everything else re-runs the deterministic cold
-// path in place.
-func (rv *revised[T, A]) resolveModel(lo, hi []*big.Rat) Status {
-	ok, changed := rv.setBounds(lo, hi)
-	if changed {
-		rv.basisOK = false
-	}
-	if !ok {
-		return StatusInfeasible
-	}
-	if rv.warmOK {
-		if rv.rewarm() {
-			switch rv.dual() {
-			case dualOptimal:
-				rv.basisOK = true
-				if rv.uniqueOptimum() {
-					return StatusOptimal
-				}
-			case dualInfeasible:
-				return StatusInfeasible
-			case dualBudget:
-				// Cancelled mid-reentry (Model LP solves carry no work
-				// budget): drop the mid-walk state and report promptly.
-				rv.warmOK, rv.basisOK = false, false
-				return StatusLimit
-			}
-			// dualStuck: restart cold for certainty.
-		}
-		rv.basisOK = false
-	} else if rv.basisOK {
-		switch rv.phase2() {
-		case StatusOptimal:
-			rv.warmOK = true
-			if rv.uniqueOptimum() {
-				return StatusOptimal
-			}
-		case StatusUnbounded:
-			rv.warmOK, rv.basisOK = false, false
-			return StatusUnbounded
-		case StatusLimit:
-			rv.warmOK, rv.basisOK = false, false
-			return StatusLimit
-		}
-	}
-	rv.warmOK = false
-	status := rv.solveFresh()
-	rv.warmOK = status == StatusOptimal
-	rv.basisOK = status == StatusOptimal
 	return status
 }
 
@@ -1228,26 +1148,6 @@ func (rv *revised[T, A]) axpyCol(w *spVec[T], j int, s T) {
 			w.set(r, ar.add(w.val[r], ar.mul(s, cs.vals[k])))
 		}
 	}
-}
-
-// uniqueOptimum reports whether the current optimal basis certifies a
-// unique optimal solution vector: every nonbasic non-fixed column carries a
-// strictly signed (freshly priced) reduced cost, so any optimal point must
-// keep all of them on their current bounds, which pins the basic values
-// too. This is the acceptance test that lets a warm re-solve return its
-// answer as bit-identical to a from-scratch solve; pure feasibility
-// problems (zero objective) never certify and fall back to the cold path.
-func (rv *revised[T, A]) uniqueOptimum() bool {
-	if !rv.hasObj {
-		return false
-	}
-	rv.price(rv.cost)
-	for _, j := range rv.candidates() {
-		if rv.ar.sign(rv.d[j]) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // value is the current assignment of structural column j.

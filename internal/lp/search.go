@@ -3,21 +3,20 @@ package lp
 import (
 	"fmt"
 	"math/big"
-	"slices"
 )
 
-// Frontier-fenced branch and bound.
+// Fenced depth-first branch and bound.
 //
-// The search is a series of subtree walks over deterministic frontier
-// fences: a walk stops after bbFrontierNodes nodes (when at least two open
-// subtrees remain on its stack) and hands the remainder of its stack back
-// as subtree tasks, ordered top-of-stack first, which the task loop places
-// at its cursor — exactly where the depth-first search would continue.
-// Every task restarts cold (dropWarm at the subtree root), so a task's
-// pivot sequence is a pure function of the pristine constraint system and
-// its bound chain. The fold carries the incumbent and the node and work
-// totals from one walk to the next; each walk launches under the fold's
-// remaining budgets.
+// The search is one depth-first loop over one explicit stack of bound
+// chains. A node warm-starts from the basis its depth-first predecessor
+// left in the arena, except at a frontier fence: once bbFrontierNodes nodes
+// have been popped since the last cold restart (or since the tree root)
+// and at least two unfenced entries remain, every unfenced entry is marked
+// fenced. Unfenced entries are always the top of the stack, because every
+// entry below the last fenced pop was fenced by then. Popping a fenced
+// entry restarts the arena cold (dropWarm), so its pivot sequence is a pure
+// function of the pristine constraint system and its bound chain; the work
+// budget is checked there, before the cold solve.
 //
 // The fence and the cold restarts define the answer: a search without them
 // warm-starts every node from its DFS predecessor and can land on a
@@ -44,164 +43,128 @@ func openPushes(nd *boundDiff, v int, upper bool) int {
 	return n
 }
 
-// bbFrontierNodes is the frontier fence: a subtree walk stops after this
-// many nodes (when ≥ 2 open subtrees remain on its stack) and hands the
-// remaining stack back as tasks. Each task restarts its node cold, so the
+// bbFrontierNodes is the frontier fence: after this many nodes since the
+// last cold restart, with ≥ 2 unfenced entries left on the stack, those
+// entries are fenced and each restarts its node cold when popped. The
 // fence cadence is the search's overhead knob: trees below it never fence
-// (and pay nothing beyond the walk bookkeeping), and at 256 the cold
-// restarts stay under a couple percent of a subtree's work. A var, not a
-// const, so tests can lower it to force decomposition on small corpora.
+// (and pay nothing for it), and at 256 the cold restarts stay under a
+// couple percent of a subtree's work. A var, not a const, so tests can
+// lower it to force many fences on small corpora.
 var bbFrontierNodes = 256
 
-// bbEvent classifies how a subtree walk ended.
-type bbEvent int
-
-const (
-	evDone      bbEvent = iota // subtree exhausted
-	evFrontier                 // fence hit: remaining stack returned as tasks
-	evLimit                    // node cap or work budget
-	evCanceled                 // cancellation observed by a work tick
-	evUnbounded                // a relaxation is unbounded
-	evSolved                   // feasibility problem: first integral solution
-	evFailed                   // the open-march guard rejected the domain (walkOut.err)
-)
-
-// walkIn are the launch inputs of one subtree walk, taken from the fold.
-type walkIn struct {
-	root    *boundDiff
-	best    *Solution
-	bestObj *big.Rat
-	nodeCap int   // nodes this walk may visit before evLimit
-	remWork int64 // work this walk may charge before evLimit (0 = unlimited)
-	cold    bool  // dropWarm first (every task root; not the tree root)
+// bbEntry is one open subtree on the search stack: its bound chain, and
+// whether a fence has passed over it, which makes its pop a cold restart.
+type bbEntry struct {
+	chain  *boundDiff
+	fenced bool
 }
 
-// walkOut is the outcome of one subtree walk. best/bestObj carry the walk's
-// final incumbent (the input one unless improved), nodes/work its
-// deterministic totals.
-type walkOut struct {
-	event   bbEvent
-	best    *Solution
-	bestObj *big.Rat
-	sol     *Solution    // evSolved: first-win feasibility solution
-	tasks   []*boundDiff // evFrontier: continuation subtrees, DFS order
-	nodes   int
-	work    int64
-	err     error
-}
-
-// bbWalker owns the search's arena plus its per-node scratch (effective
-// bounds, chain replay stack, relaxation storage).
-type bbWalker[T any, A arith[T]] struct {
-	p      *Problem
-	tb     arena[T]
-	ar     A
-	loEff  []*big.Rat
-	hiEff  []*big.Rat
-	chain  []*boundDiff
-	relax  []*big.Rat
-	objTmp *big.Rat
-	mulTmp *big.Rat
-	stack  []*boundDiff
-}
-
-func newWalker[T any, A arith[T]](p *Problem, tb arena[T], ar A) *bbWalker[T, A] {
+// bbSearch runs the fenced depth-first branch and bound on the caller's
+// arena from the bound chain root. The outcome precedence is: the
+// open-march guard's error, a feasibility problem's first integral
+// solution, an unbounded relaxation, cancellation (which trumps any
+// incumbent), the incumbent, the budget limit, infeasible.
+func bbSearch[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, maxNodes int, root *boundDiff) (*Solution, error) {
 	nv := len(p.Vars)
-	w := &bbWalker[T, A]{
-		p: p, tb: tb, ar: ar,
-		loEff: make([]*big.Rat, nv), hiEff: make([]*big.Rat, nv),
-		relax:  make([]*big.Rat, nv),
-		objTmp: new(big.Rat), mulTmp: new(big.Rat),
-		stack: make([]*boundDiff, 0, 64),
+	loEff, hiEff := make([]*big.Rat, nv), make([]*big.Rat, nv)
+	relax := make([]*big.Rat, nv)
+	for i := range relax {
+		relax[i] = new(big.Rat)
 	}
-	for i := range w.relax {
-		w.relax[i] = new(big.Rat)
-	}
-	return w
-}
+	objTmp, mulTmp := new(big.Rat), new(big.Rat)
+	var chain []*boundDiff
+	// The search's work total is the deterministic quantity MaxWork is
+	// charged against; metering it once per search keeps the process meter
+	// representation-independent.
+	start := tb.workSpent()
+	defer func() { meterWork(tb.workSpent() - start) }()
 
-// run executes one subtree walk: the depth-first node loop plus the two
-// pre-pop checks (node cap, then frontier fence). The node cap is the
-// caller's remaining allowance, and budget exhaustion inside solveNode
-// surfaces as evLimit/evCanceled.
-func (w *bbWalker[T, A]) run(in walkIn) walkOut {
-	if in.cold {
-		w.tb.dropWarm()
-	}
-	if in.remWork > 0 {
-		w.tb.setWorkBudget(w.tb.workSpent() + in.remWork)
-	} else {
-		w.tb.setWorkBudget(0)
-	}
-	start := w.tb.workSpent()
-	out := walkOut{best: in.best, bestObj: in.bestObj}
-	finish := func(ev bbEvent) walkOut {
-		out.event = ev
-		out.work = w.tb.workSpent() - start
-		return out
-	}
-	w.stack = append(w.stack[:0], in.root)
-	for len(w.stack) > 0 {
-		if out.nodes >= in.nodeCap {
-			return finish(evLimit)
+	var best *Solution
+	var bestObj *big.Rat
+	limit := false
+	stack := append(make([]bbEntry, 0, 64), bbEntry{chain: root})
+	// nodes counts pops in the whole search, run pops since the last cold
+	// restart, open the unfenced entries on top of the stack.
+	nodes, run, open := 0, 0, 1
+search:
+	for len(stack) > 0 {
+		if nodes >= maxNodes {
+			limit = true
+			break search
 		}
-		if out.nodes >= bbFrontierNodes && len(w.stack) >= 2 {
-			ts := make([]*boundDiff, len(w.stack))
-			for i := range ts {
-				ts[i] = w.stack[len(w.stack)-1-i] // top first: DFS order
+		if run >= bbFrontierNodes && open >= 2 {
+			for i := len(stack) - open; i < len(stack); i++ {
+				stack[i].fenced = true
 			}
-			out.tasks = ts
-			return finish(evFrontier)
+			open = 0
 		}
-		out.nodes++
-		nd := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		w.chain = nd.materialize(w.p, w.loEff, w.hiEff, w.chain)
-		switch w.tb.solveNode(w.loEff, w.hiEff) {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if top.fenced {
+			if opts.MaxWork > 0 && tb.workSpent() >= opts.MaxWork {
+				// The budget can run out after the last tick of an earlier
+				// node; stop as the next solve's first tick would,
+				// cancellation first.
+				select {
+				case <-opts.Cancel:
+					return &Solution{Status: StatusCanceled}, nil
+				default:
+				}
+				limit = true
+				break search
+			}
+			tb.dropWarm()
+			run = 0
+		} else {
+			open--
+		}
+		nodes++
+		run++
+		nd := top.chain
+		chain = nd.materialize(p, loEff, hiEff, chain)
+		switch tb.solveNode(loEff, hiEff) {
 		case StatusInfeasible:
 			continue
 		case StatusUnbounded:
-			return finish(evUnbounded)
+			return &Solution{Status: StatusUnbounded}, nil
 		case StatusLimit:
-			if w.tb.canceled() {
-				return finish(evCanceled)
-			}
-			return finish(evLimit)
+			// Budget or cancellation; tb.canceled() tells them apart below.
+			limit = true
+			break search
 		}
 		// Bound: prune if the relaxation cannot beat the incumbent. The
 		// objective is evaluated in the arena's own field — per-node work
 		// stays allocation-free until a candidate or branch value is needed.
-		if out.bestObj != nil && len(w.p.Objective) > 0 {
-			w.ar.setRat(w.objTmp, w.tb.objectiveValue())
-			if w.p.Maximize {
-				w.objTmp.Neg(w.objTmp) // cost is the minimization form
+		if bestObj != nil && len(p.Objective) > 0 {
+			ar.setRat(objTmp, tb.objectiveValue())
+			if p.Maximize {
+				objTmp.Neg(objTmp) // cost is the minimization form
 			}
-			if !betterOrEqual(w.p, w.objTmp, out.bestObj) {
+			if !betterOrEqual(p, objTmp, bestObj) {
 				continue
 			}
 		}
 		// Find a fractional integer variable to branch on.
-		branch := w.tb.firstFractionalInt()
+		branch := tb.firstFractionalInt()
 		if branch < 0 {
 			// Integral (by the relaxation's lights): round and verify exactly.
-			w.tb.extractInto(w.relax)
-			vals := roundIntegers(w.p, w.relax)
-			if err := w.p.Check(vals); err != nil {
+			tb.extractInto(relax)
+			vals := roundIntegers(p, relax)
+			if err := p.Check(vals); err != nil {
 				// Float noise produced a bogus candidate; branch on the
 				// variable with the largest rounding error to make progress.
-				branch = worstRounded(w.p, w.relax)
+				branch = worstRounded(p, relax)
 				if branch < 0 {
 					continue // nothing to branch on; abandon this node
 				}
 			} else {
 				cand := &Solution{Status: StatusOptimal, Values: vals}
-				if len(w.p.Objective) == 0 {
-					out.sol = cand
-					return finish(evSolved) // feasibility: first solution wins
+				if len(p.Objective) == 0 {
+					return cand, nil // feasibility: first solution wins
 				}
-				cand.Objective = evalObjective(w.p, vals)
-				if out.bestObj == nil || betterOrEqual(w.p, cand.Objective, out.bestObj) {
-					out.best, out.bestObj = cand, cand.Objective
+				cand.Objective = evalObjective(p, vals)
+				if bestObj == nil || betterOrEqual(p, cand.Objective, bestObj) {
+					best, bestObj = cand, cand.Objective
 				}
 				continue
 			}
@@ -215,145 +178,32 @@ func (w *bbWalker[T, A]) run(in walkIn) walkOut {
 		// is rejected with the typed error. The count is a pure function
 		// of the node's bound chain, so the verdict lands on the same node
 		// in every representation and engine.
-		if w.hiEff[branch] == nil && openPushes(nd, branch, false) >= bbOpenBranchMax {
-			out.err = fmt.Errorf("%w: branching on %s marched %d steps into its open upper side", ErrUnboundedIntDomain, w.p.Vars[branch].Name, bbOpenBranchMax)
-			return finish(evFailed)
+		if hiEff[branch] == nil && openPushes(nd, branch, false) >= bbOpenBranchMax {
+			return nil, fmt.Errorf("%w: branching on %s marched %d steps into its open upper side", ErrUnboundedIntDomain, p.Vars[branch].Name, bbOpenBranchMax)
 		}
-		if w.loEff[branch] == nil && openPushes(nd, branch, true) >= bbOpenBranchMax {
-			out.err = fmt.Errorf("%w: branching on %s marched %d steps into its open lower side", ErrUnboundedIntDomain, w.p.Vars[branch].Name, bbOpenBranchMax)
-			return finish(evFailed)
+		if loEff[branch] == nil && openPushes(nd, branch, true) >= bbOpenBranchMax {
+			return nil, fmt.Errorf("%w: branching on %s marched %d steps into its open lower side", ErrUnboundedIntDomain, p.Vars[branch].Name, bbOpenBranchMax)
 		}
 		// Branch on floor/ceil of the fractional value: each child is one
 		// bound diff off this node. Explore the floor side first (LIFO:
 		// push ceil first).
-		w.ar.setRat(w.mulTmp, w.tb.value(branch))
-		fl := ratFloor(w.mulTmp)
+		ar.setRat(mulTmp, tb.value(branch))
+		fl := ratFloor(mulTmp)
 		ceil := new(big.Rat).Add(fl, big.NewRat(1, 1))
-		w.stack = append(w.stack, nd.push(branch, false, ceil), nd.push(branch, true, fl))
+		stack = append(stack, bbEntry{chain: nd.push(branch, false, ceil)}, bbEntry{chain: nd.push(branch, true, fl)})
+		open += 2
 	}
-	return finish(evDone)
-}
-
-// bbFold is the state of the search carried across walks: the fold of
-// every finished walk, in task order.
-type bbFold struct {
-	best      *Solution
-	bestObj   *big.Rat
-	nodes     int
-	work      int64
-	canceled  bool
-	limit     bool
-	unbounded bool
-	solved    *Solution
-	err       error
-}
-
-func (f *bbFold) terminal() bool {
-	return f.err != nil || f.canceled || f.limit || f.unbounded || f.solved != nil
-}
-
-func (f *bbFold) absorb(res walkOut) {
-	f.nodes += res.nodes
-	f.work += res.work
-	f.best, f.bestObj = res.best, res.bestObj
-	switch res.event {
-	case evCanceled:
-		f.canceled = true
-	case evLimit:
-		f.limit = true
-	case evUnbounded:
-		f.unbounded = true
-	case evSolved:
-		f.solved = res.sol
-	}
-	if res.err != nil {
-		f.err = res.err
-	}
-}
-
-// preempt replays the search's between-node budget checks from the fold
-// totals alone, without launching a walk: the node cap fires before a pop
-// (plain limit), and an exhausted work budget surfaces through the next
-// solve's first tick — which checks cancellation first, exactly like
-// exhausted(). Reports whether the search must stop here.
-func (f *bbFold) preempt(maxNodes int, maxWork int64, cancel <-chan struct{}) bool {
-	if f.terminal() {
-		return true
-	}
-	if f.nodes >= maxNodes {
-		f.limit = true
-		return true
-	}
-	if maxWork > 0 && f.work >= maxWork {
-		select {
-		case <-cancel:
-			f.canceled = true
-		default:
-			f.limit = true
-		}
-		return true
-	}
-	return false
-}
-
-// solution maps the final fold to the search's return, in precedence
-// order: error, feasibility first-win, unbounded, canceled (which trumps
-// any incumbent), incumbent, budget limit, infeasible.
-func (f *bbFold) solution(arenaCanceled bool) (*Solution, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	if f.solved != nil {
-		return f.solved, nil
-	}
-	if f.unbounded {
-		return &Solution{Status: StatusUnbounded}, nil
-	}
-	if f.canceled || arenaCanceled {
+	if tb.canceled() {
 		// Cancellation trumps any incumbent: the caller walked away from
 		// the answer, so reporting a half-searched best would be
 		// indistinguishable from a completed solve.
 		return &Solution{Status: StatusCanceled}, nil
 	}
-	if f.best != nil {
-		return f.best, nil
+	if best != nil {
+		return best, nil
 	}
-	if f.limit {
+	if limit {
 		return &Solution{Status: StatusLimit}, nil
 	}
 	return &Solution{Status: StatusInfeasible}, nil
-}
-
-func remWorkOf(maxWork, spent int64) int64 {
-	if maxWork > 0 {
-		return maxWork - spent
-	}
-	return 0
-}
-
-// bbSearch runs the frontier-fenced branch and bound on the caller's
-// arena: the tree root first, then the frontier tasks in order, each
-// launched under the fold's incumbent and remaining budgets. A walk that
-// fences places its continuation subtrees at the cursor, and every task
-// root restarts cold.
-func bbSearch[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, maxNodes int, rootChain *boundDiff) (*Solution, error) {
-	w := newWalker(p, tb, ar)
-	fold := new(bbFold)
-	// The fold's work total is the deterministic quantity MaxWork is
-	// charged against; metering it once per search keeps the process meter
-	// representation-independent.
-	defer func() { meterWork(fold.work) }()
-	tasks := []*boundDiff{rootChain}
-	for i := 0; i < len(tasks) && !fold.preempt(maxNodes, opts.MaxWork, opts.Cancel); i++ {
-		res := w.run(walkIn{
-			root: tasks[i], best: fold.best, bestObj: fold.bestObj,
-			nodeCap: maxNodes - fold.nodes, remWork: remWorkOf(opts.MaxWork, fold.work),
-			cold: i > 0,
-		})
-		fold.absorb(res)
-		if res.event == evFrontier {
-			tasks = slices.Insert(tasks, i+1, res.tasks...)
-		}
-	}
-	return fold.solution(tb.canceled())
 }

@@ -41,14 +41,10 @@ type SolveOptions struct {
 	Cancel <-chan struct{}
 }
 
-// SolveLPWith is SolveLP with explicit solve options.
+// SolveLPWith is SolveLP with explicit solve options. It is one
+// ResolveWith of a fresh Model.
 func SolveLPWith(p *Problem, opts SolveOptions) (*Solution, error) {
-	var sol *Solution
-	var err error
-	if promote(func() { sol, err = solveLPWith[rat64, rat64Arith](p, rat64Arith{}, opts.Cancel) }) {
-		return sol, err
-	}
-	return solveLPWith[*big.Rat, ratArith](p, ratArith{}, opts.Cancel)
+	return NewModel(p).ResolveWith(opts)
 }
 
 // SolveLPFloat solves the continuous relaxation of p with the float64
@@ -56,18 +52,16 @@ func SolveLPWith(p *Problem, opts SolveOptions) (*Solution, error) {
 // much faster than SolveLP on very large problems but subject to rounding;
 // callers that need certainty should verify with Problem.Check.
 func SolveLPFloat(p *Problem) (*Solution, error) {
-	return solveArenaLP[float64](newRevisedFloat(p))
+	return solveArenaLP[float64](newRevisedFloat(p), nil)
 }
 
-func solveLPWith[T any, A arith[T]](p *Problem, ar A, cancel <-chan struct{}) (*Solution, error) {
-	tb := newRevised[T, A](p, ar)
+// solveArenaLP runs one cold LP solve in tb under the problem's declared
+// bounds, from the state of a freshly built arena and under the given
+// cancellation channel: the one LP driver behind SolveLPFloat and
+// Model.ResolveWith.
+func solveArenaLP[T any](tb arena[T], cancel <-chan struct{}) (*Solution, error) {
 	tb.setCancel(cancel)
-	return solveArenaLP[T](tb)
-}
-
-// solveArenaLP runs one LP solve over a freshly built arena whose
-// cancellation is already installed: declared bounds in, Solution out.
-func solveArenaLP[T any](tb arena[T]) (*Solution, error) {
+	tb.startSearch(0)
 	p := tb.prob()
 	lo, hi := declaredBounds(p)
 	start := tb.workSpent()
@@ -147,35 +141,20 @@ func problemCSR[T any, A arith[T]](p *Problem, ar A) (*csrRows, []T, []T) {
 }
 
 // installBounds writes per-variable declared bounds into an engine's bound
-// arrays (structural columns only), reporting ok=false on a lo>hi conflict
-// and changed=true when any bound differs from the installed one.
-func installBounds[T any, A arith[T]](ar A, nv int, lo, hi []*big.Rat, tlo, thi []T, loF, hiF []bool) (ok, changed bool) {
+// arrays (structural columns only), reporting false on a lo>hi conflict.
+func installBounds[T any, A arith[T]](ar A, nv int, lo, hi []*big.Rat, tlo, thi []T, loF, hiF []bool) bool {
 	zero := ar.zero()
-	ok = true
+	ok := true
 	for j := 0; j < nv; j++ {
 		l, h := lo[j], hi[j]
 		if l != nil {
-			v := ar.fromRat(l)
-			if !loF[j] || ar.cmp(v, tlo[j]) != 0 {
-				changed = true
-			}
-			tlo[j], loF[j] = v, true
+			tlo[j], loF[j] = ar.fromRat(l), true
 		} else {
-			if loF[j] {
-				changed = true
-			}
 			tlo[j], loF[j] = zero, false
 		}
 		if h != nil {
-			v := ar.fromRat(h)
-			if !hiF[j] || ar.cmp(v, thi[j]) != 0 {
-				changed = true
-			}
-			thi[j], hiF[j] = v, true
+			thi[j], hiF[j] = ar.fromRat(h), true
 		} else {
-			if hiF[j] {
-				changed = true
-			}
 			thi[j], hiF[j] = zero, false
 		}
 		// Compare by VALUE, in the engine's field (big.Rat.Cmp allocates,
@@ -189,7 +168,7 @@ func installBounds[T any, A arith[T]](ar A, nv int, lo, hi []*big.Rat, tlo, thi 
 			ok = false
 		}
 	}
-	return ok, changed
+	return ok
 }
 
 // dualResult is how a dual-simplex reentry ended.

@@ -33,10 +33,11 @@ type InstanceSpec struct {
 	// fulfillment1|fulfillment2|sorting.
 	Map string `json:"map,omitempty"`
 	// Units spreads a uniform workload over the map's products (required
-	// with Map; overrides an inline instance's workload when set).
+	// with Map; overrides an inline instance's workload when set; negative
+	// is a bad instance).
 	Units int `json:"units,omitempty"`
 	// Horizon is the timestep budget T (falls back to the inline
-	// instance's own T).
+	// instance's own T; negative is a bad instance).
 	Horizon int `json:"horizon,omitempty"`
 }
 
@@ -262,11 +263,26 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return dec.Decode(v)
 }
 
+// checkSigns rejects a negative units or horizon. Read as absent, either
+// would silently fall back to the inline instance's own workload or T.
+func (spec *InstanceSpec) checkSigns() error {
+	if spec.Units < 0 {
+		return fmt.Errorf("units %d is negative", spec.Units)
+	}
+	if spec.Horizon < 0 {
+		return fmt.Errorf("horizon %d is negative", spec.Horizon)
+	}
+	return nil
+}
+
 // buildInstance materializes an InstanceSpec. Builtin maps are built once
 // and shared — a traffic.System is read-only after Build, so concurrent
 // solves on one map are safe.
 func (s *Server) buildInstance(spec *InstanceSpec) (wsp.Instance, error) {
 	var inst wsp.Instance
+	if err := spec.checkSigns(); err != nil {
+		return inst, err
+	}
 	switch {
 	case spec.Instance != nil && spec.Map != "":
 		return inst, fmt.Errorf("request names both an inline instance and map %q", spec.Map)

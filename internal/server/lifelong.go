@@ -94,6 +94,9 @@ type LifelongErrorLine struct {
 // in batches — and a top-level units field is rejected rather than
 // silently ignored.
 func (s *Server) buildLifelongSystem(spec *InstanceSpec) (*wsp.System, int, error) {
+	if err := spec.checkSigns(); err != nil {
+		return nil, 0, err
+	}
 	if spec.Units > 0 {
 		return nil, 0, fmt.Errorf("lifelong demand is carried by batches, not a top-level units field")
 	}

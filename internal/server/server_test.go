@@ -427,7 +427,8 @@ func TestRequestConfigOverrides(t *testing.T) {
 }
 
 // TestNegativeOverridesRejected: a negative budget or deadline is a bad
-// request on every solving endpoint, not a silently ignored field.
+// request on every solving endpoint, and a negative units or horizon a bad
+// instance, not a silently ignored field.
 func TestNegativeOverridesRejected(t *testing.T) {
 	inst := testInstance(t)
 	srv := New(Config{})
@@ -448,6 +449,27 @@ func TestNegativeOverridesRejected(t *testing.T) {
 			}
 			if resp := decodeAs[ErrorResponse](t, w); resp.Code != "bad-request" {
 				t.Errorf("%s with negative %s: code %q, want bad-request", path, field, resp.Code)
+			}
+		}
+	}
+	// The inline instance carries its own workload and T, which a negative
+	// units or horizon must not fall back to.
+	batches := []LifelongBatchSpec{{Release: 0, Units: 6}}
+	for field, spec := range map[string]InstanceSpec{
+		"units":   {Instance: inst, Units: -3},
+		"horizon": {Instance: inst, Horizon: -5},
+	} {
+		for path, body := range map[string]any{
+			"/v1/solve":    SolveRequest{InstanceSpec: spec},
+			"/v1/batch":    BatchRequest{Instances: []InstanceSpec{spec}},
+			"/v1/lifelong": LifelongRequest{InstanceSpec: spec, Batches: batches},
+		} {
+			w := postJSON(t, srv.Handler(), path, body, nil)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s with negative %s: status %d, want 400: %s", path, field, w.Code, w.Body.String())
+			}
+			if resp := decodeAs[ErrorResponse](t, w); resp.Code != "bad-instance" {
+				t.Errorf("%s with negative %s: code %q, want bad-instance", path, field, resp.Code)
 			}
 		}
 	}
