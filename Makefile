@@ -66,8 +66,10 @@ bench-compare:
 test-lp-long:
 	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
 
-# End-to-end daemon smoke: build wspd, start it, hit /healthz and one
-# /v1/solve, then SIGTERM and require a drain-clean exit 0. This is the
+# End-to-end daemon smoke: build wspd, start it, hit /healthz, drive every
+# solve endpoint once (/v1/solve, /v1/batch, a plain and a streamed
+# /v1/sweep, /v1/lifelong) and require /debug/vars to count each one as
+# admitted, then SIGTERM and require a drain-clean exit 0. This is the
 # gate for the service's lifecycle contract (serve → answer → drain).
 serve-smoke:
 	$(GO) run ./scripts/servesmoke

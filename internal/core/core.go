@@ -289,8 +289,11 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 		return nil, fmt.Errorf("core: realized plan violates feasibility: %w", res.Sim.Violations[0])
 	}
 	if res.Sim.ServicedAt < 0 {
-		return nil, fmt.Errorf("core: plan delivers %v of %v within %d steps (warm-up shortfall)",
-			res.Sim.Delivered, wl.Units, T)
+		// The plan is valid but does not finish in T: the same verdict as a
+		// synthesis shortfall, undecided whether another plan could.
+		return nil, &flow.InfeasibleError{Cert: flow.CertMaybeFeasible, Horizon: T,
+			Reason: fmt.Sprintf("core: plan delivers %v of %v within %d steps (warm-up shortfall)",
+				res.Sim.Delivered, wl.Units, T)}
 	}
 	units := slices.Clone(wl.Units)
 	res.Plan = warehouse.NewDeferredPlan(stats.Agents, T, func() [][]warehouse.AgentState {

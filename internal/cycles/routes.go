@@ -1,10 +1,12 @@
 package cycles
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/flow"
 	"repro/internal/lp"
 	"repro/internal/traffic"
 	"repro/internal/warehouse"
@@ -101,7 +103,7 @@ func Synthesize(s *traffic.System, wl warehouse.Workload, T int, opts Options) (
 	}
 	qc := T / tc
 	if qc < 1 {
-		return nil, fmt.Errorf("cycles: horizon %d shorter than one cycle period %d", T, tc)
+		return nil, fmt.Errorf("cycles: horizon %d shorter than one cycle period %d: %w", T, tc, flow.ErrHorizonTooShort)
 	}
 	margin := opts.WarmupMargin
 	if margin == 0 {
@@ -274,8 +276,15 @@ func Synthesize(s *traffic.System, wl warehouse.Workload, T int, opts Options) (
 				continue
 			}
 			oc, err := newCycle(k)
-			if err != nil {
+			if errors.Is(err, lp.ErrCanceled) {
 				return nil, fmt.Errorf("cycles: cannot place %d remaining units of product %d: %w", remaining, k, err)
+			}
+			if err != nil {
+				// No loop fits the residual capacities: the same verdict
+				// the flow strategies give a shortfall, which only an
+				// exhaustive search could sharpen.
+				return nil, &flow.InfeasibleError{Cert: flow.CertMaybeFeasible, Horizon: T,
+					Reason: fmt.Sprintf("cycles: cannot place %d remaining units of product %d: %v", remaining, k, err)}
 			}
 			// The new cycle must serve k (its target row stocks it).
 			give := 0

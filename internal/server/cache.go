@@ -1,26 +1,22 @@
 package server
 
 import (
-	"context"
-	"fmt"
 	"sync"
 
-	"repro/internal/lp"
 	"repro/wsp"
 )
 
 // scratchCache shares warm solve scratches — compiled contract systems,
-// solver arenas, packing buffers — across concurrent clients, keyed by
+// solver arenas, packing buffers — across /v1/solve requests, keyed by
 // traffic.StructureSignature. A wsp.Scratch is warm only for the topology
 // it last solved, so the cache keeps a bounded free list per signature and
-// hands a request a scratch that already compiled ITS topology whenever
-// one is idle; results are bit-identical either way (wsp.Scratch contract).
+// hands a request one that already compiled ITS topology whenever one is
+// idle; results are bit-identical either way (wsp.Scratch contract).
 //
-// Compilation is single-flighted: the first request on an unseen signature
-// becomes the compile leader and runs on a cold scratch; concurrent
-// requests for the same signature wait (bounded by their own deadline) for
-// the leader's scratch to come back warm instead of all paying the same
-// compilation. Signatures are evicted LRU beyond the configured bound.
+// Checkout never blocks: with no idle scratch for the signature the
+// request compiles on a fresh one, which costs milliseconds, instead of
+// waiting for another request's whole solve to hand one back. Signatures
+// are evicted LRU beyond the configured bound.
 type scratchCache struct {
 	met *metrics
 
@@ -32,11 +28,8 @@ type scratchCache struct {
 }
 
 type cacheEntry struct {
-	free     []*wsp.Scratch
-	compiled bool          // a scratch for this signature has been released warm
-	leader   bool          // a cold compile is in flight
-	ready    chan struct{} // closed when compiled flips true
-	lastUse  int64
+	free    []*wsp.Scratch
+	lastUse int64
 }
 
 func newScratchCache(cfg Config, met *metrics) *scratchCache {
@@ -48,109 +41,55 @@ func newScratchCache(cfg Config, met *metrics) *scratchCache {
 	}
 }
 
-// checkout returns a scratch for the signature: a warm one when idle, a
-// cold one when this request is the compile leader or warm supply is
-// outrun by demand. It blocks only behind a single-flight compile, and
-// then only until ctx fires.
-func (c *scratchCache) checkout(ctx context.Context, sig string) (*wsp.Scratch, error) {
+// checkout pops an idle warm scratch for the signature, or returns a cold
+// one when none is idle.
+func (c *scratchCache) checkout(sig string) *wsp.Scratch {
 	c.mu.Lock()
-	for {
-		e := c.entries[sig]
-		if e == nil {
-			e = &cacheEntry{ready: make(chan struct{})}
-			c.entries[sig] = e
-			c.evictOverCap(sig)
-		}
-		c.tick++
-		e.lastUse = c.tick
-		if n := len(e.free); n > 0 {
-			sc := e.free[n-1]
-			e.free = e.free[:n-1]
-			c.mu.Unlock()
-			c.met.cacheHits.Add(1)
-			return sc, nil
-		}
-		if e.compiled || !e.leader {
-			// Warm supply outrun (or we are the first): go cold. The
-			// leader flag makes later arrivals on this signature wait for
-			// exactly one compile instead of stampeding.
-			e.leader = true
-			c.mu.Unlock()
-			c.met.cacheMisses.Add(1)
-			return wsp.NewScratch(), nil
-		}
-		// A compile is in flight for this signature: wait for its scratch.
-		ready := e.ready
-		c.mu.Unlock()
-		c.met.cacheWaits.Add(1)
-		select {
-		case <-ready:
-		case <-ctx.Done():
-			return nil, lp.WrapCancelCause(ctx,
-				fmt.Errorf("server: canceled waiting for model compilation: %w", lp.ErrCanceled))
-		}
-		c.mu.Lock()
+	e := c.entries[sig]
+	if e == nil {
+		e = &cacheEntry{}
+		c.entries[sig] = e
+		c.evictOverCap(sig)
 	}
+	c.tick++
+	e.lastUse = c.tick
+	if n := len(e.free); n > 0 {
+		sc := e.free[n-1]
+		e.free = e.free[:n-1]
+		c.mu.Unlock()
+		c.met.cacheHits.Add(1)
+		return sc
+	}
+	c.mu.Unlock()
+	c.met.cacheMisses.Add(1)
+	return wsp.NewScratch()
 }
 
-// release returns a scratch to its signature's free list (dropped when the
-// signature was evicted meanwhile or the list is full) and wakes
-// single-flight waiters.
+// release returns a scratch to its signature's free list. It is dropped
+// when the signature was evicted meanwhile or the list is full.
 func (c *scratchCache) release(sig string, sc *wsp.Scratch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[sig]
-	if e == nil {
-		return // evicted while checked out
-	}
-	c.markCompiled(e)
-	if len(e.free) < c.perSig {
+	if e := c.entries[sig]; e != nil && len(e.free) < c.perSig {
 		e.free = append(e.free, sc)
 	}
 }
 
-// discard is release for a scratch that must not be reused — one whose
-// solve panicked may hold partially mutated state. Waiters are still
-// woken: the compile outcome is unknown, and letting each retry cold beats
-// leaving them parked until their deadlines.
-func (c *scratchCache) discard(sig string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[sig]; e != nil {
-		c.markCompiled(e)
-	}
-}
-
-// markCompiled flips the entry to its steady state and releases the
-// single-flight gate. Callers hold c.mu.
-func (c *scratchCache) markCompiled(e *cacheEntry) {
-	if !e.compiled {
-		e.compiled = true
-		e.leader = false
-		close(e.ready)
-	}
-}
-
-// evictOverCap drops least-recently-used signatures beyond the cap,
-// sparing keep (the entry being inserted) and entries whose single-flight
-// gate is still open — evicting those would strand their waiters.
-// Callers hold c.mu.
+// evictOverCap drops the least-recently-used signature other than keep
+// (the entry just inserted) once the cache holds more than cap. Entries
+// are inserted one at a time, so one eviction restores the bound. Callers
+// hold c.mu.
 func (c *scratchCache) evictOverCap(keep string) {
-	for len(c.entries) > c.cap {
-		victim := ""
-		var oldest int64
-		for sig, e := range c.entries {
-			if sig == keep || (!e.compiled && e.leader) {
-				continue
-			}
-			if victim == "" || e.lastUse < oldest {
-				victim, oldest = sig, e.lastUse
-			}
-		}
-		if victim == "" {
-			return // everything else is mid-compile; allow the overshoot
-		}
-		delete(c.entries, victim)
-		c.met.cacheEvictions.Add(1)
+	if len(c.entries) <= c.cap {
+		return
 	}
+	victim := ""
+	var oldest int64
+	for sig, e := range c.entries {
+		if sig != keep && (victim == "" || e.lastUse < oldest) {
+			victim, oldest = sig, e.lastUse
+		}
+	}
+	delete(c.entries, victim)
+	c.met.cacheEvictions.Add(1)
 }

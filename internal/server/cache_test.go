@@ -1,11 +1,10 @@
 package server
 
 import (
-	"context"
-	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/wsp"
 )
@@ -15,104 +14,65 @@ func newTestCache(sigCap, perSig int) *scratchCache {
 	return newScratchCache(Config{CacheSignatures: sigCap, CachePerSignature: perSig}.withDefaults(), met)
 }
 
-// TestCacheSingleFlight: concurrent first contacts on one signature
-// compile once — followers block on the leader's gate, then split the warm
-// scratch and cold fallbacks deterministically.
-func TestCacheSingleFlight(t *testing.T) {
-	c := newTestCache(4, 2)
-	ctx := context.Background()
+// TestCacheCheckoutNeverBlocks: while a signature's only scratch is out, a
+// second checkout on it returns a distinct cold scratch at once instead of
+// waiting for the first to come back; both then return warm, up to the
+// per-signature bound.
+func TestCacheCheckoutNeverBlocks(t *testing.T) {
+	c := newTestCache(4, 1)
+	first := c.checkout("sig")
+	second := c.checkout("sig")
+	if second == first {
+		t.Fatal("a scratch still checked out was handed out twice")
+	}
+	if hits, misses := c.met.cacheHits.Load(), c.met.cacheMisses.Load(); hits != 0 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 0 and 2", hits, misses)
+	}
+	c.release("sig", first)
+	c.release("sig", second) // over the per-signature bound: dropped
+	if got := c.checkout("sig"); got != first {
+		t.Error("warm scratch not reused")
+	}
+	if got := c.checkout("sig"); got == first || got == second {
+		t.Error("the per-signature bound kept a second idle scratch")
+	}
+}
 
-	leaderSc, err := c.checkout(ctx, "sig")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.met.cacheMisses.Load(); got != 1 {
-		t.Fatalf("leader checkout: misses = %d, want 1", got)
-	}
-
-	// Two followers arrive mid-compile: both must park on the gate.
-	type out struct {
-		sc  *wsp.Scratch
-		err error
-	}
-	results := make(chan out, 2)
+// TestCacheConcurrentCheckouts: goroutines checking scratches out of and
+// back into a small cache never share one, and every checkout is counted
+// once (run under -race).
+func TestCacheConcurrentCheckouts(t *testing.T) {
+	c := newTestCache(2, 2)
+	var mu sync.Mutex
+	out := make(map[*wsp.Scratch]bool)
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc, err := c.checkout(ctx, "sig")
-			results <- out{sc, err}
+			for i := 0; i < 50; i++ {
+				sig := fmt.Sprint("sig", (g+i)%3)
+				sc := c.checkout(sig)
+				mu.Lock()
+				if out[sc] {
+					t.Error("one scratch checked out twice at once")
+				}
+				out[sc] = true
+				mu.Unlock()
+				runtime.Gosched() // hold it while the others run
+				mu.Lock()
+				delete(out, sc)
+				mu.Unlock()
+				c.release(sig, sc)
+			}
 		}()
 	}
-	waitFor(t, func() bool { return c.met.cacheWaits.Load() == 2 })
-
-	c.release("sig", leaderSc)
 	wg.Wait()
-	close(results)
-	var warm, cold int
-	for r := range results {
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.sc == leaderSc {
-			warm++
-		} else {
-			cold++
-		}
+	if n := c.met.cacheHits.Load() + c.met.cacheMisses.Load(); n != 8*50 {
+		t.Errorf("%d checkouts counted, want %d", n, 8*50)
 	}
-	if warm != 1 || cold != 1 {
-		t.Errorf("followers got warm=%d cold=%d, want exactly one each", warm, cold)
-	}
-	if hits := c.met.cacheHits.Load(); hits != 1 {
-		t.Errorf("hits = %d, want 1", hits)
-	}
-}
-
-// TestCacheWaiterHonorsDeadline: a follower parked on the single-flight
-// gate unblocks when its own context fires, with the full error taxonomy
-// (ErrCanceled + the deadline cause).
-func TestCacheWaiterHonorsDeadline(t *testing.T) {
-	c := newTestCache(4, 2)
-	if _, err := c.checkout(context.Background(), "sig"); err != nil {
-		t.Fatal(err) // leader, never released: compile "hangs"
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, err := c.checkout(ctx, "sig")
-	if err == nil {
-		t.Fatal("waiter returned without the gate opening")
-	}
-	if !errors.Is(err, wsp.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("waiter error %v, want ErrCanceled wrapping DeadlineExceeded", err)
-	}
-}
-
-// TestCacheDiscardWakesWaiters: a panicked solve's scratch is dropped, but
-// its single-flight waiters are still released to retry cold.
-func TestCacheDiscardWakesWaiters(t *testing.T) {
-	c := newTestCache(4, 2)
-	ctx := context.Background()
-	if _, err := c.checkout(ctx, "sig"); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan *wsp.Scratch, 1)
-	go func() {
-		sc, err := c.checkout(ctx, "sig")
-		if err != nil {
-			t.Error(err)
-		}
-		got <- sc
-	}()
-	waitFor(t, func() bool { return c.met.cacheWaits.Load() == 1 })
-
-	c.discard("sig") // the leader's solve panicked
-	sc := <-got
-	if sc == nil {
-		t.Fatal("waiter not released after discard")
-	}
-	if c.met.cacheMisses.Load() != 2 {
-		t.Errorf("misses = %d, want 2 (waiter retried cold)", c.met.cacheMisses.Load())
+	if len(c.entries) > 2 {
+		t.Errorf("%d signatures cached, cap 2", len(c.entries))
 	}
 }
 
@@ -120,18 +80,17 @@ func TestCacheDiscardWakesWaiters(t *testing.T) {
 // used; a released scratch for an evicted signature is dropped silently.
 func TestCacheEvictsLRU(t *testing.T) {
 	c := newTestCache(2, 2)
-	ctx := context.Background()
-	a, _ := c.checkout(ctx, "a")
+	a := c.checkout("a")
 	c.release("a", a)
-	b, _ := c.checkout(ctx, "b")
+	b := c.checkout("b")
 	c.release("b", b)
-	a2, _ := c.checkout(ctx, "a") // refresh a: b is now stalest
+	a2 := c.checkout("a") // refresh a: b is now stalest
 	c.release("a", a2)
 	if a2 != a {
 		t.Fatal("warm scratch not reused within cap")
 	}
 
-	x, _ := c.checkout(ctx, "x") // third signature: b evicted
+	x := c.checkout("x") // third signature: b evicted
 	c.release("x", x)
 	if c.met.cacheEvictions.Load() != 1 {
 		t.Fatalf("evictions = %d, want 1", c.met.cacheEvictions.Load())

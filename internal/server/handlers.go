@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -229,9 +230,8 @@ func (s *Server) countExhausted(code string) {
 }
 
 // countStatus attributes an error status to the outcome counters. Factored
-// out of writeError so streaming handlers — which have already committed a
-// 200 status line by the time a run fails — can account an in-band error
-// the same way.
+// out of writeError so a stream that has already committed its 200 status
+// line accounts an in-band error the same way (ndjson.fail).
 func (s *Server) countStatus(status int) {
 	switch status {
 	case http.StatusGatewayTimeout:
@@ -275,50 +275,52 @@ func (spec *InstanceSpec) checkSigns() error {
 	return nil
 }
 
-// buildInstance materializes an InstanceSpec. Builtin maps are built once
-// and shared — a traffic.System is read-only after Build, so concurrent
-// solves on one map are safe.
+// system resolves the warehouse half of a spec whose signs were checked:
+// the traffic system, the inline instance's own workload (nil for a
+// builtin map), and the horizon — the spec's, else the inline instance's
+// T, 0 when neither sets one. Builtin maps are built once and shared: a
+// traffic.System is read-only after Build, so concurrent solves on one
+// map are safe.
+func (s *Server) system(spec *InstanceSpec) (*wsp.System, *wsp.Workload, int, error) {
+	switch {
+	case spec.Instance != nil && spec.Map != "":
+		return nil, nil, 0, fmt.Errorf("request names both an inline instance and map %q", spec.Map)
+	case spec.Instance != nil:
+		sys, wl, err := wsp.DecodeInstance(spec.Instance)
+		return sys, wl, cmp.Or(spec.Horizon, spec.Instance.T), err
+	case spec.Map != "":
+		m, err := s.builtinMap(spec.Map)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		return m.S, nil, spec.Horizon, nil
+	}
+	return nil, nil, 0, fmt.Errorf("request names neither an inline instance nor a builtin map")
+}
+
+// buildInstance materializes an InstanceSpec for /v1/solve and /v1/batch.
 func (s *Server) buildInstance(spec *InstanceSpec) (wsp.Instance, error) {
 	var inst wsp.Instance
 	if err := spec.checkSigns(); err != nil {
 		return inst, err
 	}
-	switch {
-	case spec.Instance != nil && spec.Map != "":
-		return inst, fmt.Errorf("request names both an inline instance and map %q", spec.Map)
-	case spec.Instance != nil:
-		sys, wl, err := wsp.DecodeInstance(spec.Instance)
-		if err != nil {
-			return inst, err
-		}
-		inst.System = sys
-		if wl != nil {
-			inst.Workload = *wl
-		}
-		inst.Horizon = spec.Instance.T
-	case spec.Map != "":
-		m, err := s.builtinMap(spec.Map)
-		if err != nil {
-			return inst, err
-		}
-		inst.System = m.S
-	default:
-		return inst, fmt.Errorf("request names neither an inline instance nor a builtin map")
+	sys, wl, T, err := s.system(spec)
+	if err != nil {
+		return inst, err
+	}
+	inst.System, inst.Horizon = sys, T
+	if wl != nil {
+		inst.Workload = *wl
 	}
 	if spec.Units > 0 {
-		wl, err := wsp.UniformWorkload(inst.System.W, spec.Units)
-		if err != nil {
+		if inst.Workload, err = wsp.UniformWorkload(sys.W, spec.Units); err != nil {
 			return inst, err
 		}
-		inst.Workload = wl
 	}
 	if len(inst.Workload.Units) == 0 {
 		return inst, fmt.Errorf("request carries no workload (set units or an instance workload)")
 	}
-	if spec.Horizon > 0 {
-		inst.Horizon = spec.Horizon
-	}
-	if inst.Horizon <= 0 {
+	if T <= 0 {
 		return inst, fmt.Errorf("request carries no horizon")
 	}
 	return inst, nil
@@ -351,39 +353,43 @@ func (s *Server) requestConfig(ov *SolveOverrides) (wsp.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// solveCost is the admission charge for one solve under ov.
-func (s *Server) solveCost(ov *SolveOverrides) int64 {
-	if ov.WorkBudget > 0 {
-		return ov.WorkBudget
-	}
-	return s.cfg.SolveCost
+// call is one admitted request: the solver configuration it runs (degraded
+// unless it opted out) with the ladder steps applied, and the context that
+// carries its deadline.
+type call struct {
+	s       *Server
+	ctx     context.Context
+	cancel  context.CancelFunc
+	release func()
+	cfg     wsp.Config
+	steps   []string
+	client  string
 }
 
-// solveContext merges the server's deadline policy with the client's
-// request: default when absent, clamped to MaxDeadline, layered on the
-// request context so a client disconnect still cancels the solve.
-func (s *Server) solveContext(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultDeadline
-	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
+// admit is the admission step of every solve endpoint. It resolves the
+// request's configuration (400 bad-request), charges the client n solves
+// at the gate (503 draining, 429 over-capacity or work-budget), merges the
+// deadline policy and applies the degradation ladder unless the request
+// sets no_degrade. On a refusal the answer is written and admit returns
+// nil; otherwise the caller defers done.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, ov *SolveOverrides, n int) *call {
+	cfg, err := s.requestConfig(ov)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
+		return nil
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// admitOrReject runs the admission gate for a request charging cost units,
-// returning a non-nil release closure on success and writing the 429/503
-// itself on rejection.
-func (s *Server) admitOrReject(w http.ResponseWriter, r *http.Request, cost int64) func() {
 	if s.draining.Load() {
 		s.met.rejectedDrain.Add(1)
 		w.Header().Set("Connection", "close")
 		s.writeError(w, http.StatusServiceUnavailable, "draining", "server is draining", 0)
 		return nil
 	}
-	release, occ, d := s.adm.admit(clientID(r), cost)
+	cost := s.cfg.SolveCost
+	if ov.WorkBudget > 0 {
+		cost = ov.WorkBudget
+	}
+	client := clientID(r)
+	release, occ, d := s.adm.admit(client, cost*int64(n))
 	if d != nil {
 		s.deg.observeReject()
 		if d.reason == "load" {
@@ -400,45 +406,134 @@ func (s *Server) admitOrReject(w http.ResponseWriter, r *http.Request, cost int6
 	s.met.admitted.Add(1)
 	s.met.inFlight.Add(1)
 	s.deg.observeAdmit(occ)
-	return func() {
-		s.met.inFlight.Add(-1)
-		release()
+
+	// The server's deadline (default when absent, clamped to MaxDeadline)
+	// is layered on the request context, so a client disconnect still
+	// cancels the solve and the taxonomy tells the two apart (504 vs 499).
+	deadline := s.cfg.DefaultDeadline
+	if ov.DeadlineMS > 0 {
+		deadline = time.Duration(ov.DeadlineMS) * time.Millisecond
 	}
+	c := &call{s: s, cfg: cfg, client: client, release: release}
+	c.ctx, c.cancel = context.WithTimeout(r.Context(), min(deadline, s.cfg.MaxDeadline))
+	if !ov.NoDegrade {
+		c.cfg, c.steps = degradeConfig(cfg, s.deg.rung())
+	}
+	return c
 }
 
-// solveGuarded runs one solve under the per-request panic isolation and
-// the fault-injection hook, with a warm scratch checked out by topology
-// signature. A panic is converted into an error wrapping errPanic — the
-// daemon keeps serving — and the panicked scratch is discarded rather than
-// returned to the warm pool.
-func (s *Server) solveGuarded(ctx context.Context, cfg wsp.Config, inst wsp.Instance, info faultinject.Info) (res *wsp.Result, err error) {
-	sig := inst.System.StructureSignature()
-	clean := false
-	var sc *wsp.Scratch
+// done cancels the call's context, then frees its admission slot.
+func (c *call) done() {
+	c.cancel()
+	c.s.met.inFlight.Add(-1)
+	c.release()
+}
+
+// complete accounts a call answered 200 and reports whether it ran
+// degraded.
+func (c *call) complete() bool {
+	c.s.met.completed.Add(1)
+	if len(c.steps) > 0 {
+		c.s.met.degraded.Add(1)
+	}
+	return len(c.steps) > 0
+}
+
+// guard runs the fault hook, then fn, under the package's one recover: a
+// panic in either is counted and comes back as an error wrapping errPanic,
+// and the daemon keeps serving.
+func (s *Server) guard(ctx context.Context, info faultinject.Info, fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.met.panics.Add(1)
-			res, err = nil, fmt.Errorf("%w: %v", errPanic, p)
-		}
-		if sc != nil {
-			if clean {
-				s.cache.release(sig, sc)
-			} else {
-				s.cache.discard(sig)
-			}
+			err = fmt.Errorf("%w: %v", errPanic, p)
 		}
 	}()
 	if s.cfg.Fault != nil {
 		if err := s.cfg.Fault(ctx, info); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	sc, err = s.cache.checkout(ctx, sig)
-	if err != nil {
-		return nil, err
+	return fn()
+}
+
+// ndjson is the streamed answer of /v1/sweep and /v1/lifelong. The 200
+// status line and the NDJSON content type go out with the first line, and
+// every line is flushed at once, so clients watch the run live. The run
+// goes on under ctx, which the per-line fault hook can abort with a cause.
+type ndjson struct {
+	s     *Server
+	w     http.ResponseWriter
+	enc   *json.Encoder
+	lines int
+	info  faultinject.Info
+	ctx   context.Context
+	abort context.CancelCauseFunc
+}
+
+// stream starts the NDJSON answer of c. The caller defers abort(nil).
+func (s *Server) stream(w http.ResponseWriter, c *call, path string) *ndjson {
+	n := &ndjson{s: s, w: w, enc: json.NewEncoder(w), info: faultinject.Info{Path: path, Client: c.client}}
+	n.ctx, n.abort = context.WithCancelCause(c.ctx)
+	return n
+}
+
+func (n *ndjson) write(v any) {
+	if n.lines == 0 {
+		n.w.Header().Set("Content-Type", "application/x-ndjson")
+		n.w.WriteHeader(http.StatusOK)
 	}
-	res, err = wsp.NewFromConfig(cfg).SolveWithScratch(ctx, inst, sc)
-	clean = true
+	n.lines++
+	n.enc.Encode(v)
+	if f, ok := n.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// step writes the line for the i-th cell or epoch after the per-line
+// fault hook (Info.Horizon = i), with which the faultinject harness
+// stalls or aborts a run between lines. A hook error cancels ctx with
+// that error as its cause, so the run's next solve fails with it attached
+// and the taxonomy maps it like a mid-solve failure; no line is written.
+func (n *ndjson) step(i int, line func() any) {
+	if n.s.cfg.Fault != nil {
+		info := n.info
+		info.Horizon = i
+		if err := n.s.cfg.Fault(n.ctx, info); err != nil {
+			n.abort(err)
+			return
+		}
+	}
+	n.write(line())
+}
+
+// fail answers err with the error envelope while no line is out. Once the
+// 200 is committed the error can only travel in band: the outcome counters
+// are bumped through countStatus and inband(code) is the last line.
+func (n *ndjson) fail(err error, inband func(code string) any) {
+	status, code := errStatus(err)
+	if n.lines == 0 {
+		n.s.writeError(n.w, status, code, err.Error(), 0)
+		return
+	}
+	n.s.countStatus(status)
+	n.write(inband(code))
+}
+
+// solveGuarded runs one /v1/solve attempt under guard on a scratch checked
+// out by topology signature. The scratch goes back to the warm pool unless
+// the solve or the hook panicked: a panicked scratch may hold half-mutated
+// state, so it is dropped.
+func (s *Server) solveGuarded(c *call, inst wsp.Instance, info faultinject.Info) (res *wsp.Result, err error) {
+	sig := inst.System.StructureSignature()
+	sc := s.cache.checkout(sig)
+	err = s.guard(c.ctx, info, func() (err error) {
+		res, err = wsp.NewFromConfig(c.cfg).SolveWithScratch(c.ctx, inst, sc)
+		return err
+	})
+	if !errors.Is(err, errPanic) {
+		s.cache.release(sig, sc)
+	}
 	return res, err
 }
 
@@ -454,36 +549,24 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad-instance", err.Error(), 0)
 		return
 	}
-	cfg, err := s.requestConfig(&req.SolveOverrides)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
+	c := s.admit(w, r, &req.SolveOverrides, 1)
+	if c == nil {
 		return
 	}
-	release := s.admitOrReject(w, r, s.solveCost(&req.SolveOverrides))
-	if release == nil {
-		return
-	}
-	defer release()
+	defer c.done()
 
-	ctx, cancel := s.solveContext(r, req.DeadlineMS)
-	defer cancel()
-
-	var steps []string
-	if !req.NoDegrade {
-		cfg, steps = degradeConfig(cfg, s.deg.rung())
-	}
-	info := faultinject.Info{Path: "/v1/solve", Client: clientID(r), Horizon: inst.Horizon}
+	info := faultinject.Info{Path: "/v1/solve", Client: c.client, Horizon: inst.Horizon}
 	start := time.Now()
-	res, err := s.solveGuarded(ctx, cfg, inst, info)
-	if errors.Is(err, wsp.ErrBudgetExhausted) && !req.NoDegrade && cfg.Strategy != wsp.RoutePacking {
+	res, err := s.solveGuarded(c, inst, info)
+	if errors.Is(err, wsp.ErrBudgetExhausted) && !req.NoDegrade && c.cfg.Strategy != wsp.RoutePacking {
 		// Budget exhaustion is itself a load signal — and, when the
 		// request allows degradation, a recoverable one: answer with the
 		// cheap strategy instead of erroring.
 		s.deg.observeExhausted()
 		var more []string
-		cfg, more = degradeConfig(cfg, 2)
-		steps = append(steps, more...)
-		res, err = s.solveGuarded(ctx, cfg, inst, info)
+		c.cfg, more = degradeConfig(c.cfg, 2)
+		c.steps = append(c.steps, more...)
+		res, err = s.solveGuarded(c, inst, info)
 	}
 	if err != nil {
 		status, code := errStatus(err)
@@ -491,15 +574,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, code, err.Error(), 0)
 		return
 	}
-	s.met.completed.Add(1)
-	if len(steps) > 0 {
-		s.met.degraded.Add(1)
-	}
 	writeJSON(w, http.StatusOK, SolveResponse{
 		OK:           true,
-		Degraded:     len(steps) > 0,
-		DegradeSteps: steps,
-		Strategy:     cfg.Strategy.String(),
+		Degraded:     c.complete(),
+		DegradeSteps: c.steps,
+		Strategy:     c.cfg.Strategy.String(),
 		Agents:       res.Stats.Agents,
 		Cycles:       len(res.CycleSet.Cycles),
 		Attempts:     res.Attempts,
@@ -534,48 +613,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		insts[i] = inst
 	}
-	cfg, err := s.requestConfig(&req.SolveOverrides)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
+	c := s.admit(w, r, &req.SolveOverrides, len(insts))
+	if c == nil {
 		return
 	}
-	release := s.admitOrReject(w, r, s.solveCost(&req.SolveOverrides)*int64(len(insts)))
-	if release == nil {
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.solveContext(r, req.DeadlineMS)
-	defer cancel()
-	var steps []string
-	if !req.NoDegrade {
-		cfg, steps = degradeConfig(cfg, s.deg.rung())
-	}
+	defer c.done()
 
 	var results []wsp.BatchResult
-	err = func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.met.panics.Add(1)
-				err = fmt.Errorf("%w: %v", errPanic, p)
-			}
-		}()
-		if s.cfg.Fault != nil {
-			info := faultinject.Info{Path: "/v1/batch", Client: clientID(r)}
-			if err := s.cfg.Fault(ctx, info); err != nil {
-				return err
-			}
-		}
-		results = wsp.NewFromConfig(cfg).SolveBatch(ctx, insts)
+	err := s.guard(c.ctx, faultinject.Info{Path: "/v1/batch", Client: c.client}, func() error {
+		results = wsp.NewFromConfig(c.cfg).SolveBatch(c.ctx, insts)
 		return nil
-	}()
+	})
 	if err != nil {
 		status, code := errStatus(err)
 		s.writeError(w, status, code, err.Error(), 0)
 		return
 	}
-
-	resp := BatchResponse{OK: true, Degraded: len(steps) > 0, DegradeSteps: steps}
+	resp := BatchResponse{OK: true, DegradeSteps: c.steps}
 	for _, br := range results {
 		item := BatchItem{ElapsedMS: float64(br.Elapsed) / float64(time.Millisecond)}
 		if br.Err != nil {
@@ -589,13 +643,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Items = append(resp.Items, item)
 	}
-	s.met.completed.Add(1)
-	if resp.Degraded {
-		s.met.degraded.Add(1)
-	}
+	resp.Degraded = c.complete()
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleSweep walks the grid once with wsp.SweepObserve. With stream set,
+// the observer writes one "cell" line per completed topology, then a
+// terminal "summary" line — the /v1/lifelong discipline; without it the
+// cells are converted after the walk, so a failed plain sweep counts none
+// of its points.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Add(1)
 	var req SweepRequest
@@ -609,77 +665,82 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			"sweep needs corridors, lens, and points", 0)
 		return
 	}
-	if points > s.cfg.MaxSweepPoints {
+	// A points count past the bound must not wrap the product back into it.
+	if points > s.cfg.MaxSweepPoints || req.Points > s.cfg.MaxSweepPoints {
 		s.writeError(w, http.StatusUnprocessableEntity, "sweep-too-large",
 			fmt.Sprintf("sweep of %d evaluations exceeds the %d bound", points, s.cfg.MaxSweepPoints), 0)
 		return
 	}
-	cfg, err := s.requestConfig(&req.SolveOverrides)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
-		return
-	}
-	release := s.admitOrReject(w, r, s.solveCost(&req.SolveOverrides)*int64(points))
-	if release == nil {
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.solveContext(r, req.DeadlineMS)
-	defer cancel()
-	var steps []string
-	if !req.NoDegrade {
-		cfg, steps = degradeConfig(cfg, s.deg.rung())
-	}
-
-	stripes, products := req.Stripes, req.Products
-	if stripes <= 0 {
-		stripes = 1
-	}
-	if products <= 0 {
-		products = 2
-	}
 	spec := wsp.SweepSpec{
 		Corridors: req.Corridors, Lens: req.Lens,
-		Stripes: stripes, Products: products,
+		Stripes: cmp.Or(req.Stripes, 1), Products: cmp.Or(req.Products, 2),
 		Units: req.Units, Points: req.Points, Horizon: req.Horizon,
 	}
-	if req.Stream {
-		s.streamSweep(w, r, ctx, cfg, spec, steps)
+	if err := spec.Validate(); err != nil {
+		var size interface{ TooLarge() bool }
+		if errors.As(err, &size) && size.TooLarge() {
+			s.writeError(w, http.StatusUnprocessableEntity, "sweep-too-large", err.Error(), 0)
+		} else {
+			s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
+		}
 		return
 	}
-	var cells []wsp.SweepCell
-	err = func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.met.panics.Add(1)
-				err = fmt.Errorf("%w: %v", errPanic, p)
-			}
-		}()
-		if s.cfg.Fault != nil {
-			info := faultinject.Info{Path: "/v1/sweep", Client: clientID(r)}
-			if err := s.cfg.Fault(ctx, info); err != nil {
-				return err
-			}
+	c := s.admit(w, r, &req.SolveOverrides, points)
+	if c == nil {
+		return
+	}
+	defer c.done()
+
+	ctx := c.ctx
+	var observe func(wsp.SweepCell)
+	var out *ndjson
+	if req.Stream {
+		out = s.stream(w, c, "/v1/sweep")
+		defer out.abort(nil)
+		ctx = out.ctx
+		observe = func(cell wsp.SweepCell) {
+			out.step(out.lines, func() any {
+				return SweepCellLine{Type: "cell", SweepCellResult: s.sweepCellResult(cell)}
+			})
 		}
-		cells, err = wsp.NewFromConfig(cfg).Sweep(ctx, spec)
+	}
+	start := time.Now()
+	var cells []wsp.SweepCell
+	err := s.guard(ctx, faultinject.Info{Path: "/v1/sweep", Client: c.client}, func() (err error) {
+		cells, err = wsp.NewFromConfig(c.cfg).SweepObserve(ctx, spec, observe)
+		if err == nil && out != nil && ctx.Err() != nil {
+			// The per-cell hook aborted on the walk's final topology: no
+			// later pre-check could observe the cancellation, so surface
+			// the cause here instead of a bogus ok summary.
+			err = context.Cause(ctx)
+		}
 		return err
-	}()
-	if err != nil {
+	})
+	switch {
+	case out != nil && err != nil:
+		out.fail(err, func(code string) any {
+			return SweepErrorLine{Type: "error", Code: code, Error: err.Error(), Cells: out.lines}
+		})
+	case out != nil:
+		out.write(SweepSummaryLine{
+			Type:         "summary",
+			OK:           true,
+			Degraded:     c.complete(),
+			DegradeSteps: c.steps,
+			Cells:        out.lines,
+			ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
+		})
+	case err != nil:
 		status, code := errStatus(err)
 		s.writeError(w, status, code, err.Error(), 0)
-		return
+	default:
+		resp := SweepResponse{OK: true, DegradeSteps: c.steps}
+		for _, cell := range cells {
+			resp.Cells = append(resp.Cells, s.sweepCellResult(cell))
+		}
+		resp.Degraded = c.complete()
+		writeJSON(w, http.StatusOK, resp)
 	}
-
-	resp := SweepResponse{OK: true, Degraded: len(steps) > 0, DegradeSteps: steps}
-	for _, c := range cells {
-		resp.Cells = append(resp.Cells, s.sweepCellResult(c))
-	}
-	s.met.completed.Add(1)
-	if resp.Degraded {
-		s.met.degraded.Add(1)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // sweepCellResult converts one engine cell to its wire form, mapping
@@ -699,101 +760,6 @@ func (s *Server) sweepCellResult(c wsp.SweepCell) SweepCellResult {
 		cell.Points = append(cell.Points, pr)
 	}
 	return cell
-}
-
-// streamSweep is handleSweep's NDJSON tail: one "cell" line per completed
-// topology (flushed immediately), then a terminal "summary" line — the
-// same discipline as /v1/lifelong. Failures before the first cell use the
-// normal error envelope; once the 200 is committed, errors travel in-band
-// as an "error" line and the outcome counters are bumped via countStatus.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, ctx context.Context, cfg wsp.Config, spec wsp.SweepSpec, steps []string) {
-	// The per-cell fault hook aborts through a cause-carrying cancel so the
-	// walk's next topology fails with the hook's error attached (the cancel
-	// taxonomy then maps it exactly like a mid-solve failure).
-	runCtx, abort := context.WithCancelCause(ctx)
-	defer abort(nil)
-
-	cid := clientID(r)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	streamed := false
-	cellsOut := 0
-	observe := func(c wsp.SweepCell) {
-		// Per-cell fault hook (Info.Horizon carries the cell index): the
-		// faultinject harness stalls or aborts walks between cells with it.
-		if s.cfg.Fault != nil {
-			if err := s.cfg.Fault(runCtx, faultinject.Info{Path: "/v1/sweep", Client: cid, Horizon: cellsOut}); err != nil {
-				abort(err)
-				return
-			}
-		}
-		if !streamed {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			streamed = true
-		}
-		enc.Encode(SweepCellLine{Type: "cell", SweepCellResult: s.sweepCellResult(c)})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		cellsOut++
-	}
-
-	start := time.Now()
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.met.panics.Add(1)
-				err = fmt.Errorf("%w: %v", errPanic, p)
-			}
-		}()
-		if s.cfg.Fault != nil {
-			if err := s.cfg.Fault(runCtx, faultinject.Info{Path: "/v1/sweep", Client: cid}); err != nil {
-				return err
-			}
-		}
-		_, err = wsp.NewFromConfig(cfg).SweepObserve(runCtx, spec, observe)
-		if err == nil && runCtx.Err() != nil {
-			// The per-cell hook aborted on the walk's final topology: no
-			// later pre-check could observe the cancellation, so surface
-			// the cause here instead of a bogus ok summary.
-			err = context.Cause(runCtx)
-		}
-		return err
-	}()
-	if err != nil {
-		status, code := errStatus(err)
-		if !streamed {
-			s.writeError(w, status, code, err.Error(), 0)
-			return
-		}
-		s.countStatus(status)
-		enc.Encode(SweepErrorLine{Type: "error", Code: code, Error: err.Error(), Cells: cellsOut})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return
-	}
-	s.met.completed.Add(1)
-	if len(steps) > 0 {
-		s.met.degraded.Add(1)
-	}
-	line := SweepSummaryLine{
-		Type:         "summary",
-		OK:           true,
-		Degraded:     len(steps) > 0,
-		DegradeSteps: steps,
-		Cells:        cellsOut,
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if !streamed {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	enc.Encode(line)
-	if flusher != nil {
-		flusher.Flush()
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -100,33 +98,11 @@ func (s *Server) buildLifelongSystem(spec *InstanceSpec) (*wsp.System, int, erro
 	if spec.Units > 0 {
 		return nil, 0, fmt.Errorf("lifelong demand is carried by batches, not a top-level units field")
 	}
-	T := spec.Horizon
-	var sys *wsp.System
-	switch {
-	case spec.Instance != nil && spec.Map != "":
-		return nil, 0, fmt.Errorf("request names both an inline instance and map %q", spec.Map)
-	case spec.Instance != nil:
-		var err error
-		sys, _, err = wsp.DecodeInstance(spec.Instance)
-		if err != nil {
-			return nil, 0, err
-		}
-		if T <= 0 {
-			T = spec.Instance.T
-		}
-	case spec.Map != "":
-		m, err := s.builtinMap(spec.Map)
-		if err != nil {
-			return nil, 0, err
-		}
-		sys = m.S
-	default:
-		return nil, 0, fmt.Errorf("request names neither an inline instance nor a builtin map")
+	sys, _, T, err := s.system(spec)
+	if err == nil && T <= 0 {
+		err = fmt.Errorf("request carries no horizon")
 	}
-	if T <= 0 {
-		return nil, 0, fmt.Errorf("request carries no horizon")
-	}
-	return sys, T, nil
+	return sys, T, err
 }
 
 // buildLifelongBatches resolves batch specs against the warehouse. The
@@ -187,119 +163,63 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
 		return
 	}
-	cfg, err := s.requestConfig(&req.SolveOverrides)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad-request", err.Error(), 0)
-		return
-	}
 	// Charged like /v1/sweep: each batch release forces at least one
 	// re-planning epoch, so the work scales with the batch count.
-	release := s.admitOrReject(w, r, s.solveCost(&req.SolveOverrides)*int64(len(batches)))
-	if release == nil {
+	c := s.admit(w, r, &req.SolveOverrides, len(batches))
+	if c == nil {
 		return
 	}
-	defer release()
+	defer c.done()
+	out := s.stream(w, c, "/v1/lifelong")
+	defer out.abort(nil)
 
-	ctx, cancel := s.solveContext(r, req.DeadlineMS)
-	defer cancel()
-	// The per-epoch fault hook aborts through a cause-carrying cancel so
-	// the engine's next solve fails with the hook's error attached (the
-	// cancel taxonomy then maps it exactly like a mid-solve failure).
-	runCtx, abort := context.WithCancelCause(ctx)
-	defer abort(nil)
-
-	var steps []string
-	if !req.NoDegrade {
-		cfg, steps = degradeConfig(cfg, s.deg.rung())
-	}
-
-	cid := clientID(r)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	streamed := false
 	obs := wsp.LifelongObserverFuncs{
 		Epoch: func(er wsp.EpochReport) {
-			// Per-epoch fault hook (Info.Horizon carries the epoch index):
-			// the faultinject harness stalls or aborts runs between epochs
-			// with it.
-			if s.cfg.Fault != nil {
-				if err := s.cfg.Fault(runCtx, faultinject.Info{Path: "/v1/lifelong", Client: cid, Horizon: er.Epoch}); err != nil {
-					abort(err)
-					return
+			out.step(er.Epoch, func() any {
+				return LifelongEpochLine{
+					Type:        "epoch",
+					Epoch:       er.Epoch,
+					Start:       er.Start,
+					Horizon:     er.Horizon,
+					Changeover:  er.Changeover,
+					ServicedAt:  er.ServicedAt,
+					End:         er.End,
+					Agents:      er.Agents,
+					Delivered:   er.Delivered,
+					Outstanding: er.Outstanding,
+					Throughput:  er.Throughput,
 				}
-			}
-			if !streamed {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-				streamed = true
-			}
-			enc.Encode(LifelongEpochLine{
-				Type:        "epoch",
-				Epoch:       er.Epoch,
-				Start:       er.Start,
-				Horizon:     er.Horizon,
-				Changeover:  er.Changeover,
-				ServicedAt:  er.ServicedAt,
-				End:         er.End,
-				Agents:      er.Agents,
-				Delivered:   er.Delivered,
-				Outstanding: er.Outstanding,
-				Throughput:  er.Throughput,
 			})
-			if flusher != nil {
-				flusher.Flush()
-			}
 		},
 	}
-
 	start := time.Now()
 	var rep *wsp.LifelongReport
-	err = func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.met.panics.Add(1)
-				rep, err = nil, fmt.Errorf("%w: %v", errPanic, p)
-			}
-		}()
-		if s.cfg.Fault != nil {
-			if err := s.cfg.Fault(runCtx, faultinject.Info{Path: "/v1/lifelong", Client: cid, Horizon: T}); err != nil {
-				return err
-			}
-		}
-		rep, err = wsp.NewFromConfig(cfg).Lifelong(runCtx, sys, batches, T, wsp.WithLifelongObserver(obs))
+	info := faultinject.Info{Path: "/v1/lifelong", Client: c.client, Horizon: T}
+	err = s.guard(out.ctx, info, func() (err error) {
+		rep, err = wsp.NewFromConfig(c.cfg).Lifelong(out.ctx, sys, batches, T, wsp.WithLifelongObserver(obs))
 		return err
-	}()
+	})
 	if err != nil {
-		status, code := errStatus(err)
 		// Counted like everywhere else — but no degraded retry here:
 		// epochs already streamed cannot be replayed by a restarted
 		// cheaper run.
+		_, code := errStatus(err)
 		s.countExhausted(code)
-		if !streamed {
-			s.writeError(w, status, code, err.Error(), 0)
-			return
-		}
-		s.countStatus(status)
-		epochs := 0
-		if rep != nil {
-			epochs = rep.Epochs
-		}
-		enc.Encode(LifelongErrorLine{Type: "error", Code: code, Error: err.Error(), Epochs: epochs})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		out.fail(err, func(code string) any {
+			line := LifelongErrorLine{Type: "error", Code: code, Error: err.Error()}
+			if rep != nil {
+				line.Epochs = rep.Epochs
+			}
+			return line
+		})
 		return
-	}
-	s.met.completed.Add(1)
-	if len(steps) > 0 {
-		s.met.degraded.Add(1)
 	}
 	line := LifelongReportLine{
 		Type:         "report",
 		OK:           true,
-		Degraded:     len(steps) > 0,
-		DegradeSteps: steps,
-		Strategy:     cfg.Strategy.String(),
+		Degraded:     c.complete(),
+		DegradeSteps: c.steps,
+		Strategy:     c.cfg.Strategy.String(),
 		Epochs:       rep.Epochs,
 		PeakAgents:   rep.PeakAgents,
 		Delivered:    rep.Delivered,
@@ -308,12 +228,5 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 	for _, b := range rep.Batches {
 		line.Batches = append(line.Batches, LifelongBatchResult{Release: b.Release, Units: b.Units, Completed: b.Completed})
 	}
-	if !streamed {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	enc.Encode(line)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	out.write(line)
 }

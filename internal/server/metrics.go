@@ -28,7 +28,6 @@ type metrics struct {
 	cacheHits       atomic.Int64 // warm-scratch checkouts
 	cacheMisses     atomic.Int64 // cold-scratch checkouts
 	cacheEvictions  atomic.Int64 // LRU signature evictions
-	cacheWaits      atomic.Int64 // single-flight waits behind a compile
 	drains          atomic.Int64 // Drain() invocations
 	inFlight        atomic.Int64 // gauge: admitted solves currently running
 }
@@ -50,7 +49,6 @@ func (m *metrics) snapshot() map[string]int64 {
 		"cache_hits_total":       m.cacheHits.Load(),
 		"cache_misses_total":     m.cacheMisses.Load(),
 		"cache_evictions_total":  m.cacheEvictions.Load(),
-		"cache_waits_total":      m.cacheWaits.Load(),
 		"drains_total":           m.drains.Load(),
 		"in_flight":              m.inFlight.Load(),
 	}

@@ -2,8 +2,14 @@
 // solve service: an HTTP+JSON front over the wsp facade with admission
 // control (bounded in-flight slots + per-client work budgets), a merged
 // server/client deadline policy, a graceful-degradation ladder, per-request
-// panic isolation, a warm-model cache keyed by topology signature, and
+// panic isolation, a warm-scratch cache keyed by topology signature, and
 // drain-clean shutdown.
+//
+// The four solve endpoints share one request path. Each handler parses and
+// builds its input, then admit resolves the configuration, charges the
+// admission gate and sets the deadline and the degradation; guard runs the
+// fault hook and the work under the package's one recover; /v1/sweep and
+// /v1/lifelong stream through one NDJSON writer.
 //
 // The service's contract with the solver library is deliberately thin:
 // every admitted, undegraded, undisturbed request is answered by exactly

@@ -473,6 +473,44 @@ func TestNegativeOverridesRejected(t *testing.T) {
 			}
 		}
 	}
+	// A sweep spec the walk would refuse, or fill with defaults, is a bad
+	// request before admission, not a charged walk answered "internal".
+	sweep := func(edit func(*SweepRequest)) SweepRequest {
+		req := SweepRequest{Corridors: []int{2}, Lens: []int{6}, Units: 60, Points: 2, Horizon: 1200}
+		edit(&req)
+		return req
+	}
+	for name, body := range map[string]SweepRequest{
+		"horizon -5":     sweep(func(r *SweepRequest) { r.Horizon = -5 }),
+		"horizon 0":      sweep(func(r *SweepRequest) { r.Horizon = 0 }),
+		"units 1":        sweep(func(r *SweepRequest) { r.Units = 1 }),
+		"units -60":      sweep(func(r *SweepRequest) { r.Units = -60 }),
+		"corridors [0]":  sweep(func(r *SweepRequest) { r.Corridors = []int{0} }),
+		"corridors [1]":  sweep(func(r *SweepRequest) { r.Corridors = []int{1} }),
+		"corridors [-2]": sweep(func(r *SweepRequest) { r.Corridors = []int{-2} }),
+		"lens [1]":       sweep(func(r *SweepRequest) { r.Lens = []int{1} }),
+		"lens [-6]":      sweep(func(r *SweepRequest) { r.Lens = []int{-6} }),
+		"stripes -3":     sweep(func(r *SweepRequest) { r.Stripes = -3 }),
+		"products -1":    sweep(func(r *SweepRequest) { r.Products = -1 }),
+	} {
+		w := postJSON(t, srv.Handler(), "/v1/sweep", body, nil)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("/v1/sweep with %s: status %d, want 400: %s", name, w.Code, w.Body.String())
+		}
+		if resp := decodeAs[ErrorResponse](t, w); resp.Code != "bad-request" {
+			t.Errorf("/v1/sweep with %s: code %q, want bad-request", name, resp.Code)
+		}
+	}
+	// A floor the generator would have to allocate 182 × 475,200 cells for
+	// (and a stock 3600 times that) is refused on size before admission.
+	w := postJSON(t, srv.Handler(), "/v1/sweep",
+		sweep(func(r *SweepRequest) { r.Corridors, r.Stripes, r.Products = []int{60}, 3600, 3600 }), nil)
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("oversized sweep floor: status %d, want 422: %s", w.Code, w.Body.String())
+	}
+	if resp := decodeAs[ErrorResponse](t, w); resp.Code != "sweep-too-large" {
+		t.Errorf("oversized sweep floor: code %q, want sweep-too-large", resp.Code)
+	}
 	if m := srv.Metrics(); m["admitted_total"] != 0 {
 		t.Errorf("admitted_total = %d, want 0: a rejected request must not be admitted", m["admitted_total"])
 	}

@@ -1,6 +1,9 @@
 // Command servesmoke is the `make serve-smoke` driver: it builds wspd,
-// starts it on an ephemeral port, performs one /healthz probe and one
-// /v1/solve, then sends SIGTERM and requires a drain-clean exit 0 — the
+// starts it on an ephemeral port, probes /healthz, drives every solve
+// endpoint once — /v1/solve, /v1/batch, a plain and a streamed /v1/sweep
+// (cell lines, then a summary line) and /v1/lifelong (epoch lines, then a
+// report line) — and requires /debug/vars to count every one of them as
+// admitted. Then it sends SIGTERM and requires a drain-clean exit 0: the
 // daemon's whole lifecycle contract (serve → answer → drain), end to end,
 // with no curl dependency.
 package main
@@ -25,7 +28,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve-smoke:", err)
 		os.Exit(1)
 	}
-	fmt.Println("serve-smoke: ok (healthz + solve + drain-clean exit 0)")
+	fmt.Println("serve-smoke: ok (healthz + solve, batch, sweep, streamed sweep, lifelong + drain-clean exit 0)")
 }
 
 func run() error {
@@ -89,15 +92,9 @@ func run() error {
 		return fmt.Errorf("healthz: status %d", resp.StatusCode)
 	}
 
-	reqBody := `{"map":"sorting","units":120,"horizon":3600,"deadline_ms":60000}`
-	resp, err = http.Post(base+"/v1/solve", "application/json", strings.NewReader(reqBody))
+	body, err := post(base, "/v1/solve", `{"map":"sorting","units":120,"horizon":3600,"deadline_ms":60000}`)
 	if err != nil {
-		return fmt.Errorf("solve: %w", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("solve: status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+		return err
 	}
 	var solved struct {
 		OK     bool `json:"ok"`
@@ -107,6 +104,55 @@ func run() error {
 		return fmt.Errorf("solve: implausible response %s (err=%v)", bytes.TrimSpace(body), err)
 	}
 	fmt.Printf("serve-smoke: solved sorting/120 with %d agents\n", solved.Agents)
+
+	body, err = post(base, "/v1/batch", `{"instances":[{"map":"sorting","units":60,"horizon":3600},`+
+		`{"map":"sorting","units":120,"horizon":3600}],"deadline_ms":60000}`)
+	if err != nil {
+		return err
+	}
+	var batch struct {
+		OK    bool `json:"ok"`
+		Items []struct {
+			OK bool `json:"ok"`
+		} `json:"items"`
+	}
+	if err := json.Unmarshal(body, &batch); err != nil || !batch.OK || len(batch.Items) != 2 ||
+		!batch.Items[0].OK || !batch.Items[1].OK {
+		return fmt.Errorf("batch: implausible response %s (err=%v)", bytes.TrimSpace(body), err)
+	}
+
+	const grid = `"corridors":[2],"lens":[6,7],"units":60,"points":1,"horizon":1200,"deadline_ms":60000`
+	body, err = post(base, "/v1/sweep", "{"+grid+"}")
+	if err != nil {
+		return err
+	}
+	var sweep struct {
+		OK    bool              `json:"ok"`
+		Cells []json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(body, &sweep); err != nil || !sweep.OK || len(sweep.Cells) != 2 {
+		return fmt.Errorf("sweep: implausible response %s (err=%v)", bytes.TrimSpace(body), err)
+	}
+	if err := postStream(base, "/v1/sweep", "{"+grid+`,"stream":true}`, "cell", "summary"); err != nil {
+		return err
+	}
+	if err := postStream(base, "/v1/lifelong", `{"map":"sorting","horizon":3600,"deadline_ms":60000,`+
+		`"batches":[{"release":0,"units":60},{"release":1200,"units":60}]}`, "epoch", "report"); err != nil {
+		return err
+	}
+
+	resp, err = http.Get(base + "/debug/vars")
+	if err != nil {
+		return fmt.Errorf("vars: %w", err)
+	}
+	var vars struct {
+		Admitted int `json:"admitted_total"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&vars)
+	resp.Body.Close()
+	if err != nil || vars.Admitted != 5 {
+		return fmt.Errorf("vars: admitted_total %d after 5 requests (err=%v)", vars.Admitted, err)
+	}
 
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("SIGTERM: %w", err)
@@ -120,6 +166,48 @@ func run() error {
 		}
 	case <-time.After(30 * time.Second):
 		return fmt.Errorf("wspd did not exit within 30s of SIGTERM")
+	}
+	return nil
+}
+
+// post sends one JSON request and returns the body of its 200 answer.
+func post(base, path, body string) ([]byte, error) {
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(out))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return out, nil
+}
+
+// postStream sends one request answered in NDJSON and requires one or
+// more lines of type kind, then one ok line of type last.
+func postStream(base, path, body, kind, last string) error {
+	out, err := post(base, path, body)
+	if err != nil {
+		return err
+	}
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	for i, line := range lines {
+		var l struct {
+			Type string `json:"type"`
+			OK   bool   `json:"ok"`
+		}
+		want, end := kind, i == len(lines)-1
+		if end {
+			want = last
+		}
+		if err := json.Unmarshal(line, &l); err != nil || l.Type != want || (end && (i == 0 || !l.OK)) {
+			return fmt.Errorf("%s: line %d of %d is %s, want %q lines then an ok %q line (err=%v)",
+				path, i+1, len(lines), line, kind, last, err)
+		}
 	}
 	return nil
 }

@@ -117,6 +117,32 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 	})
 
+	t.Run("route-packing-horizon-too-short", func(t *testing.T) {
+		solver := New(WithStrategy(RoutePacking))
+		_, err := solver.Solve(ctx, tinyInstance(t, m, 12, 5))
+		if !errors.Is(err, ErrHorizonTooShort) {
+			t.Fatalf("%v does not classify as ErrHorizonTooShort", err)
+		}
+	})
+
+	t.Run("route-packing-shortfall", func(t *testing.T) {
+		// 480 units in 400 steps outrun every loop the sorting center's
+		// capacities admit: route packing's verdict is the flow
+		// strategies' shortfall verdict, not an unclassified error.
+		sorting, err := BuiltinMap("sorting")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(WithStrategy(RoutePacking)).Solve(ctx, tinyInstance(t, sorting, 480, 400))
+		var ie *InfeasibleError
+		if !errors.As(err, &ie) || !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("%v does not classify as ErrInfeasible", err)
+		}
+		if ie.Cert != CertMaybeFeasible {
+			t.Errorf("certificate %v, want CertMaybeFeasible", ie.Cert)
+		}
+	})
+
 	t.Run("budget-exhausted", func(t *testing.T) {
 		mm := midMap(t)
 		solver := New(WithStrategy(ContractILP), WithExact(true), WithMaxAttempts(1))
@@ -217,6 +243,26 @@ func TestSweepCanceledReturnsCompletedCells(t *testing.T) {
 	}
 	if len(cells) != 0 {
 		t.Fatalf("pre-cancelled sweep returned %d cells", len(cells))
+	}
+}
+
+// TestSweepStockShortfallIsPointVerdict: a workload level beyond a
+// topology's stock is that design point's infeasible verdict, and the walk
+// goes on to the next topology instead of failing.
+func TestSweepStockShortfallIsPointVerdict(t *testing.T) {
+	cells, err := New().Sweep(context.Background(), SweepSpec{
+		Corridors: []int{2, 3}, Lens: []int{6},
+		Stripes: 1, Products: 2, Units: 1200, Points: 2, Horizon: 1200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("walked %d topologies, want 2", len(cells))
+	}
+	top := cells[0].Points[1] // 1200 units; V=2 stocks 720
+	if !errors.Is(top.Err, ErrInfeasible) || top.Result != nil {
+		t.Errorf("level %d on V=2: %v, want an infeasible verdict", top.Units, top.Err)
 	}
 }
 

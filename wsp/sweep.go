@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/lp"
@@ -28,7 +29,22 @@ type SweepSpec struct {
 	Horizon int
 }
 
-func (sp SweepSpec) validate() error {
+// maxSweepCells bounds what one topology of a sweep may ask the map
+// generator to allocate: its floor, and its products × floor cells of
+// stock. It is the bound wspio puts on a decoded stock matrix, and an
+// 8 MiB inline instance carries at most ~8 M cells; the Fig. 5 grid (4
+// stripes, corridors 2–4, 48 products) needs at most 80 × 14 cells a
+// floor.
+const maxSweepCells = 1 << 22
+
+// Validate reports whether the spec can be walked: at least one corridor
+// width and length cap; widths of at least 2; caps of 0 (the generator's
+// default, 6) or at least 2; at least one stripe, product, level and
+// timestep; units of at least points; and every topology within
+// maxSweepCells. SweepObserve runs it first. A refusal on size alone — the
+// spec is well formed but too large to generate — has a TooLarge method
+// that reports true.
+func (sp SweepSpec) Validate() error {
 	if len(sp.Corridors) == 0 || len(sp.Lens) == 0 {
 		return fmt.Errorf("wsp: sweep needs at least one corridor width and one length cap")
 	}
@@ -40,8 +56,49 @@ func (sp SweepSpec) validate() error {
 	if sp.Units < sp.Points {
 		return fmt.Errorf("wsp: sweep units %d must be at least points %d", sp.Units, sp.Points)
 	}
+	if sp.Horizon < 1 {
+		return fmt.Errorf("wsp: sweep horizon %d must be at least 1", sp.Horizon)
+	}
+	if sp.Stripes < 1 || sp.Products < 1 {
+		return fmt.Errorf("wsp: sweep stripes %d and products %d must be at least 1", sp.Stripes, sp.Products)
+	}
+	for _, v := range sp.Corridors {
+		if v < 2 {
+			return fmt.Errorf("wsp: sweep corridor width %d must be at least 2", v)
+		}
+	}
+	for _, l := range sp.Lens {
+		if l != 0 && l < 2 {
+			return fmt.Errorf("wsp: sweep length cap %d must be 0 or at least 2", l)
+		}
+	}
+	for _, v := range sp.Corridors {
+		// Corridor width V makes a (3V+2) × Stripes·(2V+12) floor (V aisle
+		// rows, 12-column bays), and its stock a Products-fold one. With V
+		// clamped to the bound, and each factor checked against it before
+		// it multiplies, nothing overflows.
+		w := min(v, maxSweepCells)
+		cells := 1
+		for _, f := range []int{3*w + 2, sp.Stripes, 2*w + 12, sp.Products} {
+			if f > maxSweepCells/cells {
+				return sweepTooLarge(fmt.Sprintf(
+					"wsp: sweep corridor width %d with %d stripes and %d products exceeds the %d-cell bound",
+					v, sp.Stripes, sp.Products, maxSweepCells))
+			}
+			cells *= f
+		}
+	}
 	return nil
 }
+
+// sweepTooLarge is Validate's refusal of a well-formed spec on size.
+type sweepTooLarge string
+
+func (e sweepTooLarge) Error() string { return string(e) }
+
+// TooLarge tells a size refusal from a malformed spec (wspd answers the
+// first 422 sweep-too-large, the second 400 bad-request).
+func (sweepTooLarge) TooLarge() bool { return true }
 
 // SweepPoint is one (topology, workload level) evaluation. An infeasible
 // design point is an expected sweep outcome: Err is set and Result nil.
@@ -81,7 +138,7 @@ func (s *Solver) SweepObserve(ctx context.Context, spec SweepSpec, observe func(
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	var cells []SweepCell
@@ -99,26 +156,33 @@ func (s *Solver) SweepObserve(ctx context.Context, spec SweepSpec, observe func(
 			if err != nil {
 				return cells, fmt.Errorf("wsp: sweep V=%d L=%d: %w", v, l, err)
 			}
+			cell := SweepCell{Corridor: v, MaxLen: l, Stats: SummarizeTraffic(m.S)}
 			insts := make([]Instance, 0, spec.Points)
-			levels := make([]int, 0, spec.Points)
 			for i := 1; i <= spec.Points; i++ {
-				u := spec.Units * i / spec.Points
+				// units·i/points in 128 bits, so no unit count overflows.
+				hi, lo := bits.Mul64(uint64(spec.Units), uint64(i))
+				q, _ := bits.Div64(hi, lo, uint64(spec.Points))
+				u := int(q)
 				wl, err := UniformWorkload(m.W, u)
 				if err != nil {
-					return cells, fmt.Errorf("wsp: sweep V=%d L=%d units=%d: %w", v, l, u, err)
+					// More demand than the topology stocks: no plan serves
+					// this level, a design verdict rather than a fault.
+					cell.Points = append(cell.Points, SweepPoint{Units: u, Err: &InfeasibleError{
+						Cert: CertInfeasible, Horizon: spec.Horizon,
+						Reason: fmt.Sprintf("sweep V=%d L=%d units=%d: %v", v, l, u, err)}})
+					continue
 				}
-				levels = append(levels, u)
+				cell.Points = append(cell.Points, SweepPoint{Units: u})
 				insts = append(insts, Instance{System: m.S, Workload: wl, Horizon: spec.Horizon})
 			}
-			cell := SweepCell{Corridor: v, MaxLen: l, Stats: SummarizeTraffic(m.S)}
+			// Levels rise, so the ones the stock covers come first.
 			hit := false
 			for i, r := range s.SolveBatch(ctx, insts) {
 				if r.Err != nil && errors.Is(r.Err, ErrCanceled) {
 					hit = true
 				}
-				cell.Points = append(cell.Points, SweepPoint{
-					Units: levels[i], Result: r.Res, Err: r.Err, Elapsed: r.Elapsed,
-				})
+				pt := &cell.Points[i]
+				pt.Result, pt.Err, pt.Elapsed = r.Res, r.Err, r.Elapsed
 			}
 			if hit {
 				// The batch drained under cancellation: its rows are
