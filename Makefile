@@ -5,7 +5,7 @@
 GO ?= go
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: build test vet race bench bench-smoke bench-compare test-lp-long examples serve-smoke corpus-smoke perfbench-check ci fmt
+.PHONY: build test vet race test-procs1 bench bench-smoke bench-compare test-lp-long examples serve-smoke corpus-smoke perfbench-check ci fmt
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,14 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The packages whose solves hand tiles to a second goroutine (core's
+# realize/validate pipeline, through warehouse.Feeder), run on one P: a
+# handoff that waits for a second P to run the other goroutine deadlocks
+# here instead of passing on a multi-core machine. -count=1 because the
+# test cache does not key on GOMAXPROCS and would replay `make test`.
+test-procs1:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core ./internal/warehouse ./internal/solverpool ./internal/server ./wsp
 
 # The trajectory's benchmarks: Table I synthesis + the full Table I solve
 # and its two dominant stages (Algorithm 1 realization, validation by
@@ -105,4 +113,4 @@ perfbench-check:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-ci: fmt build vet test race examples serve-smoke bench-smoke corpus-smoke perfbench-check
+ci: fmt build vet test race test-procs1 examples serve-smoke bench-smoke corpus-smoke perfbench-check

@@ -730,19 +730,20 @@ func BenchmarkValidate(b *testing.B) {
 
 // BenchmarkRealizeValidate times the stage core.Solve runs in place of the
 // two above: Algorithm 1 on the largest Table I instance's cycle set,
-// streamed tile by tile into a warehouse.Replayer, with no plan kept. The
-// target is at most 25 ns per agent-step.
+// streamed tile by tile into a warehouse.Replayer that checks each tile on
+// its own goroutine while the next is realized (warehouse.Feeder), with no
+// plan kept. The target is at most 25 ns per agent-step.
 func BenchmarkRealizeValidate(b *testing.B) {
 	m, wl, pre := largestTableISolve(b)
 	agents := pre.Stats.Agents
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rp := warehouse.NewReplayer(m.W, agents, horizonT, wl)
+		feed := warehouse.NewReplayer(m.W, agents, horizonT, wl).Async()
 		_, err := agentplan.Stream(pre.CycleSet, wl, horizonT, func(tile []warehouse.AgentState, width, steps int) error {
-			rp.Feed(tile, width, steps)
+			feed.Feed(tile, width, steps)
 			return nil
 		})
-		rep := rp.Finish()
+		rep := feed.Finish()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -57,10 +57,11 @@ type Stats struct {
 type agent struct {
 	cyc      *cycles.Cycle
 	quota    []int // units left per leg of cyc, shared by the cycle's agents
-	pos      int   // index into cyc.Components: the agent's current component
 	carried  warehouse.ProductID
-	dropPos  int // leg DropIdx the agent is heading to, -1 when empty
-	advanceT int // timestep of the last component advancement
+	advanceT int   // timestep of the last component advancement
+	first    int32 // cyc's position 0 in the numbering of all cycle positions
+	pos      int32 // index into cyc.Components: the agent's current component
+	dropPos  int32 // leg DropIdx the agent is heading to, -1 when empty
 }
 
 // ring lists the agents in one component, nearest the exit first. The
@@ -179,6 +180,7 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 		for li, leg := range cyc.Legs {
 			q[li] = leg.Quota
 		}
+		first := ai
 		for pos, comp := range cyc.Components {
 			r := &rings[comp]
 			if r.n == r.size {
@@ -187,10 +189,27 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 			members[r.lo+r.n] = int32(ai)
 			cur[ai] = r.lo + r.size - 1 - r.n
 			r.n++
-			agents[ai] = agent{cyc: cyc, quota: q, pos: pos, carried: warehouse.NoProduct, dropPos: -1, advanceT: -1}
+			agents[ai] = agent{cyc: cyc, quota: q, first: int32(first), pos: int32(pos), carried: warehouse.NoProduct, dropPos: -1, advanceT: -1}
 			ai++
 		}
 	}
+
+	// What a step visits, in one buffer. Components on some cycle now hold
+	// agents, and a component on none never will, since an agent moves only
+	// to its own cycle's next component: the movement phase walks just the
+	// former, in ascending order. The cycle positions are numbered like the
+	// agents placed on them, and the legs that pick at position k, in leg
+	// order, are pickLegs[pickAt[k]:pickAt[k+1]].
+	lists := grid.GetInt32(len(rings) + n + 1 + nlegs)
+	defer grid.PutInt32(lists)
+	onCycle := lists[:0:len(rings)]
+	for c := range rings {
+		if rings[c].n > 0 {
+			onCycle = append(onCycle, int32(c))
+		}
+	}
+	pickAt, pickLegs := lists[len(rings):len(rings)+n+1], lists[len(rings)+n+1:]
+	indexPicks(cs.Cycles, pickAt, pickLegs)
 
 	// Dense mutable stock: shelf column x product, indexed col*|ρ|+k.
 	p := w.NumProducts
@@ -240,20 +259,25 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 		periodStart := (t / tc) * tc
 		stamp := int32(t) + 1
 
-		// Phase 1: pick/drop decisions from positions at time t.
+		// Phase 1: pick/drop decisions from positions at time t. An empty
+		// agent tries the legs that pick at its position, in leg order.
 		for i := range agents {
 			a := &agents[i]
-			v := grid.VertexID(vertexAt[cur[i]])
 			if a.carried == warehouse.NoProduct {
-				col := w.ShelfColumn(v)
+				k := a.first + a.pos
+				legs := pickLegs[pickAt[k]:pickAt[k+1]]
+				if len(legs) == 0 {
+					continue
+				}
+				col := w.ShelfColumn(grid.VertexID(vertexAt[cur[i]]))
 				if col < 0 {
 					continue
 				}
-				for li := range a.cyc.Legs {
-					leg := &a.cyc.Legs[li]
-					if leg.PickIdx != a.pos || a.quota[li] <= 0 {
+				for _, li := range legs {
+					if a.quota[li] <= 0 {
 						continue
 					}
+					leg := &a.cyc.Legs[li]
 					si := col*p + int(leg.Product)
 					if stock[si] <= 0 {
 						continue
@@ -261,11 +285,11 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 					stock[si]--
 					a.quota[li]--
 					a.carried = leg.Product
-					a.dropPos = leg.DropIdx
+					a.dropPos = int32(leg.DropIdx)
 					stats.Picks++
 					break
 				}
-			} else if a.pos == a.dropPos && w.IsStation(v) {
+			} else if a.pos == a.dropPos && w.IsStation(grid.VertexID(vertexAt[cur[i]])) {
 				k := a.carried
 				stats.Delivered[k]++
 				if int(k) < len(wl.Units) && stats.Delivered[k] == wl.Units[k] {
@@ -289,7 +313,7 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 		// exit first. The member just ahead is the only one that can hold
 		// the next cell, so its time-t slot decides every internal shift.
 		handoffs = handoffs[:0]
-		for c := range rings {
+		for _, c := range onCycle {
 			rg := &rings[c]
 			if rg.n == 0 {
 				continue
@@ -308,7 +332,7 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 				if g == exit {
 					if k == 0 && a.advanceT < periodStart {
 						np := a.pos + 1
-						if np == len(a.cyc.Components) {
+						if int(np) == len(a.cyc.Components) {
 							np = 0
 						}
 						to := a.cyc.Components[np]
@@ -320,7 +344,7 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 							a.pos = np
 							a.advanceT = t + 1
 							ng = tr.lo
-							handoffs = append(handoffs, handoff{from: int32(c), to: int32(to)})
+							handoffs = append(handoffs, handoff{from: c, to: int32(to)})
 							stats.Moves++
 						}
 					}
@@ -353,4 +377,34 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 		return Stats{}, err
 	}
 	return stats, nil
+}
+
+// indexPicks lists, for every cycle position k, numbered like the agents
+// Stream places on the positions, the legs that pick there in leg order:
+// pickLegs[pickAt[k]:pickAt[k+1]]. pickAt, zeroed, has one entry per
+// position and one more; pickLegs has one per leg.
+func indexPicks(cycs []*cycles.Cycle, pickAt, pickLegs []int32) {
+	first := 0
+	for _, cyc := range cycs {
+		for _, leg := range cyc.Legs {
+			pickAt[first+leg.PickIdx+1]++
+		}
+		first += len(cyc.Components)
+	}
+	for k := 1; k < len(pickAt); k++ {
+		pickAt[k] += pickAt[k-1]
+	}
+	// Fill every list from its start, which leaves pickAt[k] at the start
+	// of list k+1, then shift the starts back.
+	first = 0
+	for _, cyc := range cycs {
+		for li, leg := range cyc.Legs {
+			k := first + leg.PickIdx
+			pickLegs[pickAt[k]] = int32(li)
+			pickAt[k]++
+		}
+		first += len(cyc.Components)
+	}
+	copy(pickAt[1:], pickAt)
+	pickAt[0] = 0
 }

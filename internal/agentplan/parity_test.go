@@ -13,8 +13,9 @@ import (
 // cell walk it replaced: identical plans and Stats on the nine Table I
 // instances at every tile-edge horizon and on the generated corpus under
 // both route packing and the contract ILP. On the same cases, Stream fed
-// straight into a warehouse.Replayer, as core.Solve runs it, must give the
-// Stats and Replay of Realize followed by warehouse.ReplayPlan.
+// into a warehouse.Replayer, directly and through the warehouse.Feeder that
+// checks tiles on its own goroutine as core.Solve runs it, must give the
+// Stats, error and Replay of Realize followed by warehouse.ReplayPlan.
 func TestRealizeMatchesReference(t *testing.T) {
 	tableI, err := paritycases.TableI()
 	if err != nil {
@@ -42,23 +43,34 @@ func TestRealizeMatchesReference(t *testing.T) {
 					t.Errorf("plan differs from the reference")
 				}
 				w := c.CS.S.W
-				rp := warehouse.NewReplayer(w, c.CS.NumAgents(), T, c.WL)
-				streamStats, streamErr := Stream(c.CS, c.WL, T, func(tile []warehouse.AgentState, width, steps int) error {
-					rp.Feed(tile, width, steps)
-					return nil
-				})
-				replay := rp.Finish()
-				if fmt.Sprint(streamErr) != fmt.Sprint(err) {
-					t.Fatalf("Stream err = %v, Realize %v", streamErr, err)
+				var want warehouse.Replay
+				if err == nil {
+					want = warehouse.ReplayPlan(w, plan, c.WL)
 				}
-				if err != nil {
-					return
-				}
-				if !reflect.DeepEqual(streamStats, stats) {
-					t.Errorf("Stream stats = %+v, Realize %+v", streamStats, stats)
-				}
-				if want := warehouse.ReplayPlan(w, plan, c.WL); !reflect.DeepEqual(replay, want) {
-					t.Errorf("streamed replay = %+v, ReplayPlan %+v", replay, want)
+				for _, async := range []bool{false, true} {
+					rp := warehouse.NewReplayer(w, c.CS.NumAgents(), T, c.WL)
+					feed, finish := rp.Feed, rp.Finish
+					if async {
+						f := rp.Async()
+						feed, finish = f.Feed, f.Finish
+					}
+					streamStats, streamErr := Stream(c.CS, c.WL, T, func(tile []warehouse.AgentState, width, steps int) error {
+						feed(tile, width, steps)
+						return nil
+					})
+					replay := finish()
+					if fmt.Sprint(streamErr) != fmt.Sprint(err) {
+						t.Fatalf("async=%v: Stream err = %v, Realize %v", async, streamErr, err)
+					}
+					if err != nil {
+						continue
+					}
+					if !reflect.DeepEqual(streamStats, stats) {
+						t.Errorf("async=%v: Stream stats = %+v, Realize %+v", async, streamStats, stats)
+					}
+					if !reflect.DeepEqual(replay, want) {
+						t.Errorf("async=%v: streamed replay = %+v, ReplayPlan %+v", async, replay, want)
+					}
 				}
 			})
 		}

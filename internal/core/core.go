@@ -104,7 +104,9 @@ type Timing struct {
 	Synthesis time.Duration // flow/cycle synthesis (the Table I column)
 	Mapping   time.Duration // flow set → cycle set
 	// Realize is Algorithm 1 together with the validation that checks its
-	// states as they are produced, tile by tile: one fused pass.
+	// states as they are produced, tile by tile: one fused pass, whose two
+	// halves overlap on two goroutines. It is the pass's wall time, not the
+	// sum of the two halves' busy times.
 	Realize time.Duration
 }
 
@@ -268,17 +270,19 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 		return res, nil
 	}
 	// Realize and validate in one pass: each tile Algorithm 1 fills goes
-	// straight to the replayer, so no agents×T plan is kept.
+	// straight to the replayer, so no agents×T plan is kept. The replayer
+	// runs on the feeder's goroutine and checks each tile while this
+	// goroutine realizes the next.
 	realizeStart := time.Now()
-	rp := warehouse.NewReplayer(s.W, cs.NumAgents(), T, wl)
+	feed := warehouse.NewReplayer(s.W, cs.NumAgents(), T, wl).Async()
 	stats, err := agentplan.Stream(cs, wl, T, func(tile []warehouse.AgentState, width, steps int) error {
 		if ctx.Err() != nil {
 			return fmt.Errorf("core: realization canceled: %w", lp.ErrCanceled)
 		}
-		rp.Feed(tile, width, steps)
+		feed.Feed(tile, width, steps)
 		return nil
 	})
-	rep := rp.Finish()
+	rep := feed.Finish()
 	if err != nil {
 		return nil, err
 	}

@@ -89,9 +89,10 @@ func checkDeferredPlan(t *testing.T, w *warehouse.Warehouse, res *Result, wl war
 }
 
 // TestSolveCanceledDuringRealization: a deadline that expires while the
-// plan streams stops the solve within a tile. Synthesis of this instance
-// takes well under a millisecond at any horizon; realizing and validating
-// its 24 agents over 10⁶ steps takes over a second.
+// plan streams stops the solve within a tile, and the validating goroutine
+// with it. Synthesis of this instance takes well under a millisecond at any
+// horizon; realizing and validating its 24 agents over 10⁶ steps takes over
+// a second.
 func TestSolveCanceledDuringRealization(t *testing.T) {
 	m, err := maps.SortingCenter()
 	if err != nil {
@@ -103,6 +104,7 @@ func TestSolveCanceledDuringRealization(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
+	base := runtime.NumGoroutine()
 	start := time.Now()
 	_, err = Solve(ctx, m.S, wl, 1_000_000, Options{})
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -110,6 +112,56 @@ func TestSolveCanceledDuringRealization(t *testing.T) {
 	}
 	if !errors.Is(err, lp.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want lp.ErrCanceled caused by the deadline", err)
+	}
+	awaitGoroutines(t, base, "canceled solve")
+}
+
+// TestSolveStopsItsGoroutines: a solved and a failed solve, each of which
+// realized a plan, return with the goroutine that validated it stopped.
+func TestSolveStopsItsGoroutines(t *testing.T) {
+	m, err := maps.SortingCenter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	wl, err := workload.Uniform(m.W, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(context.Background(), m.S, wl, 3600, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sim.ServicedAt < 0 {
+		t.Fatal("not serviced")
+	}
+	awaitGoroutines(t, base, "solved solve")
+
+	// One unit in ten steps: every attempt realizes a plan that falls short.
+	short, err := workload.Uniform(m.W, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Solve(context.Background(), m.S, short, 10, Options{})
+	var inf *flow.InfeasibleError
+	if !errors.As(err, &inf) || !strings.Contains(err.Error(), "warm-up shortfall") {
+		t.Fatalf("err = %v, want the realized plan's warm-up shortfall", err)
+	}
+	awaitGoroutines(t, base, "failed solve")
+}
+
+// awaitGoroutines fails the test unless the goroutine count falls back to
+// base within a few seconds. A goroutine whose exit Finish has waited for
+// can still be winding down when Finish returns, so it polls; one that
+// never exits keeps the count up.
+func awaitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after a %s: %d goroutines, %d before", after, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

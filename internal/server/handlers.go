@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -388,8 +389,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ov *SolveOverride
 	if ov.WorkBudget > 0 {
 		cost = ov.WorkBudget
 	}
+	// The charge saturates: a product past the int64 range must not wrap
+	// below the client's budget.
+	charge := int64(math.MaxInt64)
+	if n <= 1 || cost <= math.MaxInt64/int64(n) {
+		charge = cost * int64(n)
+	}
 	client := clientID(r)
-	release, occ, d := s.adm.admit(client, cost*int64(n))
+	release, occ, d := s.adm.admit(client, charge)
 	if d != nil {
 		s.deg.observeReject()
 		if d.reason == "load" {

@@ -198,6 +198,38 @@ func TestAdmissionWorkBudget(t *testing.T) {
 	}
 }
 
+// TestAdmissionChargeSaturates: a request is charged its work budget once
+// per batch instance, sweep evaluation or lifelong batch, and a charge past
+// the int64 range saturates. Wrapped, 2⁶² × 4 is 0 and 2⁶² × 2 is -2⁶³,
+// charges any budget covers.
+func TestAdmissionChargeSaturates(t *testing.T) {
+	const budget = `"work_budget":4611686018427387904`
+	sorting := `{"map":"sorting","units":12,"horizon":800}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/batch", `{"instances":[` + strings.Repeat(sorting+",", 3) + sorting + `],` + budget + `}`},
+		{"/v1/sweep", `{"corridors":[2],"lens":[6],"units":60,"points":2,"horizon":1200,` + budget + `}`},
+		{"/v1/lifelong", `{"map":"sorting","horizon":2400,"batches":[{"release":0,"units":6},{"release":800,"units":6}],` + budget + `}`},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			srv := New(Config{})
+			before := srv.adm.clientStats()["greedy"].WorkCharged
+			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+			req.Header.Set("X-Client-ID", "greedy")
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, req)
+			if w.Code != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429: %s", w.Code, w.Body.String())
+			}
+			if resp := decodeAs[ErrorResponse](t, w); resp.Code != "work-budget" {
+				t.Errorf("code %q, want work-budget", resp.Code)
+			}
+			if after := srv.adm.clientStats()["greedy"].WorkCharged; after != before {
+				t.Errorf("work_charged_total went from %d to %d", before, after)
+			}
+		})
+	}
+}
+
 // TestDeadlineExceededIs504: a solve cut short by the merged deadline
 // policy answers 504/deadline-exceeded — the server's deadline, not the
 // client hanging up.

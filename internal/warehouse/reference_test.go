@@ -201,7 +201,8 @@ func canon(vs []warehouse.PlanViolation) []warehouse.PlanViolation {
 
 // checkParity requires ValidatePlan, Delivered, Services and sim.Run to
 // answer exactly as the reference does on p, and a Replayer fed p's rows in
-// tiles of every width in tileWidths to answer as ValidatePlan and sim.Run.
+// tiles of every width in tileWidths, directly and through a Feeder, to
+// answer as ValidatePlan and sim.Run.
 func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ...warehouse.Workload) {
 	t.Helper()
 	wantVs := canon(refValidatePlan(w, p))
@@ -209,8 +210,10 @@ func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ..
 		t.Errorf("ValidatePlan = %v, reference %v", got, wantVs)
 	}
 	for _, width := range tileWidths(p.Horizon()) {
-		if got := canon(feedTiles(w, p, warehouse.Workload{}, width).Violations); !reflect.DeepEqual(got, wantVs) {
-			t.Errorf("width %d: Replayer violations = %v, reference %v", width, got, wantVs)
+		for _, async := range []bool{false, true} {
+			if got := canon(feedTiles(w, p, warehouse.Workload{}, width, async).Violations); !reflect.DeepEqual(got, wantVs) {
+				t.Errorf("width %d, async=%v: Replayer violations = %v, reference %v", width, async, got, wantVs)
+			}
 		}
 	}
 	if got, want := warehouse.Delivered(w, p), refDelivered(w, p); !reflect.DeepEqual(got, want) {
@@ -230,10 +233,12 @@ func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ..
 			t.Errorf("sim.Run(%v) = %+v, reference %+v", wl.Units, got, want)
 		}
 		for _, width := range tileWidths(p.Horizon()) {
-			got := feedTiles(w, p, wl, width)
-			got.Violations = canon(got.Violations)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("width %d: Replayer(%v) = %+v, reference %+v", width, wl.Units, got, want)
+			for _, async := range []bool{false, true} {
+				got := feedTiles(w, p, wl, width, async)
+				got.Violations = canon(got.Violations)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("width %d, async=%v: Replayer(%v) = %+v, reference %+v", width, async, wl.Units, got, want)
+				}
 			}
 		}
 	}
@@ -244,12 +249,18 @@ func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ..
 // ReplayPlan's 64-step tile, and the whole plan at once.
 func tileWidths(T int) []int { return []int{1, 7, 63, 64, 65, T} }
 
-// feedTiles replays p through a Replayer fed tiles of the given width. The
-// tile is refilled with an off-grid state before every copy, so a read of a
-// state outside the steps fed shows as a violation.
-func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload, width int) sim.Result {
+// feedTiles replays p through a Replayer fed tiles of the given width,
+// directly or, when async, through a Feeder. The tile is refilled with an
+// off-grid state before every copy, so a read of a state outside the steps
+// fed, or of the tile after Feed returned, shows as a violation.
+func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload, width int, async bool) sim.Result {
 	rows, T := p.Rows(), p.Horizon()
 	rp := warehouse.NewReplayer(w, len(rows), T, wl)
+	feed, finish := rp.Feed, rp.Finish
+	if async {
+		f := rp.Async()
+		feed, finish = f.Feed, f.Finish
+	}
 	tile := make([]warehouse.AgentState, width*len(rows))
 	for t0 := 0; t0 < T; t0 += width {
 		n := min(width, T-t0)
@@ -259,9 +270,9 @@ func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload,
 		for i, row := range rows {
 			copy(tile[i*width:i*width+n], row[t0:t0+n])
 		}
-		rp.Feed(tile, width, n)
+		feed(tile, width, n)
 	}
-	return sim.Result(rp.Finish())
+	return sim.Result(finish())
 }
 
 // demands returns the zero workload and a unit demand for every product.
