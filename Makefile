@@ -5,7 +5,7 @@
 GO ?= go
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: build test vet race test-procs1 bench bench-smoke bench-compare test-lp-long examples serve-smoke corpus-smoke perfbench-check ci fmt
+.PHONY: build test vet race test-procs1 bench bench-smoke bench-compare test-lp-long fuzz-nightly examples serve-smoke corpus-smoke perfbench-check ci fmt
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,18 @@ bench-compare:
 # manual dispatch (.github/workflows/ci.yml, job lp-long).
 test-lp-long:
 	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
+
+# The native fuzz targets over untrusted input, 60 s each: wspio instance
+# bodies and their export round trip (FuzzDecode), MovingAI map imports
+# (FuzzImportMovingAI) and the wspd solve endpoints (FuzzSolveEndpoints).
+# `go test` runs only their seed corpora. A failing input is written under
+# the package's testdata/fuzz/; commit it with the fix. CI runs this nightly
+# and on manual dispatch (.github/workflows/ci.yml, job fuzz-nightly).
+FUZZ_FLAGS = -run '^$$' -fuzztime 60s -parallel 2 -fuzzminimizetime 3s
+fuzz-nightly:
+	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzDecode$$' ./internal/wspio
+	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzImportMovingAI$$' ./internal/datasets
+	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzSolveEndpoints$$' ./internal/server
 
 # End-to-end daemon smoke: build wspd, start it, hit /healthz, drive every
 # solve endpoint once (/v1/solve, /v1/batch, a plain and a streamed

@@ -38,19 +38,11 @@ import (
 // agent.
 const tileSteps = 64
 
-// Stats summarizes a realization.
+// Stats summarizes a realization. What the plan delivers, and when, is
+// the replay's to establish (warehouse.ReplayPlan), not the realizer's.
 type Stats struct {
 	// Agents is the team size (one agent per cycle position).
 	Agents int
-	// Delivered counts units dropped at stations, per product.
-	Delivered []int
-	// Picks counts pickups.
-	Picks int
-	// ServicedAt is the first timestep by which the workload was fully
-	// delivered, or -1 if the plan falls short.
-	ServicedAt int
-	// Moves counts cell transitions (a proxy for energy/congestion).
-	Moves int
 }
 
 // agent is one agent's state apart from its cell slot.
@@ -234,21 +226,6 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 		tile[i*width] = warehouse.AgentState{Vertex: grid.VertexID(vertexAt[cur[i]]), Carried: warehouse.NoProduct}
 	}
 
-	stats := Stats{
-		Agents:     n,
-		Delivered:  make([]int, p),
-		ServicedAt: -1,
-	}
-	short := 0 // products still below their demand
-	for _, want := range wl.Units {
-		if want > 0 {
-			short++
-		}
-	}
-	if short == 0 {
-		stats.ServicedAt = 0
-	}
-
 	// entryStamp[c] == t+1 once an agent has claimed component c's entry
 	// for t+1.
 	entryStamp := grid.GetInt32(len(rings))
@@ -286,15 +263,9 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 					a.quota[li]--
 					a.carried = leg.Product
 					a.dropPos = int32(leg.DropIdx)
-					stats.Picks++
 					break
 				}
 			} else if a.pos == a.dropPos && w.IsStation(grid.VertexID(vertexAt[cur[i]])) {
-				k := a.carried
-				stats.Delivered[k]++
-				if int(k) < len(wl.Units) && stats.Delivered[k] == wl.Units[k] {
-					short--
-				}
 				a.carried = warehouse.NoProduct
 				a.dropPos = -1
 			}
@@ -345,12 +316,10 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 							a.advanceT = t + 1
 							ng = tr.lo
 							handoffs = append(handoffs, handoff{from: c, to: int32(to)})
-							stats.Moves++
 						}
 					}
 				} else if ahead != g+1 {
 					ng = g + 1
-					stats.Moves++
 				}
 				nxt[i] = ng
 				tile[int(i)*width+r] = warehouse.AgentState{Vertex: grid.VertexID(vertexAt[ng]), Carried: a.carried}
@@ -368,15 +337,11 @@ func Stream(cs *cycles.Set, wl warehouse.Workload, T int, emit func(tile []wareh
 			members[to.tail()] = i
 		}
 		cur, nxt = nxt, cur
-
-		if stats.ServicedAt < 0 && short == 0 {
-			stats.ServicedAt = t + 1
-		}
 	}
 	if err := emit(tile, width, T-base); err != nil {
 		return Stats{}, err
 	}
-	return stats, nil
+	return Stats{Agents: n}, nil
 }
 
 // indexPicks lists, for every cycle position k, numbered like the agents

@@ -66,6 +66,18 @@ func mustWorkload(t *testing.T, w *warehouse.Warehouse, units ...int) warehouse.
 	return out
 }
 
+// checkServices replays plan and requires it feasible and servicing wl.
+func checkServices(t *testing.T, w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) {
+	t.Helper()
+	r := warehouse.ReplayPlan(w, plan, wl)
+	if len(r.Violations) > 0 {
+		t.Fatalf("plan violates feasibility: %v (of %d violations)", r.Violations[0], len(r.Violations))
+	}
+	if r.ServicedAt < 0 {
+		t.Fatalf("plan does not service workload %v: delivered %v", wl.Units, r.Delivered)
+	}
+}
+
 func TestRealizeServicesWorkloadViaRoutes(t *testing.T) {
 	w, s := ringSystem(t)
 	wl := mustWorkload(t, w, 12, 7)
@@ -77,19 +89,7 @@ func TestRealizeServicesWorkloadViaRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := warehouse.ValidatePlan(w, plan); len(v) > 0 {
-		t.Fatalf("plan violates feasibility: %v (of %d violations)", v[0], len(v))
-	}
-	ok, why := warehouse.Services(w, plan, wl)
-	if !ok {
-		t.Fatalf("plan does not service workload: %v (delivered %v)", why, stats.Delivered)
-	}
-	if stats.ServicedAt < 0 {
-		t.Error("stats.ServicedAt = -1 despite servicing")
-	}
-	if stats.Picks < 19 {
-		t.Errorf("picks = %d, want >= 19", stats.Picks)
-	}
+	checkServices(t, w, plan, wl)
 	if stats.Agents != cs.NumAgents() {
 		t.Errorf("agents = %d, want %d", stats.Agents, cs.NumAgents())
 	}
@@ -106,16 +106,11 @@ func TestRealizeServicesWorkloadViaFlowSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, stats, err := Realize(cs, wl, 800)
+	plan, _, err := Realize(cs, wl, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := warehouse.ValidatePlan(w, plan); len(v) > 0 {
-		t.Fatalf("plan violates feasibility: %v", v[0])
-	}
-	if ok, why := warehouse.Services(w, plan, wl); !ok {
-		t.Fatalf("plan does not service workload: %v (delivered %v)", why, stats.Delivered)
-	}
+	checkServices(t, w, plan, wl)
 }
 
 func TestRealizeContractPathEndToEnd(t *testing.T) {
@@ -129,16 +124,11 @@ func TestRealizeContractPathEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, stats, err := Realize(cs, wl, 800)
+	plan, _, err := Realize(cs, wl, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := warehouse.ValidatePlan(w, plan); len(v) > 0 {
-		t.Fatalf("plan violates feasibility: %v", v[0])
-	}
-	if ok, why := warehouse.Services(w, plan, wl); !ok {
-		t.Fatalf("plan does not service workload: %v (delivered %v)", why, stats.Delivered)
-	}
+	checkServices(t, w, plan, wl)
 }
 
 func TestRealizePlanShapeAndWarmup(t *testing.T) {
@@ -166,10 +156,9 @@ func TestRealizePlanShapeAndWarmup(t *testing.T) {
 	}
 	// Delivery cannot happen before anything was picked up: the serviced
 	// timestep must be positive for positive demand.
-	if stats.ServicedAt <= 0 {
-		t.Errorf("ServicedAt = %d, want > 0", stats.ServicedAt)
+	if r := warehouse.ReplayPlan(w, plan, wl); r.ServicedAt <= 0 {
+		t.Errorf("ServicedAt = %d, want > 0", r.ServicedAt)
 	}
-	_ = w
 }
 
 func TestRealizeRespectsStock(t *testing.T) {
@@ -180,18 +169,17 @@ func TestRealizeRespectsStock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, stats, err := Realize(cs, wl, 8000)
+	plan, _, err := Realize(cs, wl, 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := warehouse.ValidatePlan(w, plan); len(v) > 0 {
-		t.Fatalf("plan violates feasibility (incl. stock accounting): %v", v[0])
+	// The replay counts every pickup against the shelf's stock.
+	r := warehouse.ReplayPlan(w, plan, wl)
+	if len(r.Violations) > 0 {
+		t.Fatalf("plan violates feasibility (incl. stock accounting): %v", r.Violations[0])
 	}
-	if stats.Delivered[0] < 300 {
-		t.Errorf("delivered %d of 300", stats.Delivered[0])
-	}
-	if stats.Picks > 300 {
-		t.Errorf("picks %d exceed stock 300", stats.Picks)
+	if r.Delivered[0] < 300 {
+		t.Errorf("delivered %d of 300", r.Delivered[0])
 	}
 }
 
@@ -223,16 +211,17 @@ func TestRealizeManyWorkloads(t *testing.T) {
 			t.Errorf("workload %v: synthesize: %v", units, err)
 			continue
 		}
-		plan, stats, err := Realize(cs, wl, 1200)
+		plan, _, err := Realize(cs, wl, 1200)
 		if err != nil {
 			t.Errorf("workload %v: realize: %v", units, err)
 			continue
 		}
-		if v := warehouse.ValidatePlan(w, plan); len(v) > 0 {
-			t.Errorf("workload %v: infeasible plan: %v", units, v[0])
+		r := warehouse.ReplayPlan(w, plan, wl)
+		if len(r.Violations) > 0 {
+			t.Errorf("workload %v: infeasible plan: %v", units, r.Violations[0])
 		}
-		if ok, _ := warehouse.Services(w, plan, wl); !ok {
-			t.Errorf("workload %v: not serviced (delivered %v)", units, stats.Delivered)
+		if r.ServicedAt < 0 {
+			t.Errorf("workload %v: not serviced (delivered %v)", units, r.Delivered)
 		}
 	}
 }

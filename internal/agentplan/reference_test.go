@@ -20,10 +20,11 @@ type refAgent struct {
 	advanceT int // timestep of the last component advancement
 }
 
-// refRealize is the cell-walk realization Realize replaced, kept verbatim
-// as the oracle the parity tests hold Realize to: every timestep it walks
-// every cell of every component, exit first, over a stamped vertex
-// occupancy, and it allocates one plan row per agent.
+// refRealize is the cell-walk realization Realize replaced, kept as the
+// oracle the parity tests hold Realize to (less its delivery, pick and move
+// tallies, which the replay owns now): every timestep it walks every cell
+// of every component, exit first, over a stamped vertex occupancy, and it
+// allocates one plan row per agent.
 func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Stats, error) {
 	s := cs.S
 	w := s.W
@@ -93,23 +94,6 @@ func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, 
 		rows[i][0] = warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct}
 	}
 
-	stats := Stats{
-		Agents:     len(agents),
-		Delivered:  make([]int, w.NumProducts),
-		ServicedAt: -1,
-	}
-	serviced := func() bool {
-		for k, want := range wl.Units {
-			if stats.Delivered[k] < want {
-				return false
-			}
-		}
-		return true
-	}
-	if stats.ServicedAt < 0 && serviced() {
-		stats.ServicedAt = 0
-	}
-
 	// Stamped occupancy arenas, pooled across runs. An entry is valid at the
 	// current step iff its stamp equals the step's stamp, so no per-step
 	// clearing or map allocation happens: occ* holds positions at time t,
@@ -155,11 +139,9 @@ func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, 
 					a.carried = leg.Product
 					a.dropPos = leg.DropIdx
 					a.legIdx = li
-					stats.Picks++
 					break
 				}
 			} else if a.pos == a.dropPos && w.IsStation(a.vertex) {
-				stats.Delivered[a.carried]++
 				a.carried = warehouse.NoProduct
 				a.dropPos = -1
 				a.legIdx = -1
@@ -194,7 +176,6 @@ func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, 
 							a.vertex = entry
 							a.advanceT = t + 1
 							advanced = true
-							stats.Moves++
 						}
 					}
 				}
@@ -204,7 +185,6 @@ func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, 
 					if next != grid.None {
 						if occStamp[next] != stamp && newStamp[next] != stamp {
 							a.vertex = next
-							stats.Moves++
 						}
 					}
 				}
@@ -216,9 +196,6 @@ func refRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, 
 		for ai, a := range agents {
 			rows[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
 		}
-		if stats.ServicedAt < 0 && serviced() {
-			stats.ServicedAt = t + 1
-		}
 	}
-	return warehouse.NewPlan(rows), stats, nil
+	return warehouse.NewPlan(rows), Stats{Agents: len(agents)}, nil
 }

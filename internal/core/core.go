@@ -282,13 +282,12 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 		feed.Feed(tile, width, steps)
 		return nil
 	})
-	rep := feed.Finish()
+	res.Sim = feed.Finish()
 	if err != nil {
 		return nil, err
 	}
 	res.Timing.Realize = time.Since(realizeStart)
 	res.Stats = stats
-	res.Sim = sim.Result(rep)
 	if len(res.Sim.Violations) > 0 {
 		return nil, fmt.Errorf("core: realized plan violates feasibility: %w", res.Sim.Violations[0])
 	}

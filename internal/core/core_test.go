@@ -36,8 +36,8 @@ func TestSolveAllStrategiesOnRing(t *testing.T) {
 				t.Fatal("missing plan or cycle set")
 			}
 			checkDeferredPlan(t, w, res, wl, 800)
-			if ok, why := warehouse.Services(w, res.Plan, wl); !ok {
-				t.Fatalf("not serviced: %v", why)
+			if r := warehouse.ReplayPlan(w, res.Plan, wl); len(r.Violations) > 0 || r.ServicedAt < 0 {
+				t.Fatalf("not serviced: delivered %v, violations %v", r.Delivered, r.Violations)
 			}
 			if res.Timing.Synthesis <= 0 {
 				t.Error("synthesis timing not recorded")

@@ -72,8 +72,8 @@ func TestPaperFig1Scenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, why := warehouse.Services(w, res.Plan, wl); !ok {
-		t.Fatalf("Fig. 1 scenario not serviced: %v", why)
+	if r := warehouse.ReplayPlan(w, res.Plan, wl); len(r.Violations) > 0 || r.ServicedAt < 0 {
+		t.Fatalf("Fig. 1 scenario not serviced: delivered %v, violations %v", r.Delivered, r.Violations)
 	}
 	if res.Stats.Agents == 0 || res.Sim.ServicedAt <= 0 {
 		t.Errorf("implausible stats: %+v", res.Stats)

@@ -34,8 +34,8 @@ func TestFlowStrategiesOnGeneratedMap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ok, why := warehouse.Services(m.W, res.Plan, wl); !ok {
-				t.Fatalf("not serviced: %v", why)
+			if r := warehouse.ReplayPlan(m.W, res.Plan, wl); len(r.Violations) > 0 || r.ServicedAt < 0 {
+				t.Fatalf("not serviced: delivered %v, violations %v", r.Delivered, r.Violations)
 			}
 			if res.FlowSet == nil {
 				t.Error("flow set missing")

@@ -43,8 +43,8 @@ func TestTableIInstancesSolve(t *testing.T) {
 				continue
 			}
 			checkDeferredPlan(t, m.W, res, wl, T)
-			if ok, why := warehouse.Services(m.W, res.Plan, wl); !ok {
-				t.Errorf("%s/%d: not serviced: %v", tc.name, total, why)
+			if r := warehouse.ReplayPlan(m.W, res.Plan, wl); len(r.Violations) > 0 || r.ServicedAt < 0 {
+				t.Errorf("%s/%d: not serviced: delivered %v, violations %v", tc.name, total, r.Delivered, r.Violations)
 			}
 			t.Logf("%s units=%d: agents=%d cycles=%d serviced@%d synth=%v attempts=%d",
 				tc.name, total, res.Stats.Agents, len(res.CycleSet.Cycles),

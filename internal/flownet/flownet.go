@@ -1,11 +1,8 @@
-// Package flownet provides integral network-flow algorithms: Dinic's
-// max-flow and successive-shortest-path min-cost flow.
+// Package flownet provides successive-shortest-path min-cost flow.
 //
-// The flow-synthesis pipeline uses these for the scalable strategy
-// (per-product routing and empty-agent return balancing) and for
-// decomposing a synthesized agent-flow set into the path sets of
-// Properties 4.2/4.3. Both algorithms return integral flows on integral
-// capacities, which the pipeline relies on.
+// The flow-synthesis pipeline uses it for the scalable strategy
+// (per-product routing and empty-agent return balancing). It returns
+// integral flows on integral capacities, which the pipeline relies on.
 package flownet
 
 import (
@@ -34,9 +31,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, head: make([][]int32, n)}
 }
 
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return g.n }
-
 // EdgeID identifies an edge added by AddEdge.
 type EdgeID int32
 
@@ -60,80 +54,6 @@ func (g *Graph) AddEdge(u, v int, capacity, cost int64) EdgeID {
 
 // Flow returns the flow currently routed through edge id.
 func (g *Graph) Flow(id EdgeID) int64 { return g.edge[id].orig - g.edge[id].cap }
-
-// Capacity returns the original capacity of edge id.
-func (g *Graph) Capacity(id EdgeID) int64 { return g.edge[id].orig }
-
-// Reset restores every edge to its original capacity, erasing all flow.
-func (g *Graph) Reset() {
-	for i := range g.edge {
-		g.edge[i].cap = g.edge[i].orig
-	}
-}
-
-// MaxFlow pushes the maximum flow from s to t using Dinic's algorithm and
-// returns its value. Flow already routed (e.g. by a previous call) is kept.
-func (g *Graph) MaxFlow(s, t int) int64 {
-	if s == t {
-		return 0
-	}
-	var total int64
-	level := make([]int32, g.n)
-	iter := make([]int, g.n)
-	queue := make([]int32, 0, g.n)
-	for {
-		// BFS level graph.
-		for i := range level {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, eid := range g.head[v] {
-				e := &g.edge[eid]
-				if e.cap > 0 && level[e.to] < 0 {
-					level[e.to] = level[v] + 1
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		if level[t] < 0 {
-			return total
-		}
-		for i := range iter {
-			iter[i] = 0
-		}
-		for {
-			f := g.dfsAugment(s, t, math.MaxInt64, level, iter)
-			if f == 0 {
-				break
-			}
-			total += f
-		}
-	}
-}
-
-func (g *Graph) dfsAugment(v, t int, limit int64, level []int32, iter []int) int64 {
-	if v == t {
-		return limit
-	}
-	for ; iter[v] < len(g.head[v]); iter[v]++ {
-		eid := g.head[v][iter[v]]
-		e := &g.edge[eid]
-		if e.cap <= 0 || level[e.to] != level[v]+1 {
-			continue
-		}
-		d := g.dfsAugment(int(e.to), t, min64(limit, e.cap), level, iter)
-		if d > 0 {
-			e.cap -= d
-			g.edge[eid^1].cap += d
-			return d
-		}
-	}
-	return 0
-}
 
 // MinCostFlow routes up to maxFlow units from s to t along successively
 // cheapest augmenting paths (Bellman-Ford potentials, then Dijkstra). It
@@ -205,7 +125,7 @@ func (g *Graph) MinCostFlow(s, t int, maxFlow int64) (flow, cost int64) {
 		push := maxFlow - flow
 		for v := int32(t); v != int32(s); {
 			e := &g.edge[prevEdge[v]]
-			push = min64(push, e.cap)
+			push = min(push, e.cap)
 			v = g.edge[prevEdge[v]^1].to
 		}
 		for v := int32(t); v != int32(s); {
@@ -237,11 +157,4 @@ func (h *vertexHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// The MaxFlow tests ask MinCostFlow for more than the network carries on
+// zero-cost edges, so it routes the maximum flow.
+
 func TestMaxFlowClassic(t *testing.T) {
 	// CLRS-style example with max flow 23.
 	g := NewGraph(6)
@@ -19,8 +22,8 @@ func TestMaxFlowClassic(t *testing.T) {
 	g.AddEdge(4, 3, 7, 0)
 	g.AddEdge(3, 5, 20, 0)
 	g.AddEdge(4, 5, 4, 0)
-	if got := g.MaxFlow(0, 5); got != 23 {
-		t.Errorf("MaxFlow = %d, want 23", got)
+	if got, _ := g.MinCostFlow(0, 5, 1<<30); got != 23 {
+		t.Errorf("MinCostFlow = %d, want the max flow 23", got)
 	}
 }
 
@@ -28,32 +31,16 @@ func TestMaxFlowDisconnected(t *testing.T) {
 	g := NewGraph(4)
 	g.AddEdge(0, 1, 5, 0)
 	g.AddEdge(2, 3, 5, 0)
-	if got := g.MaxFlow(0, 3); got != 0 {
-		t.Errorf("MaxFlow = %d, want 0", got)
+	if got, _ := g.MinCostFlow(0, 3, 1<<30); got != 0 {
+		t.Errorf("MinCostFlow = %d, want 0", got)
 	}
 }
 
 func TestMaxFlowSelfTarget(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, 1, 5, 0)
-	if got := g.MaxFlow(0, 0); got != 0 {
-		t.Errorf("MaxFlow(s,s) = %d, want 0", got)
-	}
-}
-
-func TestFlowAccessorsAndReset(t *testing.T) {
-	g := NewGraph(2)
-	e := g.AddEdge(0, 1, 7, 0)
-	if g.Capacity(e) != 7 {
-		t.Errorf("Capacity = %d, want 7", g.Capacity(e))
-	}
-	g.MaxFlow(0, 1)
-	if g.Flow(e) != 7 {
-		t.Errorf("Flow = %d, want 7", g.Flow(e))
-	}
-	g.Reset()
-	if g.Flow(e) != 0 {
-		t.Errorf("Flow after Reset = %d, want 0", g.Flow(e))
+	if got, _ := g.MinCostFlow(0, 0, 1<<30); got != 0 {
+		t.Errorf("MinCostFlow(s,s) = %d, want 0", got)
 	}
 }
 
@@ -123,8 +110,8 @@ func TestMinCostFlowZeroRequest(t *testing.T) {
 
 // conservationOK verifies flow conservation at every vertex except s and t.
 func conservationOK(g *Graph, s, t int) bool {
-	net := make([]int64, g.NumVertices())
-	for u := 0; u < g.NumVertices(); u++ {
+	net := make([]int64, g.n)
+	for u := 0; u < g.n; u++ {
 		for _, eid := range g.head[u] {
 			if eid%2 != 0 {
 				continue // skip reverse edges
@@ -189,9 +176,9 @@ func bruteMaxFlow(capm [][]int64, s, t int) int64 {
 	}
 }
 
-// Property: Dinic agrees with the brute-force reference on random graphs and
-// produces a conserving flow.
-func TestMaxFlowMatchesBruteForce(t *testing.T) {
+// Property: min-cost flow asked for more than the network carries routes
+// the brute-force maximum flow, conserving it at every inner vertex.
+func TestMinCostFlowRoutesMaxFlow(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
@@ -199,47 +186,19 @@ func TestMaxFlowMatchesBruteForce(t *testing.T) {
 		for i := range capm {
 			capm[i] = make([]int64, n)
 		}
-		g := NewGraph(n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && rng.Intn(2) == 0 {
-					c := int64(rng.Intn(10))
-					capm[i][j] += c
-					g.AddEdge(i, j, c, 0)
-				}
-			}
-		}
-		s, tt := 0, n-1
-		want := bruteMaxFlow(capm, s, tt)
-		got := g.MaxFlow(s, tt)
-		return got == want && conservationOK(g, s, tt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: min-cost flow of the full max-flow value routes the same amount
-// as Dinic and never at a cost above "every unit takes the most expensive
-// possible simple path".
-func TestMinCostFlowRoutesMaxFlow(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		gMax := NewGraph(n)
 		gMin := NewGraph(n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j && rng.Intn(2) == 0 {
 					c := int64(rng.Intn(10))
 					w := int64(rng.Intn(5))
-					gMax.AddEdge(i, j, c, 0)
+					capm[i][j] += c
 					gMin.AddEdge(i, j, c, w)
 				}
 			}
 		}
 		s, tt := 0, n-1
-		want := gMax.MaxFlow(s, tt)
+		want := bruteMaxFlow(capm, s, tt)
 		got, _ := gMin.MinCostFlow(s, tt, 1<<30)
 		return got == want && conservationOK(gMin, s, tt)
 	}

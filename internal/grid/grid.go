@@ -26,18 +26,6 @@ func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 // Add returns the coordinate offset by d.
 func (c Coord) Add(d Coord) Coord { return Coord{c.X + d.X, c.Y + d.Y} }
 
-// Manhattan returns the L1 distance between two coordinates.
-func (c Coord) Manhattan(o Coord) int {
-	return abs(c.X-o.X) + abs(c.Y-o.Y)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Dir is one of the four cardinal movement directions.
 type Dir int
 
@@ -60,21 +48,6 @@ func (d Dir) Offset() Coord {
 		return Coord{-1, 0}
 	case South:
 		return Coord{0, -1}
-	}
-	panic(fmt.Sprintf("grid: invalid direction %d", int(d)))
-}
-
-// Opposite returns the reverse direction.
-func (d Dir) Opposite() Dir {
-	switch d {
-	case East:
-		return West
-	case North:
-		return South
-	case West:
-		return East
-	case South:
-		return North
 	}
 	panic(fmt.Sprintf("grid: invalid direction %d", int(d)))
 }
@@ -165,20 +138,6 @@ func (g *Grid) Height() int { return g.height }
 // NumVertices returns |V|, the number of passable cells.
 func (g *Grid) NumVertices() int { return len(g.coord) }
 
-// NumEdges returns |E|, the number of undirected adjacencies.
-func (g *Grid) NumEdges() int {
-	n := 0
-	for v := range g.adj {
-		if g.adj[v][East] != None {
-			n++
-		}
-		if g.adj[v][North] != None {
-			n++
-		}
-	}
-	return n
-}
-
 // At returns the vertex at coordinate c, or None if c is out of bounds or an
 // obstacle.
 func (g *Grid) At(c Coord) VertexID {
@@ -190,9 +149,6 @@ func (g *Grid) At(c Coord) VertexID {
 
 // Coord returns the coordinate of vertex v.
 func (g *Grid) Coord(v VertexID) Coord { return g.coord[v] }
-
-// Neighbor returns the vertex adjacent to v in direction d, or None.
-func (g *Grid) Neighbor(v VertexID, d Dir) VertexID { return g.adj[v][d] }
 
 // Neighbors appends the vertices adjacent to v to dst and returns it.
 func (g *Grid) Neighbors(v VertexID, dst []VertexID) []VertexID {
@@ -245,65 +201,6 @@ func (g *Grid) BFS(src VertexID) []int {
 		}
 	}
 	return dist
-}
-
-// ShortestPath returns a minimum-hop path from src to dst inclusive, or nil
-// if dst is unreachable.
-func (g *Grid) ShortestPath(src, dst VertexID) []VertexID {
-	if src == dst {
-		return []VertexID{src}
-	}
-	prev := make([]VertexID, g.NumVertices())
-	for i := range prev {
-		prev[i] = None
-	}
-	prev[src] = src
-	queue := []VertexID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, d := range Dirs {
-			u := g.adj[v][d]
-			if u == None || prev[u] != None {
-				continue
-			}
-			prev[u] = v
-			if u == dst {
-				return reconstruct(prev, src, dst)
-			}
-			queue = append(queue, u)
-		}
-	}
-	return nil
-}
-
-func reconstruct(prev []VertexID, src, dst VertexID) []VertexID {
-	var rev []VertexID
-	for v := dst; ; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// Connected reports whether the floorplan graph is connected (ignoring grids
-// with zero vertices, which are considered connected vacuously).
-func (g *Grid) Connected() bool {
-	if g.NumVertices() == 0 {
-		return true
-	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Map characters understood by Parse and produced by Render.

@@ -102,8 +102,8 @@ func TestAdjacency(t *testing.T) {
 	}
 	// (1,2) is a shelf -> not a vertex; (1,1)'s north neighbor is blocked.
 	mid := g.At(Coord{1, 1})
-	if g.Neighbor(mid, North) != None {
-		t.Error("neighbor through shelf obstacle")
+	if got := g.Neighbors(mid, nil); len(got) != 3 {
+		t.Errorf("Neighbors(1,1) = %v, want 3: none through the shelf obstacle", got)
 	}
 	if d, ok := g.DirTo(v, u); !ok || d != East {
 		t.Errorf("DirTo = %v,%v, want East,true", d, ok)
@@ -113,15 +113,17 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
+// TestDirOps: every direction's offset is a unit step, and Dirs lists each
+// direction two places from its reverse.
 func TestDirOps(t *testing.T) {
-	for _, d := range Dirs {
-		if d.Opposite().Opposite() != d {
-			t.Errorf("%v: double Opposite is not identity", d)
-		}
+	for i, d := range Dirs {
 		o := d.Offset()
-		r := d.Opposite().Offset()
+		if max(o.X, -o.X)+max(o.Y, -o.Y) != 1 {
+			t.Errorf("%v: offset %v is not a unit step", d, o)
+		}
+		r := Dirs[(i+2)%len(Dirs)].Offset()
 		if o.X+r.X != 0 || o.Y+r.Y != 0 {
-			t.Errorf("%v: offset of opposite does not negate", d)
+			t.Errorf("%v: offset of the reverse direction does not negate", d)
 		}
 	}
 }
@@ -134,20 +136,8 @@ func TestBFSAndShortestPath(t *testing.T) {
 	if got, want := dist[dst], 7; got != want {
 		t.Errorf("dist = %d, want %d", got, want)
 	}
-	p := g.ShortestPath(src, dst)
-	if len(p) != 8 {
-		t.Fatalf("path len = %d, want 8", len(p))
-	}
-	if p[0] != src || p[len(p)-1] != dst {
-		t.Error("path endpoints wrong")
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.Adjacent(p[i], p[i+1]) {
-			t.Errorf("path step %d not adjacent", i)
-		}
-	}
-	if got := g.ShortestPath(src, src); len(got) != 1 || got[0] != src {
-		t.Error("trivial path wrong")
+	if dist[src] != 0 {
+		t.Errorf("dist to the source = %d, want 0", dist[src])
 	}
 }
 
@@ -155,30 +145,13 @@ func TestShortestPathUnreachable(t *testing.T) {
 	g, _, _ := mustParse(t, ".#.\n###\n.#.")
 	src := g.At(Coord{0, 0})
 	dst := g.At(Coord{2, 2})
-	if p := g.ShortestPath(src, dst); p != nil {
-		t.Errorf("path across obstacles = %v, want nil", p)
-	}
-	if g.Connected() {
-		t.Error("disconnected grid reported connected")
+	if d := g.BFS(src)[dst]; d != -1 {
+		t.Errorf("BFS distance across obstacles = %d, want -1", d)
 	}
 }
 
-func TestConnected(t *testing.T) {
-	g, _, _ := mustParse(t, tinyMap)
-	if !g.Connected() {
-		t.Error("connected grid reported disconnected")
-	}
-}
-
-func TestNumEdges(t *testing.T) {
-	g, _, _ := mustParse(t, "..\n..")
-	if got, want := g.NumEdges(), 4; got != want {
-		t.Errorf("NumEdges = %d, want %d", got, want)
-	}
-}
-
-// Property: BFS distance lower-bounds are consistent with shortest paths and
-// with the Manhattan metric on an obstacle-free grid.
+// Property: BFS distances match the Manhattan metric on an obstacle-free
+// grid.
 func TestBFSMatchesManhattanOnOpenGrid(t *testing.T) {
 	passable := make([][]bool, 6)
 	for y := range passable {
@@ -195,15 +168,17 @@ func TestBFSMatchesManhattanOnOpenGrid(t *testing.T) {
 		s := Coord{int(sx) % 7, int(sy) % 6}
 		d := Coord{int(dx) % 7, int(dy) % 6}
 		dist := g.BFS(g.At(s))
-		return dist[g.At(d)] == s.Manhattan(d)
+		return dist[g.At(d)] == max(s.X-d.X, d.X-s.X)+max(s.Y-d.Y, d.Y-s.Y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: every path returned by ShortestPath has length equal to the BFS
-// distance and consists of adjacent steps, on a random obstacle grid.
+// Property: on a random obstacle grid, BFS distances are shortest-path
+// lengths: the source reads 0, every other reachable vertex has a neighbor
+// one step closer and none closer than that, and an unreachable vertex
+// (-1) has no reachable neighbor.
 func TestShortestPathOptimalProperty(t *testing.T) {
 	f := func(seed uint32) bool {
 		// Deterministic pseudo-random 8x8 obstacle layout from the seed.
@@ -223,21 +198,23 @@ func TestShortestPathOptimalProperty(t *testing.T) {
 		}
 		src := g.At(Coord{0, 0})
 		dist := g.BFS(src)
-		for v := 0; v < g.NumVertices(); v++ {
-			p := g.ShortestPath(src, VertexID(v))
-			if dist[v] < 0 {
-				if p != nil {
+		for v := range g.NumVertices() {
+			d := dist[v]
+			if VertexID(v) == src {
+				if d != 0 {
 					return false
 				}
 				continue
 			}
-			if len(p) != dist[v]+1 {
-				return false
-			}
-			for i := 0; i+1 < len(p); i++ {
-				if !g.Adjacent(p[i], p[i+1]) {
+			closer := false
+			for _, u := range g.Neighbors(VertexID(v), nil) {
+				if (d < 0) != (dist[u] < 0) || (d >= 0 && dist[u] < d-1) {
 					return false
 				}
+				closer = closer || dist[u] == d-1
+			}
+			if d >= 0 && !closer {
+				return false
 			}
 		}
 		return true

@@ -233,12 +233,6 @@ func mergeSameRelease(sorted []Batch) []Batch {
 // when a Step fails.
 func (e *Engine) Report() *Report { return e.rep }
 
-// Done reports whether the run has finished (successfully or not).
-func (e *Engine) Done() bool { return e.done }
-
-// Now returns the engine clock in timesteps.
-func (e *Engine) Now() int { return e.now }
-
 // Step advances the run by one event: either a clock jump to the next
 // batch release (no epoch planned) or one full epoch — plan, execute,
 // account. It returns done=true when every batch has been serviced, or
@@ -283,7 +277,7 @@ func (e *Engine) Step(ctx context.Context) (bool, error) {
 			return false, nil
 		}
 		e.done = true
-		return true, fmt.Errorf("lifelong: %d units outstanding with no time left", sumPos(e.outstanding))
+		return true, outOfTime(fmt.Sprintf("lifelong: %d units outstanding with no time left", sumPos(e.outstanding)))
 	}
 	res, err := e.planEpoch(ctx, horizon)
 	if err != nil {
@@ -293,10 +287,19 @@ func (e *Engine) Step(ctx context.Context) (bool, error) {
 	e.executeEpoch(res, horizon)
 	if e.now >= e.T && (e.next < len(e.sorted) || sumPos(e.outstanding) > 0) {
 		e.done = true
-		return true, fmt.Errorf("lifelong: horizon exhausted with %d units outstanding", sumPos(e.outstanding))
+		return true, outOfTime(fmt.Sprintf("lifelong: horizon exhausted with %d units outstanding", sumPos(e.outstanding)))
 	}
 	return false, nil
 }
+
+// outOfTime is the verdict of a run whose horizon ends with units still
+// outstanding: it matches flow.ErrHorizonTooShort, like a synthesis given
+// too short a horizon, and its message is its own.
+type outOfTime string
+
+func (e outOfTime) Error() string { return string(e) }
+
+func (outOfTime) Unwrap() error { return flow.ErrHorizonTooShort }
 
 // retryable reports whether an epoch solve failure may be cured by a
 // smaller workload: the backlog didn't fit the epoch horizon or the solver

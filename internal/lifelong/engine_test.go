@@ -139,15 +139,15 @@ func TestStepMachineDrivesRun(t *testing.T) {
 		if done {
 			break
 		}
-		if e.Report().Epochs > 0 && e.Now() == 0 {
+		if e.Report().Epochs > 0 && e.now == 0 {
 			t.Fatal("clock did not advance across an epoch step")
 		}
 		if steps > 100 {
 			t.Fatal("step machine did not terminate")
 		}
 	}
-	if !e.Done() {
-		t.Error("Done() false after final Step")
+	if !e.done {
+		t.Error("engine not done after final Step")
 	}
 	// Stepping a done engine is a no-op.
 	if done, err := e.Step(context.Background()); !done || err != nil {

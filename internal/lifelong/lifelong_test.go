@@ -2,9 +2,11 @@ package lifelong
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/maps"
 	"repro/internal/testmaps"
 )
@@ -145,6 +147,16 @@ func TestRunOverloadedHorizonFails(t *testing.T) {
 	// 600 units through a capacity-2 ring in 600 steps is impossible.
 	if _, err := Run(context.Background(), s, []Batch{{Release: 0, Units: []int{300, 300}}}, 600, Options{}); err == nil {
 		t.Error("overloaded lifelong run reported success")
+	}
+}
+
+// TestRunOutOfTimeIsHorizonTooShort: a batch released too late to serve
+// ends the run with the horizon-too-short verdict and the run's own message.
+func TestRunOutOfTimeIsHorizonTooShort(t *testing.T) {
+	_, s := testmaps.MustRing()
+	_, err := Run(context.Background(), s, []Batch{{Release: 595, Units: []int{3, 3}}}, 600, Options{})
+	if !errors.Is(err, flow.ErrHorizonTooShort) || err.Error() != "lifelong: 6 units outstanding with no time left" {
+		t.Errorf("err = %v, want the no-time-left verdict matching flow.ErrHorizonTooShort", err)
 	}
 }
 

@@ -7,61 +7,6 @@ import (
 	"repro/internal/grid"
 )
 
-// reservation tables: vertex occupancy and directed edge traversals per
-// timestep, plus parking (a vertex blocked from some time onward).
-type reservations struct {
-	vertex map[vtKey]bool
-	edge   map[etKey]bool
-	parked map[grid.VertexID]int // vertex -> first blocked timestep
-}
-
-type vtKey struct {
-	v grid.VertexID
-	t int32
-}
-
-type etKey struct {
-	from, to grid.VertexID
-	t        int32 // time of arrival at "to"
-}
-
-func newReservations() *reservations {
-	return &reservations{
-		vertex: make(map[vtKey]bool),
-		edge:   make(map[etKey]bool),
-		parked: make(map[grid.VertexID]int),
-	}
-}
-
-// blocked reports whether moving from u (at t-1) to v (arriving at t) is
-// forbidden by the table.
-func (r *reservations) blocked(u, v grid.VertexID, t int) bool {
-	if r.vertex[vtKey{v, int32(t)}] {
-		return true
-	}
-	if p, ok := r.parked[v]; ok && t >= p {
-		return true
-	}
-	if u != v && r.edge[etKey{v, u, int32(t)}] {
-		return true // the opposing traversal is reserved: swap conflict
-	}
-	return false
-}
-
-// reservePath writes an agent's path into the table, parking it at its final
-// vertex from its arrival time onward.
-func (r *reservations) reservePath(p Path) {
-	for t := 0; t < len(p); t++ {
-		r.vertex[vtKey{p[t], int32(t)}] = true
-		if t > 0 && p[t] != p[t-1] {
-			r.edge[etKey{p[t-1], p[t], int32(t)}] = true
-		}
-	}
-	if len(p) > 0 {
-		r.parked[p[len(p)-1]] = len(p) - 1
-	}
-}
-
 // constraint forbids an agent from occupying vertex V at time T (edge From
 // set to None) or from traversing From->V arriving at T.
 type constraint struct {
@@ -177,7 +122,6 @@ type planParams struct {
 	h        *heuristic
 	start    grid.VertexID
 	goals    []grid.VertexID
-	res      *reservations // may be nil
 	cons     constraintSet // may be nil
 	horizon  int
 	budget   *int // decremented per expansion; abort at 0
@@ -223,9 +167,6 @@ func planPath(p planParams) (Path, error) {
 		moves := []grid.VertexID{u}
 		moves = p.g.Neighbors(u, moves)
 		for _, v := range moves {
-			if p.res != nil && p.res.blocked(u, v, t) {
-				continue
-			}
 			if p.cons.blocked(u, v, t) {
 				continue
 			}

@@ -6,16 +6,12 @@ import (
 	"repro/internal/grid"
 )
 
-// CBS runs optimal conflict-based search: a constraint tree whose low level
-// is single-agent space-time A*. Supports goal sequences per agent.
-func CBS(g *grid.Grid, starts []grid.VertexID, goals [][]grid.VertexID, lim Limits) (*Solution, error) {
-	return ecbs(g, starts, goals, lim, 1.0)
-}
-
 // ECBS runs bounded-suboptimal conflict-based search with suboptimality
 // factor w ≥ 1: both levels use focal lists preferring fewer conflicts
 // among candidates within factor w of the best. This is the EECBS-family
-// configuration the paper benchmarks against.
+// configuration the paper benchmarks against. At w = 1 it is optimal
+// conflict-based search (CBS): a constraint tree whose low level is
+// single-agent space-time A*. It supports goal sequences per agent.
 func ECBS(g *grid.Grid, starts []grid.VertexID, goals [][]grid.VertexID, w float64, lim Limits) (*Solution, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("mapf: suboptimality factor %v < 1", w)

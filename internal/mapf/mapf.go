@@ -1,17 +1,12 @@
 // Package mapf implements search-based multi-agent path finding: the
 // algorithm family of the paper's comparison baseline, Iterated EECBS [4].
 //
-// Three planners are provided, in increasing sophistication:
-//
-//   - Prioritized (cooperative A*): agents plan one at a time through a
-//     shared space-time reservation table.
-//   - CBS: conflict-based search with vertex and edge constraints, optimal
-//     for single-goal agents.
-//   - ECBS(w): the bounded-suboptimal variant — a focal search on both
-//     levels, accepting solutions within factor w of optimal while
-//     preferring low-conflict nodes. Iterated ECBS (lifelong.go) replans
-//     with it over a sliding window, which is how such solvers are deployed
-//     on warehouse instances.
+// ECBS(w) is conflict-based search with vertex and edge constraints, run
+// as a focal search on both levels: it accepts solutions within factor w of
+// optimal while preferring low-conflict nodes, and at w = 1 it is optimal
+// CBS for single-goal agents. Iterated ECBS (lifelong.go) replans with it
+// over a sliding window, which is how such solvers are deployed on
+// warehouse instances.
 //
 // The evaluation uses these planners to reproduce the §V scaling claim: the
 // runtime of search-based planners grows super-linearly with team size,
@@ -60,8 +55,7 @@ type Solution struct {
 	// Expansions counts low-level A* state expansions (the search-effort
 	// metric used by the scaling benches).
 	Expansions int
-	// HighLevelNodes counts CBS constraint-tree nodes (zero for prioritized
-	// planning).
+	// HighLevelNodes counts CBS constraint-tree nodes.
 	HighLevelNodes int
 }
 

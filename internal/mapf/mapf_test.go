@@ -37,49 +37,7 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
-func TestPrioritizedTwoAgentsCrossing(t *testing.T) {
-	g := open5x5(t)
-	starts := []grid.VertexID{at(g, 0, 2), at(g, 4, 2)}
-	goals := [][]grid.VertexID{{at(g, 4, 2)}, {at(g, 0, 2)}}
-	sol, err := Prioritized(g, starts, goals, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sol.Validate(g, 20); err != nil {
-		t.Fatal(err)
-	}
-	if sol.Paths[0].Vertex(100) != goals[0][0] || sol.Paths[1].Vertex(100) != goals[1][0] {
-		t.Error("agents did not reach goals")
-	}
-	if sol.Expansions == 0 {
-		t.Error("no expansions recorded")
-	}
-}
-
-func TestPrioritizedGoalSequence(t *testing.T) {
-	g := open5x5(t)
-	starts := []grid.VertexID{at(g, 0, 0)}
-	goals := [][]grid.VertexID{{at(g, 4, 0), at(g, 4, 4), at(g, 0, 4)}}
-	sol, err := Prioritized(g, starts, goals, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sol.Paths[0]
-	// Must visit all three goals in order.
-	idx := 0
-	for _, v := range p {
-		if idx < len(goals[0]) && v == goals[0][idx] {
-			idx++
-		}
-	}
-	if idx != 3 {
-		t.Errorf("visited %d of 3 goals in order", idx)
-	}
-	// Optimal tour: 4 + 4 + 4 = 12 steps.
-	if p.Cost() != 12 {
-		t.Errorf("cost = %d, want 12", p.Cost())
-	}
-}
+// The TestCBS tests run ECBS at w = 1, which is optimal CBS.
 
 func TestCBSOptimalSwap(t *testing.T) {
 	// Two agents must swap ends of a corridor with a single passing bay.
@@ -92,7 +50,7 @@ func TestCBSOptimalSwap(t *testing.T) {
 	// corridor and the bottom cells are bays.
 	starts := []grid.VertexID{g.At(grid.Coord{X: 0, Y: 1}), g.At(grid.Coord{X: 4, Y: 1})}
 	goals := [][]grid.VertexID{{g.At(grid.Coord{X: 4, Y: 1})}, {g.At(grid.Coord{X: 0, Y: 1})}}
-	sol, err := CBS(g, starts, goals, Limits{})
+	sol, err := ECBS(g, starts, goals, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +72,7 @@ func TestCBSHeadOnRequiresDetour(t *testing.T) {
 	goals := [][]grid.VertexID{
 		{at(g, 4, 2)}, {at(g, 0, 2)}, {at(g, 2, 4)}, {at(g, 2, 0)},
 	}
-	sol, err := CBS(g, starts, goals, Limits{})
+	sol, err := ECBS(g, starts, goals, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +85,7 @@ func TestECBSBoundedSuboptimal(t *testing.T) {
 	g := open5x5(t)
 	starts := []grid.VertexID{at(g, 0, 2), at(g, 4, 2), at(g, 2, 0)}
 	goals := [][]grid.VertexID{{at(g, 4, 2)}, {at(g, 0, 2)}, {at(g, 2, 4)}}
-	opt, err := CBS(g, starts, goals, Limits{})
+	opt, err := ECBS(g, starts, goals, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +108,7 @@ func TestExpansionLimit(t *testing.T) {
 	g := open5x5(t)
 	starts := []grid.VertexID{at(g, 0, 0), at(g, 4, 4), at(g, 0, 4), at(g, 4, 0)}
 	goals := [][]grid.VertexID{{at(g, 4, 4)}, {at(g, 0, 0)}, {at(g, 4, 0)}, {at(g, 0, 4)}}
-	_, err := CBS(g, starts, goals, Limits{MaxExpansions: 5})
+	_, err := ECBS(g, starts, goals, 1, Limits{MaxExpansions: 5})
 	if err == nil {
 		t.Fatal("tiny budget did not abort")
 	}
@@ -222,11 +180,8 @@ func TestValidateCatchesCollision(t *testing.T) {
 
 func TestMismatchedInputs(t *testing.T) {
 	g := open5x5(t)
-	if _, err := Prioritized(g, []grid.VertexID{0}, nil, Limits{}); err == nil {
-		t.Error("mismatch accepted by Prioritized")
-	}
-	if _, err := CBS(g, []grid.VertexID{0}, nil, Limits{}); err == nil {
-		t.Error("mismatch accepted by CBS")
+	if _, err := ECBS(g, []grid.VertexID{0}, nil, 1, Limits{}); err == nil {
+		t.Error("mismatch accepted by ECBS")
 	}
 	if _, err := IteratedECBS(g, []grid.VertexID{0}, nil, IteratedOptions{}); err == nil {
 		t.Error("mismatch accepted by IteratedECBS")

@@ -39,14 +39,15 @@ func TestMergeCyclesReducesAgents(t *testing.T) {
 		t.Errorf("expected fewer cycles after merge: %d -> %d", len(cs.Cycles), len(merged.Cycles))
 	}
 	// The merged set must still realize into a servicing plan.
-	plan, stats, err := agentplan.Realize(merged, wl, 3600)
+	plan, _, err := agentplan.Realize(merged, wl, 3600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := warehouse.ValidatePlan(m.W, plan); len(v) > 0 {
-		t.Fatalf("merged plan infeasible: %v", v[0])
+	r := warehouse.ReplayPlan(m.W, plan, wl)
+	if len(r.Violations) > 0 {
+		t.Fatalf("merged plan infeasible: %v", r.Violations[0])
 	}
-	if stats.ServicedAt < 0 {
+	if r.ServicedAt < 0 {
 		t.Error("merged plan does not service the workload")
 	}
 }
@@ -97,8 +98,8 @@ func TestMinimalHorizonShrinks(t *testing.T) {
 		t.Errorf("minimal horizon %d far above the observed makespan %d", hr.T, base.Sim.ServicedAt)
 	}
 	// The refined solution must actually service at its tighter horizon.
-	if ok, why := warehouse.Services(w, hr.Result.Plan, wl); !ok {
-		t.Errorf("refined solution does not service: %v", why)
+	if r := warehouse.ReplayPlan(w, hr.Result.Plan, wl); len(r.Violations) > 0 || r.ServicedAt < 0 {
+		t.Errorf("refined solution does not service: delivered %v, violations %v", r.Delivered, r.Violations)
 	}
 	if hr.Probes < 2 {
 		t.Errorf("suspiciously few probes: %d", hr.Probes)
@@ -129,8 +130,8 @@ func TestMinimalHorizonContractILP(t *testing.T) {
 	if hr.T >= T {
 		t.Errorf("no improvement: %d >= %d", hr.T, T)
 	}
-	if ok, why := warehouse.Services(w, hr.Result.Plan, wl); !ok {
-		t.Errorf("refined contract-ILP solution does not service: %v", why)
+	if r := warehouse.ReplayPlan(w, hr.Result.Plan, wl); len(r.Violations) > 0 || r.ServicedAt < 0 {
+		t.Errorf("refined contract-ILP solution does not service: delivered %v, violations %v", r.Delivered, r.Violations)
 	}
 }
 

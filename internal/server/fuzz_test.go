@@ -17,9 +17,8 @@ var fuzzPaths = [...]string{"/v1/solve", "/v1/batch", "/v1/sweep", "/v1/lifelong
 // a small server (64 KiB bodies, batches of 4, sweeps of 8 evaluations,
 // 200 ms deadlines, no client budget, no degradation) and requires that no
 // input panics the request path, that a 400 is answered before admission,
-// and that on /v1/solve, /v1/batch and /v1/sweep no answer — status line,
-// batch item, sweep point or NDJSON error line — is an "internal" fault.
-// /v1/lifelong still answers its out-of-time verdicts "internal".
+// and that no answer — status line, batch item, sweep point or NDJSON
+// error line — is an "internal" fault.
 func FuzzSolveEndpoints(f *testing.F) {
 	for _, seed := range []struct {
 		path uint8
@@ -33,6 +32,7 @@ func FuzzSolveEndpoints(f *testing.F) {
 		{2, `{"corridors":[2,3],"lens":[6],"units":60,"points":2,"horizon":1200,"extra":1}`},
 		{3, `{"map":"sorting","horizon":2400,"batches":[{"release":0,"units":6},{"release":800,"units":6}]}`},
 		{3, `{"map":"sorting","horizon":2400,"batches":[{"release":2400,"units":6}]}`},
+		{3, `{"map":"sorting","horizon":3600,"batches":[{"release":3595,"units":10}],"strategy":"route"}`},
 		// A sweep spec the walk refuses, a sweep floor too large to
 		// generate, and route packing's shortfall verdict.
 		{2, `{"corridors":[2],"lens":[6],"units":60,"points":2,"horizon":-5}`},
@@ -72,7 +72,7 @@ func FuzzSolveEndpoints(f *testing.F) {
 		}
 		// Codes are JSON strings, so an error text that quotes one is
 		// escaped and cannot match.
-		if p != "/v1/lifelong" && bytes.Contains(w.Body.Bytes(), []byte(`"code":"internal"`)) {
+		if bytes.Contains(w.Body.Bytes(), []byte(`"code":"internal"`)) {
 			t.Fatalf("%s %s: answered an internal fault: %d %s", p, body, w.Code, w.Body.Bytes())
 		}
 	})

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,6 +267,21 @@ func TestLifelongDeadlineIs504(t *testing.T) {
 	}
 	if m := srv.Metrics(); m["deadline_total"] != 1 {
 		t.Errorf("deadline_total = %d, want 1", m["deadline_total"])
+	}
+}
+
+// TestLifelongOutOfTimeIs422: a batch released too late to serve is the
+// run's horizon-too-short verdict, not a server fault.
+func TestLifelongOutOfTimeIs422(t *testing.T) {
+	body := `{"map":"sorting","horizon":3600,"batches":[{"release":3595,"units":10}],"strategy":"route"}`
+	w := httptest.NewRecorder()
+	New(Config{}).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/lifelong", strings.NewReader(body)))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", w.Code, w.Body.String())
+	}
+	resp := decodeAs[ErrorResponse](t, w)
+	if resp.Code != "horizon-too-short" || !strings.HasSuffix(resp.Error, "lifelong: 10 units outstanding with no time left") {
+		t.Errorf("answer %+v, want horizon-too-short with the run's own message", resp)
 	}
 }
 

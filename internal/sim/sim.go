@@ -7,30 +7,14 @@ import (
 	"repro/internal/warehouse"
 )
 
-// Result summarizes one simulation run.
-type Result struct {
-	// Delivered counts units dropped at stations per product.
-	Delivered []int
-	// DeliveryTimes records the timestep of every delivery, in order.
-	DeliveryTimes []int
-	// Moves counts cell transitions; Waits counts timesteps agents spent
-	// stationary. Moves+Waits = agents × (T-1).
-	Moves, Waits int
-	// Carrying counts agent-timesteps spent loaded — the utilization
-	// numerator (Carrying / (agents × T) is the fraction of time agents
-	// were doing useful transport).
-	Carrying int
-	// Violations lists every feasibility breach (empty for valid plans).
-	Violations []warehouse.PlanViolation
-	// ServicedAt is the first timestep by which the given workload was fully
-	// delivered, or -1.
-	ServicedAt int
-}
+// Result summarizes one simulation run: the violations and the delivery
+// and movement tallies of warehouse.ReplayPlan, which owns them.
+type Result = warehouse.Replay
 
 // Run replays plan against the warehouse and workload: one
 // warehouse.ReplayPlan pass validates every step and tallies the result.
 func Run(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) Result {
-	return Result(warehouse.ReplayPlan(w, plan, wl))
+	return warehouse.ReplayPlan(w, plan, wl)
 }
 
 // Throughput bins DeliveryTimes into windows of the given width and returns
@@ -71,9 +55,6 @@ func NewWindow(width int) *Window {
 	return &Window{width: width}
 }
 
-// Width reports the bin width in timesteps.
-func (w *Window) Width() int { return w.width }
-
 // Observe records one delivery at timestep t. Negative timestamps are
 // ignored.
 func (w *Window) Observe(t int) {
@@ -92,13 +73,4 @@ func (w *Window) Observe(t int) {
 // windows are not materialized.
 func (w *Window) Bins() []int {
 	return append([]int(nil), w.bins...)
-}
-
-// Total reports the number of observations across all bins.
-func (w *Window) Total() int {
-	total := 0
-	for _, b := range w.bins {
-		total += b
-	}
-	return total
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/agentplan"
@@ -19,7 +20,7 @@ func TestRunCountsDeliveriesAndMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, stats, err := agentplan.Realize(cs, wl, 800)
+	plan, _, err := agentplan.Realize(cs, wl, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +28,13 @@ func TestRunCountsDeliveriesAndMoves(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations[0])
 	}
-	if res.Delivered[0] != stats.Delivered[0] || res.Delivered[1] != stats.Delivered[1] {
-		t.Errorf("sim delivered %v, realization says %v", res.Delivered, stats.Delivered)
+	// The cycles' leg quotas sum to the demand, so the plan delivers
+	// exactly it, and delivers it within the horizon.
+	if !slices.Equal(res.Delivered, wl.Units) {
+		t.Errorf("sim delivered %v, demand %v", res.Delivered, wl.Units)
 	}
-	if res.ServicedAt != stats.ServicedAt {
-		t.Errorf("sim ServicedAt %d, realization %d", res.ServicedAt, stats.ServicedAt)
+	if res.ServicedAt <= 0 {
+		t.Errorf("sim ServicedAt = %d, want > 0", res.ServicedAt)
 	}
 	if got, want := res.Moves+res.Waits, plan.NumAgents()*(plan.Horizon()-1); got != want {
 		t.Errorf("moves+waits = %d, want %d", got, want)
@@ -92,12 +95,6 @@ func TestWindowStreamingMatchesThroughput(t *testing.T) {
 			t.Fatalf("bins = %v, want %v", bins, want)
 		}
 	}
-	if w.Total() != len(res.DeliveryTimes) {
-		t.Errorf("Total = %d, want %d", w.Total(), len(res.DeliveryTimes))
-	}
-	if w.Width() != 10 {
-		t.Errorf("Width = %d, want 10", w.Width())
-	}
 }
 
 func TestWindowGrowsOnDemand(t *testing.T) {
@@ -117,7 +114,9 @@ func TestWindowGrowsOnDemand(t *testing.T) {
 	if w.Bins()[0] != 1 {
 		t.Error("Bins must return a copy")
 	}
-	if NewWindow(0).Width() != 1 {
-		t.Error("non-positive width should clamp to 1")
+	zero := NewWindow(0)
+	zero.Observe(2)
+	if got := zero.Bins(); len(got) != 3 || got[2] != 1 {
+		t.Errorf("width-0 window bins = %v, want [0 0 1]: a non-positive width clamps to 1", got)
 	}
 }

@@ -54,13 +54,10 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
-// SolveBatch solves every request and returns results in request order. At
-// most Workers() solves run concurrently; each worker owns a core.Scratch
-// that is reused across all requests it drains, so the synthesis hot path
-// allocates per worker, not per request.
+// SolveBatch solves every request and returns results in request order.
+// It runs as many solves at once as the pool is wide; each worker owns a
+// core.Scratch that is reused across all requests it drains, so the
+// synthesis hot path allocates per worker, not per request.
 //
 // Cancelling ctx aborts in-flight solves (within one LP work-budget tick)
 // and fails every not-yet-started request fast; the pool still drains the
@@ -110,10 +107,4 @@ func solveRange(ctx context.Context, reqs []Request, results []Result, next *ato
 		res, err := core.SolveScratch(ctx, reqs[i].S, reqs[i].WL, reqs[i].T, reqs[i].Opts, sc)
 		results[i] = Result{Res: res, Err: err, Elapsed: time.Since(start)}
 	}
-}
-
-// SolveBatch solves reqs on a fresh pool of the given width (<= 0 selects
-// GOMAXPROCS) — the one-call form of Pool.SolveBatch.
-func SolveBatch(ctx context.Context, reqs []Request, workers int) []Result {
-	return New(workers).SolveBatch(ctx, reqs)
 }

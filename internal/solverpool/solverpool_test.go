@@ -59,7 +59,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 		want[i] = res
 	}
 
-	got := SolveBatch(context.Background(), reqs, 4)
+	got := New(4).SolveBatch(context.Background(), reqs)
 	if len(got) != len(reqs) {
 		t.Fatalf("SolveBatch returned %d results for %d requests", len(got), len(reqs))
 	}
@@ -119,7 +119,7 @@ func TestContractModelReuseMatchesScratchless(t *testing.T) {
 		want[i] = res
 	}
 	for _, workers := range []int{1, 4} {
-		got := SolveBatch(context.Background(), reqs, workers)
+		got := New(workers).SolveBatch(context.Background(), reqs)
 		for i, g := range got {
 			if g.Err != nil {
 				t.Fatalf("workers=%d request %d: %v", workers, i, g.Err)
@@ -156,7 +156,7 @@ func TestPoolWidths(t *testing.T) {
 	good := Request{S: m.S, WL: wl, T: 3600, Opts: core.Options{SkipRealization: true}}
 	bad := Request{S: m.S, WL: wl, T: 1} // horizon shorter than one cycle period
 	for _, workers := range []int{1, 2, 8} {
-		got := SolveBatch(context.Background(), []Request{good, bad, good}, workers)
+		got := New(workers).SolveBatch(context.Background(), []Request{good, bad, good})
 		if got[0].Err != nil || got[2].Err != nil {
 			t.Fatalf("workers=%d: good requests failed: %v %v", workers, got[0].Err, got[2].Err)
 		}
@@ -188,7 +188,7 @@ func TestSolveBatchCancelDrains(t *testing.T) {
 	t.Run("pre-canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		got := SolveBatch(ctx, []Request{req, req, req, req}, 2)
+		got := New(2).SolveBatch(ctx, []Request{req, req, req, req})
 		for i, g := range got {
 			if g.Err == nil {
 				t.Fatalf("slot %d: nil error from cancelled batch (Res=%v)", i, g.Res)
@@ -206,7 +206,7 @@ func TestSolveBatchCancelDrains(t *testing.T) {
 			reqs[i] = req
 		}
 		done := make(chan []Result, 1)
-		go func() { done <- SolveBatch(ctx, reqs, 4) }()
+		go func() { done <- New(4).SolveBatch(ctx, reqs) }()
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 		var got []Result

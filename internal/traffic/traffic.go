@@ -65,30 +65,10 @@ func (c *Component) Len() int { return len(c.Cells) }
 // §IV-C/IV-D.
 func (c *Component) Capacity() int { return len(c.Cells) / 2 }
 
-// IndexOf returns the position of v within the component, or -1.
-func (c *Component) IndexOf(v grid.VertexID) int {
-	for i, u := range c.Cells {
-		if u == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// Next returns the cell following v on the way to the exit, or grid.None if
-// v is the exit (the algorithm's NEXT(Ci, u) = ⊥).
-func (c *Component) Next(v grid.VertexID) grid.VertexID {
-	i := c.IndexOf(v)
-	if i < 0 || i+1 >= len(c.Cells) {
-		return grid.None
-	}
-	return c.Cells[i+1]
-}
-
 // System is a validated traffic system: components plus the traffic system
 // graph Gs of inlet/outlet arcs.
 //
-// Arcs carry a contiguous numbering e = 0..NumEdges()-1 (the order of
+// Arcs carry a contiguous numbering e = 0..len(Edges())-1 (the order of
 // Edges()), so downstream packages can keep per-arc state in flat slices
 // instead of maps keyed by component pairs.
 type System struct {
@@ -134,9 +114,6 @@ func (s *System) CycleTime() int { return 2 * s.MaxComponentLen() }
 // mutate it.
 func (s *System) Edges() [][2]ComponentID { return s.edges }
 
-// NumEdges returns |Es|.
-func (s *System) NumEdges() int { return len(s.edges) }
-
 // EdgeID returns the contiguous arc number of (i, j) ∈ Es, or -1 if the arc
 // does not exist. Out-degrees are at most 2, so the scan is constant time.
 func (s *System) EdgeID(i, j ComponentID) int {
@@ -156,18 +133,9 @@ func (s *System) OutEdgeIDs(i ComponentID) []int32 { return s.outEdgeIDs[i] }
 // Inlets[i]. The returned slice is shared; callers must not mutate it.
 func (s *System) InEdgeIDs(i ComponentID) []int32 { return s.inEdgeIDs[i] }
 
-// CellIndexAt returns the position of vertex v within its component
-// (Components[ComponentAt(v)].Cells[CellIndexAt(v)] == v), or -1 if v is
-// unused. It is the O(1) counterpart of Component.IndexOf.
-func (s *System) CellIndexAt(v grid.VertexID) int {
-	if v < 0 || int(v) >= len(s.cellIndex) {
-		return -1
-	}
-	return int(s.cellIndex[v])
-}
-
 // NextCellAt returns the cell following v on the way to its component's
-// exit, or grid.None if v is the exit or unused — Component.Next in O(1).
+// exit, or grid.None if v is the exit or unused (the algorithm's
+// NEXT(Ci, u) = ⊥).
 func (s *System) NextCellAt(v grid.VertexID) grid.VertexID {
 	if v < 0 || int(v) >= len(s.cellIndex) {
 		return grid.None
@@ -410,15 +378,4 @@ func (s *System) UnitsAt(ci ComponentID, k warehouse.ProductID) int {
 		total += s.W.UnitsAt(v, k)
 	}
 	return total
-}
-
-// StationsIn returns the station vertices inside component ci.
-func (s *System) StationsIn(ci ComponentID) []grid.VertexID {
-	var out []grid.VertexID
-	for _, v := range s.Components[ci].Cells {
-		if s.W.IsStation(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -97,14 +97,11 @@ func TestComponentAccessors(t *testing.T) {
 	if c.Entry() != c.Cells[0] || c.Exit() != c.Cells[5] {
 		t.Error("Entry/Exit mismatch")
 	}
-	if got := c.Next(c.Cells[2]); got != c.Cells[3] {
-		t.Errorf("Next = %d, want %d", got, c.Cells[3])
+	if got := s.NextCellAt(c.Cells[2]); got != c.Cells[3] {
+		t.Errorf("NextCellAt = %d, want %d", got, c.Cells[3])
 	}
-	if got := c.Next(c.Exit()); got != grid.None {
-		t.Errorf("Next(exit) = %d, want None", got)
-	}
-	if got := c.IndexOf(grid.VertexID(9999)); got != -1 {
-		t.Errorf("IndexOf(miss) = %d, want -1", got)
+	if got := s.NextCellAt(c.Exit()); got != grid.None {
+		t.Errorf("NextCellAt(exit) = %d, want None", got)
 	}
 }
 
@@ -120,9 +117,6 @@ func TestComponentAtAndUnits(t *testing.T) {
 	queues := s.StationQueues()
 	if len(queues) != 1 {
 		t.Fatalf("queues = %v", queues)
-	}
-	if got := len(s.StationsIn(queues[0])); got != 1 {
-		t.Errorf("StationsIn = %d, want 1", got)
 	}
 	if got := len(s.Transports()); got != 2 {
 		t.Errorf("transports = %d, want 2", got)

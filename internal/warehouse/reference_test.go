@@ -11,16 +11,14 @@ import (
 
 	"repro/internal/agentplan"
 	"repro/internal/grid"
-	"repro/internal/sim"
 	"repro/internal/testmaps/paritycases"
 	"repro/internal/warehouse"
 )
 
-// refValidatePlan, refDelivered, refServices and refRun are the three-pass
-// validator ReplayPlan replaced, kept verbatim as the oracle the parity
-// tests hold ValidatePlan, Delivered, Services and sim.Run to: the vertex
-// and transition sweeps with a map of pickups, Delivered's per-agent sweep,
-// and sim.Run's tally sweep after a full validation.
+// refValidatePlan and refRun are the three-pass validator ReplayPlan
+// replaced, kept verbatim as the oracle the parity tests hold ReplayPlan
+// and the Replayer to: the vertex and transition sweeps with a map of
+// pickups, and the tally sweep after a full validation.
 func refValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehouse.PlanViolation {
 	var out []warehouse.PlanViolation
 	T := p.Horizon()
@@ -116,36 +114,8 @@ func refValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehouse.Plan
 	return out
 }
 
-func refDelivered(w *warehouse.Warehouse, p *warehouse.Plan) []int {
-	units := make([]int, w.NumProducts)
-	st := p.Rows()
-	for i := 0; i < p.NumAgents(); i++ {
-		for t := 0; t+1 < p.Horizon(); t++ {
-			cur, next := st[i][t], st[i][t+1]
-			if cur.Carried != warehouse.NoProduct && next.Carried == warehouse.NoProduct && w.IsStation(cur.Vertex) {
-				units[cur.Carried]++
-			}
-		}
-	}
-	return units
-}
-
-func refServices(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload) (bool, []warehouse.PlanViolation) {
-	if v := refValidatePlan(w, p); len(v) > 0 {
-		return false, v
-	}
-	got := refDelivered(w, p)
-	for k, want := range wl.Units {
-		if got[k] < want {
-			return false, []warehouse.PlanViolation{{Timestep: p.Horizon() - 1, Agent: -1, OtherIdx: -1, Condition: 3,
-				Detail: fmt.Sprintf("delivered %d of product %d, want %d", got[k], k, want)}}
-		}
-	}
-	return true, nil
-}
-
-func refRun(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) sim.Result {
-	res := sim.Result{
+func refRun(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) warehouse.Replay {
+	res := warehouse.Replay{
 		Delivered:  make([]int, w.NumProducts),
 		ServicedAt: -1,
 	}
@@ -199,15 +169,15 @@ func canon(vs []warehouse.PlanViolation) []warehouse.PlanViolation {
 	return vs
 }
 
-// checkParity requires ValidatePlan, Delivered, Services and sim.Run to
-// answer exactly as the reference does on p, and a Replayer fed p's rows in
-// tiles of every width in tileWidths, directly and through a Feeder, to
-// answer as ValidatePlan and sim.Run.
+// checkParity requires ReplayPlan to answer exactly as the reference does
+// on p, with no workload and with each of wls, and a Replayer fed p's rows
+// in tiles of every width in tileWidths, directly and through a Feeder, to
+// answer as ReplayPlan.
 func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ...warehouse.Workload) {
 	t.Helper()
 	wantVs := canon(refValidatePlan(w, p))
-	if got := canon(warehouse.ValidatePlan(w, p)); !reflect.DeepEqual(got, wantVs) {
-		t.Errorf("ValidatePlan = %v, reference %v", got, wantVs)
+	if got := canon(warehouse.ReplayPlan(w, p, warehouse.Workload{}).Violations); !reflect.DeepEqual(got, wantVs) {
+		t.Errorf("ReplayPlan violations = %v, reference %v", got, wantVs)
 	}
 	for _, width := range tileWidths(p.Horizon()) {
 		for _, async := range []bool{false, true} {
@@ -216,21 +186,13 @@ func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ..
 			}
 		}
 	}
-	if got, want := warehouse.Delivered(w, p), refDelivered(w, p); !reflect.DeepEqual(got, want) {
-		t.Errorf("Delivered = %v, reference %v", got, want)
-	}
 	for _, wl := range wls {
-		ok, vs := warehouse.Services(w, p, wl)
-		wantOK, wantVs := refServices(w, p, wl)
-		if ok != wantOK || !reflect.DeepEqual(canon(vs), canon(wantVs)) {
-			t.Errorf("Services(%v) = %v %v, reference %v %v", wl.Units, ok, vs, wantOK, wantVs)
-		}
 		want := refRun(w, p, wl)
 		want.Violations = canon(want.Violations)
-		got := sim.Run(w, p, wl)
+		got := warehouse.ReplayPlan(w, p, wl)
 		got.Violations = canon(got.Violations)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("sim.Run(%v) = %+v, reference %+v", wl.Units, got, want)
+			t.Errorf("ReplayPlan(%v) = %+v, reference %+v", wl.Units, got, want)
 		}
 		for _, width := range tileWidths(p.Horizon()) {
 			for _, async := range []bool{false, true} {
@@ -253,7 +215,7 @@ func tileWidths(T int) []int { return []int{1, 7, 63, 64, 65, T} }
 // directly or, when async, through a Feeder. The tile is refilled with an
 // off-grid state before every copy, so a read of a state outside the steps
 // fed, or of the tile after Feed returned, shows as a violation.
-func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload, width int, async bool) sim.Result {
+func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload, width int, async bool) warehouse.Replay {
 	rows, T := p.Rows(), p.Horizon()
 	rp := warehouse.NewReplayer(w, len(rows), T, wl)
 	feed, finish := rp.Feed, rp.Finish
@@ -272,7 +234,7 @@ func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload,
 		}
 		feed(tile, width, n)
 	}
-	return sim.Result(finish())
+	return finish()
 }
 
 // demands returns the zero workload and a unit demand for every product.
@@ -292,8 +254,8 @@ func TestReplayMatchesReferenceOnHandBuiltPlans(t *testing.T) {
 			if name == "ragged" {
 				// The reference tallies panic on a short row; only its
 				// validator can be compared.
-				if got, want := warehouse.ValidatePlan(hb.W, hb.P), refValidatePlan(hb.W, hb.P); !reflect.DeepEqual(got, want) {
-					t.Errorf("ValidatePlan = %v, reference %v", got, want)
+				if got, want := warehouse.ReplayPlan(hb.W, hb.P, warehouse.Workload{}).Violations, refValidatePlan(hb.W, hb.P); !reflect.DeepEqual(got, want) {
+					t.Errorf("ReplayPlan violations = %v, reference %v", got, want)
 				}
 				return
 			}
@@ -355,7 +317,8 @@ func corrupt(plan *warehouse.Plan, wl warehouse.Workload) {
 }
 
 // TestMalformedPlansReportViolations covers plans the three-pass validator
-// panicked on: each is reported as a violation by every entry point.
+// panicked on: ReplayPlan reports each as a violation and counts nothing
+// delivered.
 func TestMalformedPlansReportViolations(t *testing.T) {
 	plans := warehouse.HandBuiltPlans(t)
 	fig1, line := plans["legalTour"].W, plans["stockOverdraw"].W
@@ -385,17 +348,12 @@ func TestMalformedPlansReportViolations(t *testing.T) {
 				}
 				return false
 			}
-			if vs := warehouse.ValidatePlan(tc.w, tc.p); !has(vs) {
-				t.Errorf("ValidatePlan = %v, want a condition-%d %q", vs, tc.condition, tc.detail)
+			r := warehouse.ReplayPlan(tc.w, tc.p, warehouse.Workload{Units: make([]int, tc.w.NumProducts)})
+			if !has(r.Violations) {
+				t.Errorf("ReplayPlan violations = %v, want a condition-%d %q", r.Violations, tc.condition, tc.detail)
 			}
-			if ok, vs := warehouse.Services(tc.w, tc.p, warehouse.Workload{Units: make([]int, tc.w.NumProducts)}); ok || !has(vs) {
-				t.Errorf("Services = %v %v, want false with a condition-%d %q", ok, vs, tc.condition, tc.detail)
-			}
-			if got := warehouse.Delivered(tc.w, tc.p); !slices.Equal(got, make([]int, tc.w.NumProducts)) {
-				t.Errorf("Delivered = %v, want nothing delivered", got)
-			}
-			if res := sim.Run(tc.w, tc.p, warehouse.Workload{}); !has(res.Violations) {
-				t.Errorf("sim.Run violations = %v, want a condition-%d %q", res.Violations, tc.condition, tc.detail)
+			if !slices.Equal(r.Delivered, make([]int, tc.w.NumProducts)) {
+				t.Errorf("Delivered = %v, want nothing delivered", r.Delivered)
 			}
 		})
 	}

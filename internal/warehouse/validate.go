@@ -29,8 +29,9 @@ func (v PlanViolation) Error() string {
 const replayTile = 64
 
 // Replay is what one pass over a plan establishes: every feasibility
-// violation, and the delivery and movement tallies. Its fields are
-// sim.Result's, in the same order, so sim converts one into the other.
+// violation, and the delivery and movement tallies. It is the only owner of
+// a realized plan's tallies: sim.Result is this type, and the realizer
+// reports no tallies of its own.
 type Replay struct {
 	// Delivered counts units dropped at stations, per product.
 	Delivered []int
@@ -40,7 +41,7 @@ type Replay struct {
 	// Moves+Waits = agents × (T-1). Carrying counts agent-steps spent
 	// loaded over the same transitions.
 	Moves, Waits, Carrying int
-	// Violations lists every breach, in ValidatePlan's order.
+	// Violations lists every breach, in ReplayPlan's order.
 	Violations []PlanViolation
 	// ServicedAt is the first timestep by which the workload was fully
 	// delivered, or -1.
@@ -48,14 +49,23 @@ type Replay struct {
 }
 
 // ReplayPlan replays p against the warehouse in one time-major pass,
-// feeding its rows to a Replayer one tile at a time. It reports the
-// violations ValidatePlan describes, in timestep order: for each timestep
-// the vertex checks of every agent, then the checks of every agent's move to
+// feeding its rows to a Replayer one tile at a time, and checks the three
+// feasibility conditions of §III:
+//
+//	(1) an agent moves by 0 or 1 vertices per timestep;
+//	(2) no two agents occupy the same vertex or swap along an edge;
+//	(3) pickups happen only at shelf-access vertices stocking the product,
+//	    drop-offs only at stations, and carried products never mutate;
+//	    over the whole plan, the units of product k picked up at
+//	    shelf-access vertex v do not exceed Λ[k][v].
+//
+// It reports the violations in timestep order: for each timestep the
+// vertex checks of every agent, then the checks of every agent's move to
 // the next timestep, and after the last timestep the stock overdraws in
-// (shelf column, product) order. Along the way it tallies what sim.Run
-// reports, with ServicedAt measured against wl. A ragged plan, whose agents
-// have different horizons, is reported at its first mismatching agent and
-// not replayed.
+// (shelf column, product) order; none means the plan is feasible. Along the
+// way it tallies deliveries, moves, waits and loaded steps, with ServicedAt
+// measured against wl. A ragged plan, whose agents have different horizons,
+// is reported at its first mismatching agent and not replayed.
 func ReplayPlan(w *Warehouse, p *Plan, wl Workload) Replay {
 	rows, T := p.Rows(), p.Horizon()
 	for i, row := range rows {
@@ -258,41 +268,4 @@ func (rp *Replayer) Finish() Replay {
 	grid.PutInt32(rp.occStamp)
 	*rp = Replayer{}
 	return r
-}
-
-// ValidatePlan checks the three feasibility conditions of §III against the
-// warehouse and returns every violation found (nil means feasible).
-//
-//	(1) an agent moves by 0 or 1 vertices per timestep;
-//	(2) no two agents occupy the same vertex or swap along an edge;
-//	(3) pickups happen only at shelf-access vertices stocking the product,
-//	    drop-offs only at stations, and carried products never mutate.
-//
-// ValidatePlan also checks that shelf stock is never over-drawn: the number
-// of units of product k picked up at shelf-access vertex v over the whole
-// plan must not exceed Λ[k][v].
-func ValidatePlan(w *Warehouse, p *Plan) []PlanViolation {
-	return ReplayPlan(w, p, Workload{}).Violations
-}
-
-// Delivered counts, per product, the units a plan transfers to stations: a
-// delivery is a transition carried=k -> carried=ρ0 at a station vertex.
-func Delivered(w *Warehouse, p *Plan) []int {
-	return ReplayPlan(w, p, Workload{}).Delivered
-}
-
-// Services reports whether plan p services workload wl: it is feasible and
-// delivers at least Units[k] of every product k.
-func Services(w *Warehouse, p *Plan, wl Workload) (bool, []PlanViolation) {
-	r := ReplayPlan(w, p, wl)
-	if len(r.Violations) > 0 {
-		return false, r.Violations
-	}
-	for k, want := range wl.Units {
-		if got := r.Delivered[k]; got < want {
-			return false, []PlanViolation{{Timestep: p.Horizon() - 1, Agent: -1, OtherIdx: -1, Condition: 3,
-				Detail: fmt.Sprintf("delivered %d of product %d, want %d", got, k, want)}}
-		}
-	}
-	return true, nil
 }

@@ -124,21 +124,6 @@ func (w *Warehouse) UnitsAt(v grid.VertexID, k ProductID) int {
 	return row[col]
 }
 
-// ProductsAt returns PRODUCTS_AT(v): the products with positive stock at v.
-func (w *Warehouse) ProductsAt(v grid.VertexID) []ProductID {
-	col := w.ShelfColumn(v)
-	if col < 0 {
-		return nil
-	}
-	var out []ProductID
-	for k := 0; k < w.NumProducts; k++ {
-		if row := w.Stock[k]; row != nil && row[col] > 0 {
-			out = append(out, ProductID(k))
-		}
-	}
-	return out
-}
-
 // TotalStock returns the total units of product k across all shelves.
 func (w *Warehouse) TotalStock(k ProductID) int {
 	if k < 0 || int(k) >= w.NumProducts {
@@ -239,22 +224,13 @@ func (p *Plan) Horizon() int { return p.horizon }
 
 // statesPool recycles the agent-state tiles that plan realization and
 // replay stage their work in.
-var statesPool sync.Pool // holds *[]AgentState
+var statesPool grid.Pool[AgentState]
 
 // GetStates returns a []AgentState of length n, reusing a pooled buffer
 // when one is large enough. Its contents are arbitrary: callers write every
 // state before reading it. Return it with PutStates when done.
-func GetStates(n int) []AgentState {
-	if bp, _ := statesPool.Get().(*[]AgentState); bp != nil && cap(*bp) >= n {
-		return (*bp)[:n]
-	}
-	return make([]AgentState, n)
-}
+func GetStates(n int) []AgentState { return statesPool.Get(n) }
 
 // PutStates returns a buffer obtained from GetStates to the pool. The
 // buffer must not be used after Put.
-func PutStates(b []AgentState) {
-	if cap(b) > 0 {
-		statesPool.Put(&b)
-	}
-}
+func PutStates(b []AgentState) { statesPool.Put(b) }

@@ -45,8 +45,8 @@ func TestPaperFig1Model(t *testing.T) {
 		t.Errorf("TotalStock(0) = %d, want 20", got)
 	}
 	mid := w.ShelfAccess[1]
-	if got := len(w.ProductsAt(mid)); got != 2 {
-		t.Errorf("ProductsAt(middle) = %d products, want 2", got)
+	if a, b := w.UnitsAt(mid, 0), w.UnitsAt(mid, 1); a != 10 || b != 10 {
+		t.Errorf("UnitsAt(middle) = %d, %d, want 10 of both products", a, b)
 	}
 	left := w.ShelfAccess[0]
 	if got := w.UnitsAt(left, 1); got != 0 {
@@ -251,19 +251,19 @@ func twoShelfWarehouse(t *testing.T) *Warehouse {
 func TestValidatePlanAcceptsLegalTour(t *testing.T) {
 	hb := HandBuiltPlans(t)["legalTour"]
 	w, p := hb.W, hb.P
-	if v := ValidatePlan(w, p); len(v) != 0 {
-		t.Fatalf("legal plan rejected: %v", v)
+	wl, _ := NewWorkload(w, []int{1, 0})
+	r := ReplayPlan(w, p, wl)
+	if len(r.Violations) != 0 {
+		t.Fatalf("legal plan rejected: %v", r.Violations)
 	}
-	got := Delivered(w, p)
-	if got[0] != 1 || got[1] != 0 {
+	if got := r.Delivered; got[0] != 1 || got[1] != 0 {
 		t.Errorf("Delivered = %v, want [1 0]", got)
 	}
-	wl, _ := NewWorkload(w, []int{1, 0})
-	if ok, v := Services(w, p, wl); !ok {
-		t.Errorf("Services = false: %v", v)
+	if r.ServicedAt < 0 {
+		t.Error("servicing plan reported as falling short")
 	}
 	wl2, _ := NewWorkload(w, []int{2, 0})
-	if ok, _ := Services(w, p, wl2); ok {
+	if r := ReplayPlan(w, p, wl2); r.ServicedAt >= 0 {
 		t.Error("under-delivering plan reported as servicing")
 	}
 }
@@ -273,7 +273,7 @@ func TestValidatePlanAcceptsLegalTour(t *testing.T) {
 func checkOneViolation(t *testing.T, name string, condition int) {
 	t.Helper()
 	hb := HandBuiltPlans(t)[name]
-	if vs := ValidatePlan(hb.W, hb.P); len(vs) != 1 || vs[0].Condition != condition {
+	if vs := ReplayPlan(hb.W, hb.P, Workload{}).Violations; len(vs) != 1 || vs[0].Condition != condition {
 		t.Errorf("violations = %v, want one condition-%d", vs, condition)
 	}
 }
@@ -306,7 +306,7 @@ func TestValidatePlanOverdrawOrder(t *testing.T) {
 	// A validator emitting overdraws in map order gets this right about
 	// half the time, so one call would not pin anything.
 	for range 20 {
-		if got := ValidatePlan(hb.W, hb.P); !reflect.DeepEqual(got, want) {
+		if got := ReplayPlan(hb.W, hb.P, Workload{}).Violations; !reflect.DeepEqual(got, want) {
 			t.Fatalf("violations = %v, want %v", got, want)
 		}
 	}
@@ -356,9 +356,27 @@ func TestDeferredPlanBuildsOnce(t *testing.T) {
 	}
 }
 
+// TestPooledBuffersDoNotAllocate: once warm, a Get/Put pair of either
+// scratch pool allocates nothing. A pool that boxes each returned slice
+// anew allocates a header on every Put.
+func TestPooledBuffersDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	for name, pair := range map[string]func(){
+		"grid.GetInt32": func() { grid.PutInt32(grid.GetInt32(100)) },
+		"GetStates":     func() { PutStates(GetStates(100)) },
+	} {
+		pair()
+		if n := testing.AllocsPerRun(100, pair); n != 0 {
+			t.Errorf("%s: a Get/Put pair allocates %v times, want 0", name, n)
+		}
+	}
+}
+
 func TestValidatePlanRaggedStates(t *testing.T) {
 	hb := HandBuiltPlans(t)["ragged"]
-	if vs := ValidatePlan(hb.W, hb.P); len(vs) == 0 {
+	if vs := ReplayPlan(hb.W, hb.P, Workload{}).Violations; len(vs) == 0 {
 		t.Error("ragged plan accepted")
 	}
 }

@@ -111,13 +111,3 @@ func Diurnal(w *warehouse.Warehouse, peakUnits, phase, period int) (warehouse.Wo
 	}
 	return Uniform(w, units)
 }
-
-// Spike is the adversarial single-product shape: demand every unit of
-// stock the warehouse holds for one product, forcing the synthesis to
-// route all flow through that product's shelves.
-func Spike(w *warehouse.Warehouse, product warehouse.ProductID) (warehouse.Workload, error) {
-	if int(product) < 0 || int(product) >= w.NumProducts {
-		return warehouse.Workload{}, fmt.Errorf("workload: product %d out of range", product)
-	}
-	return Single(w, product, w.TotalStock(product))
-}

@@ -1,69 +1,10 @@
 package workload
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/warehouse"
 )
-
-func TestFromEntries(t *testing.T) {
-	w := smallWarehouse(t)
-	wl, err := FromEntries(w, []Entry{{Product: 0, Units: 5}, {Product: 2, Units: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wl.Units, []int{5, 0, 3}) {
-		t.Errorf("units = %v, want [5 0 3]", wl.Units)
-	}
-}
-
-func TestFromEntriesRejectsZeroUnits(t *testing.T) {
-	w := smallWarehouse(t)
-	_, err := FromEntries(w, []Entry{{Product: 0, Units: 0}})
-	assertDemandError(t, err, 0, "non-positive units")
-}
-
-func TestFromEntriesRejectsNegativeUnits(t *testing.T) {
-	w := smallWarehouse(t)
-	_, err := FromEntries(w, []Entry{{Product: 1, Units: -4}})
-	assertDemandError(t, err, 1, "non-positive units")
-}
-
-func TestFromEntriesRejectsDuplicateProduct(t *testing.T) {
-	w := smallWarehouse(t)
-	_, err := FromEntries(w, []Entry{{Product: 1, Units: 2}, {Product: 1, Units: 3}})
-	assertDemandError(t, err, 1, "duplicate product")
-}
-
-func TestFromEntriesRejectsUnknownProduct(t *testing.T) {
-	w := smallWarehouse(t)
-	_, err := FromEntries(w, []Entry{{Product: 7, Units: 2}})
-	assertDemandError(t, err, 7, "unknown product")
-	_, err = FromEntries(w, []Entry{{Product: -1, Units: 2}})
-	assertDemandError(t, err, -1, "unknown product")
-}
-
-// assertDemandError checks both halves of the taxonomy contract: the
-// sentinel answers errors.Is, and the typed error carries the entry.
-func assertDemandError(t *testing.T, err error, product warehouse.ProductID, reason string) {
-	t.Helper()
-	if err == nil {
-		t.Fatal("invalid demand accepted")
-	}
-	if !errors.Is(err, ErrInvalidDemand) {
-		t.Fatalf("error %v does not wrap ErrInvalidDemand", err)
-	}
-	var de *DemandError
-	if !errors.As(err, &de) {
-		t.Fatalf("error %v is not a *DemandError", err)
-	}
-	if de.Product != product || de.Reason != reason {
-		t.Errorf("DemandError{%d, %q}, want {%d, %q}", de.Product, de.Reason, product, reason)
-	}
-}
 
 func TestBurstyConcentratesAndConserves(t *testing.T) {
 	w := smallWarehouse(t)
@@ -143,19 +84,5 @@ func TestDiurnalScalesWithPhase(t *testing.T) {
 	}
 	if trough.TotalUnits() != 10 {
 		t.Errorf("trough total = %d, want 10 (25%% of peak)", trough.TotalUnits())
-	}
-}
-
-func TestSpikeDemandsFullStock(t *testing.T) {
-	w := smallWarehouse(t)
-	wl, err := Spike(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wl.Units, []int{0, 40, 0}) {
-		t.Errorf("units = %v, want [0 40 0]", wl.Units)
-	}
-	if _, err := Spike(w, 9); err == nil {
-		t.Error("out-of-range spike accepted")
 	}
 }

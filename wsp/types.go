@@ -116,9 +116,11 @@ type (
 	Cycle = cycles.Cycle
 	// FlowSet is a synthesized per-period agent flow set (§IV-D).
 	FlowSet = flow.Set
-	// RealizeStats reports realization statistics (team size etc.).
+	// RealizeStats reports realization statistics: the team size. What
+	// the plan delivers, and when, is on SimResult.
 	RealizeStats = agentplan.Stats
-	// SimResult is the validation simulation outcome.
+	// SimResult is the validation replay's outcome: every violation and
+	// the delivery and movement tallies.
 	SimResult = sim.Result
 	// Timing breaks down where a solve spent its time.
 	Timing = core.Timing
