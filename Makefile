@@ -60,23 +60,28 @@ bench-smoke:
 bench-compare:
 	$(GO) run ./scripts/benchjson -compare -o BENCH_table1.json
 
-# Long-running simplex parity fuzz (production revised engine against the
-# dense test oracle, the float engine against exact, the float engine's
-# concrete FTRAN/BTRAN/pricing/leaving-row kernels against the generic
-# loops bit for bit, the dual's candidate list against its definition)
-# under the race detector, plus the fence fuzz (the fenced depth-first
-# branch-and-bound loop against the oracle's own walk/task/fold loop in
+# Long-running simplex parity rounds (production revised engine against
+# the dense test oracle over lp.Model edit sequences and contract-shaped
+# networks, the float engine against exact, the float engine's concrete
+# FTRAN/BTRAN/pricing/leaving-row kernels against the generic loops bit for
+# bit, the dual's candidate list against its definition) under the race
+# detector, plus the fence fuzz (the fenced depth-first branch-and-bound
+# loop against the oracle's own walk/task/fold loop in
 # internal/lp/fence_oracle_test.go, with the fence lowered so small trees
-# fence often).
+# fence often). The random-problem parity of the revised engine against the
+# dense oracle is the native fuzz target FuzzRevisedParity (fuzz-nightly).
 # The short version of the same property tests runs in every `go test ./...`;
-# LP_PARITY_ROUNDS scales the fuzz rounds. CI runs this nightly and on
-# manual dispatch (.github/workflows/ci.yml, job lp-long).
+# LP_PARITY_ROUNDS scales the rounds. CI runs this nightly and on manual
+# dispatch (.github/workflows/ci.yml, job lp-long).
 test-lp-long:
-	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
+	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParityModelEdits|TestRevisedParityLarge|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
 
-# The native fuzz targets over untrusted input, 60 s each: wspio instance
+# The native fuzz targets, 60 s each: over untrusted input, wspio instance
 # bodies and their export round trip (FuzzDecode), MovingAI map imports
-# (FuzzImportMovingAI) and the wspd solve endpoints (FuzzSolveEndpoints).
+# (FuzzImportMovingAI) and the wspd solve endpoints (FuzzSolveEndpoints);
+# and the simplex's random-problem parity (FuzzRevisedParity: the revised
+# engine against the dense oracle bit for bit, unbudgeted and under
+# MaxWork, and the float verdicts against the exact ones).
 # `go test` runs only their seed corpora. A failing input is written under
 # the package's testdata/fuzz/; commit it with the fix. CI runs this nightly
 # and on manual dispatch (.github/workflows/ci.yml, job fuzz-nightly).
@@ -85,6 +90,7 @@ fuzz-nightly:
 	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzDecode$$' ./internal/wspio
 	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzImportMovingAI$$' ./internal/datasets
 	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzSolveEndpoints$$' ./internal/server
+	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzRevisedParity$$' ./internal/lp
 
 # End-to-end daemon smoke: build wspd, start it, hit /healthz, drive every
 # solve endpoint once (/v1/solve, /v1/batch, a plain and a streamed

@@ -245,6 +245,9 @@ func BenchmarkSynthesizerAblation(b *testing.B) {
 	})
 }
 
+// lpTerm builds an lp.Term with an integer coefficient.
+func lpTerm(v lp.VarID, coef int64) lp.Term { return lp.Term{Var: v, Coef: big.NewRat(coef, 1)} }
+
 // contractShapedLP builds an LP/ILP with the shape the §IV-D contract
 // compiler emits: per-arc per-commodity flow variables over a component
 // ring, conservation equalities per (component, commodity), a shared
@@ -273,7 +276,7 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 	for c := 0; c < ring; c++ {
 		in, out := (c+ring-1)%ring, c
 		for k := 0; k < ncom; k++ {
-			terms := []lp.Term{lp.T(fv[in][k], 1), lp.T(fv[out][k], -1)}
+			terms := []lp.Term{lpTerm(fv[in][k], 1), lpTerm(fv[out][k], -1)}
 			if c == 0 && k > 0 {
 				// Pick row converts empties into product-k carriers.
 				p.AddConstraint(fmt.Sprintf("pick_%d", k), terms, lp.GE, big.NewRat(-int64(2+k), 1))
@@ -287,7 +290,7 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 	for e := 0; e < ring; e++ {
 		terms := make([]lp.Term, ncom)
 		for k := 0; k < ncom; k++ {
-			terms[k] = lp.T(fv[e][k], 1)
+			terms[k] = lpTerm(fv[e][k], 1)
 		}
 		p.AddConstraint(fmt.Sprintf("cap_%d", e), terms, lp.LE, big.NewRat(int64(3+products), 1))
 	}
@@ -295,16 +298,16 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 	// sum to at most the arc capacity so every size stays feasible.
 	for k := 1; k < ncom; k++ {
 		p.AddConstraint(fmt.Sprintf("demand_%d", k),
-			[]lp.Term{lp.T(fv[ring/2][k], 1)}, lp.GE, big.NewRat(int64(1+k%2), 1))
+			[]lp.Term{lpTerm(fv[ring/2][k], 1)}, lp.GE, big.NewRat(int64(1+k%2), 1))
 	}
 	return p
 }
 
 // BenchmarkLP isolates the internal/lp solver on contract-shaped problems:
-// the continuous relaxation in the exact and float engines, and the full
-// branch-and-bound ILP likewise. These are the microbenchmarks behind
-// the `flow.Certify` / `SynthesizeContract` / `refine.MinimalHorizon`
-// costs.
+// the continuous relaxation in the exact engine (the admission check's
+// solve), and the full branch-and-bound ILP in both engines. These are the
+// microbenchmarks behind the `flow.Admit` / `SynthesizeContract` /
+// `refine.MinimalHorizon` costs.
 func BenchmarkLP(b *testing.B) {
 	sizes := []struct {
 		name           string
@@ -318,25 +321,14 @@ func BenchmarkLP(b *testing.B) {
 	}
 	for _, sz := range sizes {
 		cont := contractShapedLP(sz.ring, sz.products, false)
-		obj := make([]lp.Term, 0, len(cont.Vars))
-		for i := range cont.Vars {
-			obj = append(obj, lp.T(lp.VarID(i), 1))
-		}
-		cont.SetObjective(obj, false) // minimize total flow
-		// "Float" is the partial-pricing float engine.
-		for _, mode := range []struct {
-			name  string
-			solve func(*lp.Problem) (*lp.Solution, error)
-		}{{"Exact", lp.SolveLP}, {"Float", lp.SolveLPFloat}} {
-			b.Run(mode.name+"/"+sz.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sol, err := mode.solve(cont)
-					if err != nil || sol.Status != lp.StatusOptimal {
-						b.Fatalf("status %v err %v", sol.Status, err)
-					}
+		b.Run("Exact/"+sz.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sol, err := lp.SolveLPWith(cont, lp.SolveOptions{})
+				if err != nil || sol.Status != lp.StatusOptimal {
+					b.Fatalf("status %v err %v", sol.Status, err)
 				}
-			})
-		}
+			}
+		})
 		ilp := contractShapedLP(sz.ring, sz.products, true)
 		for _, eng := range []struct {
 			name string
@@ -347,7 +339,7 @@ func BenchmarkLP(b *testing.B) {
 		} {
 			b.Run(eng.name+"/"+sz.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sol, err := lp.SolveILP(ilp, eng.opts)
+					sol, err := lp.NewModel(ilp).ResolveILP(eng.opts)
 					if err != nil || sol.Status != lp.StatusOptimal {
 						b.Fatalf("status %v err %v", sol.Status, err)
 					}

@@ -9,12 +9,12 @@ import (
 
 // Compiled pairs a contract's one-time ILP compilation with a persistent
 // solver model, for callers that re-solve the same contract system under
-// edited right-hand sides or variable bounds: horizon refinement probes,
-// lifelong epochs, and design-sweep evaluations all differ from their
-// predecessor only in a handful of numbers, not in structure.
+// edited right-hand sides: horizon refinement probes, lifelong epochs, and
+// design-sweep evaluations all differ from their predecessor only in a
+// handful of numbers, not in structure.
 //
 // The compilation (variable ordering, constraint ordering, coefficients) is
-// frozen at Compile time; Satisfy and RelaxationFeasible answers are
+// frozen at Compile time; Satisfy and RelaxationFeasibleOpts answers are
 // bit-identical to re-compiling the edited contract and solving it from
 // scratch, because lp.Model re-solves cold inside its retained arena.
 // The source Contract must not gain variables or constraints afterwards.
@@ -29,13 +29,13 @@ type Compiled struct {
 }
 
 // Compile freezes the contract's conjunction Ã ∧ G̃ into an editable ILP
-// model. It is the one-time counterpart of ToProblem + SolveILP.
+// model. It is the one-time counterpart of ToProblem + lp.NewModel.
 //
 // Constraint names are the edit handles, so a name shared by several rows
 // is poisoned rather than silently resolved to the first occurrence:
-// SetRHS on it would retarget one row and leave its twins stale, breaking
-// the bit-identity-with-recompile guarantee without a trace. (The flow
-// compiler emits unique names; this guards the public seam.)
+// editing through it would retarget one row and leave its twins stale,
+// breaking the bit-identity-with-recompile guarantee without a trace. (The
+// flow compiler emits unique names; this guards the public seam.)
 func (c *Contract) Compile() *Compiled {
 	p, index := c.ToProblem()
 	rows := make(map[string]int, len(p.Constraints))
@@ -50,41 +50,17 @@ func (c *Contract) Compile() *Compiled {
 	return &Compiled{Contract: c, Prob: p, Index: index, rows: rows, model: lp.NewModel(p)}
 }
 
-// SetRHS retargets the named constraint's right-hand side for the next
-// solve.
-func (cc *Compiled) SetRHS(name string, rhs *big.Rat) error {
-	i, ok := cc.rows[name]
-	if !ok {
-		return fmt.Errorf("contracts: no constraint %q in compiled %s", name, cc.Contract.Name)
-	}
-	if i < 0 {
-		return fmt.Errorf("contracts: constraint name %q is shared by several rows of compiled %s; edits through it are ambiguous", name, cc.Contract.Name)
-	}
-	cc.model.SetRHS(i, rhs)
-	return nil
-}
-
-// Row resolves a constraint name to its row index, for callers that edit
-// the same rows every solve and want to skip the name lookup (SetRHSAt).
-// Names shared by several rows do not resolve.
+// Row resolves a constraint name to its row index, the handle SetRHSAt
+// edits through. Names shared by several rows do not resolve.
 func (cc *Compiled) Row(name string) (int, bool) {
 	i, ok := cc.rows[name]
 	return i, ok && i >= 0
 }
 
-// SetRHSAt is SetRHS addressed by row index (from Row).
+// SetRHSAt retargets the right-hand side of row (from Row) for the next
+// solve.
 func (cc *Compiled) SetRHSAt(row int, rhs *big.Rat) {
 	cc.model.SetRHS(row, rhs)
-}
-
-// SetVarBound replaces the named variable's bounds (nil = unbounded).
-func (cc *Compiled) SetVarBound(name string, lo, hi *big.Rat) error {
-	id, ok := cc.Index[name]
-	if !ok {
-		return fmt.Errorf("contracts: no variable %q in compiled %s", name, cc.Contract.Name)
-	}
-	cc.model.SetBound(id, lo, hi)
-	return nil
 }
 
 // Satisfy searches for a satisfying assignment of the edited system. It
@@ -113,20 +89,11 @@ func (cc *Compiled) Satisfy(opts lp.ILPOptions) (Assignment, error) {
 	}
 }
 
-// RelaxationFeasible decides the continuous relaxation of the edited system
-// with the exact engine — the incremental counterpart of the admission
-// test's SolveLP call, with the same answer and work: a cold solve in the
-// retained arena, which saves only the arena build.
-//
-// Only a proven StatusInfeasible counts as infeasible, exactly as the
-// from-scratch admission test maps statuses: an unbounded relaxation (only
-// possible once a caller installs an objective) still has feasible points.
-func (cc *Compiled) RelaxationFeasible() (bool, error) {
-	return cc.RelaxationFeasibleOpts(lp.SolveOptions{})
-}
-
-// RelaxationFeasibleOpts is RelaxationFeasible with per-call solve options
-// (the cancellation channel).
+// RelaxationFeasibleOpts decides the continuous relaxation of the edited
+// system with the exact engine under the given solve options (the
+// cancellation channel) — the incremental counterpart of the admission
+// test's SolveLPWith call, with the same answer and work: a cold solve in
+// the retained arena, which saves only the arena build.
 func (cc *Compiled) RelaxationFeasibleOpts(opts lp.SolveOptions) (bool, error) {
 	sol, err := cc.model.ResolveWith(opts)
 	if err != nil {

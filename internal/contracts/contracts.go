@@ -6,13 +6,15 @@
 // a set of assumptions Ã (linear constraints the environment must satisfy)
 // and a set of guarantees G̃ (linear constraints the component promises when
 // the assumptions hold). Contracts combine by composition (⊗) — describing
-// the system formed by wiring two components together — and conjunction (∧)
+// the system formed by wiring components together — and conjunction (∧)
 // — combining the requirements of two contracts on one component.
 //
-// The decision procedure behind every semantic operation (satisfiability,
-// entailment, refinement) is the exact ILP solver in internal/lp, which
-// decides the same quantifier-free linear-integer fragment the paper
-// discharges to Z3.
+// The one semantic question the synthesis of §IV-D asks is satisfiability:
+// does an integral assignment satisfy Ã ∧ G̃ of the composed component
+// contracts conjoined with the workload contract? The ILP solver in
+// internal/lp decides it, over the same quantifier-free linear-integer
+// fragment the paper discharges to Z3. Entailment and refinement are not
+// implemented: no synthesis step asks them.
 package contracts
 
 import (
@@ -142,59 +144,12 @@ func mergeVars(dst map[string]VarSpec, srcs ...map[string]VarSpec) error {
 	return nil
 }
 
-// Compose returns c1 ⊗ c2, the contract of the system built from the two
-// components. In the conjunctive linear fragment used here the composite
-// guarantees are G1 ∧ G2; the composite assumptions start as A1 ∧ A2 and
-// each assumption already entailed by the other component's guarantees is
-// discharged (dropped), the standard saturation-free approximation of the
-// contract algebra's quotient.
-func Compose(c1, c2 *Contract) (*Contract, error) {
-	out := New(c1.Name + "⊗" + c2.Name)
-	if err := mergeVars(out.Vars, c1.Vars, c2.Vars); err != nil {
-		return nil, err
-	}
-	out.Guarantees = append(append([]Constraint(nil), c1.Guarantees...), c2.Guarantees...)
-	// Discharge assumptions entailed by the peer's guarantees.
-	for _, pair := range []struct {
-		own  *Contract
-		peer *Contract
-	}{{c1, c2}, {c2, c1}} {
-		for _, a := range pair.own.Assumptions {
-			entailed, err := entails(out.Vars, pair.peer.Guarantees, a)
-			if err != nil {
-				return nil, err
-			}
-			if !entailed {
-				out.Assumptions = append(out.Assumptions, a)
-			}
-		}
-	}
-	return out, nil
-}
-
-// ComposeAll folds Compose over a list of contracts, mirroring the paper's
-// C̃TS := ⊗ C̃i over all traffic-system components. Assumption discharge runs
-// one entailment query per assumption; for large systems prefer
-// ComposeAllFast.
-func ComposeAll(cs []*Contract) (*Contract, error) {
-	if len(cs) == 0 {
-		return nil, fmt.Errorf("contracts: nothing to compose")
-	}
-	acc := cs[0]
-	var err error
-	for _, c := range cs[1:] {
-		acc, err = Compose(acc, c)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// ComposeAllFast composes contracts without assumption discharge: the result
-// keeps every assumption and every guarantee. Its satisfying set (Ã ∧ G̃) is
-// identical to ComposeAll's, so synthesis over the composite is unaffected;
-// only the assume/guarantee split is coarser.
+// ComposeAllFast returns ⊗ cs, the contract of the system built from all
+// the components, mirroring the paper's C̃TS := ⊗ C̃i over the traffic
+// system. It keeps every assumption and every guarantee rather than
+// discharging the assumptions one component's guarantees entail: the
+// satisfying set Ã ∧ G̃, the only thing synthesis asks about, is the same
+// either way, and discharge would cost one solve per assumption.
 func ComposeAllFast(cs []*Contract) (*Contract, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("contracts: nothing to compose")
@@ -260,135 +215,15 @@ func compile(vars map[string]VarSpec, cons []Constraint) (*lp.Problem, map[strin
 // Assignment maps variable names to exact rational values.
 type Assignment map[string]*big.Rat
 
-// Satisfy searches for an assignment satisfying Ã ∧ G̃ with the given solver
-// engine. It returns nil (no error) if the contract is unsatisfiable.
-func (c *Contract) Satisfy(engine lp.Engine) (Assignment, error) {
-	return c.SatisfyOpts(lp.ILPOptions{Engine: engine})
-}
-
-// SatisfyOpts is Satisfy with explicit solver options, letting callers set
-// node and pivot budgets. Contract conjunctions in the integer-rate regime
-// can be feasible in rationals yet integrally infeasible, and pure branch
-// and bound may need an exponential tree to prove that; budgets turn such
-// searches into a bounded "undecided" error instead of an unbounded grind.
+// SatisfyOpts searches for an assignment satisfying Ã ∧ G̃ under the given
+// solver options and returns nil (no error) if the contract is
+// unsatisfiable. The options set the engine and the node and work budgets:
+// contract conjunctions in the integer-rate regime can be feasible in
+// rationals yet integrally infeasible, and pure branch and bound may need
+// an exponential tree to prove that; budgets turn such searches into a
+// bounded "undecided" error instead of an unbounded grind.
 func (c *Contract) SatisfyOpts(opts lp.ILPOptions) (Assignment, error) {
 	return c.Compile().Satisfy(opts)
-}
-
-// Consistent reports whether the guarantees alone are satisfiable.
-func (c *Contract) Consistent(engine lp.Engine) (bool, error) {
-	p, _ := compile(c.Vars, c.Guarantees)
-	return feasible(p, engine)
-}
-
-// Compatible reports whether the assumptions alone are satisfiable.
-func (c *Contract) Compatible(engine lp.Engine) (bool, error) {
-	p, _ := compile(c.Vars, c.Assumptions)
-	return feasible(p, engine)
-}
-
-func feasible(p *lp.Problem, engine lp.Engine) (bool, error) {
-	sol, err := lp.SolveILP(p, lp.ILPOptions{Engine: engine})
-	if err != nil {
-		return false, err
-	}
-	return sol.Status == lp.StatusOptimal, nil
-}
-
-// Refines reports whether c1 ≼ c2 (c1 refines c2): c1 assumes no more than
-// c2 (every assumption of c1 is entailed by c2's assumptions) and guarantees
-// no less (every guarantee of c2 is entailed by c1's guarantees conjoined
-// with c2's assumptions).
-func Refines(c1, c2 *Contract) (bool, error) {
-	vars := make(map[string]VarSpec)
-	if err := mergeVars(vars, c1.Vars, c2.Vars); err != nil {
-		return false, err
-	}
-	for _, a := range c1.Assumptions {
-		ok, err := entails(vars, c2.Assumptions, a)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	premise := append(append([]Constraint(nil), c1.Guarantees...), c2.Assumptions...)
-	for _, g := range c2.Guarantees {
-		ok, err := entails(vars, premise, g)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// entails decides premise ⊨ goal over the declared variables by optimizing
-// the goal's left-hand side subject to the premise: for "lhs ≤ rhs" the goal
-// is entailed iff max lhs ≤ rhs (and symmetrically for ≥; equalities check
-// both directions). An infeasible premise entails everything. The premise
-// system is compiled once and reused across both directions of an equality
-// goal — the solver treats the Problem as read-only, so only the objective
-// sense changes between the two solves.
-func entails(vars map[string]VarSpec, premise []Constraint, goal Constraint) (bool, error) {
-	p, index := compile(vars, premise)
-	terms := make([]lp.Term, len(goal.Terms))
-	for i, t := range goal.Terms {
-		terms[i] = lp.Term{Var: index[t.Var], Coef: t.Coef}
-	}
-	if len(terms) == 0 {
-		// A term-free goal is the constant predicate 0 (Sense) RHS. Deciding
-		// it through the optimizer would build a pure feasibility problem
-		// whose Solution carries a nil Objective — and dereferencing that
-		// was a crash on this path. Decide the constant directly; a false
-		// constant is still entailed by an infeasible premise (vacuously).
-		zero := new(big.Rat)
-		cmp := zero.Cmp(goal.RHS)
-		holds := (goal.Sense == lp.LE && cmp <= 0) || (goal.Sense == lp.GE && cmp >= 0) || (goal.Sense == lp.EQ && cmp == 0)
-		if holds {
-			return true, nil
-		}
-		sol, err := lp.SolveILP(p, lp.ILPOptions{Engine: lp.EngineExact})
-		if err != nil {
-			return false, err
-		}
-		return sol.Status == lp.StatusInfeasible, nil
-	}
-	dir := func(maximize bool) (bool, error) {
-		p.SetObjective(terms, maximize)
-		sol, err := lp.SolveILP(p, lp.ILPOptions{Engine: lp.EngineExact})
-		if err != nil {
-			return false, err
-		}
-		switch sol.Status {
-		case lp.StatusInfeasible:
-			return true, nil // vacuous entailment
-		case lp.StatusUnbounded:
-			return false, nil
-		case lp.StatusOptimal:
-			if maximize {
-				return sol.Objective.Cmp(goal.RHS) <= 0, nil
-			}
-			return sol.Objective.Cmp(goal.RHS) >= 0, nil
-		}
-		return false, fmt.Errorf("contracts: entailment solver returned %v", sol.Status)
-	}
-	switch goal.Sense {
-	case lp.LE:
-		return dir(true)
-	case lp.GE:
-		return dir(false)
-	case lp.EQ:
-		le, err := dir(true)
-		if err != nil || !le {
-			return false, err
-		}
-		return dir(false)
-	}
-	return false, fmt.Errorf("contracts: unknown sense %v", goal.Sense)
 }
 
 // String renders the contract for debugging.

@@ -16,6 +16,9 @@ func nat(c *Contract, t *testing.T, names ...string) {
 	}
 }
 
+// exact selects the exact engine for SatisfyOpts.
+var exact = lp.ILPOptions{Engine: lp.EngineExact}
+
 func mustAssume(t *testing.T, c *Contract, con Constraint) {
 	t.Helper()
 	if err := c.Assume(con); err != nil {
@@ -58,7 +61,7 @@ func TestSatisfyFindsAssignment(t *testing.T) {
 	mustAssume(t, c, CT("cap", lp.LE, 4, LT(1, "x"), LT(1, "y")))
 	mustGuarantee(t, c, CT("gx", lp.GE, 1, LT(1, "x")))
 	mustGuarantee(t, c, CT("gy", lp.GE, 2, LT(1, "y")))
-	asn, err := c.Satisfy(lp.EngineExact)
+	asn, err := c.SatisfyOpts(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestSatisfyUnsat(t *testing.T) {
 	nat(c, t, "x")
 	mustAssume(t, c, CT("lo", lp.GE, 5, LT(1, "x")))
 	mustGuarantee(t, c, CT("hi", lp.LE, 3, LT(1, "x")))
-	asn, err := c.Satisfy(lp.EngineExact)
+	asn, err := c.SatisfyOpts(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,31 +91,10 @@ func TestSatisfyUnsat(t *testing.T) {
 	}
 }
 
-func TestConsistentAndCompatible(t *testing.T) {
-	c := New("c")
-	nat(c, t, "x")
-	mustAssume(t, c, CT("a", lp.LE, 10, LT(1, "x")))
-	mustGuarantee(t, c, CT("g1", lp.GE, 5, LT(1, "x")))
-	mustGuarantee(t, c, CT("g2", lp.LE, 3, LT(1, "x")))
-	ok, err := c.Consistent(lp.EngineExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("inconsistent guarantees reported consistent")
-	}
-	ok, err = c.Compatible(lp.EngineExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("satisfiable assumptions reported incompatible")
-	}
-}
-
-func TestComposeDischargesAssumptions(t *testing.T) {
-	// c1 assumes its input inflow <= 3; c2 guarantees inflow <= 2.
-	// Composing should discharge c1's assumption.
+// ComposeAllFast keeps every assumption, including one the peer's
+// guarantees already entail (inflow ≤ 2 entails inflow ≤ 3): it does not
+// discharge, so the composite's satisfying set is exactly Ã ∧ G̃.
+func TestComposeKeepsUndischargedAssumptions(t *testing.T) {
 	c1 := New("consumer")
 	nat(c1, t, "inflow")
 	mustAssume(t, c1, CT("a", lp.LE, 3, LT(1, "inflow")))
@@ -120,52 +102,43 @@ func TestComposeDischargesAssumptions(t *testing.T) {
 	nat(c2, t, "inflow")
 	mustGuarantee(t, c2, CT("g", lp.LE, 2, LT(1, "inflow")))
 
-	comp, err := Compose(c1, c2)
+	comp, err := ComposeAllFast([]*Contract{c1, c2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comp.Assumptions) != 0 {
-		t.Errorf("assumption not discharged: %v", comp.Assumptions)
+	if len(comp.Assumptions) != 1 || len(comp.Guarantees) != 1 {
+		t.Errorf("assumptions %v, guarantees %v: want each kept", comp.Assumptions, comp.Guarantees)
 	}
-	if len(comp.Guarantees) != 1 {
-		t.Errorf("guarantees = %d, want 1", len(comp.Guarantees))
-	}
-}
-
-func TestComposeKeepsUndischargedAssumptions(t *testing.T) {
-	c1 := New("consumer")
-	nat(c1, t, "inflow")
-	mustAssume(t, c1, CT("a", lp.LE, 3, LT(1, "inflow")))
-	c2 := New("producer")
-	nat(c2, t, "inflow")
-	mustGuarantee(t, c2, CT("g", lp.LE, 5, LT(1, "inflow"))) // too weak
-
-	comp, err := Compose(c1, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp.Assumptions) != 1 {
-		t.Errorf("assumptions = %v, want the undischarged one kept", comp.Assumptions)
+	if len(comp.Vars) != 1 {
+		t.Errorf("vars = %v, want the shared inflow once", comp.Vars)
 	}
 }
 
 func TestComposeAll(t *testing.T) {
-	if _, err := ComposeAll(nil); err == nil {
-		t.Error("ComposeAll(nil) succeeded")
+	if _, err := ComposeAllFast(nil); err == nil {
+		t.Error("ComposeAllFast(nil) succeeded")
 	}
 	var cs []*Contract
 	for i := 0; i < 3; i++ {
 		c := New("c")
 		nat(c, t, "x")
+		mustAssume(t, c, CT("a", lp.GE, int64(i), LT(1, "x")))
 		mustGuarantee(t, c, CT("g", lp.LE, int64(10+i), LT(1, "x")))
 		cs = append(cs, c)
 	}
-	comp, err := ComposeAll(cs)
+	comp, err := ComposeAllFast(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comp.Guarantees) != 3 {
-		t.Errorf("guarantees = %d, want 3", len(comp.Guarantees))
+	if len(comp.Assumptions) != 3 || len(comp.Guarantees) != 3 {
+		t.Errorf("assumptions = %d, guarantees = %d, want 3 and 3", len(comp.Assumptions), len(comp.Guarantees))
+	}
+	asn, err := comp.SatisfyOpts(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asn == nil || asn["x"].Cmp(big.NewRat(2, 1)) < 0 || asn["x"].Cmp(big.NewRat(10, 1)) > 0 {
+		t.Errorf("composite assignment %v, want x in [2,10]", asn)
 	}
 }
 
@@ -180,7 +153,7 @@ func TestConjoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asn, err := conj.Satisfy(lp.EngineExact)
+	asn, err := conj.SatisfyOpts(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,86 +176,8 @@ func TestConjoinConflictingVarSpecs(t *testing.T) {
 	if _, err := Conjoin(c1, c2); err == nil {
 		t.Error("conjoin with conflicting specs succeeded")
 	}
-	if _, err := Compose(c1, c2); err == nil {
+	if _, err := ComposeAllFast([]*Contract{c1, c2}); err == nil {
 		t.Error("compose with conflicting specs succeeded")
-	}
-}
-
-func TestRefines(t *testing.T) {
-	// Stronger guarantee, weaker assumption refines.
-	strong := New("strong")
-	nat(strong, t, "x")
-	mustAssume(t, strong, CT("a", lp.LE, 10, LT(1, "x"))) // weaker than weak's (assumes more inputs OK)
-	mustGuarantee(t, strong, CT("g", lp.LE, 2, LT(1, "x")))
-
-	weak := New("weak")
-	nat(weak, t, "x")
-	mustAssume(t, weak, CT("a", lp.LE, 5, LT(1, "x")))
-	mustGuarantee(t, weak, CT("g", lp.LE, 4, LT(1, "x")))
-
-	ok, err := Refines(strong, weak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("strong should refine weak")
-	}
-	ok, err = Refines(weak, strong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("weak should not refine strong")
-	}
-}
-
-func TestRefinesEqualityGoal(t *testing.T) {
-	c1 := New("c1")
-	nat(c1, t, "x")
-	mustGuarantee(t, c1, CT("fix", lp.EQ, 4, LT(1, "x")))
-	c2 := New("c2")
-	nat(c2, t, "x")
-	mustGuarantee(t, c2, CT("range", lp.LE, 4, LT(1, "x")))
-	ok, err := Refines(c1, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("x=4 should refine x<=4")
-	}
-	ok, err = Refines(c2, c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("x<=4 should not refine x=4")
-	}
-}
-
-func TestEntailsVacuous(t *testing.T) {
-	// Infeasible premise entails anything.
-	vars := map[string]VarSpec{"x": NatSpec("x")}
-	premise := []Constraint{
-		CT("lo", lp.GE, 5, LT(1, "x")),
-		CT("hi", lp.LE, 3, LT(1, "x")),
-	}
-	ok, err := entails(vars, premise, CT("goal", lp.LE, -100, LT(1, "x")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("infeasible premise did not entail goal")
-	}
-}
-
-func TestEntailsUnboundedGoal(t *testing.T) {
-	vars := map[string]VarSpec{"x": NatSpec("x")}
-	ok, err := entails(vars, nil, CT("goal", lp.LE, 10, LT(1, "x")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("unbounded lhs reported entailed")
 	}
 }
 

@@ -85,16 +85,3 @@ func Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int,
 	}
 	return CertMaybeFeasible, nil
 }
-
-// MustAdmit wraps Admit into an error for pipeline use: a CertInfeasible
-// verdict becomes an *InfeasibleError carrying the certificate.
-func MustAdmit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) error {
-	cert, err := Admit(ctx, s, wl, T, opts)
-	if err != nil {
-		return err
-	}
-	if cert == CertInfeasible {
-		return &InfeasibleError{Cert: CertInfeasible, Horizon: T, Reason: "LP certificate"}
-	}
-	return nil
-}

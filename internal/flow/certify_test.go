@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/warehouse"
@@ -31,8 +32,10 @@ func TestAdmitRejectsOverloadedInstance(t *testing.T) {
 	if cert != CertInfeasible {
 		t.Errorf("cert = %v, want infeasible", cert)
 	}
-	if err := MustAdmit(context.Background(), s, wl, 120, Options{}); err == nil {
-		t.Error("MustAdmit accepted an infeasible instance")
+	err = new(ContractModel).MustAdmit(context.Background(), s, wl, 120, Options{})
+	var inf *InfeasibleError
+	if !errors.As(err, &inf) || inf.Cert != CertInfeasible {
+		t.Errorf("MustAdmit on an infeasible instance: %v, want an *InfeasibleError with the LP certificate", err)
 	}
 }
 

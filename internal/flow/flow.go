@@ -7,8 +7,12 @@
 //
 //   - Contract: the faithful path. Component contracts and the workload
 //     contract are compiled (per the equations of §IV-D), composed, conjoined
-//     and handed to the ILP solver — the paper's CHASE + Z3 pipeline with
-//     internal/contracts + internal/lp substituted.
+//     and handed to the ILP solver, which is asked only whether an integral
+//     assignment satisfies the conjunction — the paper's CHASE + Z3 pipeline
+//     with internal/contracts + internal/lp substituted. ContractModel runs
+//     it in production, re-solving a retained compilation; the
+//     from-scratch SynthesizeContract and Admit are the references its
+//     tests hold it to.
 //   - Sequential: the scalable path. Each product's flow is the projection
 //     of the same contract system onto one commodity, which is a
 //     single-commodity network-flow problem and is solved exactly by
@@ -17,7 +21,8 @@
 //     instances of Table I at the paper's scale.
 //
 // Every synthesized Set, regardless of strategy, can be checked against the
-// compiled contracts with VerifyContracts.
+// compiled contracts with VerifyContracts, the independent check the
+// strategies' tests apply.
 package flow
 
 import (

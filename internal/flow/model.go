@@ -21,7 +21,7 @@ import (
 // horizon (qc, qeff), the workload vector, or shelf stock can change enters
 // the ILP only through those right-hand sides, so refinement probes,
 // lifelong epochs, and design-sweep evaluations differ from their
-// predecessor by a handful of SetRHS edits plus a re-solve in the retained
+// predecessor by a handful of SetRHSAt edits plus a re-solve in the retained
 // arena.
 //
 // Synthesize and Admit are bit-identical to SynthesizeContract and Admit on
@@ -211,8 +211,8 @@ func (cm *ContractModel) Admit(ctx context.Context, s *traffic.System, wl wareho
 	return CertMaybeFeasible, nil
 }
 
-// MustAdmit wraps Admit into an error for pipeline use, mirroring the
-// package-level MustAdmit.
+// MustAdmit wraps Admit into an error for pipeline use: a CertInfeasible
+// verdict becomes an *InfeasibleError carrying the certificate.
 func (cm *ContractModel) MustAdmit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) error {
 	cert, err := cm.Admit(ctx, s, wl, T, opts)
 	if err != nil {

@@ -319,15 +319,15 @@ func (e *Engine) planEpoch(ctx context.Context, horizon int) (*core.Result, erro
 	w := e.s.W
 	we, err := warehouse.New(w.Graph, w.ShelfAccess, w.Stations, w.NumProducts, e.stock)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lifelong: epoch at t=%d: %w", e.now, err)
 	}
 	se, err := traffic.Build(we, e.paths)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lifelong: epoch at t=%d: %w", e.now, err)
 	}
 	wl, err := warehouse.NewWorkload(we, clampByStock(we, e.outstanding))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lifelong: epoch at t=%d: %w", e.now, err)
 	}
 	res, err := e.solve(ctx, se, wl, horizon, e.opts.Core, e.sc)
 	if err != nil {
@@ -342,7 +342,7 @@ func (e *Engine) planEpoch(ctx context.Context, horizon int) (*core.Result, erro
 		half := halve(wl.Units)
 		wl2, err2 := warehouse.NewWorkload(we, half)
 		if err2 != nil {
-			return nil, err
+			return nil, fmt.Errorf("lifelong: epoch at t=%d failed: %w", e.now, err)
 		}
 		res, err = e.solve(ctx, se, wl2, horizon, e.opts.Core, e.sc)
 		if err != nil {

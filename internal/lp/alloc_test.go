@@ -39,7 +39,7 @@ func TestSolveILPNodeAllocations(t *testing.T) {
 			perNode := func(p *Problem) float64 {
 				run := func(maxNodes int) float64 {
 					return testing.AllocsPerRun(5, func() {
-						sol, err := SolveILP(p, ILPOptions{Engine: eng.e, MaxNodes: maxNodes})
+						sol, err := solveILP(p, ILPOptions{Engine: eng.e, MaxNodes: maxNodes})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -39,7 +39,7 @@ func closedChan() chan struct{} {
 // A solve whose cancellation channel is already closed must return
 // StatusCanceled on the first work-budget tick, before any pivoting.
 func TestSolveILPCanceledBeforeStart(t *testing.T) {
-	sol, err := SolveILP(parityILP(7), ILPOptions{Engine: EngineExact, Cancel: closedChan()})
+	sol, err := solveILP(parityILP(7), ILPOptions{Engine: EngineExact, Cancel: closedChan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestSolveLPCanceled(t *testing.T) {
 
 // Cancelling mid-branch-and-bound must abort the search promptly (the
 // check rides every pivot's accounting tick) even though the full tree is
-// exponential, and cancellation must trump any incumbent.
+// exponential.
 func TestSolveILPCanceledMidSearch(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan *Solution, 1)
 	go func() {
 		// k=31 with the node cap lifted runs for minutes uncancelled, so
 		// a prompt return proves the cancellation path.
-		sol, err := SolveILP(parityILP(31), ILPOptions{Engine: EngineExact, MaxNodes: 1 << 30, Cancel: cancel})
+		sol, err := solveILP(parityILP(31), ILPOptions{Engine: EngineExact, MaxNodes: 1 << 30, Cancel: cancel})
 		if err != nil {
 			t.Error(err)
 		}
@@ -91,11 +91,10 @@ func TestModelReusableAfterCancel(t *testing.T) {
 	// A small feasibility ILP the uncancelled path decides quickly.
 	build := func() *Problem {
 		p := &Problem{}
-		x := p.AddNat("x")
-		y := p.AddNat("y")
+		x := addNat(p, "x")
+		y := addNat(p, "y")
 		p.AddConstraint("c1", []Term{T(x, 3), T(y, 2)}, LE, big.NewRat(12, 1))
 		p.AddConstraint("c2", []Term{T(x, 1), T(y, 1)}, GE, big.NewRat(3, 1))
-		p.SetObjective([]Term{T(x, 1), T(y, 1)}, false)
 		return p
 	}
 	mo := NewModel(build())
@@ -112,7 +111,7 @@ func TestModelReusableAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-solve after cancel: %v", err)
 	}
-	want, err := SolveILP(build(), ILPOptions{Engine: EngineExact})
+	want, err := solveILP(build(), ILPOptions{Engine: EngineExact})
 	if err != nil {
 		t.Fatalf("fresh solve: %v", err)
 	}
@@ -125,17 +124,16 @@ func TestModelReusableAfterCancel(t *testing.T) {
 		}
 	}
 	// The LP path through the same retained arena must also recover.
-	lpGot, err := mo.Resolve()
+	lpGot, err := mo.ResolveWith(SolveOptions{})
 	if err != nil {
 		t.Fatalf("LP re-solve after cancel: %v", err)
 	}
-	lpWant, err := SolveLP(build())
+	lpWant, err := solveLP(build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lpGot.Status != lpWant.Status || lpGot.Objective.Cmp(lpWant.Objective) != 0 {
-		t.Errorf("LP after cancel = (%v, %v), fresh (%v, %v)",
-			lpGot.Status, lpGot.Objective, lpWant.Status, lpWant.Objective)
+	if err := sameSolution(lpGot, lpWant); err != nil {
+		t.Errorf("LP after cancel differs from a fresh solve: %v", err)
 	}
 }
 
@@ -145,11 +143,11 @@ func TestCancelChannelInertWhenUnfired(t *testing.T) {
 	cancel := make(chan struct{})
 	defer close(cancel)
 	p := parityILP(7) // small enough to decide
-	got, err := SolveILP(p, ILPOptions{Engine: EngineExact, Cancel: cancel})
+	got, err := solveILP(p, ILPOptions{Engine: EngineExact, Cancel: cancel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveILP(parityILP(7), ILPOptions{Engine: EngineExact})
+	want, err := solveILP(parityILP(7), ILPOptions{Engine: EngineExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +160,7 @@ func TestCancelChannelInertWhenUnfired(t *testing.T) {
 // ErrBudgetExhausted once it crosses the contracts layer; at the lp layer
 // it is StatusLimit, distinct from StatusCanceled.
 func TestBudgetVersusCancelStatus(t *testing.T) {
-	sol, err := SolveILP(parityILP(15), ILPOptions{Engine: EngineExact, MaxWork: 500})
+	sol, err := solveILP(parityILP(15), ILPOptions{Engine: EngineExact, MaxWork: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

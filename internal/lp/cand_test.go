@@ -106,18 +106,17 @@ func TestCandidateListInvariant(t *testing.T) {
 			})
 		}
 
-		mo := NewModel(randomBoundedProblem(rng, true))
-		p := mo.Problem()
+		p := randomBoundedProblem(rng, true)
+		mo := NewModel(p)
 		lo0, hi0 := declaredBounds(p)
 		for e := 0; e < 12; e++ {
 			tag := fmt.Sprintf("seed %d model edit %d", seed, e)
 			v := rng.Intn(len(p.Vars))
 			switch rng.Intn(3) {
 			case 0:
-				mo.SetBound(VarID(v), lo0[v], hi0[v])
+				p.Vars[v].Lower, p.Vars[v].Upper = lo0[v], hi0[v]
 			case 1:
-				lo, hi := cutRange(rng, p.Vars[v].Lower, p.Vars[v].Upper)
-				mo.SetBound(VarID(v), lo, hi)
+				p.Vars[v].Lower, p.Vars[v].Upper = cutRange(rng, p.Vars[v].Lower, p.Vars[v].Upper)
 			default:
 				mo.SetRHS(rng.Intn(len(p.Constraints)), big.NewRat(int64(rng.Intn(17)-6), 1))
 			}
@@ -127,7 +126,7 @@ func TestCandidateListInvariant(t *testing.T) {
 			if requireCandidates(t, tag+" float ILP", mo.rflt) {
 				validFloat++
 			}
-			mo.Resolve()
+			mo.ResolveWith(SolveOptions{})
 			if mo.r64 != nil && requireCandidates(t, tag+" rat64 LP", mo.r64) {
 				validRat++
 			}

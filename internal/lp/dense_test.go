@@ -5,9 +5,10 @@ import "math/big"
 // This file keeps the dense bounded-variable tableau as the test oracle of
 // the production simplex. Production solves run on the LU-factorized
 // revised engine (revised.go); this engine makes the same decisions over an
-// explicit m × (n+1) tableau: Dantzig/Bland pricing over the same reduced
-// costs, the same two-sided ratio test and tie-breaks, the same cold start,
-// the same dual-simplex warm reentry, and the same work units per pivot.
+// explicit m × (n+1) tableau: Dantzig/Bland phase-1 pricing over the same
+// reduced costs, the same two-sided ratio test and tie-breaks, the same
+// cold start, the same dual-simplex warm reentry, and the same work units
+// per pivot.
 // Under exact arithmetic every compared quantity is the same canonical
 // rational in both representations, so the parity tests (parity_test.go)
 // require bit-identical Solutions, MaxWork verdicts included.
@@ -40,17 +41,13 @@ type tableau[T any, A arith[T]] struct {
 	loF   []bool // finite-bound flags
 	hiF   []bool
 
-	cost   []T // phase-2 minimization costs, len n
-	obj    []T // maintained phase-2 reduced-cost row, len stride
-	hasObj bool
-
 	// Pristine constraint system, converted to T once at construction.
 	csr     *csrRows
 	convVal []T // csr.vals converted
 	convRHS []T
 
 	nArt   int  // artificials activated by the last cold start
-	warmOK bool // tableau holds a dual-feasible basis from a prior solve
+	warmOK bool // tableau holds the basis of a prior solve
 	pr     pricer
 	// work counts row-update operations spent in eliminate; workBudget is
 	// the allowance from ILPOptions.MaxWork (0 = unlimited).
@@ -81,11 +78,8 @@ func newTableau[T any, A arith[T]](p *Problem, ar A) *tableau[T, A] {
 	tb.hi = make([]T, tb.n)
 	tb.loF = make([]bool, tb.n)
 	tb.hiF = make([]bool, tb.n)
-	tb.obj = make([]T, tb.stride)
-	tb.cost = make([]T, tb.n)
 	zero := ar.zero()
-	for j := range tb.cost {
-		tb.cost[j] = zero
+	for j := range tb.lo {
 		tb.lo[j] = zero
 		tb.hi[j] = zero
 	}
@@ -104,7 +98,6 @@ func newTableau[T any, A arith[T]](p *Problem, ar A) *tableau[T, A] {
 		acol := tb.artStart + i
 		tb.loF[acol], tb.hiF[acol] = true, true
 	}
-	tb.updateCost() // phase-2 cost vector (minimization form)
 	tb.pr = newPricer(m, tb.n)
 	return tb
 }
@@ -141,27 +134,6 @@ func (tb *tableau[T, A]) setCancel(c <-chan struct{}) {
 
 func (tb *tableau[T, A]) canceled() bool { return tb.cancelFired }
 
-// updateCost (re)derives the phase-2 minimization cost vector from the
-// problem's current objective. The maintained reduced-cost row still prices
-// the previous objective afterwards, so any dual-feasible warm state is
-// dropped.
-func (tb *tableau[T, A]) updateCost() {
-	ar := tb.ar
-	zero := ar.zero()
-	for j := range tb.cost {
-		tb.cost[j] = zero
-	}
-	tb.hasObj = len(tb.p.Objective) > 0
-	for _, t := range tb.p.Objective {
-		c := ar.fromRat(t.Coef)
-		if tb.p.Maximize {
-			c = ar.neg(c)
-		}
-		tb.cost[t.Var] = ar.add(tb.cost[t.Var], c)
-	}
-	tb.warmOK = false
-}
-
 // exhausted reports whether the work budget has run out or the solve has
 // been cancelled. It is checked once per pivot — the MaxWork accounting
 // tick — so the elimination hot path stays unbranched between ticks and a
@@ -186,40 +158,33 @@ func (tb *tableau[T, A]) setBounds(lo, hi []*big.Rat) bool {
 	return installBounds(tb.ar, tb.nv, lo, hi, tb.lo, tb.hi, tb.loF, tb.hiF)
 }
 
-// solveNode solves the problem under the given bounds, warm-starting from
-// the previous node's basis via dual simplex when the tableau still holds a
-// dual-feasible basis, and falling back to a cold two-phase solve otherwise.
+// solveNode decides the problem under the given bounds, warm-starting from
+// the previous node's basis via dual simplex when the tableau still holds
+// one, and falling back to a cold phase 1 otherwise.
 func (tb *tableau[T, A]) solveNode(lo, hi []*big.Rat) Status {
 	if !tb.setBounds(lo, hi) {
 		return StatusInfeasible
 	}
-	if tb.warmOK && tb.rewarm() {
+	if tb.warmOK {
+		tb.rewarm()
 		switch tb.dual() {
 		case dualOptimal:
 			return StatusOptimal
 		case dualInfeasible:
-			// The basis is still dual feasible — only this node's bounds
-			// are unservable — so the NEXT node may warm-start from here.
+			// Only this node's bounds are unservable, so the NEXT node may
+			// warm-start from here.
 			return StatusInfeasible
 		case dualBudget:
 			return StatusLimit
 		}
 		// dualStuck: anti-cycling cap hit; restart cold for certainty.
 	}
-	tb.warmOK = false
-	status := tb.solveFresh()
+	// The cold path: rebuild the tableau and run phase 1 from an
+	// all-logical basis patched with artificials.
+	tb.cold()
+	status := tb.phase1()
 	tb.warmOK = status == StatusOptimal
 	return status
-}
-
-// solveFresh is the cold path: rebuild the tableau, run phase 1 from an
-// all-logical basis patched with artificials, then phase 2.
-func (tb *tableau[T, A]) solveFresh() Status {
-	tb.cold()
-	if st := tb.phase1(); st != StatusOptimal {
-		return st
-	}
-	return tb.phase2()
 }
 
 // nbValue is the current value of a nonbasic column.
@@ -357,14 +322,8 @@ func (tb *tableau[T, A]) phase1() Status {
 			}
 		}
 		tb.pr.reset()
-		switch tb.primal(objRow) {
-		case StatusOptimal:
-		case StatusLimit:
-			return StatusLimit
-		default:
-			// A feasibility phase bounded below by zero cannot be unbounded;
-			// reaching this means numerical failure. Report infeasible.
-			return StatusInfeasible
+		if st := tb.primal(objRow); st != StatusOptimal {
+			return st
 		}
 		infeas := zero
 		for i := 0; i < tb.m; i++ {
@@ -375,8 +334,8 @@ func (tb *tableau[T, A]) phase1() Status {
 		if ar.sign(infeas) != 0 {
 			return StatusInfeasible
 		}
-		// Drive zero-valued basic artificials out so later phases and warm
-		// reentries never pivot around them; rows with no eligible column
+		// Drive zero-valued basic artificials out so warm reentries never
+		// pivot around them; rows with no eligible column
 		// are redundant and keep their artificial pinned at zero.
 		for i := 0; i < tb.m; i++ {
 			if tb.basis[i] < tb.artStart {
@@ -399,36 +358,11 @@ func (tb *tableau[T, A]) phase1() Status {
 	return StatusOptimal
 }
 
-// phase2 prices the model objective over the feasible basis and optimizes.
-// Feasibility problems keep an all-zero objective row, which is exactly the
-// dual-feasibility invariant warm starts rely on.
-func (tb *tableau[T, A]) phase2() Status {
-	ar := tb.ar
-	zero := ar.zero()
-	for j := range tb.obj {
-		tb.obj[j] = zero
-	}
-	if !tb.hasObj {
-		return StatusOptimal
-	}
-	copy(tb.obj, tb.cost)
-	for i := 0; i < tb.m; i++ {
-		cb := tb.cost[tb.basis[i]]
-		if ar.sign(cb) == 0 {
-			continue
-		}
-		row := tb.rows[i*tb.stride : (i+1)*tb.stride]
-		for j := 0; j < tb.stride; j++ {
-			tb.obj[j] = ar.sub(tb.obj[j], ar.mul(cb, row[j]))
-		}
-	}
-	tb.pr.reset()
-	return tb.primal(tb.obj)
-}
-
 // primal runs the bounded-variable primal simplex to optimality over the
-// given reduced-cost row (maintained through pivots). Artificial columns
-// never enter; fixed-range columns are skipped wholesale.
+// given phase-1 reduced-cost row (maintained through pivots). Artificial
+// columns never enter; fixed-range columns are skipped wholesale. The
+// phase-1 objective is bounded below by zero, so an unstoppable entering
+// column means numerical failure, reported as infeasible.
 func (tb *tableau[T, A]) primal(objRow []T) Status {
 	ar := tb.ar
 	for {
@@ -441,7 +375,7 @@ func (tb *tableau[T, A]) primal(objRow []T) Status {
 		}
 		step, flip, leaveRow, leaveAtUpper, ok := tb.ratio(enter, dir)
 		if !ok {
-			return StatusUnbounded
+			return StatusInfeasible
 		}
 		if flip {
 			tb.boundFlip(enter, dir)
@@ -504,7 +438,7 @@ func (tb *tableau[T, A]) priceEnter(objRow []T) (enter, dir int) {
 // ratio runs the two-sided ratio test for entering column `enter` moving in
 // direction dir. It returns the step length and either a bound flip (the
 // entering column traverses to its opposite bound) or the leaving row and
-// which of its bounds blocks. ok=false means no limit exists: unbounded.
+// which of its bounds blocks. ok=false means no limit exists.
 func (tb *tableau[T, A]) ratio(enter, dir int) (step T, flip bool, leaveRow int, leaveAtUpper bool, ok bool) {
 	ar := tb.ar
 	haveLim := false
@@ -673,59 +607,27 @@ func (tb *tableau[T, A]) eliminate(r, col int, objRow []T) {
 }
 
 // rewarm re-anchors nonbasic columns to the new node's bounds and rebuilds
-// basic values from the maintained B⁻¹b column. Every nonbasic structural
-// column is re-checked for dual feasibility, not just those whose bound
-// disappeared: columns pinned by an earlier branch (lo == hi) are excluded
-// from entering scans, so their reduced costs may drift to either sign
-// while pinned, and a later node that un-pins them must re-home them — or
-// give up and solve cold. rewarm reports false in that give-up case.
-func (tb *tableau[T, A]) rewarm() bool {
+// basic values from the maintained B⁻¹b column. A column whose status
+// matches a bound it still has stays; any other goes to its lower bound,
+// else its upper, else free (a fixed column to its lower bound). Every
+// reduced cost is zero, so any home is dual feasible.
+func (tb *tableau[T, A]) rewarm() {
 	ar := tb.ar
 	for j := 0; j < tb.nv; j++ {
-		if tb.stat[j] == inBasis {
-			continue
-		}
-		if tb.fixedRange(j) {
-			tb.stat[j] = nbLower // lo == hi: either side, any reduced cost
-			continue
-		}
-		// Dual feasibility (minimization) demands d ≥ 0 at a lower bound,
-		// d ≤ 0 at an upper bound, d = 0 for a free column.
-		sd := ar.sign(tb.obj[j])
-		switch tb.stat[j] {
-		case nbLower:
-			if tb.loF[j] && sd >= 0 {
-				continue
-			}
-		case nbUpper:
-			if tb.hiF[j] && sd <= 0 {
-				continue
-			}
-		case nbFree:
-			if !tb.loF[j] && !tb.hiF[j] && sd == 0 {
-				continue
-			}
-		}
+		st := tb.stat[j]
 		switch {
-		case sd > 0:
-			if !tb.loF[j] {
-				return false
-			}
+		case st == inBasis:
+			// A basic column has no home to keep.
+		case tb.fixedRange(j):
 			tb.stat[j] = nbLower
-		case sd < 0:
-			if !tb.hiF[j] {
-				return false
-			}
+		case st == nbLower && tb.loF[j], st == nbUpper && tb.hiF[j], st == nbFree && !tb.loF[j] && !tb.hiF[j]:
+			// The column still has the bound its status names.
+		case tb.loF[j]:
+			tb.stat[j] = nbLower
+		case tb.hiF[j]:
 			tb.stat[j] = nbUpper
 		default:
-			switch {
-			case tb.loF[j]:
-				tb.stat[j] = nbLower
-			case tb.hiF[j]:
-				tb.stat[j] = nbUpper
-			default:
-				tb.stat[j] = nbFree
-			}
+			tb.stat[j] = nbFree
 		}
 	}
 	// xB = B⁻¹b − Σ (B⁻¹A)_j · v_j over nonbasic columns off zero.
@@ -747,14 +649,16 @@ func (tb *tableau[T, A]) rewarm() bool {
 			}
 		}
 	}
-	return true
 }
 
-// dual runs the bounded-variable dual simplex from a dual-feasible basis
-// until primal feasibility (⇒ optimality), a primal-infeasibility
-// certificate, or the anti-cycling pivot cap. This is the warm-start
-// engine: a branch-and-bound child differs from the last solved node by one
-// bound, so a handful of dual pivots replaces a full cold solve.
+// dual runs the bounded-variable dual simplex from the previous node's
+// basis until primal feasibility, a primal-infeasibility certificate, or
+// the anti-cycling pivot cap. This is the warm-start engine: a
+// branch-and-bound child differs from the last solved node by one bound,
+// so a handful of dual pivots replaces a full cold solve. Every reduced
+// cost is zero, so the entering column is the first sign-eligible one
+// with the largest pivot-row entry (the first eligible one under the
+// stall fallback).
 func (tb *tableau[T, A]) dual() dualResult {
 	ar := tb.ar
 	cap := 20*(tb.m+tb.n) + 1000
@@ -798,10 +702,8 @@ func (tb *tableau[T, A]) dual() dualResult {
 			target = tb.lo[k]
 		}
 		prow := tb.rows[r*tb.stride : (r+1)*tb.stride]
-		// Entering column: min |d_j|/|a_rj| over sign-eligible columns keeps
-		// every reduced cost on its feasible side after the pivot.
 		e := -1
-		var bestRatio, bestAbsA T
+		var bestAbsA T
 		for j := 0; j < tb.artStart; j++ {
 			if tb.stat[j] == inBasis || tb.fixedRange(j) {
 				continue
@@ -823,28 +725,21 @@ func (tb *tableau[T, A]) dual() dualResult {
 			if !eligible {
 				continue
 			}
-			d := tb.obj[j]
-			if ar.sign(d) < 0 {
-				d = ar.neg(d)
+			if tb.pr.bland {
+				e = j
+				break
 			}
 			absA := a
 			if sa < 0 {
 				absA = ar.neg(a)
 			}
-			// Compare d/|a| against bestRatio/bestAbsA without dividing:
-			// d·bestAbsA vs bestRatio·absA.
-			if e < 0 {
-				e, bestRatio, bestAbsA = j, d, absA
-				continue
-			}
-			c := ar.cmp(ar.mul(d, bestAbsA), ar.mul(bestRatio, absA))
-			if c < 0 || (c == 0 && ((tb.pr.bland && j < e) || (!tb.pr.bland && ar.cmp(absA, bestAbsA) > 0))) {
-				e, bestRatio, bestAbsA = j, d, absA
+			if e < 0 || ar.cmp(absA, bestAbsA) > 0 {
+				e, bestAbsA = j, absA
 			}
 		}
 		if e < 0 {
-			// No column can absorb the violation: primal infeasible, with
-			// dual feasibility intact for the next warm start.
+			// No column can absorb the violation: primal infeasible, and
+			// the basis stays a valid start for the next warm reentry.
 			return dualInfeasible
 		}
 		delta := ar.div(ar.sub(tb.xB[r], target), prow[e])
@@ -865,7 +760,7 @@ func (tb *tableau[T, A]) dual() dualResult {
 			tb.stat[k] = nbUpper
 		}
 		tb.rowOf[k] = -1
-		tb.eliminate(r, e, tb.obj)
+		tb.eliminate(r, e, nil)
 		tb.basis[r] = e
 		tb.rowOf[e] = r
 		tb.stat[e] = inBasis
@@ -902,22 +797,8 @@ func (tb *tableau[T, A]) firstFractionalInt() int {
 	return -1
 }
 
-// objectiveValue is Σ cost_j·x_j over the current assignment — the model
-// objective in minimization form (negated when the problem maximizes).
-func (tb *tableau[T, A]) objectiveValue() T {
-	ar := tb.ar
-	v := ar.zero()
-	for j := 0; j < tb.nv; j++ {
-		if ar.sign(tb.cost[j]) == 0 {
-			continue
-		}
-		v = ar.add(v, ar.mul(tb.cost[j], tb.value(j)))
-	}
-	return v
-}
-
-// denseLP solves p's continuous relaxation from scratch on the dense
-// oracle, with SolveLP's rat64 → big.Rat promotion.
+// denseLP decides p's continuous relaxation from scratch on the dense
+// oracle, with SolveLPWith's rat64 → big.Rat promotion.
 func denseLP(p *Problem) (*Solution, error) {
 	var sol *Solution
 	var err error
@@ -927,7 +808,7 @@ func denseLP(p *Problem) (*Solution, error) {
 	return solveArenaLP[*big.Rat](newTableau[*big.Rat, ratArith](p, ratArith{}), nil)
 }
 
-// denseILP is SolveILP's exact branch and bound on the dense oracle.
+// denseILP is solveILP's exact branch and bound on the dense oracle.
 func denseILP(p *Problem, opts ILPOptions) (*Solution, error) {
 	var sol *Solution
 	var err error

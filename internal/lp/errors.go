@@ -32,9 +32,9 @@ var (
 	// chain kept tightening into the open direction — the signature of an
 	// integer-infeasible instance whose relaxations stay feasible forever.
 	// The search rejects the solve with this error instead of hanging.
-	// Solves that decide before branching runs away (unbounded or
-	// infeasible relaxations, entailment probes, feasibility first-wins)
-	// are unaffected by the guard.
+	// Solves that decide before branching runs away (an infeasible
+	// relaxation, or an integral point found first) are unaffected by the
+	// guard.
 	ErrUnboundedIntDomain = errors.New("lp: integer variable with unbounded domain")
 )
 

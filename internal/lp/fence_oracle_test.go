@@ -1,8 +1,7 @@
 package lp
 
 // The fence oracle's own search: the subtree walker and the fold that
-// carries the incumbent and the node and work totals from one walk to the
-// next. This is the walk → task → fold implementation the production
+// carries the node and work totals from one walk to the next. This is the walk → task → fold implementation the production
 // depth-first loop (search.go) replaced, kept here verbatim apart from its
 // arena type, so that fenceOracle (fence_test.go) checks the production loop
 // against a search loop that shares none of its code.
@@ -26,37 +25,31 @@ func (rv *revised[T, A]) setWorkBudget(b int64) { rv.workBudget = b }
 type bbEvent int
 
 const (
-	evDone      bbEvent = iota // subtree exhausted
-	evFrontier                 // fence hit: remaining stack returned as tasks
-	evLimit                    // node cap or work budget
-	evCanceled                 // cancellation observed by a work tick
-	evUnbounded                // a relaxation is unbounded
-	evSolved                   // feasibility problem: first integral solution
-	evFailed                   // the open-march guard rejected the domain (walkOut.err)
+	evDone     bbEvent = iota // subtree exhausted
+	evFrontier                // fence hit: remaining stack returned as tasks
+	evLimit                   // node cap or work budget
+	evCanceled                // cancellation observed by a work tick
+	evSolved                  // first integral solution
+	evFailed                  // the open-march guard rejected the domain (walkOut.err)
 )
 
 // walkIn are the launch inputs of one subtree walk, taken from the fold.
 type walkIn struct {
 	root    *boundDiff
-	best    *Solution
-	bestObj *big.Rat
 	nodeCap int   // nodes this walk may visit before evLimit
 	remWork int64 // work this walk may charge before evLimit (0 = unlimited)
 	cold    bool  // dropWarm first (every task root; not the tree root)
 }
 
-// walkOut is the outcome of one subtree walk. best/bestObj carry the walk's
-// final incumbent (the input one unless improved), nodes/work its
+// walkOut is the outcome of one subtree walk; nodes/work are its
 // deterministic totals.
 type walkOut struct {
-	event   bbEvent
-	best    *Solution
-	bestObj *big.Rat
-	sol     *Solution    // evSolved: first-win feasibility solution
-	tasks   []*boundDiff // evFrontier: continuation subtrees, DFS order
-	nodes   int
-	work    int64
-	err     error
+	event bbEvent
+	sol   *Solution    // evSolved: the first integral solution
+	tasks []*boundDiff // evFrontier: continuation subtrees, DFS order
+	nodes int
+	work  int64
+	err   error
 }
 
 // bbWalker owns the search's arena plus its per-node scratch (effective
@@ -69,7 +62,6 @@ type bbWalker[T any, A arith[T]] struct {
 	hiEff  []*big.Rat
 	chain  []*boundDiff
 	relax  []*big.Rat
-	objTmp *big.Rat
 	mulTmp *big.Rat
 	stack  []*boundDiff
 }
@@ -80,8 +72,8 @@ func newWalker[T any, A arith[T]](p *Problem, tb oracleArena[T], ar A) *bbWalker
 		p: p, tb: tb, ar: ar,
 		loEff: make([]*big.Rat, nv), hiEff: make([]*big.Rat, nv),
 		relax:  make([]*big.Rat, nv),
-		objTmp: new(big.Rat), mulTmp: new(big.Rat),
-		stack: make([]*boundDiff, 0, 64),
+		mulTmp: new(big.Rat),
+		stack:  make([]*boundDiff, 0, 64),
 	}
 	for i := range w.relax {
 		w.relax[i] = new(big.Rat)
@@ -103,7 +95,7 @@ func (w *bbWalker[T, A]) run(in walkIn) walkOut {
 		w.tb.setWorkBudget(0)
 	}
 	start := w.tb.workSpent()
-	out := walkOut{best: in.best, bestObj: in.bestObj}
+	var out walkOut
 	finish := func(ev bbEvent) walkOut {
 		out.event = ev
 		out.work = w.tb.workSpent() - start
@@ -129,25 +121,11 @@ func (w *bbWalker[T, A]) run(in walkIn) walkOut {
 		switch w.tb.solveNode(w.loEff, w.hiEff) {
 		case StatusInfeasible:
 			continue
-		case StatusUnbounded:
-			return finish(evUnbounded)
 		case StatusLimit:
 			if w.tb.canceled() {
 				return finish(evCanceled)
 			}
 			return finish(evLimit)
-		}
-		// Bound: prune if the relaxation cannot beat the incumbent. The
-		// objective is evaluated in the arena's own field — per-node work
-		// stays allocation-free until a candidate or branch value is needed.
-		if out.bestObj != nil && len(w.p.Objective) > 0 {
-			w.ar.setRat(w.objTmp, w.tb.objectiveValue())
-			if w.p.Maximize {
-				w.objTmp.Neg(w.objTmp) // cost is the minimization form
-			}
-			if !betterOrEqual(w.p, w.objTmp, out.bestObj) {
-				continue
-			}
 		}
 		// Find a fractional integer variable to branch on.
 		branch := w.tb.firstFractionalInt()
@@ -163,16 +141,8 @@ func (w *bbWalker[T, A]) run(in walkIn) walkOut {
 					continue // nothing to branch on; abandon this node
 				}
 			} else {
-				cand := &Solution{Status: StatusOptimal, Values: vals}
-				if len(w.p.Objective) == 0 {
-					out.sol = cand
-					return finish(evSolved) // feasibility: first solution wins
-				}
-				cand.Objective = evalObjective(w.p, vals)
-				if out.bestObj == nil || betterOrEqual(w.p, cand.Objective, out.bestObj) {
-					out.best, out.bestObj = cand, cand.Objective
-				}
-				continue
+				out.sol = &Solution{Status: StatusOptimal, Values: vals}
+				return finish(evSolved) // first solution wins
 			}
 		}
 		// Open-march guard: a branch that tightens INTO a bound side left
@@ -206,32 +176,26 @@ func (w *bbWalker[T, A]) run(in walkIn) walkOut {
 // bbFold is the state of the search carried across walks: the fold of
 // every finished walk, in task order.
 type bbFold struct {
-	best      *Solution
-	bestObj   *big.Rat
-	nodes     int
-	work      int64
-	canceled  bool
-	limit     bool
-	unbounded bool
-	solved    *Solution
-	err       error
+	nodes    int
+	work     int64
+	canceled bool
+	limit    bool
+	solved   *Solution
+	err      error
 }
 
 func (f *bbFold) terminal() bool {
-	return f.err != nil || f.canceled || f.limit || f.unbounded || f.solved != nil
+	return f.err != nil || f.canceled || f.limit || f.solved != nil
 }
 
 func (f *bbFold) absorb(res walkOut) {
 	f.nodes += res.nodes
 	f.work += res.work
-	f.best, f.bestObj = res.best, res.bestObj
 	switch res.event {
 	case evCanceled:
 		f.canceled = true
 	case evLimit:
 		f.limit = true
-	case evUnbounded:
-		f.unbounded = true
 	case evSolved:
 		f.solved = res.sol
 	}
@@ -266,8 +230,8 @@ func (f *bbFold) preempt(maxNodes int, maxWork int64, cancel <-chan struct{}) bo
 }
 
 // solution maps the final fold to the search's return, in precedence
-// order: error, feasibility first-win, unbounded, canceled (which trumps
-// any incumbent), incumbent, budget limit, infeasible.
+// order: error, first integral solution, canceled, budget limit,
+// infeasible.
 func (f *bbFold) solution(arenaCanceled bool) (*Solution, error) {
 	if f.err != nil {
 		return nil, f.err
@@ -275,17 +239,8 @@ func (f *bbFold) solution(arenaCanceled bool) (*Solution, error) {
 	if f.solved != nil {
 		return f.solved, nil
 	}
-	if f.unbounded {
-		return &Solution{Status: StatusUnbounded}, nil
-	}
 	if f.canceled || arenaCanceled {
-		// Cancellation trumps any incumbent: the caller walked away from
-		// the answer, so reporting a half-searched best would be
-		// indistinguishable from a completed solve.
 		return &Solution{Status: StatusCanceled}, nil
-	}
-	if f.best != nil {
-		return f.best, nil
 	}
 	if f.limit {
 		return &Solution{Status: StatusLimit}, nil

@@ -73,7 +73,7 @@ func fenceOracle[T any, A arith[T]](p *Problem, tb oracleArena[T], ar A, opts IL
 			break
 		}
 		res := w.run(walkIn{
-			root: queue[cursor], best: fold.best, bestObj: fold.bestObj,
+			root:    queue[cursor],
 			nodeCap: maxNodes - fold.nodes, remWork: remWorkOf(opts.MaxWork, fold.work),
 			cold: true,
 		})
@@ -90,7 +90,7 @@ func fenceOracle[T any, A arith[T]](p *Problem, tb oracleArena[T], ar A, opts IL
 	return fold.solution(w.tb.canceled())
 }
 
-// oracleILP is SolveILP over fenceOracle, with the same engine choice and
+// oracleILP is solveILP over fenceOracle, with the same engine choice and
 // rat64 → big.Rat promotion.
 func oracleILP(p *Problem, opts ILPOptions, tasks *int) (*Solution, error) {
 	if opts.Engine == EngineFloat {
@@ -106,7 +106,7 @@ func oracleILP(p *Problem, opts ILPOptions, tasks *int) (*Solution, error) {
 	return fenceOracle[*big.Rat](p, newRevised[*big.Rat, ratArith](p, ratArith{}), ratArith{}, opts, tasks)
 }
 
-// requireOracle solves p with the oracle, with SolveILP, and twice with
+// requireOracle solves p with the oracle, with solveILP, and twice with
 // Model.ResolveILP on one retained model, and requires every production
 // answer — Solution, error text and WorkMeter delta — to equal the
 // oracle's. It returns the oracle's frontier task count.
@@ -133,7 +133,7 @@ func requireOracle(t *testing.T, tag string, p *Problem, opts ILPOptions) int {
 			t.Fatalf("%s %s: work %d, oracle %d", tag, path, work, wantWork)
 		}
 	}
-	check("SolveILP", func() (*Solution, error) { return SolveILP(p, opts) })
+	check("solveILP", func() (*Solution, error) { return solveILP(p, opts) })
 	mo := NewModel(p)
 	for rep := 0; rep < 2; rep++ {
 		check(fmt.Sprintf("ResolveILP#%d", rep), func() (*Solution, error) { return mo.ResolveILP(opts) })
@@ -151,9 +151,9 @@ func requireFenceFired(t *testing.T, tasks int) {
 	t.Logf("%d frontier tasks run", tasks)
 }
 
-// The fence fuzz: random mixed-shape ILPs (every third one a pure
-// feasibility problem) in both engines, unbudgeted, under random node and
-// work budgets, and with the cancellation channel already closed.
+// The fence fuzz: random mixed-shape ILPs in both engines, unbudgeted,
+// under random node and work budgets, and with the cancellation channel
+// already closed.
 func TestParallelSearchParityFuzz(t *testing.T) {
 	lowFence(t, 3)
 	tasks := 0
@@ -161,9 +161,6 @@ func TestParallelSearchParityFuzz(t *testing.T) {
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(9100 + seed)))
 		p := randomBoundedProblem(rng, true)
-		if seed%3 == 2 {
-			p.Objective = nil
-		}
 		maxWork := int64(200 + rng.Intn(4000))
 		maxNodes := 5 + rng.Intn(60)
 		for _, cfg := range engineConfigs() {
@@ -183,8 +180,8 @@ func TestParallelSearchParityFuzz(t *testing.T) {
 	requireFenceFired(t, tasks)
 }
 
-// Pure feasibility problems stop at the FIRST integral solution, so the
-// task order alone decides which solution wins.
+// The search stops at the FIRST integral solution, so the task order alone
+// decides which solution wins.
 func TestParallelSearchFeasibilityFirstWin(t *testing.T) {
 	lowFence(t, 2)
 	tasks := 0
@@ -192,7 +189,6 @@ func TestParallelSearchFeasibilityFirstWin(t *testing.T) {
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(5200 + seed)))
 		p := randomBoundedProblem(rng, true)
-		p.Objective = nil
 		for _, cfg := range engineConfigs() {
 			tasks += requireOracle(t, fmt.Sprintf("seed=%d %s", seed, cfg.tag), p, cfg.opts)
 		}
@@ -201,8 +197,8 @@ func TestParallelSearchFeasibilityFirstWin(t *testing.T) {
 }
 
 // Budget verdicts on a deterministic exponential tree: the StatusLimit
-// point (and the incumbent carried out of it) lands deep in the task
-// queue, including under mixed node+work budgets.
+// point lands deep in the task queue, including under mixed node+work
+// budgets.
 func TestParallelSearchBudgetParity(t *testing.T) {
 	lowFence(t, 3)
 	tasks := 0
@@ -232,7 +228,7 @@ func TestParallelSearchCancelParity(t *testing.T) {
 		if tasks := requireOracle(t, cfg.tag, p, opts); tasks != 0 {
 			t.Fatalf("%s: canceled search ran %d frontier tasks", cfg.tag, tasks)
 		}
-		sol, err := SolveILP(p, opts)
+		sol, err := solveILP(p, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.tag, err)
 		}
@@ -243,10 +239,10 @@ func TestParallelSearchCancelParity(t *testing.T) {
 }
 
 // untickedArena is a scripted arena whose solves never tick: each charges
-// ten work units and reports an optimum, fractional in x0 at the root and
-// integral below it. It stands for a node whose last pivot carries the work
-// past MaxWork without a tick noticing, which only the work check before a
-// cold restart can catch.
+// ten work units and reports a feasible point, fractional in x0 at the
+// root and integral below it. It stands for a node whose last pivot
+// carries the work past MaxWork without a tick noticing, which only the
+// work check before a cold restart can catch.
 type untickedArena struct {
 	p      *Problem
 	work   int64
@@ -260,7 +256,6 @@ func (a *untickedArena) workSpent() int64          { return a.work }
 func (a *untickedArena) dropWarm()                 {}
 func (a *untickedArena) setCancel(<-chan struct{}) {}
 func (a *untickedArena) canceled() bool            { return false }
-func (a *untickedArena) objectiveValue() float64   { return 0 }
 func (a *untickedArena) solveNode(_, _ []*big.Rat) Status {
 	a.solves++
 	a.work += 10

@@ -15,9 +15,9 @@ const (
 	// big.Rat on overflow. Complete and exact.
 	EngineExact Engine = iota
 	// EngineFloat uses the float64 simplex for relaxations and verifies the
-	// final incumbent exactly with Problem.Check. Fast; an (unlikely)
-	// spurious float infeasibility can prune a feasible subtree, so a
-	// StatusInfeasible answer from this engine is "almost certainly
+	// integral point it returns exactly with Problem.Check. Fast; an
+	// (unlikely) spurious float infeasibility can prune a feasible subtree,
+	// so a StatusInfeasible answer from this engine is "almost certainly
 	// infeasible" rather than a proof.
 	EngineFloat
 )
@@ -39,20 +39,21 @@ type Limits struct {
 	MaxNodes int `json:"node_budget,omitempty"`
 }
 
-// ILPOptions tunes SolveILP: one call's engine, caps and cancellation.
+// ILPOptions tunes Model.ResolveILP: one call's engine, caps and
+// cancellation.
 type ILPOptions struct {
 	Engine Engine
 	// MaxNodes bounds the branch-and-bound search tree; 0 means the default
-	// (200000). When exhausted the solver returns StatusLimit (or the best
-	// incumbent found so far, if any).
+	// (200000). When exhausted before an integral point is found the
+	// solver returns StatusLimit.
 	MaxNodes int
 	// MaxWork bounds the total tableau work across the whole branch-and-
 	// bound run, measured in row-update operations (rows touched by an
 	// elimination × row length); 0 means unlimited. Neither nodes nor
 	// pivots bound latency on large tableaus: a warm reentry of a
-	// feasibility relaxation can wander for thousands of pivots (zero
-	// objective ⇒ the dual simplex has no monotone progress measure), and
-	// a pivot's cost itself grows with fill-in. Work units are
+	// feasibility relaxation can wander for thousands of pivots (every
+	// reduced cost is zero, so the dual simplex has no monotone progress
+	// measure), and a pivot's cost itself grows with fill-in. Work units are
 	// deterministic and machine-independent; exhaustion returns
 	// StatusLimit, like MaxNodes. The revised engine charges the units a
 	// dense elimination would, which is what lets the parity tests check
@@ -82,28 +83,22 @@ type arena[T any] interface {
 	value(j int) T
 	extractInto(dst []*big.Rat)
 	firstFractionalInt() int
-	objectiveValue() T
 }
 
-// SolveILP solves the mixed-integer program p by branch and bound over the
-// simplex relaxation. For pure feasibility problems (no objective) it stops
-// at the first integral solution. Every returned solution is exactly
-// verified against p with rational arithmetic. It is one ResolveILP of a
-// fresh Model.
+// bbSolveArena is the branch-and-bound search over an arena: it decides
+// the mixed-integer problem p over the simplex relaxation and stops at the
+// first integral solution, which is exactly verified against p with
+// rational arithmetic. Resetting the warm state and work counter first
+// makes a retained arena replay exactly the pivot sequence a fresh one
+// would, so Model re-solves stay bit-identical to from-scratch ones while
+// skipping the arena (re)build.
 //
 // The search keeps ONE engine arena for the whole tree: a child node
 // differs from its parent by a single bound, so each relaxation warm-starts
-// from the previous node's basis with a few dual-simplex pivots (falling
-// back to a cold solve only when the basis cannot be retargeted), and node
-// bounds live in a parent-linked diff chain instead of per-node slices.
-func SolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
-	return NewModel(p).ResolveILP(opts)
-}
-
-// bbSolveArena is the branch-and-bound search over an arena. Resetting the
-// warm state and work counter first makes a retained arena replay exactly
-// the pivot sequence a fresh one would, so Model re-solves stay
-// bit-identical to from-scratch ones while skipping the arena (re)build.
+// from the previous node's basis with a few dual-simplex pivots (it solves
+// cold at the root, at fenced pops, after a cold solve that left no basis,
+// and when the dual's anti-cycling cap stops it), and node bounds live in
+// a parent-linked diff chain instead of per-node slices.
 func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions) (*Solution, error) {
 	tb.setCancel(opts.Cancel)
 	tb.startSearch(opts.MaxWork) // cold root, as from a fresh arena
@@ -116,22 +111,6 @@ func bbSolveArena[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOpti
 	// derive an a priori box from the constraint data first (the search's
 	// open-march guard rejects whatever the box cannot cover).
 	return bbSearch(p, tb, ar, opts, maxNodes, integerBox(p))
-}
-
-func betterOrEqual(p *Problem, obj, best *big.Rat) bool {
-	if p.Maximize {
-		return obj.Cmp(best) > 0
-	}
-	return obj.Cmp(best) < 0
-}
-
-func evalObjective(p *Problem, vals []*big.Rat) *big.Rat {
-	obj := new(big.Rat)
-	tmp := new(big.Rat)
-	for _, t := range p.Objective {
-		obj.Add(obj, tmp.Mul(t.Coef, vals[t.Var]))
-	}
-	return obj
 }
 
 // roundIntegers snaps integer variables to the nearest integer (they are

@@ -8,27 +8,27 @@ import "math/big"
 // that direction forever when the instance is integer-infeasible but its
 // relaxations stay feasible (the historical pathology of edit-corpus seed
 // 1376). Yet one-sided declarations are the norm here: every agent flow is
-// an AddNat variable over [0, ∞), and the finite upper bound is implied by
+// an integer variable over [0, ∞), and the finite upper bound is implied by
 // the capacity rows rather than declared. integerBox recovers those implied
 // bounds by activity-based propagation over the constraint rows and returns
 // them as a root bound-diff chain for the search to branch under.
 //
 // Every derived bound is implied by the constraints, so installing it
-// changes neither the feasible set nor the optimal value. It can, however,
-// participate in simplex ratio tests, so on instances that reach the slow
-// path the search may surface a different vertex among alternate optima
-// than a hypothetical box-free run — which is fine, because without the box
-// that run might not terminate at all. Fully boxed problems take the nil
-// fast path and are untouched, bit for bit.
+// never changes the feasible set. It can, however, participate in simplex
+// ratio tests, so on instances that reach the slow path the search may
+// surface a different feasible vertex than a hypothetical box-free run —
+// which is fine, because without the box that run might not terminate at
+// all. Fully boxed problems take the nil fast path and are untouched, bit
+// for bit.
 //
 // A side the propagation cannot derive stays open rather than failing the
-// solve: genuinely unbounded relaxations still belong here (the contract
-// algebra's entailment checks read StatusUnbounded as "not entailed", and
-// variables outside every row never branch at all). The runaway-branching
-// case those open sides could still cause is rejected lazily, inside the
-// search, by its open-march guard (ErrUnboundedIntDomain) —
-// so the a-priori box plus the in-search guard together make every solve
-// terminate.
+// solve: an unbounded feasible region is still a feasible one (a
+// relaxation whose first point is integral decides before any branching,
+// and variables outside every row never branch at all). The
+// runaway-branching case those open sides could still cause is rejected
+// lazily, inside the search, by its open-march guard
+// (ErrUnboundedIntDomain) — so the a-priori box plus the in-search guard
+// together make every solve terminate.
 //
 // Like the simplex engines, the propagation runs on rat64 machine words
 // first and re-runs over big.Rat only if a value overflows int64 (contract

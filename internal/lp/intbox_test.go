@@ -35,12 +35,12 @@ func TestIntegerBoxFastPath(t *testing.T) {
 	}
 }
 
-// AddNat flow variables under a capacity row — the shape every compiled
+// Natural-number flow variables under a capacity row — the shape every compiled
 // contract emits — get their implied upper bounds, floored to integrality.
 func TestIntegerBoxCapacityRow(t *testing.T) {
 	p := &Problem{}
-	x := p.AddNat("x")
-	y := p.AddNat("y")
+	x := addNat(p, "x")
+	y := addNat(p, "y")
 	p.AddConstraint("cap", []Term{T(x, 1), T(y, 2)}, LE, rat(7, 1))
 	_, hi := boxBounds(t, p)
 	if hi[x] == nil || hi[x].Cmp(rat(7, 1)) != 0 {
@@ -73,21 +73,33 @@ func TestIntegerBoxSenses(t *testing.T) {
 }
 
 // Derived bounds are implied by the constraints, so installing the box
-// never changes the answer of a solvable instance.
+// never changes the answer: with x + y ≤ 6 over the naturals, the box
+// x, y ≤ 6 still admits the extreme point y = 6 that 2x + 3y ≥ 18 needs,
+// and 2x + 3y ≥ 19 stays infeasible.
 func TestIntegerBoxPreservesOptimum(t *testing.T) {
-	p := &Problem{}
-	x := p.AddNat("x")
-	y := p.AddNat("y")
-	p.AddConstraint("cap", []Term{T(x, 1), T(y, 1)}, LE, rat(6, 1))
-	p.Objective = []Term{T(x, 2), T(y, 3)}
-	p.Maximize = true
+	build := func(atLeast int64) *Problem {
+		p := &Problem{}
+		x := addNat(p, "x")
+		y := addNat(p, "y")
+		p.AddConstraint("cap", []Term{T(x, 1), T(y, 1)}, LE, rat(6, 1))
+		p.AddConstraint("value", []Term{T(x, 2), T(y, 3)}, GE, rat(atLeast, 1))
+		return p
+	}
 	for _, cfg := range engineConfigs() {
-		sol, err := SolveILP(p, cfg.opts)
+		p := build(18)
+		sol, err := solveILP(p, cfg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.tag, err)
 		}
-		if sol.Status != StatusOptimal || sol.Objective.Cmp(rat(18, 1)) != 0 {
-			t.Fatalf("%s: got %v obj=%v, want optimal 18", cfg.tag, sol.Status, sol.Objective)
+		if sol.Status != StatusOptimal || sol.Values[0].Sign() != 0 || sol.Values[1].Cmp(rat(6, 1)) != 0 {
+			t.Fatalf("%s: got %v %v, want (0, 6)", cfg.tag, sol.Status, sol.Values)
+		}
+		sol, err = solveILP(build(19), cfg.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.tag, err)
+		}
+		if sol.Status != StatusInfeasible {
+			t.Fatalf("%s: value ≥ 19: status %v, want infeasible", cfg.tag, sol.Status)
 		}
 	}
 }
@@ -97,7 +109,7 @@ func TestIntegerBoxPreservesOptimum(t *testing.T) {
 func TestIntegerBoxPromotesOnOverflow(t *testing.T) {
 	huge := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 80))
 	p := &Problem{}
-	x := p.AddNat("x")
+	x := addNat(p, "x")
 	p.AddConstraint("cap", []Term{T(x, 1)}, LE, huge)
 	_, hi := boxBounds(t, p)
 	if hi[x] == nil || hi[x].Cmp(huge) != 0 {
@@ -109,8 +121,8 @@ func TestIntegerBoxPromotesOnOverflow(t *testing.T) {
 // identical chain — the promotion fallback can never change the box.
 func TestIntegerBoxArithAgreement(t *testing.T) {
 	p := &Problem{}
-	x := p.AddNat("x")
-	y := p.AddNat("y")
+	x := addNat(p, "x")
+	y := addNat(p, "y")
 	z := p.AddIntVar("z", nil, nil)
 	p.AddConstraint("cap", []Term{T(x, 3), T(y, 2)}, LE, rat(17, 3))
 	p.AddConstraint("link", []Term{T(z, 2), T(x, -1)}, EQ, rat(5, 2))
@@ -142,8 +154,8 @@ func TestIntegerBoxArithAgreement(t *testing.T) {
 func TestOpenMarchGuardRejectsUnboundedDomain(t *testing.T) {
 	lowFence(t, 3)
 	p := &Problem{}
-	x := p.AddNat("x")
-	y := p.AddNat("y")
+	x := addNat(p, "x")
+	y := addNat(p, "y")
 	p.AddConstraint("gap", []Term{T(x, 2), T(y, -2)}, EQ, rat(1, 1))
 	if integerBox(p) != nil {
 		// Neither upper side is derivable (each needs the other's); the box
@@ -151,7 +163,7 @@ func TestOpenMarchGuardRejectsUnboundedDomain(t *testing.T) {
 		t.Fatal("expected no derivable bounds")
 	}
 	for _, cfg := range engineConfigs() {
-		_, err := SolveILP(p, cfg.opts)
+		_, err := solveILP(p, cfg.opts)
 		if !errors.Is(err, ErrUnboundedIntDomain) {
 			t.Fatalf("%s: err = %v, want ErrUnboundedIntDomain", cfg.tag, err)
 		}
@@ -159,19 +171,24 @@ func TestOpenMarchGuardRejectsUnboundedDomain(t *testing.T) {
 	}
 }
 
-// Solves that decide before branching runs away must NOT be rejected:
-// an unbounded relaxation (the contract algebra's entailment probes read
-// StatusUnbounded as "not entailed") still returns its verdict.
+// Solves that decide before branching runs away must NOT be rejected: an
+// open domain with an unbounded feasible region (2x ≥ 3 over the naturals;
+// no upper bound is derivable) branches once into its open side and
+// returns the integral point x = 2.
 func TestOpenDomainUnboundedRelaxationStillDecides(t *testing.T) {
 	p := &Problem{}
-	x := p.AddNat("x")
-	p.Objective = []Term{T(x, 1)}
-	p.Maximize = true
-	sol, err := SolveILP(p, ILPOptions{Engine: EngineExact})
-	if err != nil {
-		t.Fatal(err)
+	x := addNat(p, "x")
+	p.AddConstraint("lo", []Term{T(x, 2)}, GE, rat(3, 1))
+	if integerBox(p) != nil {
+		t.Fatal("expected no derivable bounds")
 	}
-	if sol.Status != StatusUnbounded {
-		t.Fatalf("status %v, want unbounded", sol.Status)
+	for _, cfg := range engineConfigs() {
+		sol, err := solveILP(p, cfg.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.tag, err)
+		}
+		if sol.Status != StatusOptimal || sol.Values[x].Cmp(rat(2, 1)) != 0 {
+			t.Fatalf("%s: status %v values %v, want x = 2", cfg.tag, sol.Status, sol.Values)
+		}
 	}
 }

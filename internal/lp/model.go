@@ -2,25 +2,23 @@ package lp
 
 import "math/big"
 
-// Model is a persistent, editable linear (or mixed-integer) program: the
-// engine arena is built once, bounds and right-hand sides are edited
-// between solves, and Resolve / ResolveILP re-solve the edited program
+// Model is a persistent, editable linear (or mixed-integer) feasibility
+// problem: the engine arena is built once, right-hand sides are edited
+// between solves, and ResolveWith / ResolveILP decide the edited problem
 // cold inside the retained arena. A cold re-solve replays exactly the
-// pivots, answer and work of a fresh SolveLP / SolveILP on the current
-// Problem — which are themselves one solve of a fresh Model — and skips
-// only the arena build. Inside one ResolveILP the branch-and-bound nodes
-// still warm-start from each other (search.go).
+// pivots, answer and work of the same solve on a fresh Model over the
+// current Problem, and skips only the arena build. Inside one ResolveILP
+// the branch-and-bound nodes still warm-start from each other (search.go).
 //
-// No solve warm-starts from the previous one: a warm LP answer can equal
-// the cold one only when the optimum is certified unique, which needs an
-// objective, and a contract relaxation (the one production caller) has
-// none; a warm ILP root would steer the search down a different, albeit
-// valid, subtree.
+// No solve warm-starts from the previous one: a warm start would land on a
+// different, equally valid vertex of the edited problem (and a warm ILP
+// root would steer the search down a different subtree), while every
+// answer must equal a fresh solve's.
 //
-// The Model owns its Problem: edit bounds and right-hand sides only through
-// the setters. The objective is read when an arena is built, at the first
-// solve. Appending variables or constraints to the Problem after NewModel
-// discards the arenas and rebuilds on the next solve.
+// The Model owns its Problem: edit right-hand sides through SetRHS.
+// Variable bounds are read from the Problem at every solve. Appending
+// variables or constraints to the Problem after NewModel discards the
+// arenas and rebuilds on the next solve.
 //
 // A Model is not safe for concurrent use; callers that solve many related
 // instances concurrently keep one Model per worker (see solverpool).
@@ -44,16 +42,6 @@ func NewModel(p *Problem) *Model {
 	return &Model{p: p, nv: len(p.Vars), m: len(p.Constraints)}
 }
 
-// Problem returns the underlying program (read-only for structure; use the
-// setters for edits).
-func (mo *Model) Problem() *Problem { return mo.p }
-
-// SetBound replaces the bounds of v (nil = unbounded). The edit takes
-// effect at the next solve.
-func (mo *Model) SetBound(v VarID, lo, hi *big.Rat) {
-	mo.p.Vars[v].Lower, mo.p.Vars[v].Upper = lo, hi
-}
-
 // SetRHS retargets constraint ci to a new right-hand side in the Problem
 // and in every built arena.
 func (mo *Model) SetRHS(ci int, rhs *big.Rat) {
@@ -69,13 +57,9 @@ func (mo *Model) SetRHS(ci int, rhs *big.Rat) {
 	}
 }
 
-// Resolve solves the current program's relaxation with the exact engine.
-// The result is bit-identical to SolveLP(m.Problem()).
-func (mo *Model) Resolve() (*Solution, error) {
-	return mo.ResolveWith(SolveOptions{})
-}
-
-// ResolveWith is Resolve with per-call solve options.
+// ResolveWith decides the current problem's continuous relaxation with the
+// exact engine under the given solve options. The result is bit-identical
+// to SolveLPWith on the Problem.
 func (mo *Model) ResolveWith(opts SolveOptions) (*Solution, error) {
 	mo.checkStructure()
 	if !mo.promoted {
@@ -89,8 +73,9 @@ func (mo *Model) ResolveWith(opts SolveOptions) (*Solution, error) {
 	return solveArenaLP[*big.Rat](mo.arenaBig(), opts.Cancel)
 }
 
-// ResolveILP solves the current program by branch and bound in the retained
-// arena. The result is bit-identical to SolveILP(m.Problem(), opts).
+// ResolveILP decides the current problem by branch and bound in the
+// retained arena. The result is bit-identical to ResolveILP on a fresh
+// Model of the Problem.
 func (mo *Model) ResolveILP(opts ILPOptions) (*Solution, error) {
 	mo.checkStructure()
 	if opts.Engine == EngineFloat {

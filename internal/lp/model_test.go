@@ -14,12 +14,6 @@ func sameSolution(a, b *Solution) error {
 	if a.Status != b.Status {
 		return fmt.Errorf("status %v vs %v", a.Status, b.Status)
 	}
-	if (a.Objective == nil) != (b.Objective == nil) {
-		return fmt.Errorf("objective presence differs")
-	}
-	if a.Objective != nil && a.Objective.Cmp(b.Objective) != 0 {
-		return fmt.Errorf("objective %s vs %s", a.Objective, b.Objective)
-	}
 	if len(a.Values) != len(b.Values) {
 		return fmt.Errorf("value count %d vs %d", len(a.Values), len(b.Values))
 	}
@@ -31,9 +25,8 @@ func sameSolution(a, b *Solution) error {
 	return nil
 }
 
-// randomEditProblem builds a small random program in the shape the model
-// layer serves: bounded integer variables, mixed-sense rows, sometimes an
-// objective.
+// randomEditProblem builds a small random problem in the shape the model
+// layer serves: bounded integer variables and mixed-sense rows.
 func randomEditProblem(rng *rand.Rand) *Problem {
 	p := &Problem{}
 	nVars := 2 + rng.Intn(3)
@@ -55,21 +48,12 @@ func randomEditProblem(rng *rand.Rand) *Problem {
 		sense := []Sense{LE, GE, EQ}[rng.Intn(3)]
 		p.AddConstraint(fmt.Sprintf("c%d", c), terms, sense, rat(int64(rng.Intn(13)-4), 1))
 	}
-	if rng.Intn(2) == 0 {
-		var obj []Term
-		for i := 0; i < nVars; i++ {
-			if coef := int64(rng.Intn(9) - 4); coef != 0 {
-				obj = append(obj, T(VarID(i), coef))
-			}
-		}
-		p.SetObjective(obj, rng.Intn(2) == 0)
-	}
 	return p
 }
 
-// mutate applies one random edit through the model's setters.
-func mutate(mo *Model, rng *rand.Rand) {
-	p := mo.Problem()
+// mutate applies one random edit to the model's problem p: a right-hand
+// side through SetRHS, or variable bounds in p, which every solve reads.
+func mutate(mo *Model, p *Problem, rng *rand.Rand) {
 	switch rng.Intn(2) {
 	case 0: // retarget a right-hand side
 		mo.SetRHS(rng.Intn(len(p.Constraints)), rat(int64(rng.Intn(15)-5), 1))
@@ -84,30 +68,31 @@ func mutate(mo *Model, rng *rand.Rand) {
 		if rng.Intn(5) > 0 {
 			hiR = rat(hi, 1)
 		}
-		mo.SetBound(v, loR, hiR)
+		p.Vars[v].Lower, p.Vars[v].Upper = loR, hiR
 	}
 }
 
 // Property: across randomized bound/RHS edit sequences, the model's
-// incremental Resolve and ResolveILP stay bit-identical to handing
-// the edited Problem to a from-scratch SolveLP / SolveILP — statuses,
-// values, and objective all equal, under both ILP engines.
+// incremental ResolveWith and ResolveILP stay bit-identical to handing
+// the edited Problem to a from-scratch SolveLPWith / solveILP — statuses
+// and values all equal, under both ILP engines.
 func TestModelResolveBitIdenticalToScratch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		mo := NewModel(randomEditProblem(rng))
+		p := randomEditProblem(rng)
+		mo := NewModel(p)
 		for step := 0; step < 8; step++ {
 			if step > 0 {
-				mutate(mo, rng)
+				mutate(mo, p, rng)
 			}
 			switch rng.Intn(3) {
 			case 0:
-				got, err := mo.Resolve()
+				got, err := mo.ResolveWith(SolveOptions{})
 				if err != nil {
 					t.Logf("seed %d step %d: resolve: %v", seed, step, err)
 					return false
 				}
-				want, err := SolveLP(mo.Problem())
+				want, err := solveLP(p)
 				if err != nil {
 					t.Logf("seed %d step %d: scratch: %v", seed, step, err)
 					return false
@@ -128,7 +113,7 @@ func TestModelResolveBitIdenticalToScratch(t *testing.T) {
 				// same StatusLimit instead of grinding.
 				opts := ILPOptions{Engine: engine, MaxNodes: 5000, MaxWork: 2_000_000}
 				got, err := mo.ResolveILP(opts)
-				want, werr := SolveILP(mo.Problem(), opts)
+				want, werr := solveILP(p, opts)
 				if err != nil || werr != nil {
 					// An edit can strip the last bound of an integer
 					// variable; both sides must then reject the unbounded
@@ -161,18 +146,22 @@ func TestModelPromotionKeepsParity(t *testing.T) {
 	y := p.AddVar("y", rat(0, 1), nil)
 	p.AddConstraint("r0", []Term{T(x, 1), T(y, 1)}, LE, rat(10, 1))
 	p.AddConstraint("r1", []Term{T(x, 1), T(y, -1)}, GE, rat(0, 1))
-	p.SetObjective([]Term{T(x, 1), T(y, 1)}, true)
+	p.AddConstraint("r2", []Term{T(x, 1)}, GE, rat(3, 1))
 	mo := NewModel(p)
-	if _, err := mo.Resolve(); err != nil {
+	if _, err := mo.ResolveWith(SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	huge := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 80), big.NewInt(3))
 	mo.SetRHS(0, huge)
-	got, err := mo.Resolve()
+	mo.SetRHS(2, huge)
+	got, err := mo.ResolveWith(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveLP(mo.Problem())
+	if mo.r64 != nil || !mo.promoted {
+		t.Fatal("the edit did not promote the model to big.Rat")
+	}
+	want, err := solveLP(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,18 +176,17 @@ func TestModelStructureGrowthRebuilds(t *testing.T) {
 	p := &Problem{}
 	x := p.AddVar("x", rat(0, 1), rat(5, 1))
 	p.AddConstraint("r", []Term{T(x, 1)}, GE, rat(1, 1))
-	p.SetObjective([]Term{T(x, 1)}, false)
 	mo := NewModel(p)
-	if _, err := mo.Resolve(); err != nil {
+	if _, err := mo.ResolveWith(SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	y := p.AddVar("y", rat(0, 1), rat(5, 1))
 	p.AddConstraint("r2", []Term{T(x, 1), T(y, 1)}, GE, rat(4, 1))
-	got, err := mo.Resolve()
+	got, err := mo.ResolveWith(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveLP(p)
+	want, err := solveLP(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"os"
@@ -11,13 +12,13 @@ import (
 
 // This file pins the production simplex (the revised engine, revised.go
 // and factor.go) to the dense oracle (dense_test.go) bit for bit: same
-// Status, same Objective, and equal Values rationals, on random LPs and
-// ILPs, through from-scratch solves and through lp.Model edit sequences.
-// The dense oracle is the reference; any divergence is a revised-engine
-// bug.
+// Status and equal Values rationals, on random LPs and ILPs, through
+// from-scratch solves and through lp.Model edit sequences. The dense
+// oracle is the reference; any divergence is a revised-engine bug.
 //
-// Rounds scale with LP_PARITY_ROUNDS (make test-lp-long sets it high); the
-// default keeps the suite fast enough for every `go test ./...`.
+// FuzzRevisedParity draws its problems from a fuzzed generator seed; the
+// loops here scale with LP_PARITY_ROUNDS (make test-lp-long sets it high),
+// and their defaults keep the suite fast enough for every `go test ./...`.
 
 // parityRounds returns the round count for a parity fuzz loop, scaled by
 // the LP_PARITY_ROUNDS environment variable when set.
@@ -35,92 +36,80 @@ func parityRounds(t *testing.T, def int) int {
 	return def
 }
 
-// sameSolution fails the test unless the two solutions are bit-identical:
-// same status, same objective (or both absent), and equal values at every
-// variable.
+// requireSameSolution fails the test unless the two solutions are
+// bit-identical: same status and equal values at every variable.
 func requireSameSolution(t *testing.T, tag string, dense, rev *Solution) {
 	t.Helper()
-	if dense.Status != rev.Status {
-		t.Fatalf("%s: status dense=%v revised=%v", tag, dense.Status, rev.Status)
-	}
-	if (dense.Objective == nil) != (rev.Objective == nil) {
-		t.Fatalf("%s: objective presence dense=%v revised=%v", tag, dense.Objective, rev.Objective)
-	}
-	if dense.Objective != nil && dense.Objective.Cmp(rev.Objective) != 0 {
-		t.Fatalf("%s: objective dense=%s revised=%s", tag, dense.Objective, rev.Objective)
-	}
-	if len(dense.Values) != len(rev.Values) {
-		t.Fatalf("%s: value count dense=%d revised=%d", tag, len(dense.Values), len(rev.Values))
-	}
-	for i := range dense.Values {
-		if dense.Values[i].Cmp(rev.Values[i]) != 0 {
-			t.Fatalf("%s: value[%d] dense=%s revised=%s", tag, i, dense.Values[i], rev.Values[i])
-		}
+	if err := sameSolution(dense, rev); err != nil {
+		t.Fatalf("%s: dense vs revised: %v", tag, err)
 	}
 }
 
-// TestRevisedParityLP solves random bounded LPs with SolveLP and the dense
-// oracle and requires bit-identical solutions.
-func TestRevisedParityLP(t *testing.T) {
-	rounds := parityRounds(t, 400)
-	for seed := 0; seed < rounds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		p := randomBoundedProblem(rng, false)
+// FuzzRevisedParity seeds the random problem generator with its input and
+// checks, on the bounded LP and the bounded ILP it draws:
+//
+//   - the revised engine (SolveLPWith, solveILP) matches the dense oracle
+//     bit for bit, unbudgeted and under deterministic work budgets (the
+//     revised engine charges the dense oracle's work units, so StatusLimit
+//     must strike at the same node; 40,000 units almost never run out on
+//     this generator, 200 stop about a tenth of the searches);
+//   - the float engine reaches the exact verdict on both problems.
+//
+// The seeds 0–399 of the fixed-round loops it replaced are its corpus.
+func FuzzRevisedParity(f *testing.F) {
+	for seed := int64(0); seed < 400; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		p := randomBoundedProblem(rand.New(rand.NewSource(seed)), false)
 		dense, err := denseLP(p)
 		if err != nil {
-			t.Fatalf("seed %d: dense: %v", seed, err)
+			t.Fatalf("LP dense: %v", err)
 		}
-		rev, err := SolveLP(p)
+		rev, err := solveLP(p)
 		if err != nil {
-			t.Fatalf("seed %d: revised: %v", seed, err)
+			t.Fatalf("LP revised: %v", err)
 		}
-		if dense.Status == StatusOptimal {
-			requireSameSolution(t, "LP seed "+strconv.Itoa(seed), dense, rev)
-		} else if dense.Status != rev.Status {
-			t.Fatalf("seed %d: status dense=%v revised=%v\n%s", seed, dense.Status, rev.Status, p)
+		requireSameSolution(t, "LP", dense, rev)
+		fl, err := solveLPFloat(p)
+		if err != nil {
+			t.Fatalf("LP float: %v", err)
 		}
-	}
-}
+		if fl.Status != rev.Status {
+			t.Fatalf("LP: status exact=%v float=%v\n%s", rev.Status, fl.Status, p)
+		}
 
-// TestRevisedParityILP runs the warm-started branch and bound through
-// SolveILP and over the dense oracle and requires bit-identical solutions,
-// including under deterministic work budgets (the revised engine charges
-// the dense oracle's work units, so StatusLimit must strike at the same
-// node). 40_000 units almost never run out on this corpus; 200 stops about
-// a tenth of the searches.
-func TestRevisedParityILP(t *testing.T) {
-	rounds := parityRounds(t, 200)
-	for seed := 0; seed < rounds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		p := randomBoundedProblem(rng, true)
-		for _, opts := range []ILPOptions{
-			{},
-			{MaxWork: 40_000},
-			{MaxWork: 200},
-		} {
+		p = randomBoundedProblem(rand.New(rand.NewSource(seed)), true)
+		for _, opts := range []ILPOptions{{}, {MaxWork: 40_000}, {MaxWork: 200}} {
+			tag := fmt.Sprintf("ILP MaxWork=%d", opts.MaxWork)
 			dense, err := denseILP(p, opts)
 			if err != nil {
-				t.Fatalf("seed %d: dense: %v", seed, err)
+				t.Fatalf("%s: dense: %v", tag, err)
 			}
-			rev, err := SolveILP(p, opts)
+			rev, err := solveILP(p, opts)
 			if err != nil {
-				t.Fatalf("seed %d: revised: %v", seed, err)
+				t.Fatalf("%s: revised: %v", tag, err)
 			}
-			tag := "ILP seed " + strconv.Itoa(seed)
-			if dense.Status == StatusOptimal {
-				requireSameSolution(t, tag, dense, rev)
-			} else if dense.Status != rev.Status {
-				t.Fatalf("%s: status dense=%v revised=%v\n%s", tag, dense.Status, rev.Status, p)
+			requireSameSolution(t, tag, dense, rev)
+			if opts.MaxWork != 0 {
+				continue
+			}
+			fl, err := solveILP(p, ILPOptions{Engine: EngineFloat})
+			if err != nil {
+				t.Fatalf("ILP float: %v", err)
+			}
+			if fl.Status != rev.Status {
+				t.Fatalf("ILP: status exact=%v float=%v\n%s", rev.Status, fl.Status, p)
 			}
 		}
-	}
+	})
 }
 
-// randomEdit applies one random in-place edit through the Model setters,
-// mirroring what refinement probes, lifelong epochs, and branch-and-bound
-// reentry do to a retained model.
-func randomEdit(rng *rand.Rand, mo *Model) {
-	p := mo.Problem()
+// randomEdit applies one random in-place edit to a retained model's
+// problem p — a variable's bounds in p, which every solve reads, or a
+// right-hand side through SetRHS — mirroring what refinement probes,
+// lifelong epochs, and branch-and-bound reentry do to a retained model.
+func randomEdit(rng *rand.Rand, mo *Model, p *Problem) {
 	switch rng.Intn(2) {
 	case 0: // retarget a bound; sometimes alias lo==hi through one pointer
 		v := VarID(rng.Intn(len(p.Vars)))
@@ -142,7 +131,7 @@ func randomEdit(rng *rand.Rand, mo *Model) {
 		// the search either boxes the open side from the rows or rejects
 		// the runaway branch with ErrUnboundedIntDomain, identically in
 		// every representation.
-		mo.SetBound(v, lo, hi)
+		p.Vars[v].Lower, p.Vars[v].Upper = lo, hi
 	case 1: // retarget a right-hand side
 		ci := rng.Intn(len(p.Constraints))
 		rhs := big.NewRat(int64(rng.Intn(17)-6), 1)
@@ -153,26 +142,27 @@ func randomEdit(rng *rand.Rand, mo *Model) {
 // TestRevisedParityModelEdits drives random edit sequences through a
 // retained Model, re-solving (LP and ILP) after every edit, and checks each
 // answer against a from-scratch dense-oracle solve of the edited problem.
-// This covers the cold re-solve in a retained arena after SetBound/SetRHS
-// and branch-and-bound node reentry, all over the factorized basis.
+// This covers the cold re-solve in a retained arena after bound and SetRHS
+// edits and branch-and-bound node reentry, all over the factorized basis.
 func TestRevisedParityModelEdits(t *testing.T) {
 	rounds := parityRounds(t, 60)
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
 		integer := seed%2 == 0
-		mo := NewModel(randomBoundedProblem(rng, integer))
+		p := randomBoundedProblem(rng, integer)
+		mo := NewModel(p)
 
 		edits := 3 + rng.Intn(5)
 		for e := 0; e <= edits; e++ {
 			if e > 0 {
-				randomEdit(rand.New(rand.NewSource(rng.Int63())), mo)
+				randomEdit(rand.New(rand.NewSource(rng.Int63())), mo, p)
 			}
 			tag := "model seed " + strconv.Itoa(seed) + " edit " + strconv.Itoa(e)
-			rev, err := mo.Resolve()
+			rev, err := mo.ResolveWith(SolveOptions{})
 			if err != nil {
 				t.Fatalf("%s: resolve: %v", tag, err)
 			}
-			scratch, err := denseLP(mo.Problem())
+			scratch, err := denseLP(p)
 			if err != nil {
 				t.Fatalf("%s: scratch: %v", tag, err)
 			}
@@ -183,7 +173,7 @@ func TestRevisedParityModelEdits(t *testing.T) {
 			}
 			if integer {
 				ri, rerr := mo.ResolveILP(ILPOptions{})
-				di, derr := denseILP(mo.Problem(), ILPOptions{})
+				di, derr := denseILP(p, ILPOptions{})
 				if derr != nil || rerr != nil {
 					// An edit can leave an integer variable one-sided with
 					// no derivable box; the open-march guard must then
@@ -241,13 +231,6 @@ func randomSparseNetwork(rng *rand.Rand, nodes, commodities int, integer bool) *
 	for k := 1; k < commodities; k++ {
 		p.AddConstraint("demand", []Term{T(fv[nodes/2][k], 1)}, GE, big.NewRat(int64(1+k%2), 1))
 	}
-	var obj []Term
-	for e := 0; e < nodes; e++ {
-		for k := 0; k < commodities; k++ {
-			obj = append(obj, T(fv[e][k], int64(1+rng.Intn(3))))
-		}
-	}
-	p.SetObjective(obj, false)
 	return p
 }
 
@@ -264,7 +247,7 @@ func TestRevisedParityLarge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		rev, err := SolveLP(p)
+		rev, err := solveLP(p)
 		if err != nil {
 			t.Fatalf("seed %d: revised: %v", seed, err)
 		}
@@ -279,7 +262,7 @@ func TestRevisedParityLarge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: dense ILP: %v", tag, err)
 			}
-			ri, err := SolveILP(p, ILPOptions{})
+			ri, err := solveILP(p, ILPOptions{})
 			if err != nil {
 				t.Fatalf("%s: revised ILP: %v", tag, err)
 			}
@@ -292,13 +275,13 @@ func TestRevisedParityLarge(t *testing.T) {
 		// SetRHS retargets plus re-solves in the retained arena, each
 		// against a scratch oracle solve of the edited network.
 		mo := NewModel(p)
-		if _, err := mo.Resolve(); err != nil {
+		if _, err := mo.ResolveWith(SolveOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		for probe := 0; probe < 4; probe++ {
 			ci := rng.Intn(len(p.Constraints))
 			mo.SetRHS(ci, big.NewRat(int64(rng.Intn(9)-2), 1))
-			rs, err := mo.Resolve()
+			rs, err := mo.ResolveWith(SolveOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

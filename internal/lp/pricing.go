@@ -1,13 +1,13 @@
 package lp
 
-// pricer selects the primal entering rule: Dantzig (most-attractive reduced
+// pricer selects the phase-1 entering rule: Dantzig (most-attractive reduced
 // cost) by default for low pivot counts, falling back to Bland's least-index
 // rule after a run of consecutive degenerate (zero-step) pivots so that
 // termination stays guaranteed on cycling-prone instances (Beale's example
 // cycles forever under pure Dantzig pricing). A nonzero step strictly
-// improves the objective, so no basis can recur across improving steps;
-// within a degenerate stretch Bland's rule cannot cycle. The same stall
-// counter drives the dual reentry loop's rule switch. The revised engine
+// lowers the phase-1 infeasibility, so no basis can recur across improving
+// steps; within a degenerate stretch Bland's rule cannot cycle. The same
+// stall counter drives the dual reentry loop's rule switch. The revised engine
 // and its dense test oracle share this type and observe the identical
 // pivot sequence, which keeps the rule switches (and hence the answers)
 // bit-identical across them.

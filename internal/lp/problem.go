@@ -1,13 +1,15 @@
-// Package lp is a self-contained linear and integer-linear programming
+// Package lp is a self-contained linear and integer-linear feasibility
 // solver used as the decision procedure behind the contract framework.
 //
 // The paper discharges flow-synthesis queries to the Z3 SMT solver; those
 // queries are quantifier-free linear integer arithmetic feasibility problems
 // (the paper notes the synthesis "is reducible to the Integer Linear
-// Programming problem"). This package decides the same fragment with a
-// two-phase primal simplex — available both in exact rational arithmetic
-// (math/big.Rat, Bland's rule, guaranteed termination) and in float64 with
-// tolerances (fast path) — plus a branch-and-bound wrapper for integrality.
+// Programming problem"). This package decides the same fragment, and only
+// it: a problem has no objective, and a solve answers whether some point
+// satisfies every row and bound, returning one if so. The relaxation runs a
+// phase-1 primal simplex — in exact rational arithmetic (guaranteed
+// termination through Bland's fallback) or in float64 with tolerances
+// (fast path) — and a branch-and-bound wrapper adds integrality.
 package lp
 
 import (
@@ -47,9 +49,6 @@ type Term struct {
 	Coef *big.Rat
 }
 
-// T is a convenience constructor for a Term with an integer coefficient.
-func T(v VarID, coef int64) Term { return Term{Var: v, Coef: big.NewRat(coef, 1)} }
-
 // Var describes one decision variable.
 type Var struct {
 	Name    string
@@ -66,16 +65,12 @@ type Constraint struct {
 	RHS   *big.Rat
 }
 
-// Problem is a linear (or mixed-integer linear) program. The zero value is
-// an empty feasibility problem; add variables and constraints, optionally an
-// objective, then hand it to SolveLP or SolveILP.
+// Problem is a linear (or mixed-integer linear) feasibility problem. The
+// zero value is empty; add variables and constraints, then hand it to
+// SolveLPWith or NewModel.
 type Problem struct {
 	Vars        []Var
 	Constraints []Constraint
-	// Objective is maximized when Maximize is true, else minimized. A nil or
-	// empty objective makes the problem a pure feasibility question.
-	Objective []Term
-	Maximize  bool
 }
 
 // AddVar declares a continuous variable with the given bounds (nil = ±inf)
@@ -89,12 +84,6 @@ func (p *Problem) AddVar(name string, lower, upper *big.Rat) VarID {
 func (p *Problem) AddIntVar(name string, lower, upper *big.Rat) VarID {
 	p.Vars = append(p.Vars, Var{Name: name, Lower: lower, Upper: upper, Integer: true})
 	return VarID(len(p.Vars) - 1)
-}
-
-// AddNat declares an integer variable over {0} ∪ N, the domain the paper
-// gives every agent flow.
-func (p *Problem) AddNat(name string) VarID {
-	return p.AddIntVar(name, big.NewRat(0, 1), nil)
 }
 
 // AddConstraint appends a constraint and returns its index. Terms mentioning
@@ -116,12 +105,6 @@ func (p *Problem) AddConstraint(name string, terms []Term, sense Sense, rhs *big
 	return len(p.Constraints) - 1
 }
 
-// SetObjective installs the objective Σ terms, maximized or minimized.
-func (p *Problem) SetObjective(terms []Term, maximize bool) {
-	p.Objective = terms
-	p.Maximize = maximize
-}
-
 // NumVars returns the number of declared variables.
 func (p *Problem) NumVars() int { return len(p.Vars) }
 
@@ -130,10 +113,9 @@ type Status int
 
 // Solve outcomes.
 const (
-	StatusOptimal    Status = iota // solution found (optimal for LP; incumbent for ILP)
+	StatusOptimal    Status = iota // a satisfying assignment was found
 	StatusInfeasible               // no assignment satisfies the constraints
-	StatusUnbounded                // objective can improve without limit
-	StatusLimit                    // ILP search hit its node limit before deciding
+	StatusLimit                    // ILP search hit its node or work budget before deciding
 	StatusCanceled                 // solve abandoned: the cancellation channel fired
 )
 
@@ -143,8 +125,6 @@ func (s Status) String() string {
 		return "optimal"
 	case StatusInfeasible:
 		return "infeasible"
-	case StatusUnbounded:
-		return "unbounded"
 	case StatusLimit:
 		return "limit"
 	case StatusCanceled:
@@ -153,24 +133,15 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// Solution is an assignment of rationals to every variable.
+// Solution is the verdict of a solve and, with StatusOptimal, an
+// assignment of rationals to every variable that satisfies the problem.
 type Solution struct {
-	Status    Status
-	Values    []*big.Rat
-	Objective *big.Rat // nil for pure feasibility problems
+	Status Status
+	Values []*big.Rat
 }
 
 // Value returns the assigned value of v.
 func (s *Solution) Value(v VarID) *big.Rat { return s.Values[v] }
-
-// Int returns the value of v as an int, which must be exact.
-func (s *Solution) Int(v VarID) int {
-	r := s.Values[v]
-	if !r.IsInt() {
-		panic(fmt.Sprintf("lp: value %s of variable %d is not integral", r, v))
-	}
-	return int(r.Num().Int64())
-}
 
 // Check verifies an assignment against every constraint and bound of p using
 // exact arithmetic. It returns nil if the assignment is feasible; otherwise
@@ -211,18 +182,11 @@ func (p *Problem) Check(values []*big.Rat) error {
 // error messages.
 func (p *Problem) String() string {
 	var b strings.Builder
-	if len(p.Objective) > 0 {
-		if p.Maximize {
-			b.WriteString("max:")
-		} else {
-			b.WriteString("min:")
-		}
-		writeTerms(&b, p, p.Objective)
-		b.WriteByte('\n')
-	}
 	for _, c := range p.Constraints {
 		fmt.Fprintf(&b, "%s:", c.Name)
-		writeTerms(&b, p, c.Terms)
+		for _, t := range c.Terms {
+			fmt.Fprintf(&b, " %s*%s", t.Coef.RatString(), p.Vars[t.Var].Name)
+		}
 		fmt.Fprintf(&b, " %s %s\n", c.Sense, c.RHS.RatString())
 	}
 	for _, v := range p.Vars {
@@ -240,10 +204,4 @@ func (p *Problem) String() string {
 		fmt.Fprintf(&b, "%s in [%s, %s] %s\n", v.Name, lo, hi, kind)
 	}
 	return b.String()
-}
-
-func writeTerms(b *strings.Builder, p *Problem, terms []Term) {
-	for _, t := range terms {
-		fmt.Fprintf(b, " %s*%s", t.Coef.RatString(), p.Vars[t.Var].Name)
-	}
 }

@@ -28,7 +28,7 @@ func bruteFeasible(p *Problem, ub int) bool {
 	return rec(0)
 }
 
-// Property: SolveILP agrees with brute-force enumeration on feasibility of
+// Property: solveILP agrees with brute-force enumeration on feasibility of
 // random small integer programs, and any solution it returns passes Check.
 func TestSolveILPMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
@@ -56,7 +56,7 @@ func TestSolveILPMatchesBruteForce(t *testing.T) {
 			p.AddConstraint("c", terms, sense, rat(rhs, 1))
 		}
 		for _, engine := range []Engine{EngineExact, EngineFloat} {
-			sol, err := SolveILP(p, ILPOptions{Engine: engine})
+			sol, err := solveILP(p, ILPOptions{Engine: engine})
 			if err != nil {
 				return false
 			}
@@ -86,9 +86,10 @@ func TestSolveILPMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Property: for random LPs with a bounded feasible region, the exact
-// optimum is never worse than any feasible integer point (sanity of the
-// bound direction).
+// Property: the LP relaxation bounds the integer optimum. Asked as
+// feasibility queries, for random 2-variable knapsacks and any threshold
+// t, if some integral point reaches value ≥ t then so does a rational one,
+// and an ILP "yes" comes with a point the exact Check accepts.
 func TestSolveLPBoundsIntegerOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -97,23 +98,25 @@ func TestSolveLPBoundsIntegerOptimum(t *testing.T) {
 		for i := 0; i < n; i++ {
 			p.AddIntVar("x", rat(0, 1), rat(5, 1))
 		}
-		var obj []Term
+		var value []Term
 		for i := 0; i < n; i++ {
-			obj = append(obj, T(VarID(i), int64(1+rng.Intn(5))))
+			value = append(value, T(VarID(i), int64(1+rng.Intn(5))))
 		}
 		p.AddConstraint("cap", []Term{T(0, 1), T(1, 1)}, LE, rat(int64(2+rng.Intn(6)), 1))
-		p.SetObjective(obj, true)
+		p.AddConstraint("value", value, GE, rat(int64(rng.Intn(40)), 2))
 
-		relax, err := SolveLP(p)
-		if err != nil || relax.Status != StatusOptimal {
+		relax, err := solveLP(p)
+		if err != nil {
 			return false
 		}
-		ilp, err := SolveILP(p, ILPOptions{Engine: EngineExact})
-		if err != nil || ilp.Status != StatusOptimal {
+		ilp, err := solveILP(p, ILPOptions{Engine: EngineExact})
+		if err != nil {
 			return false
 		}
-		// LP relaxation upper-bounds the ILP optimum for maximization.
-		return relax.Objective.Cmp(ilp.Objective) >= 0
+		if ilp.Status == StatusOptimal {
+			return relax.Status == StatusOptimal && p.Check(ilp.Values) == nil
+		}
+		return ilp.Status == StatusInfeasible
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

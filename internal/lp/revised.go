@@ -12,10 +12,10 @@ import (
 // dots, and pivot columns come from FTRAN — no dense tableau rows exist.
 //
 // The engine is decision-for-decision identical to the dense tableau:
-// Dantzig/Bland pricing over the same reduced costs, the same two-sided
-// ratio test and tie-breaks, the same cold start (logical basis patched
-// with signed artificials), the same dual-simplex warm reentry, and the
-// same deterministic work accounting (a pivot charges the rows an
+// Dantzig/Bland phase-1 pricing over the same reduced costs, the same
+// two-sided ratio test and tie-breaks, the same cold start (logical basis
+// patched with signed artificials), the same dual-simplex warm reentry,
+// and the same deterministic work accounting (a pivot charges the rows an
 // elimination would touch times the dense row length). Because both
 // engines run exact arithmetic, every compared quantity is the same
 // canonical rational in both representations, so the pivot sequences —
@@ -28,8 +28,8 @@ import (
 // the m basic values for the leaving row, and one pass over the candidate
 // columns — the nonbasic, non-fixed ones, kept in an ascending list that
 // each basis exchange updates — dotting each against the BTRAN'd row.
-// Pricing and the dual ratio test never pick a basic or fixed column, so
-// they skip those without looking. Contract-shaped systems are extremely
+// Pricing and the dual's entering scan never pick a basic or fixed column,
+// so they skip those without looking. Contract-shaped systems are extremely
 // sparse, which is where the revised engine wins, and at a
 // branch-and-bound node most of their columns are basic or fixed.
 
@@ -66,12 +66,10 @@ type revised[T any, A arith[T]] struct {
 	cand   []int32
 	candOK bool
 
-	cost   []T // phase-2 minimization costs, len n
-	hasObj bool
-	// d holds reduced costs for columns 0..artStart-1. It is refreshed by
-	// price() at every consumer (pricing loops, rewarm), so
-	// it never serves stale values; in exact arithmetic the refresh equals
-	// the reduced-cost row the dense tableau maintains through pivots.
+	// d holds phase-1 reduced costs for columns 0..artStart-1. It is
+	// refreshed by price() before every full-pricing pick, so it never
+	// serves stale values; in exact arithmetic the refresh equals the
+	// reduced-cost row the dense tableau maintains through pivots.
 	d []T
 
 	csr     *csrRows
@@ -105,7 +103,6 @@ type revised[T any, A arith[T]] struct {
 	yv     *spVec[T]
 	rho    *spVec[T]
 	costP1 []T // phase-1 cost vector scratch
-	prow   []T // dual pivot-row scratch, len artStart
 
 	zero, one T
 }
@@ -132,27 +129,15 @@ func newRevised[T any, A arith[T]](p *Problem, ar A) *revised[T, A] {
 	rv.hiF = make([]bool, rv.n)
 	rv.fixed = make([]bool, rv.artStart)
 	rv.cand = make([]int32, 0, rv.artStart)
-	rv.cost = make([]T, rv.n)
 	rv.d = make([]T, rv.artStart)
 	rv.costP1 = make([]T, rv.n)
-	rv.prow = make([]T, rv.artStart)
-	for j := range rv.cost {
-		rv.cost[j] = rv.zero
+	for j := range rv.costP1 {
 		rv.costP1[j] = rv.zero
 		rv.lo[j] = rv.zero
 		rv.hi[j] = rv.zero
 	}
-	rv.hasObj = len(p.Objective) > 0
-	for _, t := range p.Objective {
-		c := ar.fromRat(t.Coef)
-		if p.Maximize {
-			c = ar.neg(c)
-		}
-		rv.cost[t.Var] = ar.add(rv.cost[t.Var], c)
-	}
 	for j := range rv.d {
 		rv.d[j] = rv.zero
-		rv.prow[j] = rv.zero
 	}
 	for i := 0; i < m; i++ {
 		rv.xB[i] = rv.zero
@@ -298,13 +283,14 @@ func (rv *revised[T, A]) candidates() []int32 {
 	return rv.cand
 }
 
-// solveNode mirrors tableau.solveNode: dual warm reentry when the basis is
-// still dual feasible, cold two-phase solve otherwise.
+// solveNode mirrors tableau.solveNode: dual warm reentry from the previous
+// node's basis when there is one, cold phase 1 otherwise.
 func (rv *revised[T, A]) solveNode(lo, hi []*big.Rat) Status {
 	if !rv.setBounds(lo, hi) {
 		return StatusInfeasible
 	}
-	if rv.warmOK && rv.rewarm() {
+	if rv.warmOK {
+		rv.rewarm()
 		switch rv.dual() {
 		case dualOptimal:
 			return StatusOptimal
@@ -315,18 +301,10 @@ func (rv *revised[T, A]) solveNode(lo, hi []*big.Rat) Status {
 		}
 		// dualStuck: anti-cycling cap hit; restart cold for certainty.
 	}
-	rv.warmOK = false
-	status := rv.solveFresh()
+	rv.cold()
+	status := rv.phase1()
 	rv.warmOK = status == StatusOptimal
 	return status
-}
-
-func (rv *revised[T, A]) solveFresh() Status {
-	rv.cold()
-	if st := rv.phase1(); st != StatusOptimal {
-		return st
-	}
-	return rv.phase2()
 }
 
 // cold mirrors tableau.cold: all-logical basis, nonbasic structurals at
@@ -419,14 +397,8 @@ func (rv *revised[T, A]) phase1() Status {
 		}
 	}
 	rv.pr.reset()
-	switch rv.primal(rv.costP1) {
-	case StatusOptimal:
-	case StatusLimit:
-		return StatusLimit
-	default:
-		// A feasibility phase bounded below by zero cannot be unbounded;
-		// reaching this means numerical failure. Report infeasible.
-		return StatusInfeasible
+	if st := rv.primal(rv.costP1); st != StatusOptimal {
+		return st
 	}
 	infeas := rv.zero
 	for i := 0; i < rv.m; i++ {
@@ -460,14 +432,6 @@ func (rv *revised[T, A]) phase1() Status {
 	return StatusOptimal
 }
 
-func (rv *revised[T, A]) phase2() Status {
-	if !rv.hasObj {
-		return StatusOptimal
-	}
-	rv.pr.reset()
-	return rv.primal(rv.cost)
-}
-
 // price refreshes the reduced costs d_j = c_j − yᵀA_j for every candidate
 // column (nonbasic, non-fixed, j < artStart) against the given cost
 // vector, with y = B⁻ᵀc_B from one BTRAN. In exact arithmetic this equals
@@ -477,8 +441,8 @@ func (rv *revised[T, A]) phase2() Status {
 //
 // When no basic column has a nonzero cost, y is the zero vector: its BTRAN
 // would change and mark nothing and every dot would return zero, so both
-// are skipped and d_j = c_j − 0, the same value. Every warm re-entry of a
-// problem without an objective takes this path.
+// are skipped and d_j = c_j − 0, the same value. Phase 1 takes this path
+// once its last artificial has left the basis.
 func (rv *revised[T, A]) price(cost []T) {
 	ar := rv.ar
 	y := rv.yv
@@ -557,11 +521,13 @@ func (rv *revised[T, A]) pivotRow(r int) {
 	rv.fac.btran(rv.rho)
 }
 
-// primal runs the bounded-variable primal simplex over the given cost
-// vector, repricing after every basis change (the revised engine's
+// primal runs the bounded-variable primal simplex over the given (phase-1)
+// cost vector, repricing after every basis change (the revised engine's
 // equivalent of the dense engine's maintained objective row; bound flips
 // leave the basis — and hence every reduced cost — untouched, so they
-// skip the reprice).
+// skip the reprice). A phase-1 objective is bounded below by zero, so an
+// entering column no bound can stop means numerical failure; it is
+// reported as infeasible.
 func (rv *revised[T, A]) primal(cost []T) Status {
 	if rv.partial {
 		return rv.primalPartial(cost)
@@ -583,7 +549,7 @@ func (rv *revised[T, A]) primal(cost []T) Status {
 		rv.ftranCol(enter)
 		step, flip, leaveRow, leaveAtUpper, ok := rv.ratio(enter, dir)
 		if !ok {
-			return StatusUnbounded
+			return StatusInfeasible
 		}
 		if flip {
 			rv.boundFlip(enter, dir)
@@ -632,7 +598,7 @@ func (rv *revised[T, A]) primalPartial(cost []T) Status {
 		rv.ftranCol(enter)
 		step, flip, leaveRow, leaveAtUpper, ok := rv.ratio(enter, dir)
 		if !ok {
-			return StatusUnbounded
+			return StatusInfeasible
 		}
 		if flip {
 			rv.boundFlip(enter, dir)
@@ -941,14 +907,15 @@ func (rv *revised[T, A]) swapZero(r, enter int) {
 	rv.exchange(r, enter, rv.zero, nbLower, false)
 }
 
-// dual mirrors tableau.dual: the bounded-variable dual simplex from a
-// dual-feasible basis, with the same leaving/entering rules, stall
-// fallback, and budget behavior. It requires d to be current on entry
-// (rewarm prices before handing over, exactly as the dense engine's
-// maintained objective row survives between solves) and maintains it
-// across its own pivots with the dense update rule d_j ← d_j − θ·ρ_j over
-// the pivot row computed for the entering scan, so no full reprice runs
-// inside the loop.
+// dual mirrors tableau.dual: the bounded-variable dual simplex from the
+// previous node's basis, with the same leaving/entering rules, stall
+// fallback, and budget behavior. Every reduced cost is zero, so the dual
+// ratio |d_j|/|ρ_j| is zero for every sign-eligible candidate, and the
+// ratio test reduces to its tie-break: the entering column is the first
+// candidate with the largest |ρ_j| (compared with ar.cmp, so the float
+// engine keeps its ε), or the first eligible one under the stall fallback.
+// The pivot keeps every reduced cost at zero (θ = d_e/ρ_e = 0), so no
+// reduced costs are kept here at all.
 func (rv *revised[T, A]) dual() dualResult {
 	ar := rv.ar
 	cap := 20*(rv.m+rv.n) + 1000
@@ -972,16 +939,11 @@ func (rv *revised[T, A]) dual() dualResult {
 			target = rv.lo[k]
 		}
 		rv.pivotRow(r)
-		// Entering column: min |d_j|/|a_rj| over sign-eligible candidates.
-		// Every scanned pivot-row entry is cached for the d update below,
-		// which walks the same list (exchange changes it only afterwards).
 		e := -1
-		var bestRatio, bestAbsA, prowE T
-		cand := rv.candidates()
-		for _, j32 := range cand {
+		var bestAbsA, prowE T
+		for _, j32 := range rv.candidates() {
 			j := int(j32)
 			a := rv.dot(rv.rho, j)
-			rv.prow[j] = a
 			sa := ar.sign(a)
 			if sa == 0 {
 				continue
@@ -998,106 +960,58 @@ func (rv *revised[T, A]) dual() dualResult {
 			if !eligible {
 				continue
 			}
-			dj := rv.d[j]
-			if ar.sign(dj) < 0 {
-				dj = ar.neg(dj)
+			if rv.pr.bland {
+				e, prowE = j, a
+				break
 			}
 			absA := a
 			if sa < 0 {
 				absA = ar.neg(a)
 			}
-			if e < 0 {
-				e, bestRatio, bestAbsA, prowE = j, dj, absA, a
-				continue
-			}
-			c := ar.cmp(ar.mul(dj, bestAbsA), ar.mul(bestRatio, absA))
-			if c < 0 || (c == 0 && ((rv.pr.bland && j < e) || (!rv.pr.bland && ar.cmp(absA, bestAbsA) > 0))) {
-				e, bestRatio, bestAbsA, prowE = j, dj, absA, a
+			if e < 0 || ar.cmp(absA, bestAbsA) > 0 {
+				e, bestAbsA, prowE = j, absA, a
 			}
 		}
 		if e < 0 {
-			// No column can absorb the violation: primal infeasible, with
-			// dual feasibility intact for the next warm start.
+			// No column can absorb the violation: primal infeasible, and
+			// the basis stays a valid start for the next warm reentry.
 			return dualInfeasible
 		}
 		delta := ar.div(ar.sub(rv.xB[r], target), prowE)
 		rv.pr.observe(ar.sign(delta) == 0)
-		chargeObj := ar.sign(rv.d[e]) != 0
-		// Maintain reduced costs across the exchange with the dense
-		// eliminate's own update, d_j ← d_j − θ·ρ_j (θ = d_e/ρ_e), over
-		// the scanned columns; the entering column lands on zero
-		// automatically and the leaving one picks up −θ.
-		theta := ar.div(rv.d[e], prowE)
-		if ar.sign(theta) != 0 {
-			for _, j := range cand {
-				if ar.sign(rv.prow[j]) != 0 {
-					rv.d[j] = ar.sub(rv.d[j], ar.mul(theta, rv.prow[j]))
-				}
-			}
-		}
 		rv.ftranCol(e)
 		leaveStat := nbUpper
 		if below {
 			leaveStat = nbLower
 		}
-		rv.exchange(r, e, delta, leaveStat, chargeObj)
-		if k < rv.artStart {
-			rv.d[k] = ar.neg(theta)
-		}
-		rv.d[e] = rv.zero
+		rv.exchange(r, e, delta, leaveStat, false)
 	}
 }
 
 // rewarm mirrors tableau.rewarm: re-home every nonbasic structural column
-// against the new bounds using freshly priced reduced costs, then rebuild
-// basic values as xB = B⁻¹(b − Σ A_j·v_j) with one FTRAN (the dense engine
-// reads its maintained B⁻¹b column instead; the values are identical).
-func (rv *revised[T, A]) rewarm() bool {
+// against the new bounds, then rebuild basic values as
+// xB = B⁻¹(b − Σ A_j·v_j) with one FTRAN (the dense engine reads its
+// maintained B⁻¹b column instead; the values are identical). A column
+// whose status matches a bound it still has stays; any other goes to its
+// lower bound, else its upper, else free. With every reduced cost zero any
+// home is dual feasible, so this never fails.
+func (rv *revised[T, A]) rewarm() {
 	ar := rv.ar
-	rv.price(rv.cost)
 	for j := 0; j < rv.nv; j++ {
-		if rv.stat[j] == inBasis {
-			continue
-		}
-		if rv.fixedRange(j) {
-			rv.stat[j] = nbLower
-			continue
-		}
-		sd := ar.sign(rv.d[j])
-		switch rv.stat[j] {
-		case nbLower:
-			if rv.loF[j] && sd >= 0 {
-				continue
-			}
-		case nbUpper:
-			if rv.hiF[j] && sd <= 0 {
-				continue
-			}
-		case nbFree:
-			if !rv.loF[j] && !rv.hiF[j] && sd == 0 {
-				continue
-			}
-		}
+		st := rv.stat[j]
 		switch {
-		case sd > 0:
-			if !rv.loF[j] {
-				return false
-			}
+		case st == inBasis:
+			// A basic column has no home to keep.
+		case rv.fixedRange(j):
 			rv.stat[j] = nbLower
-		case sd < 0:
-			if !rv.hiF[j] {
-				return false
-			}
+		case st == nbLower && rv.loF[j], st == nbUpper && rv.hiF[j], st == nbFree && !rv.loF[j] && !rv.hiF[j]:
+			// The column still has the bound its status names.
+		case rv.loF[j]:
+			rv.stat[j] = nbLower
+		case rv.hiF[j]:
 			rv.stat[j] = nbUpper
 		default:
-			switch {
-			case rv.loF[j]:
-				rv.stat[j] = nbLower
-			case rv.hiF[j]:
-				rv.stat[j] = nbUpper
-			default:
-				rv.stat[j] = nbFree
-			}
+			rv.stat[j] = nbFree
 		}
 	}
 	w := rv.fraw
@@ -1124,7 +1038,6 @@ func (rv *revised[T, A]) rewarm() bool {
 	for _, i := range w.idx {
 		rv.xB[rv.fac.posOfPiv[i]] = w.val[i]
 	}
-	return true
 }
 
 // axpyCol adds s·A_j into w (raw space).
@@ -1171,16 +1084,4 @@ func (rv *revised[T, A]) firstFractionalInt() int {
 		}
 	}
 	return -1
-}
-
-func (rv *revised[T, A]) objectiveValue() T {
-	ar := rv.ar
-	v := rv.zero
-	for j := 0; j < rv.nv; j++ {
-		if ar.sign(rv.cost[j]) == 0 {
-			continue
-		}
-		v = ar.add(v, ar.mul(rv.cost[j], rv.value(j)))
-	}
-	return v
 }

@@ -20,7 +20,7 @@ import (
 //
 // The fence and the cold restarts define the answer: a search without them
 // warm-starts every node from its DFS predecessor and can land on a
-// different vertex (and so a different branch, incumbent or budget
+// different vertex (and so a different branch, integral point or budget
 // verdict) than the fenced one.
 
 // bbOpenBranchMax caps how many times the search may branch into an
@@ -60,10 +60,9 @@ type bbEntry struct {
 }
 
 // bbSearch runs the fenced depth-first branch and bound on the caller's
-// arena from the bound chain root. The outcome precedence is: the
-// open-march guard's error, a feasibility problem's first integral
-// solution, an unbounded relaxation, cancellation (which trumps any
-// incumbent), the incumbent, the budget limit, infeasible.
+// arena from the bound chain root. The first integral candidate wins; the
+// other outcomes, in precedence order, are the open-march guard's error,
+// cancellation, the budget limit and infeasible.
 func bbSearch[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions, maxNodes int, root *boundDiff) (*Solution, error) {
 	nv := len(p.Vars)
 	loEff, hiEff := make([]*big.Rat, nv), make([]*big.Rat, nv)
@@ -71,7 +70,7 @@ func bbSearch[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions,
 	for i := range relax {
 		relax[i] = new(big.Rat)
 	}
-	objTmp, mulTmp := new(big.Rat), new(big.Rat)
+	branchVal := new(big.Rat)
 	var chain []*boundDiff
 	// The search's work total is the deterministic quantity MaxWork is
 	// charged against; metering it once per search keeps the process meter
@@ -79,8 +78,6 @@ func bbSearch[T any, A arith[T]](p *Problem, tb arena[T], ar A, opts ILPOptions,
 	start := tb.workSpent()
 	defer func() { meterWork(tb.workSpent() - start) }()
 
-	var best *Solution
-	var bestObj *big.Rat
 	limit := false
 	stack := append(make([]bbEntry, 0, 64), bbEntry{chain: root})
 	// nodes counts pops in the whole search, run pops since the last cold
@@ -125,24 +122,10 @@ search:
 		switch tb.solveNode(loEff, hiEff) {
 		case StatusInfeasible:
 			continue
-		case StatusUnbounded:
-			return &Solution{Status: StatusUnbounded}, nil
 		case StatusLimit:
 			// Budget or cancellation; tb.canceled() tells them apart below.
 			limit = true
 			break search
-		}
-		// Bound: prune if the relaxation cannot beat the incumbent. The
-		// objective is evaluated in the arena's own field — per-node work
-		// stays allocation-free until a candidate or branch value is needed.
-		if bestObj != nil && len(p.Objective) > 0 {
-			ar.setRat(objTmp, tb.objectiveValue())
-			if p.Maximize {
-				objTmp.Neg(objTmp) // cost is the minimization form
-			}
-			if !betterOrEqual(p, objTmp, bestObj) {
-				continue
-			}
 		}
 		// Find a fractional integer variable to branch on.
 		branch := tb.firstFractionalInt()
@@ -150,23 +133,14 @@ search:
 			// Integral (by the relaxation's lights): round and verify exactly.
 			tb.extractInto(relax)
 			vals := roundIntegers(p, relax)
-			if err := p.Check(vals); err != nil {
-				// Float noise produced a bogus candidate; branch on the
-				// variable with the largest rounding error to make progress.
-				branch = worstRounded(p, relax)
-				if branch < 0 {
-					continue // nothing to branch on; abandon this node
-				}
-			} else {
-				cand := &Solution{Status: StatusOptimal, Values: vals}
-				if len(p.Objective) == 0 {
-					return cand, nil // feasibility: first solution wins
-				}
-				cand.Objective = evalObjective(p, vals)
-				if bestObj == nil || betterOrEqual(p, cand.Objective, bestObj) {
-					best, bestObj = cand, cand.Objective
-				}
-				continue
+			if err := p.Check(vals); err == nil {
+				return &Solution{Status: StatusOptimal, Values: vals}, nil
+			}
+			// Float noise produced a bogus candidate; branch on the
+			// variable with the largest rounding error to make progress.
+			branch = worstRounded(p, relax)
+			if branch < 0 {
+				continue // nothing to branch on; abandon this node
 			}
 		}
 		// Open-march guard: a branch that tightens INTO a bound side left
@@ -187,20 +161,14 @@ search:
 		// Branch on floor/ceil of the fractional value: each child is one
 		// bound diff off this node. Explore the floor side first (LIFO:
 		// push ceil first).
-		ar.setRat(mulTmp, tb.value(branch))
-		fl := ratFloor(mulTmp)
+		ar.setRat(branchVal, tb.value(branch))
+		fl := ratFloor(branchVal)
 		ceil := new(big.Rat).Add(fl, big.NewRat(1, 1))
 		stack = append(stack, bbEntry{chain: nd.push(branch, false, ceil)}, bbEntry{chain: nd.push(branch, true, fl)})
 		open += 2
 	}
 	if tb.canceled() {
-		// Cancellation trumps any incumbent: the caller walked away from
-		// the answer, so reporting a half-searched best would be
-		// indistinguishable from a completed solve.
 		return &Solution{Status: StatusCanceled}, nil
-	}
-	if best != nil {
-		return best, nil
 	}
 	if limit {
 		return &Solution{Status: StatusLimit}, nil

@@ -2,8 +2,8 @@ package lp
 
 import "math/big"
 
-// This file holds the LP entry points and the pieces every engine shares.
-// The simplex itself is a bounded-variable primal simplex with a
+// This file holds the LP entry point and the pieces every engine shares.
+// The simplex itself is a bounded-variable phase-1 primal simplex with a
 // dual-simplex reentry path over an exact or floating field T, kept as an
 // LU-factorized revised engine (revised.go, factor.go).
 //
@@ -15,25 +15,16 @@ import "math/big"
 // sits at its lower bound, at its upper bound, or (for free columns) at
 // zero, instead of contributing extra `x ≤ cap` rows. Branch-and-bound nodes
 // therefore change only bound values, never the column structure, which is
-// what makes the warm-started reentry in solveNode sound: reduced costs
-// depend on the basis alone, so the final basis of any previously solved
-// node stays dual feasible and the child is re-solved with a handful of
-// dual pivots instead of a fresh two-phase solve from artificials.
+// what makes the warm-started reentry in solveNode sound: a problem has no
+// objective, so every reduced cost is zero and every basis is dual
+// feasible, and the child is re-solved with a handful of dual pivots from
+// the previous node's basis instead of a fresh phase 1 from artificials.
 //
-// Pricing is Dantzig's rule (most attractive reduced cost) with a
+// Phase 1 prices with Dantzig's rule (most attractive reduced cost) and a
 // degenerate-stall fallback to Bland's least-index rule (pricing.go), so
 // typical pivot counts stay low while termination remains guaranteed.
 
-// SolveLP solves the continuous relaxation of p with the exact rational
-// engine. Arithmetic runs over int64 numerator/denominator pairs (rat64)
-// and transparently promotes the whole solve to big.Rat on overflow, so
-// results are exact either way. Integrality markers on variables are
-// ignored.
-func SolveLP(p *Problem) (*Solution, error) {
-	return SolveLPWith(p, SolveOptions{})
-}
-
-// SolveOptions tunes SolveLP.
+// SolveOptions tunes SolveLPWith.
 type SolveOptions struct {
 	// Cancel, when non-nil, aborts the solve when the channel fires; the
 	// solve then returns StatusCanceled. See ILPOptions.Cancel for the
@@ -41,24 +32,18 @@ type SolveOptions struct {
 	Cancel <-chan struct{}
 }
 
-// SolveLPWith is SolveLP with explicit solve options. It is one
-// ResolveWith of a fresh Model.
+// SolveLPWith decides the continuous relaxation of p with the exact
+// rational engine: one ResolveWith of a fresh Model. Arithmetic runs over
+// int64 numerator/denominator pairs (rat64) and transparently promotes the
+// whole solve to big.Rat on overflow, so results are exact either way.
+// Integrality markers on variables are ignored.
 func SolveLPWith(p *Problem, opts SolveOptions) (*Solution, error) {
 	return NewModel(p).ResolveWith(opts)
 }
 
-// SolveLPFloat solves the continuous relaxation of p with the float64
-// engine: the revised engine with partial pricing (newRevisedFloat). It is
-// much faster than SolveLP on very large problems but subject to rounding;
-// callers that need certainty should verify with Problem.Check.
-func SolveLPFloat(p *Problem) (*Solution, error) {
-	return solveArenaLP[float64](newRevisedFloat(p), nil)
-}
-
 // solveArenaLP runs one cold LP solve in tb under the problem's declared
 // bounds, from the state of a freshly built arena and under the given
-// cancellation channel: the one LP driver behind SolveLPFloat and
-// Model.ResolveWith.
+// cancellation channel: the LP driver behind Model.ResolveWith.
 func solveArenaLP[T any](tb arena[T], cancel <-chan struct{}) (*Solution, error) {
 	tb.setCancel(cancel)
 	tb.startSearch(0)
@@ -68,14 +53,19 @@ func solveArenaLP[T any](tb arena[T], cancel <-chan struct{}) (*Solution, error)
 	status := tb.solveNode(lo, hi)
 	meterWork(tb.workSpent() - start)
 	switch status {
-	case StatusInfeasible, StatusUnbounded:
+	case StatusInfeasible:
 		return &Solution{Status: status}, nil
 	case StatusLimit:
 		// An LP solve has no work budget of its own; the only way to hit
 		// the tick is the cancellation channel.
 		return &Solution{Status: StatusCanceled}, nil
 	}
-	return optimalSolution(tb), nil
+	values := make([]*big.Rat, len(p.Vars))
+	for i := range values {
+		values[i] = new(big.Rat)
+	}
+	tb.extractInto(values)
+	return &Solution{Status: StatusOptimal, Values: values}, nil
 }
 
 // declaredBounds returns the per-variable declared bounds — the bound
@@ -88,22 +78,6 @@ func declaredBounds(p *Problem) (lo, hi []*big.Rat) {
 		hi[i] = p.Vars[i].Upper
 	}
 	return lo, hi
-}
-
-// optimalSolution materializes the arena's current (optimal) basis into a
-// full Solution, evaluating the objective exactly over the extracted values.
-func optimalSolution[T any](tb arena[T]) *Solution {
-	p := tb.prob()
-	values := make([]*big.Rat, len(p.Vars))
-	for i := range values {
-		values[i] = new(big.Rat)
-	}
-	tb.extractInto(values)
-	sol := &Solution{Status: StatusOptimal, Values: values}
-	if len(p.Objective) > 0 {
-		sol.Objective = evalObjective(p, values)
-	}
-	return sol
 }
 
 // vstat is the simplex status of one column.

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cycles"
+	"repro/internal/flow"
 	"repro/internal/lp"
 	"repro/internal/traffic"
 	"repro/internal/warehouse"
@@ -112,60 +113,61 @@ type HorizonResult struct {
 // bit-identical to scratchless core.Solve calls, so the search trajectory
 // and result are unchanged.
 //
-// Cancelling ctx aborts the probe in flight and returns an error wrapping
-// lp.ErrCanceled; an infeasible probe (any other error) just narrows the
-// search window, so invalid options are rejected before the first probe.
+// The errors keep the solve's taxonomy. Cancelling ctx aborts the probe in
+// flight and returns an error wrapping lp.ErrCanceled; a horizon below one
+// cycle period wraps flow.ErrHorizonTooShort; and a failed first probe, at
+// T itself, wraps that solve's error. Any later failed probe just narrows
+// the search window, so invalid options — SkipRealization among them,
+// since the search reads the serviced timestep of every probe's plan — are
+// rejected before the first probe.
 func MinimalHorizon(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts core.Options) (*HorizonResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.SkipRealization {
+		return nil, fmt.Errorf("refine: MinimalHorizon needs realization (SkipRealization must be false)")
+	}
 	lo := s.CycleTime()
 	hi := T
 	if lo > hi {
-		return nil, fmt.Errorf("refine: horizon %d below one cycle period %d", T, lo)
+		return nil, fmt.Errorf("refine: horizon %d below one cycle period %d: %w", T, lo, flow.ErrHorizonTooShort)
 	}
 	probes := 0
 	sc := &core.Scratch{}
 	solve := func(t int) (*core.Result, error) {
 		probes++
 		res, err := core.SolveScratch(ctx, s, wl, t, opts, sc)
-		if err != nil {
-			if errors.Is(err, lp.ErrCanceled) {
-				return nil, fmt.Errorf("refine: horizon search canceled at probe %d: %w", probes, err)
-			}
-			return nil, nil // infeasible probe: a search datum, not a failure
+		if errors.Is(err, lp.ErrCanceled) {
+			return nil, fmt.Errorf("refine: horizon search canceled at probe %d: %w", probes, err)
 		}
-		return res, nil
+		return res, err
 	}
 	best, err := solve(hi)
-	if err != nil {
+	switch {
+	case errors.Is(err, lp.ErrCanceled):
 		return nil, err
-	}
-	if best == nil {
-		return nil, fmt.Errorf("refine: instance unsolvable at the initial horizon %d", T)
+	case err != nil:
+		return nil, fmt.Errorf("refine: instance unsolvable at the initial horizon %d: %w", T, err)
 	}
 	bestT := hi
 	// The serviced timestep bounds the answer from below much tighter than
 	// tc; use it to shrink the search window.
-	if opts.SkipRealization {
-		return nil, fmt.Errorf("refine: MinimalHorizon needs realization (SkipRealization must be false)")
-	}
 	if sa := best.Sim.ServicedAt; sa > lo {
 		lo = sa
 	}
 	for lo < bestT {
 		mid := lo + (bestT-lo)/2
 		res, err := solve(mid)
-		if err != nil {
+		switch {
+		case errors.Is(err, lp.ErrCanceled):
 			return nil, err
-		}
-		if res != nil {
+		case err != nil:
+			lo = mid + 1 // an infeasible probe: a search datum, not a failure
+		default:
 			best, bestT = res, mid
 			if sa := res.Sim.ServicedAt; sa > lo {
 				lo = sa
 			}
-		} else {
-			lo = mid + 1
 		}
 	}
 	return &HorizonResult{T: bestT, Result: best, Probes: probes}, nil

@@ -283,6 +283,9 @@ func TestLifelongOutOfTimeIs422(t *testing.T) {
 	if resp.Code != "horizon-too-short" || !strings.HasSuffix(resp.Error, "lifelong: 10 units outstanding with no time left") {
 		t.Errorf("answer %+v, want horizon-too-short with the run's own message", resp)
 	}
+	if n := strings.Count(resp.Error, "lifelong:"); n != 1 {
+		t.Errorf("answer %q names \"lifelong:\" %d times, want once", resp.Error, n)
+	}
 }
 
 // TestLifelongDrainClean: a drain started mid-stream lets the run finish

@@ -548,6 +548,25 @@ func TestNegativeOverridesRejected(t *testing.T) {
 	}
 }
 
+// TestSweepFloorBoundIs422: a well-formed sweep whose one topology would
+// make the map generator build a 384,000-cell floor (3,000 stripes at
+// corridor width 2) is refused on size, before admission.
+func TestSweepFloorBoundIs422(t *testing.T) {
+	srv := New(Config{})
+	body := `{"corridors":[2],"lens":[6],"units":2,"points":1,"horizon":100,"stripes":3000,"products":1}`
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", w.Code, w.Body.String())
+	}
+	if resp := decodeAs[ErrorResponse](t, w); resp.Code != "sweep-too-large" {
+		t.Errorf("code %q, want sweep-too-large", resp.Code)
+	}
+	if m := srv.Metrics(); m["admitted_total"] != 0 {
+		t.Errorf("admitted_total = %d, want 0", m["admitted_total"])
+	}
+}
+
 // TestBudgetExhaustedCountedPerAnswer: budget_exhausted_total counts every
 // answer that ended budget-exhausted — each batch item and each sweep
 // point, streamed or not — like a /v1/solve response, and each one feeds

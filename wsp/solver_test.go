@@ -227,6 +227,61 @@ func TestMinimalHorizonViaFacade(t *testing.T) {
 	}
 }
 
+// TestMinimalHorizonKeepsErrorTaxonomy: the horizon search classifies its
+// refusals like Solve does. On the sorting center with 480 units, T=200 is
+// infeasible and T=5 is below one cycle period for both entry points, and
+// SkipRealization is refused before any probe runs (a probe under the
+// already-cancelled context would report ErrCanceled instead).
+func TestMinimalHorizonKeepsErrorTaxonomy(t *testing.T) {
+	sorting, err := BuiltinMap("sorting")
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		solver *Solver
+		T      int
+		want   error // nil: no sentinel may match
+	}{
+		{"infeasible", context.Background(), New(), 200, ErrInfeasible},
+		{"horizon-too-short", context.Background(), New(), 5, ErrHorizonTooShort},
+		{"skip-realization", canceled, New(WithSkipRealization(true)), 3600, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := tinyInstance(t, sorting, 480, tc.T)
+			_, herr := tc.solver.MinimalHorizon(tc.ctx, inst)
+			if herr == nil {
+				t.Fatal("MinimalHorizon succeeded")
+			}
+			for _, sentinel := range []error{ErrInfeasible, ErrHorizonTooShort, ErrBudgetExhausted, ErrCanceled} {
+				if errors.Is(herr, sentinel) != (sentinel == tc.want) {
+					t.Errorf("MinimalHorizon: errors.Is(%v, %v) = %v", herr, sentinel, !(sentinel == tc.want))
+				}
+			}
+			if tc.want == nil {
+				return
+			}
+			if _, serr := tc.solver.Solve(tc.ctx, inst); !errors.Is(serr, tc.want) {
+				t.Errorf("Solve: %v does not match %v", serr, tc.want)
+			}
+		})
+	}
+}
+
+// TestSweepSizeBound: the default `wsp sweep` Fig. 5 grid stays inside
+// the per-topology size bound (wspd's TestSweepFloorBoundIs422 checks a
+// floor past it).
+func TestSweepSizeBound(t *testing.T) {
+	fig5 := SweepSpec{Corridors: []int{2, 3, 4}, Lens: []int{6, 7, 9}, Stripes: 4, Products: 48,
+		Units: 480, Points: 3, Horizon: 3600}
+	if err := fig5.Validate(); err != nil {
+		t.Fatalf("Fig. 5 grid refused: %v", err)
+	}
+}
+
 // TestSweepCanceledReturnsCompletedCells pins Sweep's partial-result
 // contract: a cancelled walk returns the cells completed so far plus a
 // classified error, never a truncated mystery.

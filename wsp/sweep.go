@@ -30,12 +30,16 @@ type SweepSpec struct {
 }
 
 // maxSweepCells bounds what one topology of a sweep may ask the map
-// generator to allocate: its floor, and its products × floor cells of
-// stock. It is the bound wspio puts on a decoded stock matrix, and an
-// 8 MiB inline instance carries at most ~8 M cells; the Fig. 5 grid (4
-// stripes, corridors 2–4, 48 products) needs at most 80 × 14 cells a
-// floor.
-const maxSweepCells = 1 << 22
+// generator to build: products × floor cells. GenerateMap does not watch
+// the request deadline, so the bound is what keeps one topology cheap. Its
+// time and memory grow with the floor (the stock matrix is cheap beside
+// it), and at 2¹⁷ the largest admitted floor — corridor width 2, one
+// product, 1,024 stripes, 131,072 cells — generates in about 50 ms with
+// 36 MB allocated on a 2-vCPU VM; 1,000 stripes took 48 ms, 3,000 174 ms
+// and 12,000 720 ms, each refused now. The Fig. 5 grid (4 stripes,
+// corridors 2–4, 48 products) needs at most 80 × 14 = 1,120 floor cells
+// and 53,760 stock cells, well inside.
+const maxSweepCells = 1 << 17
 
 // Validate reports whether the spec can be walked: at least one corridor
 // width and length cap; widths of at least 2; caps of 0 (the generator's

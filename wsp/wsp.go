@@ -318,7 +318,7 @@ func (s *Solver) Lifelong(ctx context.Context, sys *System, batches []Batch, T i
 	}
 	rep, err := lifelong.Run(ctx, sys, batches, T, lo)
 	if err != nil {
-		return rep, fmt.Errorf("wsp: lifelong: %w", err)
+		return rep, fmt.Errorf("wsp: %w", err)
 	}
 	return rep, nil
 }
