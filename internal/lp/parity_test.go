@@ -105,6 +105,43 @@ func FuzzRevisedParity(f *testing.F) {
 	})
 }
 
+// TestRevisedParityBlandFallback holds the revised engine to the dense
+// oracle with both pricers' stall threshold at zero, so phase 1 switches to
+// Bland's least-index entering rule after every degenerate pivot; random
+// problems almost never stall long enough to reach it at the production
+// threshold. (The dual's fallback stays off even so: its leaving row
+// violates a bound, so in exact arithmetic every dual step moves.)
+func TestRevisedParityBlandFallback(t *testing.T) {
+	for seed := 0; seed < parityRounds(t, 200); seed++ {
+		p := randomBoundedProblem(rand.New(rand.NewSource(int64(seed))), true)
+		tag := "bland seed " + strconv.Itoa(seed)
+		for _, opts := range []ILPOptions{{}, {MaxWork: 200}} {
+			var dense, rev *Solution
+			var dw, rw int64
+			if !promote(func() {
+				tb := newTableau[rat64, rat64Arith](p, rat64Arith{})
+				tb.pr.threshold = 0
+				rv := newRevised[rat64, rat64Arith](p, rat64Arith{})
+				rv.pr.threshold = 0
+				var err error
+				if dense, err = bbSolveArena[rat64](p, tb, rat64Arith{}, opts); err != nil {
+					t.Fatalf("%s: dense: %v", tag, err)
+				}
+				if rev, err = bbSolveArena[rat64](p, rv, rat64Arith{}, opts); err != nil {
+					t.Fatalf("%s: revised: %v", tag, err)
+				}
+				dw, rw = tb.work, rv.work
+			}) {
+				continue // int64 overflow: the big.Rat path is covered elsewhere
+			}
+			requireSameSolution(t, tag, dense, rev)
+			if dw != rw {
+				t.Fatalf("%s: work dense=%d revised=%d", tag, dw, rw)
+			}
+		}
+	}
+}
+
 // randomEdit applies one random in-place edit to a retained model's
 // problem p — a variable's bounds in p, which every solve reads, or a
 // right-hand side through SetRHS — mirroring what refinement probes,
