@@ -61,21 +61,20 @@ bench-compare:
 	$(GO) run ./scripts/benchjson -compare -o BENCH_table1.json
 
 # Long-running simplex parity rounds (production revised engine against
-# the dense test oracle over lp.Model edit sequences, contract-shaped
-# networks and Bland's phase-1 rule, the float engine against exact, the
-# float engine's concrete FTRAN/BTRAN/pricing/leaving-row kernels against
-# the generic loops bit for bit, the dual's candidate list against its
-# definition) under the race detector, plus the fence fuzz (the fenced
-# depth-first branch-and-bound loop against the oracle's own
-# walk/task/fold loop in internal/lp/fence_oracle_test.go, with the fence
-# lowered so small trees fence often). The random-problem parity of the
-# revised engine against the dense oracle is the native fuzz target
-# FuzzRevisedParity (fuzz-nightly).
+# the dense test oracle on random LPs and ILPs, budgeted and not, over
+# lp.Model edit sequences, contract-shaped networks and Bland's phase-1
+# rule, the float engine against exact, the float engine's concrete
+# FTRAN/BTRAN/pricing/leaving-row kernels against the generic loops bit
+# for bit, the dual's candidate list against its definition) under the
+# race detector, plus the fence fuzz (the fenced depth-first
+# branch-and-bound loop against the oracle's own walk/task/fold loop in
+# internal/lp/fence_oracle_test.go, with the fence lowered so small trees
+# fence often).
 # The short version of the same property tests runs in every `go test ./...`;
 # LP_PARITY_ROUNDS scales the rounds. CI runs this nightly and on manual
 # dispatch (.github/workflows/ci.yml, job lp-long).
 test-lp-long:
-	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParityModelEdits|TestRevisedParityLarge|TestRevisedParityBlandFallback|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
+	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestFloatRevisedPartial|TestFloatKernelParity|TestCandidateListInvariant|TestParallelSearch' -timeout 40m ./internal/lp
 
 # The native fuzz targets, 60 s each: over untrusted input, wspio instance
 # bodies and their export round trip (FuzzDecode), MovingAI map imports

@@ -16,9 +16,10 @@ import (
 // from-scratch solves and through lp.Model edit sequences. The dense
 // oracle is the reference; any divergence is a revised-engine bug.
 //
-// FuzzRevisedParity draws its problems from a fuzzed generator seed; the
-// loops here scale with LP_PARITY_ROUNDS (make test-lp-long sets it high),
-// and their defaults keep the suite fast enough for every `go test ./...`.
+// The fixed-seed loops here scale with LP_PARITY_ROUNDS (make test-lp-long
+// sets it high), and their defaults keep the suite fast enough for every
+// `go test ./...`; FuzzRevisedParity draws its problems from a fuzzed
+// generator seed.
 
 // parityRounds returns the round count for a parity fuzz loop, scaled by
 // the LP_PARITY_ROUNDS environment variable when set.
@@ -45,63 +46,90 @@ func requireSameSolution(t *testing.T, tag string, dense, rev *Solution) {
 	}
 }
 
-// FuzzRevisedParity seeds the random problem generator with its input and
-// checks, on the bounded LP and the bounded ILP it draws:
-//
-//   - the revised engine (SolveLPWith, solveILP) matches the dense oracle
-//     bit for bit, unbudgeted and under deterministic work budgets (the
-//     revised engine charges the dense oracle's work units, so StatusLimit
-//     must strike at the same node; 40,000 units almost never run out on
-//     this generator, 200 stop about a tenth of the searches);
-//   - the float engine reaches the exact verdict on both problems.
-//
-// The seeds 0–399 of the fixed-round loops it replaced are its corpus.
-func FuzzRevisedParity(f *testing.F) {
-	for seed := int64(0); seed < 400; seed++ {
-		f.Add(seed)
+// lpParity checks the LP half of the parity property on the bounded LP
+// that seed draws: the revised engine (solveLP) matches the dense oracle
+// bit for bit, and the float engine reaches the exact verdict.
+func lpParity(t *testing.T, seed int64) {
+	t.Helper()
+	p := randomBoundedProblem(rand.New(rand.NewSource(seed)), false)
+	tag := fmt.Sprintf("LP seed %d", seed)
+	dense, err := denseLP(p)
+	if err != nil {
+		t.Fatalf("%s: dense: %v", tag, err)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		p := randomBoundedProblem(rand.New(rand.NewSource(seed)), false)
-		dense, err := denseLP(p)
+	rev, err := solveLP(p)
+	if err != nil {
+		t.Fatalf("%s: revised: %v", tag, err)
+	}
+	requireSameSolution(t, tag, dense, rev)
+	fl, err := solveLPFloat(p)
+	if err != nil {
+		t.Fatalf("%s: float: %v", tag, err)
+	}
+	if fl.Status != rev.Status {
+		t.Fatalf("%s: status exact=%v float=%v\n%s", tag, rev.Status, fl.Status, p)
+	}
+}
+
+// ilpParity checks the ILP half of the parity property on the bounded ILP
+// that seed draws: the warm-started branch and bound (solveILP) matches the
+// dense oracle bit for bit, unbudgeted and under deterministic work budgets
+// (the revised engine charges the dense oracle's work units, so StatusLimit
+// must strike at the same node; 40,000 units almost never run out on this
+// generator, 200 stop about a tenth of the searches), and the float engine
+// reaches the exact unbudgeted verdict.
+func ilpParity(t *testing.T, seed int64) {
+	t.Helper()
+	p := randomBoundedProblem(rand.New(rand.NewSource(seed)), true)
+	for _, opts := range []ILPOptions{{}, {MaxWork: 40_000}, {MaxWork: 200}} {
+		tag := fmt.Sprintf("ILP seed %d MaxWork=%d", seed, opts.MaxWork)
+		dense, err := denseILP(p, opts)
 		if err != nil {
-			t.Fatalf("LP dense: %v", err)
+			t.Fatalf("%s: dense: %v", tag, err)
 		}
-		rev, err := solveLP(p)
+		rev, err := solveILP(p, opts)
 		if err != nil {
-			t.Fatalf("LP revised: %v", err)
+			t.Fatalf("%s: revised: %v", tag, err)
 		}
-		requireSameSolution(t, "LP", dense, rev)
-		fl, err := solveLPFloat(p)
+		requireSameSolution(t, tag, dense, rev)
+		if opts.MaxWork != 0 {
+			continue
+		}
+		fl, err := solveILP(p, ILPOptions{Engine: EngineFloat})
 		if err != nil {
-			t.Fatalf("LP float: %v", err)
+			t.Fatalf("%s: float: %v", tag, err)
 		}
 		if fl.Status != rev.Status {
-			t.Fatalf("LP: status exact=%v float=%v\n%s", rev.Status, fl.Status, p)
+			t.Fatalf("%s: status exact=%v float=%v\n%s", tag, rev.Status, fl.Status, p)
 		}
+	}
+}
 
-		p = randomBoundedProblem(rand.New(rand.NewSource(seed)), true)
-		for _, opts := range []ILPOptions{{}, {MaxWork: 40_000}, {MaxWork: 200}} {
-			tag := fmt.Sprintf("ILP MaxWork=%d", opts.MaxWork)
-			dense, err := denseILP(p, opts)
-			if err != nil {
-				t.Fatalf("%s: dense: %v", tag, err)
-			}
-			rev, err := solveILP(p, opts)
-			if err != nil {
-				t.Fatalf("%s: revised: %v", tag, err)
-			}
-			requireSameSolution(t, tag, dense, rev)
-			if opts.MaxWork != 0 {
-				continue
-			}
-			fl, err := solveILP(p, ILPOptions{Engine: EngineFloat})
-			if err != nil {
-				t.Fatalf("ILP float: %v", err)
-			}
-			if fl.Status != rev.Status {
-				t.Fatalf("ILP: status exact=%v float=%v\n%s", rev.Status, fl.Status, p)
-			}
-		}
+// TestRevisedParityLP runs the LP half of the parity property over the
+// fixed seeds 0–399.
+func TestRevisedParityLP(t *testing.T) {
+	for seed := 0; seed < parityRounds(t, 400); seed++ {
+		lpParity(t, int64(seed))
+	}
+}
+
+// TestRevisedParityILP runs the ILP half of the parity property over the
+// fixed seeds 0–399.
+func TestRevisedParityILP(t *testing.T) {
+	for seed := 0; seed < parityRounds(t, 400); seed++ {
+		ilpParity(t, int64(seed))
+	}
+}
+
+// FuzzRevisedParity runs both halves of the parity property on the LP and
+// the ILP that a fuzzed generator seed draws. The fixed seeds are
+// TestRevisedParityLP's and TestRevisedParityILP's, so the target's own
+// corpus is seed 0 plus any failing input kept under testdata/fuzz.
+func FuzzRevisedParity(f *testing.F) {
+	f.Add(int64(0))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		lpParity(t, seed)
+		ilpParity(t, seed)
 	})
 }
 
