@@ -5,7 +5,7 @@
 GO ?= go
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: build test vet race test-procs1 bench bench-smoke bench-compare test-lp-long fuzz-nightly examples serve-smoke corpus-smoke perfbench-check ci fmt
+.PHONY: build test vet race test-procs1 bench bench-smoke bench-compare test-lp-long fuzz-nightly examples serve-smoke corpus-smoke perfbench-check perfbench-smoke ci fmt
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,10 @@ test-procs1:
 # and its two dominant stages (Algorithm 1 realization, validation by
 # simulation), apart and as the one streamed pass the solve runs +
 # solver-pool throughput + the contract→ILP path (ablation with its exact
-# variant, and the LP-core microbenchmarks in their exact and float
-# engines, and one contract-synthesis attempt on three corpus instances) +
-# the repeated-solve layers (refinement, lifelong, design sweep).
+# variant, the ILP microbenchmarks on contract-shaped rings in the exact
+# and float engines, and one contract-synthesis attempt on three corpus
+# instances) + the repeated-solve layers (refinement, lifelong, design
+# sweep).
 BENCH_REGEXP = BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkRealizeValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkContractAttempt|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep
 
 # Record every trajectory benchmark, with allocation stats.
@@ -61,7 +62,8 @@ bench-compare:
 	$(GO) run ./scripts/benchjson -compare -o BENCH_table1.json
 
 # Long-running simplex parity rounds (production revised engine against
-# the dense test oracle on random LPs and ILPs, budgeted and not, over
+# the dense test oracle on random ILPs and on LPs, which are ILPs with no
+# integer variable and so decided at the root, budgeted and not, over
 # lp.Model edit sequences, contract-shaped networks and Bland's phase-1
 # rule, the float engine against exact, the float engine's concrete
 # FTRAN/BTRAN/pricing/leaving-row kernels against the generic loops bit
@@ -127,8 +129,22 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
+# One-second run of each benchmark workload (BENCHMARK.json) through
+# perfbench/run.sh, which builds the benchmark and wspd from this checkout
+# under .bench_build/. Each run must end on a line reporting every pinned
+# answer correct and no failed operation, so a change that moves an answer
+# fails here, before the benchmark itself is run.
+PERFBENCH_WORKLOADS = tablei-e2e corpus-contract wspd-open
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		if ! echo "$$last" | grep -q '"correct":true' || ! echo "$$last" | grep -Eq '"failed":0[,}]'; then \
+			echo "perfbench-smoke: $$w did not report correct with 0 failed"; exit 1; fi; \
+	done
+
 # Fail when any file needs gofmt, listing the offenders.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-ci: fmt build vet test race test-procs1 examples serve-smoke bench-smoke corpus-smoke perfbench-check
+ci: fmt build vet test race test-procs1 examples serve-smoke bench-smoke corpus-smoke perfbench-check perfbench-smoke

@@ -248,13 +248,13 @@ func BenchmarkSynthesizerAblation(b *testing.B) {
 // lpTerm builds an lp.Term with an integer coefficient.
 func lpTerm(v lp.VarID, coef int64) lp.Term { return lp.Term{Var: v, Coef: big.NewRat(coef, 1)} }
 
-// contractShapedLP builds an LP/ILP with the shape the §IV-D contract
-// compiler emits: per-arc per-commodity flow variables over a component
-// ring, conservation equalities per (component, commodity), a shared
-// capacity row per arc, and pickup/drop demand rows per product. With
-// ring=4, products=2 it matches the ablation instance's 16-variable scale;
-// larger parameters stress the solver the way co-design sweeps do.
-func contractShapedLP(ring, products int, integer bool) *lp.Problem {
+// contractShapedILP builds an ILP with the shape the §IV-D contract
+// compiler emits: per-arc per-commodity integer flow variables over a
+// component ring, conservation equalities per (component, commodity), a
+// shared capacity row per arc, and pickup/drop demand rows per product.
+// With ring=4, products=2 it matches the ablation instance's 16-variable
+// scale; larger parameters stress the solver the way co-design sweeps do.
+func contractShapedILP(ring, products int) *lp.Problem {
 	p := &lp.Problem{}
 	ncom := products + 1 // commodity 0 is the empty flow
 	fv := make([][]lp.VarID, ring)
@@ -262,12 +262,7 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 	for e := 0; e < ring; e++ {
 		fv[e] = make([]lp.VarID, ncom)
 		for k := 0; k < ncom; k++ {
-			name := fmt.Sprintf("f_%d_%d", e, k)
-			if integer {
-				fv[e][k] = p.AddIntVar(name, zero, nil)
-			} else {
-				fv[e][k] = p.AddVar(name, zero, nil)
-			}
+			fv[e][k] = p.AddIntVar(fmt.Sprintf("f_%d_%d", e, k), zero, nil)
 		}
 	}
 	// Conservation: flow in = flow out on every component, per commodity,
@@ -304,10 +299,9 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 }
 
 // BenchmarkLP isolates the internal/lp solver on contract-shaped problems:
-// the continuous relaxation in the exact engine (the admission check's
-// solve), and the full branch-and-bound ILP in both engines. These are the
-// microbenchmarks behind the `flow.Admit` / `SynthesizeContract` /
-// `refine.MinimalHorizon` costs.
+// the full branch-and-bound ILP in both engines. These are the
+// microbenchmarks behind the `SynthesizeContract` / `refine.MinimalHorizon`
+// costs.
 func BenchmarkLP(b *testing.B) {
 	sizes := []struct {
 		name           string
@@ -320,16 +314,7 @@ func BenchmarkLP(b *testing.B) {
 		{"ring=24_products=6", 24, 6},
 	}
 	for _, sz := range sizes {
-		cont := contractShapedLP(sz.ring, sz.products, false)
-		b.Run("Exact/"+sz.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sol, err := lp.SolveLPWith(cont, lp.SolveOptions{})
-				if err != nil || sol.Status != lp.StatusOptimal {
-					b.Fatalf("status %v err %v", sol.Status, err)
-				}
-			}
-		})
-		ilp := contractShapedLP(sz.ring, sz.products, true)
+		ilp := contractShapedILP(sz.ring, sz.products)
 		for _, eng := range []struct {
 			name string
 			opts lp.ILPOptions

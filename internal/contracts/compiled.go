@@ -14,9 +14,9 @@ import (
 // handful of numbers, not in structure.
 //
 // The compilation (variable ordering, constraint ordering, coefficients) is
-// frozen at Compile time; Satisfy and RelaxationFeasibleOpts answers are
-// bit-identical to re-compiling the edited contract and solving it from
-// scratch, because lp.Model re-solves cold inside its retained arena.
+// frozen at Compile time; Satisfy answers are bit-identical to
+// re-compiling the edited contract and solving it from scratch, because
+// lp.Model re-solves cold inside its retained arena.
 // The source Contract must not gain variables or constraints afterwards.
 type Compiled struct {
 	Contract *Contract
@@ -87,20 +87,4 @@ func (cc *Compiled) Satisfy(opts lp.ILPOptions) (Assignment, error) {
 	default:
 		return nil, fmt.Errorf("contracts: solver returned %v for %s", sol.Status, cc.Contract.Name)
 	}
-}
-
-// RelaxationFeasibleOpts decides the continuous relaxation of the edited
-// system with the exact engine under the given solve options (the
-// cancellation channel) — the incremental counterpart of the admission
-// test's SolveLPWith call, with the same answer and work: a cold solve in
-// the retained arena, which saves only the arena build.
-func (cc *Compiled) RelaxationFeasibleOpts(opts lp.SolveOptions) (bool, error) {
-	sol, err := cc.model.ResolveWith(opts)
-	if err != nil {
-		return false, err
-	}
-	if sol.Status == lp.StatusCanceled {
-		return false, fmt.Errorf("contracts: %s relaxation solve abandoned: %w", cc.Contract.Name, lp.ErrCanceled)
-	}
-	return sol.Status != lp.StatusInfeasible, nil
 }

@@ -69,14 +69,6 @@ type Options struct {
 	// flow-set generation; "the time required to convert an agent flow set
 	// into a plan is small").
 	SkipRealization bool `json:"skip_realization,omitempty"`
-	// AdmissionCheck runs the LP-relaxation infeasibility certificate
-	// (flow.Admit) before synthesis, failing fast with a sound proof when
-	// no agent flow set can exist. The relaxation has |Es|·(|ρ|+1)
-	// variables, so enable it only for instances where one LP solve is
-	// cheaper than the retry loop. The admission LP has no work budget:
-	// MaxWork and MaxNodes bound synthesis only, so the check runs to a
-	// verdict and stops early only when ctx is cancelled.
-	AdmissionCheck bool `json:"admission_check,omitempty"`
 	// Limits configures the ContractILP strategy's ILP per attempt: exact
 	// arithmetic, and work and node budgets that override flow's defaults
 	// when non-zero. Exhaustion wraps lp.ErrBudgetExhausted.
@@ -168,14 +160,6 @@ func SolveScratch(ctx context.Context, s *traffic.System, wl warehouse.Workload,
 	}
 	if sc == nil {
 		sc = &Scratch{}
-	}
-	if opts.AdmissionCheck {
-		// The admission LP runs on the same compiled contract model the
-		// ContractILP strategy would use, so a gated synthesis pays the
-		// compilation once.
-		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{}); err != nil {
-			return nil, lp.WrapCancelCause(ctx, err)
-		}
 	}
 	margin := 0 // 0 = automatic, per strategy
 	var lastErr error

@@ -224,62 +224,6 @@ func TestSolveInfeasibleReportsError(t *testing.T) {
 	}
 }
 
-func TestSolveAdmissionCheck(t *testing.T) {
-	w, s := testmaps.MustRing()
-	wl, err := warehouse.NewWorkload(w, []int{300, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overloaded: with the check on, the failure carries the certificate.
-	_, err = Solve(context.Background(), s, wl, 120, Options{AdmissionCheck: true})
-	if err == nil {
-		t.Fatal("overloaded instance accepted")
-	}
-	// A feasible instance passes through the check unchanged.
-	wl2, _ := warehouse.NewWorkload(w, []int{5, 3})
-	res, err := Solve(context.Background(), s, wl2, 800, Options{AdmissionCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sim.ServicedAt < 0 {
-		t.Error("not serviced")
-	}
-}
-
-// TestAdmissionLPHasNoWorkBudget pins the admission LP's budget policy:
-// MaxWork and MaxNodes bound synthesis only, so a starved budget still lets
-// the check reach its infeasibility certificate under every strategy, while
-// the same budget does stop the contract synthesis search.
-func TestAdmissionLPHasNoWorkBudget(t *testing.T) {
-	w, s := testmaps.MustRing()
-	over, err := warehouse.NewWorkload(w, []int{300, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []Strategy{RoutePacking, ContractILP} {
-		t.Run(strat.String(), func(t *testing.T) {
-			_, err := Solve(context.Background(), s, over, 120,
-				Options{Strategy: strat, AdmissionCheck: true, Limits: lp.Limits{MaxWork: 1, MaxNodes: 1}})
-			var inf *flow.InfeasibleError
-			if !errors.As(err, &inf) || inf.Cert != flow.CertInfeasible {
-				t.Fatalf("err = %v, want a CertInfeasible *flow.InfeasibleError", err)
-			}
-			if errors.Is(err, lp.ErrBudgetExhausted) {
-				t.Fatalf("admission LP stopped on the synthesis budget: %v", err)
-			}
-		})
-	}
-	feasible, err := warehouse.NewWorkload(w, []int{5, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Solve(context.Background(), s, feasible, 800,
-		Options{Strategy: ContractILP, AdmissionCheck: true, Limits: lp.Limits{MaxWork: 1}})
-	if !errors.Is(err, lp.ErrBudgetExhausted) {
-		t.Fatalf("starved contract synthesis: err = %v, want ErrBudgetExhausted", err)
-	}
-}
-
 func TestSolveUnknownStrategy(t *testing.T) {
 	w, s := testmaps.MustRing()
 	wl, _ := warehouse.NewWorkload(w, []int{1, 0})

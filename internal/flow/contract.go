@@ -185,7 +185,7 @@ func CompileWorkloadContract(s *traffic.System, wl warehouse.Workload, qeff int)
 // CompileSystemContract composes every component contract into the traffic
 // system contract C̃TS (Fig. 3, red) with contracts.ComposeAllFast, the
 // conjunctive composition: it keeps every assumption, so its satisfying set
-// is exactly what synthesis and admission ask about.
+// is exactly what synthesis asks about.
 func CompileSystemContract(s *traffic.System, qc int) (*contracts.Contract, error) {
 	var cs []*contracts.Contract
 	for _, comp := range s.Components {

@@ -11,7 +11,7 @@ import (
 var (
 	// ErrInfeasible reports that no agent flow set can service the
 	// workload within the instance's horizon. Match the concrete
-	// *InfeasibleError with errors.As to read the admission certificate.
+	// *InfeasibleError with errors.As to read its certificate.
 	ErrInfeasible = errors.New("flow: no agent flow set services the workload")
 
 	// ErrHorizonTooShort reports a horizon below one traffic-system
@@ -19,15 +19,39 @@ var (
 	ErrHorizonTooShort = errors.New("flow: horizon shorter than one cycle period")
 )
 
+// Certificate classifies the evidence behind an infeasibility verdict.
+type Certificate int
+
+// Certificates carried by InfeasibleError.
+const (
+	// CertInfeasible: the instance admits no agent flow set, integral or
+	// not. The design sweep gives it to a demand level beyond what the
+	// generated topology stocks.
+	CertInfeasible Certificate = iota
+	// CertMaybeFeasible: no plan was found, but nothing rules out a
+	// fractional flow set: the integral search proved the contract
+	// conjunction unsatisfiable, the sequential decomposition or route
+	// packing fell short, or the realized plan did not finish in time.
+	CertMaybeFeasible
+)
+
+func (c Certificate) String() string {
+	switch c {
+	case CertInfeasible:
+		return "infeasible"
+	case CertMaybeFeasible:
+		return "maybe-feasible"
+	}
+	return "unknown"
+}
+
 // InfeasibleError is the concrete infeasibility verdict: it satisfies
-// errors.Is(err, ErrInfeasible) and carries the flow.Admit certificate so
-// callers can distinguish a sound LP-relaxation proof (CertInfeasible —
-// no flow set exists, integral or not) from an exhausted integral search
-// over a rationally feasible relaxation (CertMaybeFeasible).
+// errors.Is(err, ErrInfeasible) and carries a certificate, so callers can
+// distinguish an instance that admits no flow set at all (CertInfeasible)
+// from one on which the synthesis failed (CertMaybeFeasible).
 type InfeasibleError struct {
-	// Cert is CertInfeasible when the LP relaxation soundly proves
-	// infeasibility, CertMaybeFeasible when only the integral search
-	// failed.
+	// Cert is CertInfeasible when no flow set exists, integral or not,
+	// and CertMaybeFeasible when only the synthesis failed.
 	Cert Certificate
 	// Horizon is the timestep budget of the failed instance.
 	Horizon int

@@ -11,8 +11,8 @@
 //     assignment satisfies the conjunction — the paper's CHASE + Z3 pipeline
 //     with internal/contracts + internal/lp substituted. ContractModel runs
 //     it in production, re-solving a retained compilation; the
-//     from-scratch SynthesizeContract and Admit are the references its
-//     tests hold it to.
+//     from-scratch SynthesizeContract is the reference its tests hold it
+//     to.
 //   - Sequential: the scalable path. Each product's flow is the projection
 //     of the same contract system onto one commodity, which is a
 //     single-commodity network-flow problem and is solved exactly by

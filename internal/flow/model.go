@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/contracts"
-	"repro/internal/lp"
 	"repro/internal/traffic"
 	"repro/internal/warehouse"
 )
@@ -24,11 +23,11 @@ import (
 // predecessor by a handful of SetRHSAt edits plus a re-solve in the retained
 // arena.
 //
-// Synthesize and Admit are bit-identical to SynthesizeContract and Admit on
-// the same inputs: the cached compilation is structurally equal to a fresh
-// one (same variable and constraint order), the re-targeted right-hand
-// sides are recomputed from the current system and workload, and the lp
-// layer guarantees incremental solves match from-scratch ones.
+// Synthesize is bit-identical to SynthesizeContract on the same inputs:
+// the cached compilation is structurally equal to a fresh one (same
+// variable and constraint order), the re-targeted right-hand sides are
+// recomputed from the current system and workload, and the lp layer
+// guarantees incremental solves match from-scratch ones.
 //
 // A ContractModel is not safe for concurrent use; keep one per solver-pool
 // worker (core.Scratch does exactly that).
@@ -180,46 +179,4 @@ func (cm *ContractModel) Synthesize(ctx context.Context, s *traffic.System, wl w
 		return nil, &InfeasibleError{Cert: CertMaybeFeasible, Horizon: T, Reason: "contract conjunction unsatisfiable"}
 	}
 	return decodeSet(s, wl, tc, qc, qeff, asn)
-}
-
-// Admit is the model-reusing variant of the package-level Admit: the same
-// certificate and the same budget policy (no work budget; only ctx
-// cancellation stops the LP early), decided by a cold LP solve in the
-// retained model, which saves the compilation and the arena build.
-func (cm *ContractModel) Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) (Certificate, error) {
-	margin := opts.WarmupMargin
-	if margin == 0 {
-		margin = autoMargin(s, T)
-	}
-	_, qc, qeff, err := periods(s, T, margin)
-	if err != nil {
-		if wl.TotalUnits() > 0 {
-			return CertInfeasible, nil
-		}
-		return CertMaybeFeasible, nil
-	}
-	if _, err := cm.target(s, wl, qc, qeff); err != nil {
-		return CertMaybeFeasible, err
-	}
-	feasible, err := cm.cc.RelaxationFeasibleOpts(lp.SolveOptions{Cancel: cancelOf(ctx)})
-	if err != nil {
-		return CertMaybeFeasible, err
-	}
-	if !feasible {
-		return CertInfeasible, nil
-	}
-	return CertMaybeFeasible, nil
-}
-
-// MustAdmit wraps Admit into an error for pipeline use: a CertInfeasible
-// verdict becomes an *InfeasibleError carrying the certificate.
-func (cm *ContractModel) MustAdmit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int, opts Options) error {
-	cert, err := cm.Admit(ctx, s, wl, T, opts)
-	if err != nil {
-		return err
-	}
-	if cert == CertInfeasible {
-		return &InfeasibleError{Cert: CertInfeasible, Horizon: T, Reason: "LP certificate"}
-	}
-	return nil
 }

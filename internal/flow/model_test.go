@@ -100,31 +100,3 @@ func TestContractModelTracksStockAcrossSystems(t *testing.T) {
 		t.Error("model flow set differs from scratch on the depleted system")
 	}
 }
-
-// Admit through the model must return the same certificate as the
-// from-scratch admission test, across feasible and infeasible horizons —
-// the infeasible side is decided by warm dual reentry on the cached model.
-func TestContractModelAdmitMatchesScratch(t *testing.T) {
-	w, s := testmaps.MustRing()
-	cm := &ContractModel{}
-	for _, tc := range []struct {
-		units []int
-		T     int
-	}{
-		{[]int{8, 5}, 1600},
-		{[]int{300, 300}, 400}, // overloaded: LP certificate fires
-		{[]int{8, 5}, 100},     // below one cycle period
-		{[]int{8, 5}, 1600},
-	} {
-		wl, err := warehouse.NewWorkload(w, tc.units)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotErr := cm.Admit(context.Background(), s, wl, tc.T, Options{})
-		want, wantErr := Admit(context.Background(), s, wl, tc.T, Options{})
-		if (gotErr == nil) != (wantErr == nil) || got != want {
-			t.Errorf("units=%v T=%d: model (%v, %v), scratch (%v, %v)",
-				tc.units, tc.T, got, gotErr, want, wantErr)
-		}
-	}
-}

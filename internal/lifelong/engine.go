@@ -139,22 +139,29 @@ type Engine struct {
 	done bool
 }
 
-// NewEngine validates batches and prepares a run. Batches sharing a
-// release time are merged into one (their demand vectors summed), so
+// NewEngine validates batches and prepares a run. A batch needs one
+// non-negative demand per product and a release in [0, T); an error names
+// the offending batch by its index in batches. Batches sharing a release
+// time are merged into one (their demand vectors summed), so
 // Report.Batches holds one entry per distinct release time.
 func NewEngine(s *traffic.System, batches []Batch, T int, opts Options) (*Engine, error) {
 	w := s.W
 	p := w.NumProducts
-	sorted := append([]Batch(nil), batches...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Release < sorted[b].Release })
-	for i, b := range sorted {
+	for i, b := range batches {
 		if len(b.Units) != p {
 			return nil, fmt.Errorf("lifelong: batch %d has %d demands for %d products", i, len(b.Units), p)
+		}
+		for k, u := range b.Units {
+			if u < 0 {
+				return nil, fmt.Errorf("lifelong: batch %d demands %d units of product %d", i, u, k)
+			}
 		}
 		if b.Release < 0 || b.Release >= T {
 			return nil, fmt.Errorf("lifelong: batch %d released at %d outside [0, %d)", i, b.Release, T)
 		}
 	}
+	sorted := append([]Batch(nil), batches...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Release < sorted[b].Release })
 	sorted = mergeSameRelease(sorted)
 
 	rep := &Report{Delivered: make([]int, p)}

@@ -140,6 +140,9 @@ func TestRunRejectsBadBatches(t *testing.T) {
 	if _, err := Run(context.Background(), s, []Batch{{Release: 5000, Units: []int{1, 0}}}, 1000, Options{}); err == nil {
 		t.Error("release beyond horizon accepted")
 	}
+	if _, err := Run(context.Background(), s, []Batch{{Release: 0, Units: []int{-3, 3}}}, 1000, Options{}); err == nil {
+		t.Error("negative demand accepted")
+	}
 }
 
 func TestRunOverloadedHorizonFails(t *testing.T) {

@@ -49,7 +49,7 @@ type arith[T any] interface {
 	// dualLeave returns the dual simplex's leaving basis position and
 	// whether its value lies below its lower bound, or r = -1 when every
 	// basic value is within its bounds (dualLeaveOf).
-	dualLeave(basis []int, xB, lo, hi []T, loF, hiF []bool, bland bool) (r int, below bool)
+	dualLeave(basis []int, xB, lo, hi []T, loF, hiF []bool) (r int, below bool)
 }
 
 // ftranEtasOf is FTRAN's eta sweep, v ← E_k⁻¹···E_1⁻¹·v: an eta whose
@@ -101,9 +101,8 @@ func colDotOf[T any, A arith[T]](ar A, y []T, rows []int32, vals []T) T {
 }
 
 // dualLeaveOf picks the dual simplex's leaving row: the basic value with
-// the largest bound violation, the first such position winning ties, or
-// under Bland's rule the violated position with the least basic column.
-func dualLeaveOf[T any, A arith[T]](ar A, basis []int, xB, lo, hi []T, loF, hiF []bool, bland bool) (r int, below bool) {
+// the largest bound violation, the first such position winning ties.
+func dualLeaveOf[T any, A arith[T]](ar A, basis []int, xB, lo, hi []T, loF, hiF []bool) (r int, below bool) {
 	r = -1
 	var bestViol T
 	for i := 0; i < len(basis); i++ {
@@ -120,7 +119,7 @@ func dualLeaveOf[T any, A arith[T]](ar A, basis []int, xB, lo, hi []T, loF, hiF 
 		default:
 			continue
 		}
-		if r < 0 || (bland && k < basis[r]) || (!bland && ar.cmp(viol, bestViol) > 0) {
+		if r < 0 || ar.cmp(viol, bestViol) > 0 {
 			r, bestViol, below = i, viol, vBelow
 		}
 	}
@@ -156,8 +155,8 @@ func (ra ratArith) btranEtas(es []eta[*big.Rat], v *spVec[*big.Rat]) {
 func (ra ratArith) colDot(y []*big.Rat, rows []int32, vals []*big.Rat) *big.Rat {
 	return colDotOf(ra, y, rows, vals)
 }
-func (ra ratArith) dualLeave(basis []int, xB, lo, hi []*big.Rat, loF, hiF []bool, bland bool) (int, bool) {
-	return dualLeaveOf(ra, basis, xB, lo, hi, loF, hiF, bland)
+func (ra ratArith) dualLeave(basis []int, xB, lo, hi []*big.Rat, loF, hiF []bool) (int, bool) {
+	return dualLeaveOf(ra, basis, xB, lo, hi, loF, hiF)
 }
 
 // floatArith is float64 arithmetic with an absolute tolerance used by sign.
@@ -279,7 +278,7 @@ func (f floatArith) colDot(y []float64, rows []int32, vals []float64) float64 {
 	return s
 }
 
-func (f floatArith) dualLeave(basis []int, xB, lo, hi []float64, loF, hiF []bool, bland bool) (r int, below bool) {
+func (f floatArith) dualLeave(basis []int, xB, lo, hi []float64, loF, hiF []bool) (r int, below bool) {
 	eps := f.eps
 	xB = xB[:len(basis)]
 	r = -1
@@ -298,7 +297,7 @@ func (f floatArith) dualLeave(basis []int, xB, lo, hi []float64, loF, hiF []bool
 		default:
 			continue
 		}
-		if r < 0 || (bland && k < basis[r]) || (!bland && viol-bestViol > eps) {
+		if r < 0 || viol-bestViol > eps {
 			r, bestViol, below = i, viol, vBelow
 		}
 	}

@@ -32,7 +32,7 @@ func TestSetBoundAliasedFixed(t *testing.T) {
 			func(_ *Model, p *Problem) (*Solution, error) { return denseLP(p) },
 			func(_ *Model, p *Problem) (*Solution, error) { return denseILP(p, ILPOptions{}) }},
 		{"revised",
-			func(mo *Model, _ *Problem) (*Solution, error) { return mo.ResolveWith(SolveOptions{}) },
+			func(mo *Model, _ *Problem) (*Solution, error) { return resolveLP(mo) },
 			func(mo *Model, _ *Problem) (*Solution, error) { return mo.ResolveILP(ILPOptions{}) }},
 	} {
 		t.Run(sx.name, func(t *testing.T) {

@@ -48,8 +48,9 @@ func TestSolveILPCanceledBeforeStart(t *testing.T) {
 	}
 }
 
+// The same holds for a continuous problem, whose search is its root solve.
 func TestSolveLPCanceled(t *testing.T) {
-	sol, err := SolveLPWith(parityILP(7), SolveOptions{Cancel: closedChan()})
+	sol, err := solveILP(relaxation(parityILP(7)), ILPOptions{Cancel: closedChan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestModelReusableAfterCancel(t *testing.T) {
 		}
 	}
 	// The LP path through the same retained arena must also recover.
-	lpGot, err := mo.ResolveWith(SolveOptions{})
+	lpGot, err := resolveLP(mo)
 	if err != nil {
 		t.Fatalf("LP re-solve after cancel: %v", err)
 	}

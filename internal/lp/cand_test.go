@@ -126,7 +126,7 @@ func TestCandidateListInvariant(t *testing.T) {
 			if requireCandidates(t, tag+" float ILP", mo.rflt) {
 				validFloat++
 			}
-			mo.ResolveWith(SolveOptions{})
+			resolveLP(mo)
 			if mo.r64 != nil && requireCandidates(t, tag+" rat64 LP", mo.r64) {
 				validRat++
 			}

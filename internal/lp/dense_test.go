@@ -104,8 +104,6 @@ func newTableau[T any, A arith[T]](p *Problem, ar A) *tableau[T, A] {
 
 // Arena surface shared with the revised engine (see arena in ilp.go).
 
-func (tb *tableau[T, A]) prob() *Problem { return tb.p }
-
 func (tb *tableau[T, A]) startSearch(workBudget int64) {
 	tb.warmOK = false
 	tb.work = 0
@@ -657,12 +655,10 @@ func (tb *tableau[T, A]) rewarm() {
 // branch-and-bound child differs from the last solved node by one bound,
 // so a handful of dual pivots replaces a full cold solve. Every reduced
 // cost is zero, so the entering column is the first sign-eligible one
-// with the largest pivot-row entry (the first eligible one under the
-// stall fallback).
+// with the largest pivot-row entry.
 func (tb *tableau[T, A]) dual() dualResult {
 	ar := tb.ar
 	cap := 20*(tb.m+tb.n) + 1000
-	tb.pr.reset()
 	for iter := 0; ; iter++ {
 		if iter > cap {
 			return dualStuck
@@ -670,8 +666,7 @@ func (tb *tableau[T, A]) dual() dualResult {
 		if tb.exhausted() {
 			return dualBudget
 		}
-		// Leaving row: most violated basic bound (least basis index once
-		// the degenerate-stall fallback engages).
+		// Leaving row: most violated basic bound.
 		r := -1
 		below := false
 		var bestViol T
@@ -689,7 +684,7 @@ func (tb *tableau[T, A]) dual() dualResult {
 			default:
 				continue
 			}
-			if r < 0 || (tb.pr.bland && k < tb.basis[r]) || (!tb.pr.bland && ar.cmp(viol, bestViol) > 0) {
+			if r < 0 || ar.cmp(viol, bestViol) > 0 {
 				r, bestViol, below = i, viol, vBelow
 			}
 		}
@@ -725,10 +720,6 @@ func (tb *tableau[T, A]) dual() dualResult {
 			if !eligible {
 				continue
 			}
-			if tb.pr.bland {
-				e = j
-				break
-			}
 			absA := a
 			if sa < 0 {
 				absA = ar.neg(a)
@@ -743,7 +734,6 @@ func (tb *tableau[T, A]) dual() dualResult {
 			return dualInfeasible
 		}
 		delta := ar.div(ar.sub(tb.xB[r], target), prow[e])
-		tb.pr.observe(ar.sign(delta) == 0)
 		for i := 0; i < tb.m; i++ {
 			if i == r {
 				continue
@@ -798,15 +788,9 @@ func (tb *tableau[T, A]) firstFractionalInt() int {
 }
 
 // denseLP decides p's continuous relaxation from scratch on the dense
-// oracle, with SolveLPWith's rat64 → big.Rat promotion.
-func denseLP(p *Problem) (*Solution, error) {
-	var sol *Solution
-	var err error
-	if promote(func() { sol, err = solveArenaLP[rat64](newTableau[rat64, rat64Arith](p, rat64Arith{}), nil) }) {
-		return sol, err
-	}
-	return solveArenaLP[*big.Rat](newTableau[*big.Rat, ratArith](p, ratArith{}), nil)
-}
+// oracle: denseILP on p with its integrality markers cleared, whose root
+// node is the whole search.
+func denseLP(p *Problem) (*Solution, error) { return denseILP(relaxation(p), ILPOptions{}) }
 
 // denseILP is solveILP's exact branch and bound on the dense oracle.
 func denseILP(p *Problem, opts ILPOptions) (*Solution, error) {

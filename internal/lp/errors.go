@@ -12,12 +12,11 @@ import (
 // re-exports them as wsp.ErrCanceled / wsp.ErrBudgetExhausted.
 var (
 	// ErrCanceled reports that a solve was abandoned because its
-	// cancellation channel (ILPOptions.Cancel / SolveOptions.Cancel,
-	// normally a context's Done channel) fired. The cancellation check
-	// piggybacks on the MaxWork accounting tick, so a running solve
-	// returns within one pivot of the channel closing, and a solve that
-	// is never cancelled executes the exact same arithmetic as one with
-	// no channel installed.
+	// cancellation channel (ILPOptions.Cancel, normally a context's Done
+	// channel) fired. The cancellation check piggybacks on the MaxWork
+	// accounting tick, so a running solve returns within one pivot of the
+	// channel closing, and a solve that is never cancelled executes the
+	// exact same arithmetic as one with no channel installed.
 	ErrCanceled = errors.New("lp: solve canceled")
 
 	// ErrBudgetExhausted reports that a branch-and-bound search ran out

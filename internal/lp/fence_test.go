@@ -244,12 +244,10 @@ func TestParallelSearchCancelParity(t *testing.T) {
 // carries the work past MaxWork without a tick noticing, which only the
 // work check before a cold restart can catch.
 type untickedArena struct {
-	p      *Problem
 	work   int64
 	solves int
 }
 
-func (a *untickedArena) prob() *Problem            { return a.p }
 func (a *untickedArena) startSearch(int64)         { a.work, a.solves = 0, 0 }
 func (a *untickedArena) setWorkBudget(int64)       {}
 func (a *untickedArena) workSpent() int64          { return a.work }
@@ -296,11 +294,11 @@ func TestFencedPopChecksWorkBudget(t *testing.T) {
 	}{{nil, StatusLimit}, {closedChan(), StatusCanceled}} {
 		opts := ILPOptions{Engine: EngineFloat, MaxWork: 10, Cancel: tc.cancel}
 		tasks := 0
-		want, err := fenceOracle[float64](p, &untickedArena{p: p}, ar, opts, &tasks)
+		want, err := fenceOracle[float64](p, &untickedArena{}, ar, opts, &tasks)
 		if err != nil || want.Status != tc.want {
 			t.Fatalf("oracle: %v, %v; want %v", want, err, tc.want)
 		}
-		got, err := bbSolveArena[float64](p, &untickedArena{p: p}, ar, opts)
+		got, err := bbSolveArena[float64](p, &untickedArena{}, ar, opts)
 		if err != nil || got.Status != tc.want {
 			t.Fatalf("search: %v, %v; want %v", got, err, tc.want)
 		}

@@ -68,12 +68,11 @@ type ILPOptions struct {
 	Cancel <-chan struct{}
 }
 
-// arena is the engine surface branch-and-bound and the LP driver use,
-// implemented by the revised engine and by its dense test oracle. Every
-// method pair is decision-identical between the two, which is what the
-// parity tests check.
+// arena is the engine surface branch and bound uses, implemented by the
+// revised engine and by its dense test oracle. Every method pair is
+// decision-identical between the two, which is what the parity tests
+// check.
 type arena[T any] interface {
-	prob() *Problem
 	startSearch(workBudget int64)
 	workSpent() int64
 	dropWarm()

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 )
 
@@ -18,13 +19,71 @@ func solveILP(p *Problem, opts ILPOptions) (*Solution, error) { return NewModel(
 // gives every agent flow.
 func addNat(p *Problem, name string) VarID { return p.AddIntVar(name, rat(0, 1), nil) }
 
-// solveLP decides p's continuous relaxation with the exact engine.
-func solveLP(p *Problem) (*Solution, error) { return SolveLPWith(p, SolveOptions{}) }
+// relaxation returns a copy of p with every integrality marker cleared.
+// Branch and bound on it decides at the root node: one cold solve of p's
+// continuous relaxation.
+func relaxation(p *Problem) *Problem {
+	q := &Problem{Vars: slices.Clone(p.Vars), Constraints: slices.Clone(p.Constraints)}
+	for i := range q.Vars {
+		q.Vars[i].Integer = false
+	}
+	return q
+}
+
+// solveLP decides p's continuous relaxation with the exact engine:
+// ResolveILP on a fresh Model of its relaxation.
+func solveLP(p *Problem) (*Solution, error) { return solveILP(relaxation(p), ILPOptions{}) }
+
+// resolveLP decides the continuous relaxation of mo's problem in mo's
+// retained exact arena: the one cold solve under the declared bounds that
+// ResolveILP makes of the relaxation, with its rat64 → big.Rat promotion,
+// which lets a test interleave relaxations with the Model's ILP solves.
+func resolveLP(mo *Model) (*Solution, error) {
+	mo.checkStructure()
+	if !mo.promoted {
+		var sol *Solution
+		if promote(func() { sol = rootSolve[rat64](mo.arena64(), mo.p) }) {
+			return sol, nil
+		}
+		mo.dropRat64()
+	}
+	return rootSolve[*big.Rat](mo.arenaBig(), mo.p), nil
+}
 
 // solveLPFloat decides p's continuous relaxation once on the float engine:
-// the relaxation every EngineFloat branch-and-bound node solves.
+// the relaxation every EngineFloat branch-and-bound node solves, reported
+// without the exact Check that ResolveILP makes of its point (a fractional
+// float vertex seldom satisfies the rows exactly).
 func solveLPFloat(p *Problem) (*Solution, error) {
-	return solveArenaLP[float64](newRevisedFloat(p), nil)
+	return rootSolve[float64](newRevisedFloat(p), p), nil
+}
+
+// rootSolve runs one cold solve in tb under p's declared bounds and reads
+// the point off the arena.
+func rootSolve[T any](tb arena[T], p *Problem) *Solution {
+	tb.startSearch(0)
+	lo, hi := declaredBounds(p)
+	if st := tb.solveNode(lo, hi); st != StatusOptimal {
+		return &Solution{Status: st}
+	}
+	values := make([]*big.Rat, len(p.Vars))
+	for i := range values {
+		values[i] = new(big.Rat)
+	}
+	tb.extractInto(values)
+	return &Solution{Status: StatusOptimal, Values: values}
+}
+
+// declaredBounds returns the per-variable declared bounds of p, the bound
+// vectors of a root solve.
+func declaredBounds(p *Problem) (lo, hi []*big.Rat) {
+	lo = make([]*big.Rat, len(p.Vars))
+	hi = make([]*big.Rat, len(p.Vars))
+	for i := range p.Vars {
+		lo[i] = p.Vars[i].Lower
+		hi[i] = p.Vars[i].Upper
+	}
+	return lo, hi
 }
 
 // lpEngines runs a relaxation through both engines.

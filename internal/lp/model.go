@@ -4,11 +4,13 @@ import "math/big"
 
 // Model is a persistent, editable linear (or mixed-integer) feasibility
 // problem: the engine arena is built once, right-hand sides are edited
-// between solves, and ResolveWith / ResolveILP decide the edited problem
-// cold inside the retained arena. A cold re-solve replays exactly the
-// pivots, answer and work of the same solve on a fresh Model over the
-// current Problem, and skips only the arena build. Inside one ResolveILP
-// the branch-and-bound nodes still warm-start from each other (search.go).
+// between solves, and ResolveILP, the one way into the solver, decides the
+// edited problem cold inside the retained arena. A cold re-solve replays
+// exactly the pivots, answer and work of the same solve on a fresh Model
+// over the current Problem, and skips only the arena build. Inside one
+// ResolveILP the branch-and-bound nodes still warm-start from each other
+// (search.go); a problem without integer variables is decided by the root
+// node alone, one cold solve of the continuous problem.
 //
 // No solve warm-starts from the previous one: a warm start would land on a
 // different, equally valid vertex of the edited problem (and a warm ILP
@@ -55,22 +57,6 @@ func (mo *Model) SetRHS(ci int, rhs *big.Rat) {
 	if mo.rflt != nil {
 		mo.rflt.updateRHS(ci, rhs)
 	}
-}
-
-// ResolveWith decides the current problem's continuous relaxation with the
-// exact engine under the given solve options. The result is bit-identical
-// to SolveLPWith on the Problem.
-func (mo *Model) ResolveWith(opts SolveOptions) (*Solution, error) {
-	mo.checkStructure()
-	if !mo.promoted {
-		var sol *Solution
-		var err error
-		if promote(func() { sol, err = solveArenaLP[rat64](mo.arena64(), opts.Cancel) }) {
-			return sol, err
-		}
-		mo.dropRat64()
-	}
-	return solveArenaLP[*big.Rat](mo.arenaBig(), opts.Cancel)
 }
 
 // ResolveILP decides the current problem by branch and bound in the

@@ -73,9 +73,9 @@ func mutate(mo *Model, p *Problem, rng *rand.Rand) {
 }
 
 // Property: across randomized bound/RHS edit sequences, the model's
-// incremental ResolveWith and ResolveILP stay bit-identical to handing
-// the edited Problem to a from-scratch SolveLPWith / solveILP — statuses
-// and values all equal, under both ILP engines.
+// retained-arena relaxations (resolveLP) and ResolveILP solves stay
+// bit-identical to handing the edited Problem to a from-scratch solveLP /
+// solveILP — statuses and values all equal, under both ILP engines.
 func TestModelResolveBitIdenticalToScratch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -87,7 +87,7 @@ func TestModelResolveBitIdenticalToScratch(t *testing.T) {
 			}
 			switch rng.Intn(3) {
 			case 0:
-				got, err := mo.ResolveWith(SolveOptions{})
+				got, err := resolveLP(mo)
 				if err != nil {
 					t.Logf("seed %d step %d: resolve: %v", seed, step, err)
 					return false
@@ -148,13 +148,13 @@ func TestModelPromotionKeepsParity(t *testing.T) {
 	p.AddConstraint("r1", []Term{T(x, 1), T(y, -1)}, GE, rat(0, 1))
 	p.AddConstraint("r2", []Term{T(x, 1)}, GE, rat(3, 1))
 	mo := NewModel(p)
-	if _, err := mo.ResolveWith(SolveOptions{}); err != nil {
+	if _, err := mo.ResolveILP(ILPOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	huge := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 80), big.NewInt(3))
 	mo.SetRHS(0, huge)
 	mo.SetRHS(2, huge)
-	got, err := mo.ResolveWith(SolveOptions{})
+	got, err := mo.ResolveILP(ILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestModelStructureGrowthRebuilds(t *testing.T) {
 	x := p.AddVar("x", rat(0, 1), rat(5, 1))
 	p.AddConstraint("r", []Term{T(x, 1)}, GE, rat(1, 1))
 	mo := NewModel(p)
-	if _, err := mo.ResolveWith(SolveOptions{}); err != nil {
+	if _, err := mo.ResolveILP(ILPOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	y := p.AddVar("y", rat(0, 1), rat(5, 1))
 	p.AddConstraint("r2", []Term{T(x, 1), T(y, 1)}, GE, rat(4, 1))
-	got, err := mo.ResolveWith(SolveOptions{})
+	got, err := mo.ResolveILP(ILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

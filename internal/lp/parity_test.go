@@ -137,8 +137,8 @@ func FuzzRevisedParity(f *testing.F) {
 // oracle with both pricers' stall threshold at zero, so phase 1 switches to
 // Bland's least-index entering rule after every degenerate pivot; random
 // problems almost never stall long enough to reach it at the production
-// threshold. (The dual's fallback stays off even so: its leaving row
-// violates a bound, so in exact arithmetic every dual step moves.)
+// threshold. (The dual reentry has no such rule: its leaving row violates
+// a bound, so in exact arithmetic every dual step moves.)
 func TestRevisedParityBlandFallback(t *testing.T) {
 	for seed := 0; seed < parityRounds(t, 200); seed++ {
 		p := randomBoundedProblem(rand.New(rand.NewSource(int64(seed))), true)
@@ -223,7 +223,7 @@ func TestRevisedParityModelEdits(t *testing.T) {
 				randomEdit(rand.New(rand.NewSource(rng.Int63())), mo, p)
 			}
 			tag := "model seed " + strconv.Itoa(seed) + " edit " + strconv.Itoa(e)
-			rev, err := mo.ResolveWith(SolveOptions{})
+			rev, err := resolveLP(mo)
 			if err != nil {
 				t.Fatalf("%s: resolve: %v", tag, err)
 			}
@@ -340,13 +340,13 @@ func TestRevisedParityLarge(t *testing.T) {
 		// SetRHS retargets plus re-solves in the retained arena, each
 		// against a scratch oracle solve of the edited network.
 		mo := NewModel(p)
-		if _, err := mo.ResolveWith(SolveOptions{}); err != nil {
+		if _, err := resolveLP(mo); err != nil {
 			t.Fatal(err)
 		}
 		for probe := 0; probe < 4; probe++ {
 			ci := rng.Intn(len(p.Constraints))
 			mo.SetRHS(ci, big.NewRat(int64(rng.Intn(9)-2), 1))
-			rs, err := mo.ResolveWith(SolveOptions{})
+			rs, err := resolveLP(mo)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,10 +6,12 @@ package lp
 // termination stays guaranteed on cycling-prone instances (Beale's example
 // cycles forever under pure Dantzig pricing). A nonzero step strictly
 // lowers the phase-1 infeasibility, so no basis can recur across improving
-// steps; within a degenerate stretch Bland's rule cannot cycle. The same
-// stall counter drives the dual reentry loop's rule switch. The revised engine
-// and its dense test oracle share this type and observe the identical
-// pivot sequence, which keeps the rule switches (and hence the answers)
+// steps; within a degenerate stretch Bland's rule cannot cycle. The dual
+// reentry loop keeps no pricer: each of its steps moves a violated basic
+// value to its bound, so no degenerate stretch starts there, and its
+// iteration cap is its anti-cycling guard. The revised engine and its
+// dense test oracle share this type and observe the identical pivot
+// sequence, which keeps the rule switches (and hence the answers)
 // bit-identical across them.
 type pricer struct {
 	stall     int  // consecutive degenerate steps

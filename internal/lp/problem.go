@@ -67,7 +67,7 @@ type Constraint struct {
 
 // Problem is a linear (or mixed-integer linear) feasibility problem. The
 // zero value is empty; add variables and constraints, then hand it to
-// SolveLPWith or NewModel.
+// NewModel.
 type Problem struct {
 	Vars        []Var
 	Constraints []Constraint

@@ -170,6 +170,6 @@ func (ra rat64Arith) colDot(y []rat64, rows []int32, vals []rat64) rat64 {
 	return colDotOf(ra, y, rows, vals)
 }
 
-func (ra rat64Arith) dualLeave(basis []int, xB, lo, hi []rat64, loF, hiF []bool, bland bool) (int, bool) {
-	return dualLeaveOf(ra, basis, xB, lo, hi, loF, hiF, bland)
+func (ra rat64Arith) dualLeave(basis []int, xB, lo, hi []rat64, loF, hiF []bool) (int, bool) {
+	return dualLeaveOf(ra, basis, xB, lo, hi, loF, hiF)
 }

@@ -188,8 +188,6 @@ func partialWindow(n int) int {
 
 // Arena surface shared with the dense tableau (see arena in ilp.go).
 
-func (rv *revised[T, A]) prob() *Problem { return rv.p }
-
 func (rv *revised[T, A]) startSearch(workBudget int64) {
 	rv.warmOK = false
 	rv.work = 0
@@ -432,17 +430,20 @@ func (rv *revised[T, A]) phase1() Status {
 	return StatusOptimal
 }
 
-// price refreshes the reduced costs d_j = c_j − yᵀA_j for every candidate
-// column (nonbasic, non-fixed, j < artStart) against the given cost
-// vector, with y = B⁻ᵀc_B from one BTRAN. In exact arithmetic this equals
-// the reduced-cost row the dense tableau maintains through eliminations,
-// bit for bit. Basic and fixed-range columns are never read by any
-// consumer and are set to zero.
+// price refreshes the dual vector y = B⁻ᵀc_B into rv.yv with one BTRAN
+// and, under full pricing, the reduced costs d_j = c_j − yᵀA_j of every
+// candidate column (nonbasic, non-fixed, j < artStart) against the given
+// cost vector. In exact arithmetic d equals the reduced-cost row the dense
+// tableau maintains through eliminations, bit for bit. Basic and
+// fixed-range columns are never read by any consumer and are set to zero.
+// Under partial pricing (the float engine) d is left alone: partialEnter
+// derives the reduced costs of its window from y on demand.
 //
 // When no basic column has a nonzero cost, y is the zero vector: its BTRAN
-// would change and mark nothing and every dot would return zero, so both
-// are skipped and d_j = c_j − 0, the same value. Phase 1 takes this path
-// once its last artificial has left the basis.
+// would change and mark nothing and every dot would return zero, so the
+// BTRAN is skipped and full pricing skips the dots too (d_j = c_j − 0, the
+// same value). Phase 1 takes this path once its last artificial has left
+// the basis.
 func (rv *revised[T, A]) price(cost []T) {
 	ar := rv.ar
 	y := rv.yv
@@ -452,6 +453,12 @@ func (rv *revised[T, A]) price(cost []T) {
 		if ar.sign(cb) != 0 {
 			y.set(rv.fac.rowOfPos[pos], cb)
 		}
+	}
+	if len(y.idx) != 0 {
+		rv.fac.btran(y)
+	}
+	if rv.partial {
+		return
 	}
 	for j := range rv.d {
 		rv.d[j] = rv.zero
@@ -463,7 +470,6 @@ func (rv *revised[T, A]) price(cost []T) {
 		}
 		return
 	}
-	rv.fac.btran(y)
 	for _, j := range cand {
 		rv.d[j] = ar.sub(cost[j], rv.dot(y, int(j)))
 	}
@@ -525,13 +531,14 @@ func (rv *revised[T, A]) pivotRow(r int) {
 // cost vector, repricing after every basis change (the revised engine's
 // equivalent of the dense engine's maintained objective row; bound flips
 // leave the basis — and hence every reduced cost — untouched, so they
-// skip the reprice). A phase-1 objective is bounded below by zero, so an
-// entering column no bound can stop means numerical failure; it is
-// reported as infeasible.
+// skip the reprice). The exact engines pick the entering column by full
+// pricing (priceEnter); the float engine prices a rotating window of
+// candidates instead (partialEnter). Work accounting is the same either
+// way — exchange charges the same dense-equivalent units — so MaxWork
+// budgets stay deterministic for both. A phase-1 objective is bounded
+// below by zero, so an entering column no bound can stop means numerical
+// failure; it is reported as infeasible.
 func (rv *revised[T, A]) primal(cost []T) Status {
-	if rv.partial {
-		return rv.primalPartial(cost)
-	}
 	ar := rv.ar
 	dirty := true
 	for {
@@ -542,7 +549,12 @@ func (rv *revised[T, A]) primal(cost []T) Status {
 			rv.price(cost)
 			dirty = false
 		}
-		enter, dir := rv.priceEnter()
+		var enter, dir int
+		if rv.partial {
+			enter, dir = rv.partialEnter(cost)
+		} else {
+			enter, dir = rv.priceEnter()
+		}
 		if enter < 0 {
 			return StatusOptimal
 		}
@@ -571,72 +583,12 @@ func (rv *revised[T, A]) primal(cost []T) Status {
 	}
 }
 
-// primalPartial is primal under partial pricing: each pivot BTRANs the
-// dual vector once (priceY) and derives reduced costs on demand for a
-// rotating window of candidate columns, instead of refreshing all of them.
-// An empty window advances to the next; scanning every window IS full
-// pricing, so an optimality claim is never window-local. The
-// degenerate-stall counter degrades the rule to Bland's least index over
-// the full range, exactly as the full-pricing loop does. Work accounting is
-// unchanged — exchange charges the same dense-equivalent units — so MaxWork
-// budgets stay deterministic for this engine.
-func (rv *revised[T, A]) primalPartial(cost []T) Status {
-	ar := rv.ar
-	dirty := true
-	for {
-		if rv.exhausted() {
-			return StatusLimit
-		}
-		if dirty {
-			rv.priceY(cost)
-			dirty = false
-		}
-		enter, dir := rv.partialEnter(cost)
-		if enter < 0 {
-			return StatusOptimal
-		}
-		rv.ftranCol(enter)
-		step, flip, leaveRow, leaveAtUpper, ok := rv.ratio(enter, dir)
-		if !ok {
-			return StatusInfeasible
-		}
-		if flip {
-			rv.boundFlip(enter, dir)
-		} else {
-			delta := step
-			if dir < 0 {
-				delta = ar.neg(step)
-			}
-			leaveStat := nbLower
-			if leaveAtUpper {
-				leaveStat = nbUpper
-			}
-			rv.exchange(leaveRow, enter, delta, leaveStat, true)
-			dirty = true
-		}
-		rv.pr.observe(ar.sign(step) == 0)
-	}
-}
-
-// priceY refreshes only the BTRAN'd dual vector y = B⁻ᵀc_B into rv.yv;
-// partialEnter derives individual reduced costs from it on demand.
-func (rv *revised[T, A]) priceY(cost []T) {
-	ar := rv.ar
-	y := rv.yv
-	y.clear(rv.zero)
-	for pos := 0; pos < rv.m; pos++ {
-		cb := cost[rv.basis[pos]]
-		if ar.sign(cb) != 0 {
-			y.set(rv.fac.rowOfPos[pos], cb)
-		}
-	}
-	rv.fac.btran(y)
-}
-
-// partialEnter picks the entering column for primalPartial: Dantzig's rule
-// over a rotating window of candidates, advancing window by window until
-// one offers an eligible column (none across a full rotation ⇒ optimal),
-// or Bland's least index over the full range under the stall fallback.
+// partialEnter picks the float engine's entering column: Dantzig's rule
+// over a rotating window of candidates, with reduced costs derived from the
+// priced y on demand, advancing window by window until one offers an
+// eligible column (none across a full rotation ⇒ optimal, so an optimality
+// claim is never window-local), or Bland's least index over the full range
+// under the stall fallback.
 func (rv *revised[T, A]) partialEnter(cost []T) (enter, dir int) {
 	ar := rv.ar
 	n := rv.artStart
@@ -727,32 +679,16 @@ func (rv *revised[T, A]) priceEnter() (enter, dir int) {
 	for _, j32 := range rv.candidates() {
 		j := int(j32)
 		dj := rv.d[j]
-		sd := ar.sign(dj)
-		jdir := 0
-		switch rv.stat[j] {
-		case nbLower:
-			if sd < 0 {
-				jdir = 1
-			}
-		case nbUpper:
-			if sd > 0 {
-				jdir = -1
-			}
-		case nbFree:
-			if sd < 0 {
-				jdir = 1
-			} else if sd > 0 {
-				jdir = -1
-			}
-		}
+		jdir := rv.eligibleDir(dj, j)
 		if jdir == 0 {
 			continue
 		}
 		if rv.pr.bland {
 			return j, jdir
 		}
+		// An eligible column moves against its reduced cost's sign.
 		mag := dj
-		if sd < 0 {
+		if jdir > 0 {
 			mag = ar.neg(dj)
 		}
 		if best < 0 || ar.cmp(mag, bestMag) > 0 {
@@ -908,18 +844,21 @@ func (rv *revised[T, A]) swapZero(r, enter int) {
 }
 
 // dual mirrors tableau.dual: the bounded-variable dual simplex from the
-// previous node's basis, with the same leaving/entering rules, stall
-// fallback, and budget behavior. Every reduced cost is zero, so the dual
-// ratio |d_j|/|ρ_j| is zero for every sign-eligible candidate, and the
-// ratio test reduces to its tie-break: the entering column is the first
+// previous node's basis, with the same leaving and entering rules and
+// budget behavior. Every reduced cost is zero, so the dual ratio
+// |d_j|/|ρ_j| is zero for every sign-eligible candidate, and the ratio
+// test reduces to its tie-break: the entering column is the first
 // candidate with the largest |ρ_j| (compared with ar.cmp, so the float
-// engine keeps its ε), or the first eligible one under the stall fallback.
-// The pivot keeps every reduced cost at zero (θ = d_e/ρ_e = 0), so no
-// reduced costs are kept here at all.
+// engine keeps its ε). The pivot keeps every reduced cost at zero
+// (θ = d_e/ρ_e = 0), so no reduced costs are kept here at all.
+//
+// The leaving row violates a bound, so every step moves its basic value
+// (delta ≠ 0 in exact arithmetic) and no degenerate-stall fallback is
+// needed; the iteration cap, after which solveNode restarts cold, is the
+// anti-cycling guard.
 func (rv *revised[T, A]) dual() dualResult {
 	ar := rv.ar
 	cap := 20*(rv.m+rv.n) + 1000
-	rv.pr.reset()
 	for iter := 0; ; iter++ {
 		if iter > cap {
 			return dualStuck
@@ -927,9 +866,8 @@ func (rv *revised[T, A]) dual() dualResult {
 		if rv.exhausted() {
 			return dualBudget
 		}
-		// Leaving row: most violated basic bound (least basis index once
-		// the degenerate-stall fallback engages).
-		r, below := ar.dualLeave(rv.basis, rv.xB, rv.lo, rv.hi, rv.loF, rv.hiF, rv.pr.bland)
+		// Leaving row: most violated basic bound.
+		r, below := ar.dualLeave(rv.basis, rv.xB, rv.lo, rv.hi, rv.loF, rv.hiF)
 		if r < 0 {
 			return dualOptimal
 		}
@@ -960,10 +898,6 @@ func (rv *revised[T, A]) dual() dualResult {
 			if !eligible {
 				continue
 			}
-			if rv.pr.bland {
-				e, prowE = j, a
-				break
-			}
 			absA := a
 			if sa < 0 {
 				absA = ar.neg(a)
@@ -978,7 +912,6 @@ func (rv *revised[T, A]) dual() dualResult {
 			return dualInfeasible
 		}
 		delta := ar.div(ar.sub(rv.xB[r], target), prowE)
-		rv.pr.observe(ar.sign(delta) == 0)
 		rv.ftranCol(e)
 		leaveStat := nbUpper
 		if below {

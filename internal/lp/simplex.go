@@ -2,10 +2,10 @@ package lp
 
 import "math/big"
 
-// This file holds the LP entry point and the pieces every engine shares.
-// The simplex itself is a bounded-variable phase-1 primal simplex with a
-// dual-simplex reentry path over an exact or floating field T, kept as an
-// LU-factorized revised engine (revised.go, factor.go).
+// This file holds the pieces every simplex engine shares. The simplex
+// itself is a bounded-variable phase-1 primal simplex with a dual-simplex
+// reentry path over an exact or floating field T, kept as an LU-factorized
+// revised engine (revised.go, factor.go).
 //
 // Standard form: every model constraint i gets one logical column s_i with
 //
@@ -23,62 +23,6 @@ import "math/big"
 // Phase 1 prices with Dantzig's rule (most attractive reduced cost) and a
 // degenerate-stall fallback to Bland's least-index rule (pricing.go), so
 // typical pivot counts stay low while termination remains guaranteed.
-
-// SolveOptions tunes SolveLPWith.
-type SolveOptions struct {
-	// Cancel, when non-nil, aborts the solve when the channel fires; the
-	// solve then returns StatusCanceled. See ILPOptions.Cancel for the
-	// tick semantics.
-	Cancel <-chan struct{}
-}
-
-// SolveLPWith decides the continuous relaxation of p with the exact
-// rational engine: one ResolveWith of a fresh Model. Arithmetic runs over
-// int64 numerator/denominator pairs (rat64) and transparently promotes the
-// whole solve to big.Rat on overflow, so results are exact either way.
-// Integrality markers on variables are ignored.
-func SolveLPWith(p *Problem, opts SolveOptions) (*Solution, error) {
-	return NewModel(p).ResolveWith(opts)
-}
-
-// solveArenaLP runs one cold LP solve in tb under the problem's declared
-// bounds, from the state of a freshly built arena and under the given
-// cancellation channel: the LP driver behind Model.ResolveWith.
-func solveArenaLP[T any](tb arena[T], cancel <-chan struct{}) (*Solution, error) {
-	tb.setCancel(cancel)
-	tb.startSearch(0)
-	p := tb.prob()
-	lo, hi := declaredBounds(p)
-	start := tb.workSpent()
-	status := tb.solveNode(lo, hi)
-	meterWork(tb.workSpent() - start)
-	switch status {
-	case StatusInfeasible:
-		return &Solution{Status: status}, nil
-	case StatusLimit:
-		// An LP solve has no work budget of its own; the only way to hit
-		// the tick is the cancellation channel.
-		return &Solution{Status: StatusCanceled}, nil
-	}
-	values := make([]*big.Rat, len(p.Vars))
-	for i := range values {
-		values[i] = new(big.Rat)
-	}
-	tb.extractInto(values)
-	return &Solution{Status: StatusOptimal, Values: values}, nil
-}
-
-// declaredBounds returns the per-variable declared bounds — the bound
-// vectors of an LP solve.
-func declaredBounds(p *Problem) (lo, hi []*big.Rat) {
-	lo = make([]*big.Rat, len(p.Vars))
-	hi = make([]*big.Rat, len(p.Vars))
-	for i := range p.Vars {
-		lo[i] = p.Vars[i].Lower
-		hi[i] = p.Vars[i].Upper
-	}
-	return lo, hi
-}
 
 // vstat is the simplex status of one column.
 type vstat uint8

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -43,6 +44,10 @@ func FuzzSolveEndpoints(f *testing.F) {
 		// batch that found it).
 		{2, `{"corridors":[2,3],"lens":[6],"units":6000,"points":2,"horizon":1200}`},
 		{0, `{"map":"sorting","units":1,"horizon":10}`},
+		// Lifelong batches in the per-product form (sorting stocks 36
+		// products), one of them with a negative demand.
+		{3, `{"map":"sorting","horizon":2400,"batches":[{"release":0,"per_product":[2,1` + strings.Repeat(",0", 34) + `]}]}`},
+		{3, `{"map":"sorting","horizon":2400,"batches":[{"release":0,"per_product":[-5,10` + strings.Repeat(",0", 34) + `]}]}`},
 	} {
 		f.Add(seed.path, []byte(seed.body))
 	}

@@ -122,6 +122,11 @@ func buildLifelongBatches(sys *wsp.System, T int, specs []LifelongBatchSpec) ([]
 			if len(bs.PerProduct) != sys.W.NumProducts {
 				return nil, fmt.Errorf("batch %d has %d demands for %d products", i, len(bs.PerProduct), sys.W.NumProducts)
 			}
+			for k, u := range bs.PerProduct {
+				if u < 0 {
+					return nil, fmt.Errorf("batch %d demands %d units of product %d", i, u, k)
+				}
+			}
 			units = bs.PerProduct
 		case bs.Units > 0:
 			wl, err := wsp.UniformWorkload(sys.W, bs.Units)

@@ -370,43 +370,63 @@ func TestLifelongValidation(t *testing.T) {
 	srv := New(Config{MaxBatch: 2})
 	inst := testInstance(t)
 	cases := []struct {
-		name string
-		req  LifelongRequest
-		code int
+		name    string
+		req     LifelongRequest
+		code    int
+		errCode string // the answer's error code, when the case pins one
 	}{
 		{"no-batches", LifelongRequest{
 			InstanceSpec: InstanceSpec{Instance: inst},
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"too-many-batches", LifelongRequest{
 			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
 			Batches:      []LifelongBatchSpec{{Release: 0, Units: 1}, {Release: 1, Units: 1}, {Release: 2, Units: 1}},
-		}, http.StatusUnprocessableEntity},
+		}, http.StatusUnprocessableEntity, ""},
 		{"top-level-units", LifelongRequest{
 			InstanceSpec: InstanceSpec{Instance: inst, Units: 5, Horizon: 2400},
 			Batches:      []LifelongBatchSpec{{Release: 0, Units: 6}},
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"release-out-of-range", LifelongRequest{
 			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
 			Batches:      []LifelongBatchSpec{{Release: 2400, Units: 6}},
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"both-demand-forms", LifelongRequest{
 			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
 			Batches:      []LifelongBatchSpec{{Release: 0, Units: 6, PerProduct: []int{1, 1}}},
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"wrong-product-count", LifelongRequest{
 			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
 			Batches:      []LifelongBatchSpec{{Release: 0, PerProduct: []int{1, 1, 1}}},
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
 		{"empty-batch", LifelongRequest{
 			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
 			Batches:      []LifelongBatchSpec{{Release: 0}},
-		}, http.StatusBadRequest},
+		}, http.StatusBadRequest, ""},
+		// A negative demand is refused before admission, whether the
+		// batch's total is positive or zero.
+		{"negative-per-product", LifelongRequest{
+			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
+			Batches:      []LifelongBatchSpec{{Release: 0, PerProduct: []int{-5, 10}}},
+		}, http.StatusBadRequest, "bad-request"},
+		{"negative-per-product-zero-total", LifelongRequest{
+			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
+			Batches:      []LifelongBatchSpec{{Release: 0, PerProduct: []int{-10, 10}}},
+		}, http.StatusBadRequest, "bad-request"},
 	}
 	for _, tc := range cases {
 		w := postJSON(t, srv.Handler(), "/v1/lifelong", tc.req, nil)
 		if w.Code != tc.code {
 			t.Errorf("%s: status %d, want %d: %s", tc.name, w.Code, tc.code, w.Body.String())
+			continue
 		}
+		if tc.errCode != "" {
+			if resp := decodeAs[ErrorResponse](t, w); resp.Code != tc.errCode {
+				t.Errorf("%s: code %q, want %q", tc.name, resp.Code, tc.errCode)
+			}
+		}
+	}
+	if m := srv.Metrics(); m["admitted_total"] != 0 {
+		t.Errorf("admitted_total = %d, want 0: every case is refused before admission", m["admitted_total"])
 	}
 }
 

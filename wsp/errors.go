@@ -23,8 +23,8 @@ import (
 var (
 	// ErrInfeasible: no agent flow set services the workload within the
 	// instance's horizon. Use errors.As with *InfeasibleError to read the
-	// admission certificate that distinguishes a sound LP-relaxation
-	// proof from an exhausted integral search.
+	// certificate that tells an instance admitting no flow set at all
+	// from one on which only the synthesis failed.
 	ErrInfeasible = flow.ErrInfeasible
 
 	// ErrHorizonTooShort: the horizon is below one traffic-system cycle
@@ -57,19 +57,21 @@ var (
 )
 
 // InfeasibleError is the concrete infeasibility verdict behind
-// ErrInfeasible; it carries the flow.Admit certificate.
+// ErrInfeasible; it carries a Certificate.
 type InfeasibleError = flow.InfeasibleError
 
-// Certificate classifies an admission check (see Admit outcomes).
+// Certificate classifies the evidence behind an infeasibility verdict.
 type Certificate = flow.Certificate
 
-// Admission certificates carried by InfeasibleError.
+// Certificates carried by InfeasibleError.
 const (
-	// CertInfeasible: the LP relaxation of the contract conjunction is
-	// infeasible — a sound proof that no agent flow set (integral or
-	// not) services the workload in the horizon.
+	// CertInfeasible: no agent flow set, integral or not, services the
+	// workload. Sweep reports it for a demand level beyond what the
+	// generated topology stocks.
 	CertInfeasible = flow.CertInfeasible
-	// CertMaybeFeasible: the relaxation is satisfiable; only the
-	// integral search failed (or was not run).
+	// CertMaybeFeasible: no plan was found, but nothing rules out a
+	// fractional flow set: the integral search proved the contract
+	// conjunction unsatisfiable, the sequential decomposition or route
+	// packing fell short, or the realized plan did not finish in time.
 	CertMaybeFeasible = flow.CertMaybeFeasible
 )

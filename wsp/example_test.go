@@ -99,8 +99,8 @@ func ExampleSolver_Solve_cancellation() {
 }
 
 // The error taxonomy classifies failures without string matching: here the
-// admission check proves a two-cycle-period horizon infeasible and attaches
-// the LP certificate.
+// integral search proves the contract conjunction of a two-cycle-period
+// horizon unsatisfiable, a verdict on integral flow sets only.
 func ExampleSolver_Solve_taxonomy() {
 	inst, err := ringInstance()
 	if err != nil {
@@ -108,7 +108,7 @@ func ExampleSolver_Solve_taxonomy() {
 	}
 	inst.Horizon = 60 // far too short to service 19 units
 
-	solver := wsp.New(wsp.WithStrategy(wsp.ContractILP), wsp.WithAdmissionCheck(true))
+	solver := wsp.New(wsp.WithStrategy(wsp.ContractILP))
 	_, err = solver.Solve(context.Background(), inst)
 	fmt.Println("infeasible:", errors.Is(err, wsp.ErrInfeasible))
 	var ie *wsp.InfeasibleError
@@ -117,7 +117,7 @@ func ExampleSolver_Solve_taxonomy() {
 	}
 	// Output:
 	// infeasible: true
-	// certificate: infeasible
+	// certificate: maybe-feasible
 }
 
 // SolveBatch drains a batch over a bounded worker pool; results are

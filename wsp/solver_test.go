@@ -84,28 +84,9 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 	})
 
-	t.Run("infeasible-with-certificate", func(t *testing.T) {
-		// T=40 hosts at least one cycle period but the LP relaxation of
-		// the contract conjunction is infeasible: the admission check
-		// fails with the sound certificate attached.
-		solver := New(WithStrategy(ContractILP), WithAdmissionCheck(true))
-		_, err := solver.Solve(ctx, tinyInstance(t, m, 60, 40))
-		if !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("%v does not classify as ErrInfeasible", err)
-		}
-		var ie *InfeasibleError
-		if !errors.As(err, &ie) {
-			t.Fatalf("%v does not expose *InfeasibleError", err)
-		}
-		if ie.Cert != CertInfeasible {
-			t.Errorf("certificate %v, want CertInfeasible", ie.Cert)
-		}
-	})
-
 	t.Run("infeasible-integral-search", func(t *testing.T) {
-		// The same demand without the admission gate: the integral search
-		// proves the conjunction unsatisfiable; the certificate records
-		// that the relaxation was NOT the proof.
+		// T=40 hosts at least one cycle period, but not this demand: the
+		// integral search proves the conjunction unsatisfiable.
 		solver := New(WithStrategy(ContractILP), WithMaxAttempts(1))
 		_, err := solver.Solve(ctx, tinyInstance(t, m, 60, 40))
 		if !errors.Is(err, ErrInfeasible) {
@@ -319,6 +300,12 @@ func TestSweepStockShortfallIsPointVerdict(t *testing.T) {
 	if !errors.Is(top.Err, ErrInfeasible) || top.Result != nil {
 		t.Errorf("level %d on V=2: %v, want an infeasible verdict", top.Units, top.Err)
 	}
+	// Demand beyond the stock admits no flow set at all, which is what
+	// CertInfeasible certifies; this verdict is its one producer.
+	var ie *InfeasibleError
+	if !errors.As(top.Err, &ie) || ie.Cert != CertInfeasible {
+		t.Errorf("level %d on V=2: %v, want an *InfeasibleError with CertInfeasible", top.Units, top.Err)
+	}
 }
 
 // TestConfigResolution pins the option → config mapping the facade
@@ -328,7 +315,6 @@ func TestConfigResolution(t *testing.T) {
 	s := New(
 		WithStrategy(SequentialFlows),
 		WithExact(true),
-		WithAdmissionCheck(true),
 		WithSkipRealization(true),
 		WithMaxAttempts(5),
 		WithWorkBudget(123),
@@ -337,7 +323,7 @@ func TestConfigResolution(t *testing.T) {
 	)
 	got := s.Config()
 	want := Config{
-		Strategy: SequentialFlows, AdmissionCheck: true, SkipRealization: true, MaxAttempts: 5,
+		Strategy: SequentialFlows, SkipRealization: true, MaxAttempts: 5,
 		Limits: Limits{Exact: true, MaxWork: 123, MaxNodes: 45},
 	}
 	if got != want {

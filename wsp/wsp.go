@@ -19,7 +19,8 @@
 // bit-identical to one run under context.Background().
 //
 // Failures carry a typed taxonomy rooted in four sentinels — ErrInfeasible
-// (match the concrete *InfeasibleError for the admission certificate),
+// (match the concrete *InfeasibleError for its certificate: whether no
+// flow set exists at all, or only the synthesis failed),
 // ErrHorizonTooShort, ErrBudgetExhausted, and ErrCanceled — all wrapped
 // with %w at every layer, so errors.Is and errors.As work on any error the
 // package returns.
@@ -79,7 +80,6 @@ func ParseStrategy(name string) (Strategy, error) {
 //	Strategy        synthesis pipeline (default RoutePacking)
 //	MaxAttempts     synthesize→realize→verify attempts (0 = 3)
 //	SkipRealization stop after cycle synthesis
-//	AdmissionCheck  gate synthesis on the LP-relaxation certificate
 //	Limits          the ContractILP strategy's ILP: Exact, MaxWork, MaxNodes
 //
 // The zero value means defaults; Validate rejects negative counts.
@@ -100,10 +100,6 @@ func WithStrategy(s Strategy) Option { return func(sv *Solver) { sv.cfg.Strategy
 
 // WithExact toggles exact rational arithmetic for the ContractILP strategy.
 func WithExact(exact bool) Option { return func(sv *Solver) { sv.cfg.Exact = exact } }
-
-// WithAdmissionCheck toggles the LP-relaxation admission certificate
-// before synthesis.
-func WithAdmissionCheck(check bool) Option { return func(sv *Solver) { sv.cfg.AdmissionCheck = check } }
 
 // WithSkipRealization stops solves after cycle synthesis (no plan,
 // no simulation).
