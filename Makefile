@@ -26,13 +26,16 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The packages whose solves hand tiles to a second goroutine (core's
-# realize/validate pipeline, through warehouse.Feeder), run on one P: a
-# handoff that waits for a second P to run the other goroutine deadlocks
-# here instead of passing on a multi-core machine. -count=1 because the
-# test cache does not key on GOMAXPROCS and would replay `make test`.
+# The packages whose solves or tests hand tiles to a second goroutine
+# (core's realize/validate pipeline, and agentplan's parity test, which
+# streams into a warehouse.Feeder), run on one P: a handoff that waits for
+# a second P to run the other goroutine deadlocks here instead of passing
+# on a multi-core machine. Since the realizer replays the periodic steady
+# state, it outruns the replayer and waits for a free feeder buffer on
+# most tiles. -count=1 because the test cache does not key on GOMAXPROCS
+# and would replay `make test`.
 test-procs1:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core ./internal/warehouse ./internal/solverpool ./internal/server ./wsp
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core ./internal/warehouse ./internal/agentplan ./internal/solverpool ./internal/server ./wsp
 
 # The trajectory's benchmarks: Table I synthesis + the full Table I solve
 # and its two dominant stages (Algorithm 1 realization, validation by

@@ -54,8 +54,8 @@ func TestRealizeMatchesReference(t *testing.T) {
 						f := rp.Async()
 						feed, finish = f.Feed, f.Finish
 					}
-					streamStats, streamErr := Stream(c.CS, c.WL, T, func(tile []warehouse.AgentState, width, steps int) error {
-						feed(tile, width, steps)
+					streamStats, streamErr := Stream(c.CS, c.WL, T, func(tile []warehouse.AgentState, steps int) error {
+						feed(tile, steps)
 						return nil
 					})
 					replay := finish()

@@ -259,11 +259,11 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 	// goroutine realizes the next.
 	realizeStart := time.Now()
 	feed := warehouse.NewReplayer(s.W, cs.NumAgents(), T, wl).Async()
-	stats, err := agentplan.Stream(cs, wl, T, func(tile []warehouse.AgentState, width, steps int) error {
+	stats, err := agentplan.Stream(cs, wl, T, func(tile []warehouse.AgentState, steps int) error {
 		if ctx.Err() != nil {
 			return fmt.Errorf("core: realization canceled: %w", lp.ErrCanceled)
 		}
-		feed.Feed(tile, width, steps)
+		feed.Feed(tile, steps)
 		return nil
 	})
 	res.Sim = feed.Finish()

@@ -122,10 +122,15 @@ func buildLifelongBatches(sys *wsp.System, T int, specs []LifelongBatchSpec) ([]
 			if len(bs.PerProduct) != sys.W.NumProducts {
 				return nil, fmt.Errorf("batch %d has %d demands for %d products", i, len(bs.PerProduct), sys.W.NumProducts)
 			}
+			total := 0
 			for k, u := range bs.PerProduct {
 				if u < 0 {
 					return nil, fmt.Errorf("batch %d demands %d units of product %d", i, u, k)
 				}
+				total += u
+			}
+			if total == 0 {
+				return nil, fmt.Errorf("batch %d carries no units", i)
 			}
 			units = bs.PerProduct
 		case bs.Units > 0:

@@ -412,6 +412,12 @@ func TestLifelongValidation(t *testing.T) {
 			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
 			Batches:      []LifelongBatchSpec{{Release: 0, PerProduct: []int{-10, 10}}},
 		}, http.StatusBadRequest, "bad-request"},
+		// An all-zero per-product demand carries no units, like an
+		// empty batch.
+		{"zero-per-product", LifelongRequest{
+			InstanceSpec: InstanceSpec{Instance: inst, Horizon: 2400},
+			Batches:      []LifelongBatchSpec{{Release: 0, PerProduct: []int{0, 0}}},
+		}, http.StatusBadRequest, "bad-request"},
 	}
 	for _, tc := range cases {
 		w := postJSON(t, srv.Handler(), "/v1/lifelong", tc.req, nil)

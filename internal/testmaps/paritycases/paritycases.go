@@ -6,6 +6,7 @@ package paritycases
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/datasets"
@@ -25,26 +26,32 @@ type Case struct {
 
 // tableIHorizons are the horizons every Table I cycle set is realized at:
 // one- and two-step plans, the edges of the first 64-step tile, and the
-// paper's plan length.
+// paper's plan length. TableI adds the edges of each set's periodic replay.
 var tableIHorizons = []int{1, 2, 63, 64, 65, 3600}
 
-// TableI returns the nine Table I instances, route-packed at T=3600.
+// TableI returns the nine Table I instances, route-packed at T=3600, and
+// Fulfillment1 at 1,320 units. Realization replays the nine from their
+// first period boundary, t = tc, and the tenth only from its ninth, t = 126.
+// Each is realized at tableIHorizons and at the edges of its replay from
+// boundary b: b itself, the first replayed steps b+1 and b+2, and b+tc and
+// b+tc+1, where the replay first wraps to the next period.
 func TableI() ([]Case, error) {
 	var out []Case
 	for _, row := range []struct {
-		name  string
-		build func() (*maps.Map, error)
-		units []int
+		name    string
+		build   func() (*maps.Map, error)
+		units   []int
+		periods []int // per units, the periods until the replay starts
 	}{
-		{"SortingCenter", maps.SortingCenter, []int{160, 320, 480}},
-		{"Fulfillment1", maps.Fulfillment1, []int{550, 825, 1100}},
-		{"Fulfillment2", maps.Fulfillment2, []int{1200, 1320, 1440}},
+		{"SortingCenter", maps.SortingCenter, []int{160, 320, 480}, []int{1, 1, 1}},
+		{"Fulfillment1", maps.Fulfillment1, []int{550, 825, 1100, 1320}, []int{1, 1, 1, 9}},
+		{"Fulfillment2", maps.Fulfillment2, []int{1200, 1320, 1440}, []int{1, 1, 1}},
 	} {
 		m, err := row.build()
 		if err != nil {
 			return nil, err
 		}
-		for _, units := range row.units {
+		for j, units := range row.units {
 			wl, err := workload.Uniform(m.W, units)
 			if err != nil {
 				return nil, err
@@ -53,7 +60,11 @@ func TableI() ([]Case, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s units=%d: %w", row.name, units, err)
 			}
-			out = append(out, Case{Name: fmt.Sprintf("%s_units=%d", row.name, units), CS: cs, WL: wl, Horizons: tableIHorizons})
+			tc := cs.Tc
+			b := row.periods[j] * tc
+			horizons := append([]int{b, b + 1, b + 2, b + tc, b + tc + 1}, tableIHorizons...)
+			slices.Sort(horizons)
+			out = append(out, Case{Name: fmt.Sprintf("%s_units=%d", row.name, units), CS: cs, WL: wl, Horizons: slices.Compact(horizons)})
 		}
 	}
 	return out, nil

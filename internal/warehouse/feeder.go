@@ -24,7 +24,7 @@ type Feeder struct {
 }
 
 // feed is one queued tile: buffer buf holds it.
-type feed struct{ buf, width, steps int }
+type feed struct{ buf, steps int }
 
 // Async starts a Feeder for rp. Feed it every timestep in order, then call
 // Finish once, on every path: Finish stops the goroutine. rp must not be
@@ -43,17 +43,17 @@ func (f *Feeder) run() {
 	defer close(f.done)
 	defer func() { f.panicked = recover() }()
 	for q := range f.queue {
-		f.rp.Feed(f.bufs[q.buf], q.width, q.steps)
+		f.rp.Feed(f.bufs[q.buf], q.steps)
 		f.free <- q.buf
 	}
 }
 
-// Feed queues the tile for Replayer.Feed and returns once it has copied it,
-// which waits only while both buffers hold tiles not yet checked. Like
-// Replayer.Feed, it reads the tile only during the call. After
+// Feed queues the step-major tile for Replayer.Feed and returns once it has
+// copied it, which waits only while both buffers hold tiles not yet
+// checked. Like Replayer.Feed, it reads the tile only during the call. After
 // Replayer.Feed has panicked, Feed drops the tile and returns at once;
 // Finish reports the panic.
-func (f *Feeder) Feed(tile []AgentState, width, steps int) {
+func (f *Feeder) Feed(tile []AgentState, steps int) {
 	var i int
 	select {
 	case i = <-f.free:
@@ -66,7 +66,7 @@ func (f *Feeder) Feed(tile []AgentState, width, steps int) {
 	}
 	f.bufs[i] = f.bufs[i][:len(tile)]
 	copy(f.bufs[i], tile)
-	f.queue <- feed{buf: i, width: width, steps: steps}
+	f.queue <- feed{buf: i, steps: steps}
 }
 
 // Finish waits until every queued tile is checked, stops the goroutine,

@@ -14,7 +14,7 @@ func TestFeederRelaysPanic(t *testing.T) {
 	tile := []AgentState{{Vertex: shelf, Carried: NoProduct}, {Vertex: shelf, Carried: NoProduct}}
 	want := func() (p any) {
 		defer func() { p = recover() }()
-		NewReplayer(w, 1, 1, Workload{}).Feed(tile, 2, 2)
+		NewReplayer(w, 1, 1, Workload{}).Feed(tile, 2)
 		return nil
 	}()
 	if want == nil {
@@ -28,7 +28,7 @@ func TestFeederRelaysPanic(t *testing.T) {
 		// Feed holds at most two tiles, so the later calls pass only if
 		// Feed stops waiting for a buffer once the goroutine has stopped.
 		for range 2 * feedBuffers {
-			f.Feed(tile, 2, 2)
+			f.Feed(tile, 2)
 		}
 	}()
 	select {

@@ -206,33 +206,37 @@ func checkParity(t *testing.T, w *warehouse.Warehouse, p *warehouse.Plan, wls ..
 	}
 }
 
-// tileWidths are the tile widths checkParity feeds a T-step plan to a
-// Replayer at: one step at a time, a width prime to 64, the edges of
-// ReplayPlan's 64-step tile, and the whole plan at once.
+// tileWidths are the tile lengths, in timesteps, checkParity feeds a
+// T-step plan to a Replayer at: one step at a time, a length prime to 64,
+// the edges of ReplayPlan's 64-step tile, and the whole plan at once.
 func tileWidths(T int) []int { return []int{1, 7, 63, 64, 65, T} }
 
-// feedTiles replays p through a Replayer fed tiles of the given width,
-// directly or, when async, through a Feeder. The tile is refilled with an
-// off-grid state before every copy, so a read of a state outside the steps
-// fed, or of the tile after Feed returned, shows as a violation.
+// feedTiles replays p through a Replayer fed step-major tiles that each
+// span width timesteps, directly or, when async, through a Feeder. The tile
+// is refilled with an off-grid state before every copy, so a read of a
+// state outside the steps fed, or of the tile after Feed returned, shows
+// as a violation.
 func feedTiles(w *warehouse.Warehouse, p *warehouse.Plan, wl warehouse.Workload, width int, async bool) warehouse.Replay {
 	rows, T := p.Rows(), p.Horizon()
-	rp := warehouse.NewReplayer(w, len(rows), T, wl)
+	c := len(rows)
+	rp := warehouse.NewReplayer(w, c, T, wl)
 	feed, finish := rp.Feed, rp.Finish
 	if async {
 		f := rp.Async()
 		feed, finish = f.Feed, f.Finish
 	}
-	tile := make([]warehouse.AgentState, width*len(rows))
+	tile := make([]warehouse.AgentState, width*c)
 	for t0 := 0; t0 < T; t0 += width {
 		n := min(width, T-t0)
 		for i := range tile {
 			tile[i] = warehouse.AgentState{Vertex: -2, Carried: -2}
 		}
 		for i, row := range rows {
-			copy(tile[i*width:i*width+n], row[t0:t0+n])
+			for s, st := range row[t0 : t0+n] {
+				tile[s*c+i] = st
+			}
 		}
-		feed(tile, width, n)
+		feed(tile, n)
 	}
 	return finish()
 }

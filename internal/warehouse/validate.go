@@ -23,7 +23,7 @@ func (v PlanViolation) Error() string {
 // replayTile is how many timesteps ReplayPlan copies out of every agent's
 // plan row at a time. The per-step sweeps over all agents then read a small
 // tile that stays in cache instead of one cache line in each agent's row of
-// a plan that spans megabytes. It equals agentplan's tile width, so
+// a plan that spans megabytes. It equals agentplan's tile length, so
 // replaying a freshly realized plan reuses the tile the realization
 // returned to the pool.
 const replayTile = 64
@@ -78,22 +78,24 @@ func ReplayPlan(w *Warehouse, p *Plan, wl Workload) Replay {
 	}
 	c := len(rows)
 	rp := NewReplayer(w, c, T, wl)
-	// tile[i*width+s] holds agent i's state at timestep t0+s.
+	// tile[s*c+i] holds agent i's state at timestep t0+s.
 	width := min(replayTile, T)
 	tile := GetStates(width * c)
 	defer PutStates(tile)
 	for t0 := 0; t0 < T; t0 += width {
-		n := min(width, T-t0)
+		steps := min(width, T-t0)
 		for i, row := range rows {
-			copy(tile[i*width:i*width+n], row[t0:t0+n])
+			for s, st := range row[t0 : t0+steps] {
+				tile[s*c+i] = st
+			}
 		}
-		rp.Feed(tile, width, n)
+		rp.Feed(tile[:steps*c], steps)
 	}
 	return rp.Finish()
 }
 
 // Replayer checks a plan fed to it in timestep order, one tile at a time,
-// and tallies what ReplayPlan reports. Whatever the tile widths, it reports
+// and tallies what ReplayPlan reports. Whatever the tile lengths, it reports
 // the same violations in the same order. Between tiles it keeps every
 // agent's last state, the occupancy of the last timestep and the pickup
 // counts, so its memory does not depend on the horizon.
@@ -138,27 +140,33 @@ func NewReplayer(w *Warehouse, agents, T int, wl Workload) *Replayer {
 	return rp
 }
 
-// Feed checks the next steps timesteps: tile[i*width+s], for s < steps, is
-// agent i's state at the s-th of them. Feed reads the tile only during the
-// call. It checks each timestep's moves from the one before, then its
-// vertices, so every timestep's vertex violations precede those of its
-// moves to the next, as in ReplayPlan.
-func (rp *Replayer) Feed(tile []AgentState, width, steps int) {
+// Feed checks the next steps timesteps. The tile is step-major:
+// tile[s*agents+i], for s < steps, is agent i's state at the s-th of them,
+// so each timestep is one contiguous run of states. Feed reads the tile
+// only during the call. It checks each timestep's moves from the one
+// before, then its vertices, so every timestep's vertex violations precede
+// those of its moves to the next, as in ReplayPlan.
+func (rp *Replayer) Feed(tile []AgentState, steps int) {
 	if rp.t+steps > rp.T {
 		panic(fmt.Sprintf("warehouse: Feed past the horizon: %d+%d of %d timesteps", rp.t, steps, rp.T))
 	}
 	w, c, r := rp.w, rp.c, &rp.r
 	np := w.NumProducts
-	last, occAgent, occStamp := rp.last[:c], rp.occAgent, rp.occStamp
+	occAgent, occStamp := rp.occAgent, rp.occStamp
 	nv := len(occStamp)
 	moves, carrying, short := rp.moves, rp.carrying, rp.short
+	// prev holds every agent's state at the timestep before the one
+	// checked: the last one fed for the tile's first, the tile's row before
+	// for the others.
+	prev := rp.last[:c]
 	for s := range steps {
 		t := rp.t + s
+		row := tile[s*c : (s+1)*c]
 		if t > 0 {
 			// The moves from timestep t-1, whose occupancy has stamp t.
 			stamp := int32(t)
-			for i := range c {
-				cu, nx := last[i], tile[i*width+s]
+			for i, nx := range row {
+				cu := prev[i]
 				// Condition 1: unit moves.
 				if cu.Vertex != nx.Vertex {
 					moves++
@@ -169,7 +177,7 @@ func (rp *Replayer) Feed(tile []AgentState, width, steps int) {
 				}
 				// Condition 2b: edge swaps.
 				if v := nx.Vertex; v >= 0 && int(v) < nv && occStamp[v] == stamp {
-					if j := int(occAgent[v]); j != i && tile[j*width+s].Vertex == cu.Vertex {
+					if j := int(occAgent[v]); j != i && row[j].Vertex == cu.Vertex {
 						if i < j { // report each swap once
 							r.Violations = append(r.Violations, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: j, Condition: 2,
 								Detail: fmt.Sprintf("agents %d and %d swap across edge %d-%d", i, j, cu.Vertex, v)})
@@ -225,9 +233,7 @@ func (rp *Replayer) Feed(tile []AgentState, width, steps int) {
 		}
 		// Condition 2a: vertex conflicts at timestep t.
 		stamp := int32(t) + 1
-		for i := range c {
-			st := tile[i*width+s]
-			last[i] = st
+		for i, st := range row {
 			v := st.Vertex
 			if v < 0 || int(v) >= nv {
 				r.Violations = append(r.Violations, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
@@ -241,7 +247,9 @@ func (rp *Replayer) Feed(tile []AgentState, width, steps int) {
 			occAgent[v] = int32(i)
 			occStamp[v] = stamp
 		}
+		prev = row
 	}
+	copy(rp.last, prev)
 	rp.t += steps
 	rp.moves, rp.carrying, rp.short = moves, carrying, short
 }
